@@ -144,8 +144,9 @@ def second_derivative_norm(u: DGFunction) -> float:
 
 def interface_jumps(u: DGFunction) -> tuple[np.ndarray, np.ndarray]:
     """Jumps [u] and [u_x] at the N interfaces (plus minus minus trace)."""
-    v_r, d_r, v_l, d_l = u.traces()
-    return np.roll(v_l, -1) - v_r, np.roll(d_l, -1) - d_r
+    right, left = u.traces()
+    jump = np.roll(left, -1, axis=0) - right
+    return jump[:, 0], jump[:, 1]
 
 
 def zeta_diagnostics(u_h: DGFunction, f: AnalyticField, t: float,

@@ -25,11 +25,10 @@ DNE = "DNE"
 def numerical_fluxes(u: DGFunction, cfg: FluxConfig):
     """(uhat, uxtilde) of a DG field at its N interfaces x_{j+1/2}."""
     gh = interface_matrices(scale_flux(cfg, u.mesh.h))
-    v_r, d_r, v_l, d_l = u.traces()
-    left = np.stack([v_r, d_r])                 # trace from cell j
-    right = np.stack([np.roll(v_l, -1), np.roll(d_l, -1)])
-    flux = gh.G @ left + gh.H @ right
-    return flux[0], flux[1]
+    right, left = u.traces()
+    # the interface is the right end of cell j and the left end of j+1
+    flux = right @ gh.G.T + np.roll(left, -1, axis=0) @ gh.H.T
+    return flux[:, 0], flux[:, 1]
 
 
 def flux_errors(u_h: DGFunction, f: AnalyticField, t: float,
@@ -83,24 +82,23 @@ def point_errors(u_h: DGFunction, f: AnalyticField, t: float,
     """
     mesh = u_h.mesh
     sf = scale_flux(cfg, mesh.h)
-    cache: dict[float, object] = {}
-    sums = [0.0, 0.0, 0.0]
-    counts = [0, 0, 0]
-    for j in range(mesh.N):
-        hj = float(mesh.h_sizes[j])
-        pts = cache.get(hj)
-        if pts is None:
-            pts = special_points(u_h.k, hj, sf)
-            cache[hj] = pts
-        center = mesh.centers[j]
+    centers = mesh.centers
+    sums = np.zeros(3)
+    counts = np.zeros(3, dtype=int)
+    # the point sets depend on the cell only through h_j, so cells of
+    # equal width are evaluated together
+    widths, group = np.unique(mesh.h_sizes, return_inverse=True)
+    for g, hj in enumerate(widths):
+        cells = np.flatnonzero(group == g)
+        pts = special_points(u_h.k, float(hj), sf)
         for s, xi in enumerate(pts.sets()):
             if xi.size == 0:
                 continue
-            x = center + 0.5 * hj * xi
+            x = centers[cells, None] + 0.5 * hj * xi
             tab = basis.legendre_table(u_h.k, xi, ders=s)[:, s, :]
-            uh_vals = (tab @ u_h.coeffs[j]) * (2.0 / hj) ** s
-            sums[s] += float(np.sum(np.abs(f.eval(x, t, s) - uh_vals) ** 2))
-            counts[s] += xi.size
+            uh_vals = (u_h.coeffs[cells] @ tab.T) * (2.0 / hj) ** s
+            sums[s] += np.sum(np.abs(f.eval(x, t, s) - uh_vals) ** 2)
+            counts[s] += x.size
     return tuple(
         float(np.sqrt(sums[s] / counts[s])) if counts[s] else DNE
         for s in range(3)

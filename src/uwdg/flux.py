@@ -2,9 +2,10 @@
 
 The scheme's numerical fluxes at an interface act on the trace pairs
 [u, u_x] from the two sides through the 2x2 matrices G and H = I - G.
-Everything the projections and corrections need at cell boundaries is
-collected here: the Gamma/Lambda quantities, the boundary blocks A_j/B_j
-built from Legendre trace vectors, the A1/A2/A3 classification that
+Everything the projections, corrections and the operator need at cell
+boundaries is collected here: the endpoint trace map of the Legendre
+basis, the Gamma/Lambda quantities, the boundary blocks A_j/B_j built
+from it, the A1/A2/A3 classification that
 decides whether the flux-matching projection is cell-local or a global
 periodic solve, and the DFT solver for the latter.
 """
@@ -21,6 +22,11 @@ from .mesh import Mesh1D
 A1_TOL = 1e-12          # detection of alpha1^2 + beta1*beta2 == 1/4
 RESONANCE_TOL = 1e-9    # |(.)^N - 1| threshold for the A3 non-resonance checks
 SYMBOL_COND_MAX = 1e12  # condition number cutoff for circulant symbol blocks
+# the three determinant tests below are relative to the squared block
+# scale, so they read as "singular to within a few hundred ulps"
+BLOCK_DET_TOL = 1e-14   # |det A| below this: Q = -A^{-1}B is not formed
+LOCAL_DET_TOL = 1e-13   # |det(A_j+B_j)| below this: no cell-local projection
+RESIDUAL_DEN_TOL = 1e-13  # |Gamma + (-1)^k Lambda| below this: no residual
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,9 @@ class CellBlocks:
     """Per-cell boundary algebra for polynomial degree k on a cell of
     width h_j.
 
-    A = G [L^-_{k-1}, L^-_k] and B = H [L^+_{k-1}, L^+_k] where the trace
-    vectors carry the physical value/derivative pair of the scaled
-    Legendre basis at the right (-) and left (+) endpoints:
-    L^-_m = [1, m(m+1)/h_j], L^+_m = (-1)^m [1, -m(m+1)/h_j].
+    A = G [L^-_{k-1}, L^-_k] and B = H [L^+_{k-1}, L^+_k] where L^-_m and
+    L^+_m are the right and left endpoint traces [v, v_x] of L_{j,m}
+    (columns of trace_maps).
     Identities: det(A+B) = 2((-1)^k Gamma + Lambda), reducing to
     2(-1)^k Gamma when Lambda = 0 (the local-projection class).
     """
@@ -108,15 +113,22 @@ def interface_matrices(sf: ScaledFlux) -> InterfaceMatrices:
     return InterfaceMatrices(G=G, H=H)
 
 
-def trace_vector(m: int, h_j: float, side: str) -> np.ndarray:
-    """Value/derivative pair of L_{j,m} at a cell endpoint.
+def trace_maps(k: int, h_sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint traces of the scaled Legendre basis on every cell.
 
-    side "-" is the right endpoint (trace from inside), "+" the left.
-    The second entry is the physical x-derivative (2/h_j) L'_m(+-1).
+    Returns (R, L), each of shape (N, 2, k+1): R[j, :, m] is [v, v_x] of
+    L_{j,m} at the right endpoint of cell j (trace from inside), L[j, :, m]
+    the same at its left endpoint.  v_x is the physical derivative
+    (2/h_j) L'_m(+-1), with L'_m(1) = m(m+1)/2 and L_m(-1) = (-1)^m.
+    A scalar h_sizes gives N = 1.
     """
-    if side == "-":
-        return np.array([1.0, m * (m + 1) / h_j])
-    return (-1.0) ** m * np.array([1.0, -m * (m + 1) / h_j])
+    m = np.arange(k + 1)
+    h = np.atleast_1d(np.asarray(h_sizes, dtype=float))[:, None]
+    dval = m * (m + 1) / h
+    sgn = np.broadcast_to((-1.0) ** m, dval.shape)
+    R = np.stack([np.ones_like(dval), dval], axis=1)
+    L = np.stack([sgn, -sgn * dval], axis=1)
+    return R, L
 
 
 def gamma_lambda(sf: ScaledFlux, k: int, h_j: float) -> tuple[float, float]:
@@ -131,25 +143,18 @@ def cell_blocks(sf: ScaledFlux, k: int, h_j: float) -> CellBlocks:
     if k < 2:
         raise ValueError("boundary blocks need k >= 2")
     gh = interface_matrices(sf)
-    A = np.column_stack([gh.G @ trace_vector(k - 1, h_j, "-"),
-                         gh.G @ trace_vector(k, h_j, "-")])
-    B = np.column_stack([gh.H @ trace_vector(k - 1, h_j, "+"),
-                         gh.H @ trace_vector(k, h_j, "+")])
+    R, L = trace_maps(k, h_j)
+    A = gh.G @ R[0, :, k - 1:]
+    B = gh.H @ L[0, :, k - 1:]
     gamma, lam = gamma_lambda(sf, k, h_j)
     Q = None
-    if abs(np.linalg.det(A)) > 1e-14 * max(1.0, np.abs(A).max() ** 2):
+    scale = max(1.0, np.abs(A).max() ** 2)
+    if abs(np.linalg.det(A)) > BLOCK_DET_TOL * scale:
         Q = -np.linalg.solve(A, B)
         Q.setflags(write=False)
     A.setflags(write=False)
     B.setflags(write=False)
     return CellBlocks(A=A, B=B, gamma=gamma, lam=lam, k=k, h_j=h_j, Q=Q)
-
-
-def flux_projection_rhs_matrix(sf: ScaledFlux, k: int, h_j: float,
-                               m: int) -> np.ndarray:
-    """G L^-_m + H L^+_m, the interface footprint of mode m of one cell."""
-    gh = interface_matrices(sf)
-    return gh.G @ trace_vector(m, h_j, "-") + gh.H @ trace_vector(m, h_j, "+")
 
 
 def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClass:

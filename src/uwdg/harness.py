@@ -276,6 +276,14 @@ def _parse_metrics(text: str) -> tuple:
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
+def _number(kind, key: str, text):
+    """kind(text), or a ConfigurationError naming the setting."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad {key} value {text!r}") from exc
+
+
 def _read_config_file(path: str) -> dict:
     """Flat key = value file; '#' starts a comment."""
     out = {}
@@ -322,27 +330,28 @@ def _config_from_args(args, single_n: bool) -> StudyConfig:
 
     updates = {}
     if (v := pick("k")) is not None:
-        updates["k"] = int(v)
+        updates["k"] = _number(int, "k", v)
     if (v := pick("N")) is not None:
         if single_n and not isinstance(v, str):
             updates["Ns"] = (int(v),)
         else:
-            updates["Ns"] = tuple(int(s) for s in str(v).split(","))
+            updates["Ns"] = tuple(_number(int, "N", s)
+                                  for s in str(v).split(","))
     if (v := pick("flux")) is not None:
         updates["flux"] = v if isinstance(v, FluxConfig) else _parse_flux(v)
     if (v := pick("mesh")) is not None:
         kind, frac, seed = _parse_mesh(v)
         updates.update(mesh_kind=kind, fraction=frac, seed=seed)
     if (v := pick("tend")) is not None:
-        updates["t_end"] = float(v)
+        updates["t_end"] = _number(float, "tend", v)
     if (v := pick("c")) is not None:
-        updates["c"] = float(v)
+        updates["c"] = _number(float, "c", v)
     if (v := pick("init")) is not None:
         updates["init"] = v
     if (v := pick("metrics")) is not None:
         updates["metrics"] = _parse_metrics(v)
     if (v := pick("qmax")) is not None:
-        updates["q_max"] = int(v)
+        updates["q_max"] = _number(int, "qmax", v)
     if (v := pick("field")) is not None:
         updates["field_name"] = v
     if (v := pick("out")) is not None:
@@ -353,6 +362,8 @@ def _config_from_args(args, single_n: bool) -> StudyConfig:
 
 
 def _cmd_points(args) -> int:
+    if not args.h > 0:
+        raise ConfigurationError(f"h must be positive, got {args.h:g}")
     flux = _parse_flux(args.flux) if args.flux else FluxConfig()
     sf = scale_flux(flux, args.h)
     pts = special_points(args.k, args.h, sf)

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import basis
 from .errors import ProjectionUndefinedError, ResidualUndefinedError
-from .flux import (AssumptionClass, FluxConfig, ScaledFlux, cell_blocks,
-                   classify_assumption, flux_projection_rhs_matrix,
-                   gamma_lambda, interface_matrices, scale_flux,
-                   solve_block_circulant)
+from .flux import (LOCAL_DET_TOL, RESIDUAL_DEN_TOL, AssumptionClass,
+                   FluxConfig, ScaledFlux, classify_assumption, gamma_lambda,
+                   interface_matrices, scale_flux, solve_block_circulant,
+                   trace_maps)
 from .mesh import Mesh1D
 
 
@@ -79,18 +79,12 @@ class DGFunction:
             vals = vals * (2.0 / self.mesh.h_sizes[j]) ** s
         return vals
 
-    def traces(self):
-        """One-sided endpoint values and physical derivatives per cell:
-        (v_right, d_right, v_left, d_left), each of shape (N,)."""
-        m = np.arange(self.k + 1)
-        sgn = (-1.0) ** m
-        dval = m * (m + 1)
-        hj = self.mesh.h_sizes
-        v_r = self.coeffs.sum(axis=1)
-        v_l = self.coeffs @ sgn
-        d_r = (self.coeffs @ dval) / hj
-        d_l = -(self.coeffs @ (sgn * dval)) / hj
-        return v_r, d_r, v_l, d_l
+    def traces(self) -> tuple[np.ndarray, np.ndarray]:
+        """One-sided [value, physical derivative] at the right and left
+        endpoint of every cell: (right, left), each of shape (N, 2)."""
+        R, L = trace_maps(self.k, self.mesh.h_sizes)
+        c = self.coeffs[:, :, None]
+        return (R @ c)[:, :, 0], (L @ c)[:, :, 0]
 
     def cell_norms_sq(self) -> np.ndarray:
         """Per-cell squared L2 norms by Parseval."""
@@ -162,6 +156,16 @@ def _resolve_class(cfg: FluxConfig, mesh: Mesh1D, k: int,
     return cls
 
 
+def _footprints(k: int, sf: ScaledFlux,
+                h_sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Interface footprints G R and H L of every mode, each (N, 2, k+1):
+    what mode m of cell j adds to the fluxes at its right and left
+    endpoint.  Columns k-1, k are the boundary blocks A_j and B_j."""
+    gh = interface_matrices(sf)
+    R, L = trace_maps(k, h_sizes)
+    return gh.G @ R, gh.H @ L
+
+
 def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
                    low_coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Per-cell 2x2 solves (A_j + B_j) y_j = data_j - footprint(low modes).
@@ -169,40 +173,34 @@ def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
     data holds the cell-local interface target G[u,u_x]|right +
     H[u,u_x]|left (or zero for correction functions).  Returns (N, 2).
     """
-    out = np.empty((mesh.N, 2), dtype=complex)
-    for j in range(mesh.N):
-        hj = mesh.h_sizes[j]
-        blk = cell_blocks(sf, k, hj)
-        AB = blk.A + blk.B
-        det = AB[0, 0] * AB[1, 1] - AB[0, 1] * AB[1, 0]
-        if abs(det) <= 1e-13 * (np.abs(AB).max() ** 2 + 1e-300):
-            raise ProjectionUndefinedError(
-                f"cell-local projection undefined on cell {j}: "
-                f"(-1)**(k+1) * Gamma_j/Lambda_j == 1 "
-                f"(det(A_j+B_j) = {det:.3e})")
-        r = data[j].astype(complex)
-        for m in range(k - 1):
-            r -= low_coeffs[j, m] * flux_projection_rhs_matrix(sf, k, hj, m)
-        out[j] = np.linalg.solve(AB, r)
-    return out
+    GR, HL = _footprints(k, sf, mesh.h_sizes)
+    F = GR + HL
+    AB = F[:, :, k - 1:]
+    det = AB[:, 0, 0] * AB[:, 1, 1] - AB[:, 0, 1] * AB[:, 1, 0]
+    bad = np.flatnonzero(np.abs(det) <= LOCAL_DET_TOL
+                         * (np.abs(AB).max(axis=(1, 2)) ** 2 + 1e-300))
+    if bad.size:
+        j = int(bad[0])
+        raise ProjectionUndefinedError(
+            f"cell-local projection undefined on cell {j}: "
+            f"(-1)**(k+1) * Gamma_j/Lambda_j == 1 "
+            f"(det(A_j+B_j) = {det[j]:.3e})")
+    r = data - (F[:, :, : k - 1] @ low_coeffs[:, : k - 1, None])[:, :, 0]
+    return np.linalg.solve(AB, r[:, :, None])[:, :, 0]
 
 
 def _top_two_global(mesh: Mesh1D, k: int, sf: ScaledFlux,
                     low_coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Coupled interface rows A y_j + B y_{j+1} = data_j - footprints,
     solved by the block-circulant DFT factorization (uniform mesh)."""
-    h = mesh.h
-    blk = cell_blocks(sf, k, h)
-    gh = interface_matrices(sf)
-    m = np.arange(k - 1)
-    # interface footprint of the known low modes of cells j (left side of
-    # the interface, through G) and j+1 (right side, through H)
-    Lm = np.stack([np.ones(k - 1), m * (m + 1) / h])              # (2, k-1)
-    Lp = np.stack([(-1.0) ** m, -((-1.0) ** m) * m * (m + 1) / h])
-    rhs = data.astype(complex)
-    rhs -= low_coeffs[:, : k - 1] @ (gh.G @ Lm).T
-    rhs -= np.roll(low_coeffs[:, : k - 1], -1, axis=0) @ (gh.H @ Lp).T
-    return solve_block_circulant(blk.A, blk.B, rhs)
+    GR, HL = _footprints(k, sf, mesh.h)
+    GR, HL = GR[0], HL[0]
+    # the known low modes reach interface j+1/2 from cell j (through G)
+    # and from cell j+1 (through H)
+    low = low_coeffs[:, : k - 1]
+    rhs = data - low @ GR[:, : k - 1].T \
+        - np.roll(low, -1, axis=0) @ HL[:, : k - 1].T
+    return solve_block_circulant(GR[:, k - 1:], HL[:, k - 1:], rhs)
 
 
 def project_star(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
@@ -297,7 +295,7 @@ def leading_residual(k: int, h_j: float, sf: ScaledFlux) -> LeadingResidual:
     gamma, lam = gamma_lambda(sf, k, h_j)
     den = gamma + (-1.0) ** k * lam
     scale = abs(gamma) + abs(lam) + 1.0 / h_j
-    if abs(den) <= 1e-13 * scale:
+    if abs(den) <= RESIDUAL_DEN_TOL * scale:
         raise ResidualUndefinedError(
             f"leading residual undefined: Gamma + (-1)^k Lambda = {den:.3e}")
     b = -(2 * sf.alpha1 * (2 * k + 1) / h_j) / den

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import basis
 from .errors import InstabilityError
-from .flux import FluxConfig, interface_matrices, scale_flux
+from .flux import FluxConfig, interface_matrices, scale_flux, trace_maps
 from .mesh import Mesh1D
 from .projection import DGFunction
 
@@ -53,11 +53,16 @@ class TimeScheme:
 
 
 class DGOperator:
-    """Matrix-free action of the spatial discretization.
+    """The spatial discretization as per-cell neighbour blocks.
 
-    weak_action(c)[j, m] is the bilinear form of the field against the
-    test function L_{j,m}; apply(c) is the time derivative
-    i * (2m+1)/h_j * weak_action.
+    The weak form of the field against the test function L_{j,m} is
+    weak_action(c)_j = Cm[j] c_{j-1} + C0[j] c_j + Cp[j] c_{j+1}, a
+    periodic block-tridiagonal product with blocks of shape (k+1, k+1):
+    the volume term through the exact reference stiffness stiff2, and
+    the numerical fluxes (uhat, uxt) = G [u, u_x]^- + H [u, u_x]^+ at
+    each endpoint, paired with the test function as + uxt v - uhat v_x
+    at the right endpoint and - (uxt v - uhat v_x) at the left.
+    apply(c) is the time derivative i * (2m+1)/h_j * weak_action.
     """
 
     def __init__(self, mesh: Mesh1D, cfg: FluxConfig, k: int):
@@ -66,112 +71,65 @@ class DGOperator:
         self.mesh = mesh
         self.cfg = cfg
         self.k = k
-        self.scaled = scale_flux(cfg, mesh.h)
-        gh = interface_matrices(self.scaled)
-        self.G, self.H = gh.G, gh.H
-        m = np.arange(k + 1)
-        self._sgn = (-1.0) ** m
-        self._dval = (m * (m + 1)).astype(float)
-        self._stiff2 = basis.reference_matrices(k).stiff2
-        self._hj = mesh.h_sizes
-        self._inv_mass = (2 * m + 1) / self._hj[:, None]
-
-    def fluxes(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Numerical fluxes (uhat, uxtilde) at the N interfaces x_{j+1/2}
-        from the traces of a coefficient array."""
-        hj = self._hj
-        v_r = coeffs.sum(axis=1)
-        v_l = coeffs @ self._sgn
-        d_r = (coeffs @ self._dval) / hj
-        d_l = -(coeffs @ (self._sgn * self._dval)) / hj
-        v_lp = np.roll(v_l, -1)     # left trace of cell j+1 at x_{j+1/2}
-        d_lp = np.roll(d_l, -1)
-        G, H = self.G, self.H
-        uhat = G[0, 0] * v_r + G[0, 1] * d_r + H[0, 0] * v_lp + H[0, 1] * d_lp
-        uxt = G[1, 0] * v_r + G[1, 1] * d_r + H[1, 0] * v_lp + H[1, 1] * d_lp
-        return uhat, uxt
+        gh = interface_matrices(scale_flux(cfg, mesh.h))
+        hj = mesh.h_sizes
+        R, L = trace_maps(k, hj)
+        # test-side pairings of (uhat, uxt): R^T J at the right endpoint,
+        # -L^T J at the left, with J = [[0, 1], [-1, 0]]
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        pair_r = R.transpose(0, 2, 1) @ J
+        pair_l = -L.transpose(0, 2, 1) @ J
+        stiff2 = basis.reference_matrices(k).stiff2
+        C0 = ((2.0 / hj)[:, None, None] * stiff2
+              + pair_r @ gh.G @ R + pair_l @ gh.H @ L)
+        Cp = pair_r @ gh.H @ np.roll(L, -1, axis=0)
+        Cm = pair_l @ gh.G @ np.roll(R, 1, axis=0)
+        self.blocks = (Cm, C0, Cp)
+        self._inv_mass = (2 * np.arange(k + 1) + 1) / hj[:, None]
 
     def weak_action(self, coeffs: np.ndarray) -> np.ndarray:
-        uhat, uxt = self.fluxes(coeffs)
-        hj = self._hj[:, None]
-        w = (2.0 / hj) * (coeffs @ self._stiff2.T)
-        # right endpoint of cell j: + uxt_j * v(1) - uhat_j * v_x(1)
-        w += uxt[:, None] * np.ones(self.k + 1)
-        w -= uhat[:, None] * (self._dval[None, :] / hj)
-        # left endpoint: + uhat_{j-1} * v_x(-1) - uxt_{j-1} * v(-1)
-        uhat_l = np.roll(uhat, 1)[:, None]
-        uxt_l = np.roll(uxt, 1)[:, None]
-        w += uhat_l * (-(self._sgn * self._dval)[None, :] / hj)
-        w -= uxt_l * self._sgn[None, :]
-        return w
+        Cm, C0, Cp = self.blocks
+        c = coeffs[:, :, None]
+        w = C0 @ c + Cm @ np.roll(c, 1, axis=0) + Cp @ np.roll(c, -1, axis=0)
+        return w[:, :, 0]
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         return 1j * self._inv_mass * self.weak_action(coeffs)
 
+    def coupling_blocks(self):
+        """The blocks of apply(), each of shape (N, k+1, k+1):
+        apply(c)_j = C_m[j] c_{j-1} + C_0[j] c_j + C_p[j] c_{j+1}."""
+        scale = 1j * self._inv_mass[:, :, None]
+        return tuple(scale * C for C in self.blocks)
+
+    def _sparse_matrix(self):
+        """apply() as a CSR matrix on flattened coefficients."""
+        import scipy.sparse as sp
+        N, kp1 = self.mesh.N, self.k + 1
+        j = np.arange(N)
+        cols = np.stack([(j - 1) % N, j, (j + 1) % N], axis=1)
+        order = np.argsort(cols, axis=1)
+        indices = np.take_along_axis(cols, order, axis=1).ravel()
+        data = np.take_along_axis(np.stack(self.coupling_blocks(), axis=1),
+                                  order[:, :, None, None], axis=1)
+        return sp.bsr_matrix((data.reshape(3 * N, kp1, kp1), indices,
+                              np.arange(N + 1) * 3),
+                             shape=(N * kp1, N * kp1)).tocsr()
+
     def as_matrix(self) -> np.ndarray:
         """Dense matrix of apply() on flattened coefficients (tests only)."""
-        n = self.mesh.N * (self.k + 1)
-        out = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            out[:, i] = self.apply(e.reshape(self.mesh.N, -1)).ravel()
-        return out
-
-    def coupling_blocks(self):
-        """Per-cell neighbor blocks (C_minus, C_zero, C_plus) of apply():
-        apply(c)_j = C_m[j] c_{j-1} + C_0[j] c_j + C_p[j] c_{j+1},
-        each of shape (N, k+1, k+1)."""
-        kp1 = self.k + 1
-        N = self.mesh.N
-        hj = self._hj
-        sgn, dval = self._sgn, self._dval
-        # trace maps: [v, v_x] at the right/left endpoint of cell j
-        VR = np.zeros((N, 2, kp1))
-        VL = np.zeros((N, 2, kp1))
-        VR[:, 0, :] = 1.0
-        VR[:, 1, :] = dval[None, :] / hj[:, None]
-        VL[:, 0, :] = sgn[None, :]
-        VL[:, 1, :] = -(sgn * dval)[None, :] / hj[:, None]
-        # test-side pairing of (uhat, uxt) at the cell's two endpoints
-        PR = np.zeros((N, kp1, 2))
-        PL = np.zeros((N, kp1, 2))
-        PR[:, :, 0] = -dval[None, :] / hj[:, None]
-        PR[:, :, 1] = 1.0
-        PL[:, :, 0] = -(sgn * dval)[None, :] / hj[:, None]
-        PL[:, :, 1] = -sgn[None, :]
-        G2 = np.broadcast_to(self.G, (N, 2, 2))
-        H2 = np.broadcast_to(self.H, (N, 2, 2))
-        C0 = (2.0 / hj)[:, None, None] * self._stiff2[None, :, :]
-        C0 = C0 + PR @ G2 @ VR + PL @ H2 @ VL
-        Cp = PR @ H2 @ np.roll(VL, -1, axis=0)
-        Cm = PL @ G2 @ np.roll(VR, 1, axis=0)
-        scale = 1j * self._inv_mass[:, :, None]
-        return scale * Cm, scale * C0, scale * Cp
+        return self._sparse_matrix().toarray()
 
     def rk4_sparse_update(self, dt: float):
         """One-step RK4 update matrix I + sum_{p<=4} (dt L)^p / p! in CSR
         form, for stepping on arbitrary (nonuniform) meshes."""
         import scipy.sparse as sp
-        Cm, C0, Cp = self.coupling_blocks()
-        N, kp1 = self.mesh.N, self.k + 1
-        indptr = np.arange(N + 1) * 3
-        rows = []
-        for j in range(N):
-            cols = sorted([(j - 1) % N, j, (j + 1) % N])
-            rows.append(cols)
-        indices = np.array(rows).ravel()
-        data = np.empty((3 * N, kp1, kp1), dtype=complex)
-        for j in range(N):
-            blk = {(j - 1) % N: Cm[j], j: C0[j], (j + 1) % N: Cp[j]}
-            for i, col in enumerate(rows[j]):
-                data[3 * j + i] = blk[col]
-        L = sp.bsr_matrix((data, indices, indptr),
-                          shape=(N * kp1, N * kp1)).tocsr()
-        S = sp.identity(N * kp1, dtype=complex, format="csr")
+        L = self._sparse_matrix()
+        n = L.shape[0]
+        S = sp.identity(n, dtype=complex, format="csr")
         # Horner form of the RK4 stability polynomial
         for p in (4, 3, 2, 1):
-            S = sp.identity(N * kp1, dtype=complex, format="csr") \
+            S = sp.identity(n, dtype=complex, format="csr") \
                 + (dt / p) * (L @ S)
         S.sort_indices()
         return S

@@ -6,9 +6,9 @@ from uwdg.correction import build_correction
 from uwdg.diagnostics import (DNE, broken_l2_error, cell_average_error,
                               flux_errors, numerical_fluxes, observed_orders,
                               point_errors, projection_error)
-from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig
+from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig, scale_flux
 from uwdg.projection import (AnalyticField, DGFunction, plane_wave,
-                             project_l2, project_star)
+                             project_l2, project_star, special_points)
 
 
 def zero_field():
@@ -86,6 +86,29 @@ def test_point_errors_chain_rule_scaling():
         vals.append(point_errors(u, zero_field(), 0.0, cfg))
     for s in range(3):
         assert vals[1][s] / vals[0][s] == pytest.approx(2.0 ** s, rel=1e-10)
+
+
+def test_point_errors_perturbed_mesh_per_cell_reference():
+    # every cell has its own width, hence its own point sets
+    f = plane_wave(3.0)
+    k, cfg = 3, FluxConfig(0.3, 0.4, 0.4)
+    mesh = uwdg.make_mesh(0, 2 * np.pi, 12, "perturbed", 0.1, 3)
+    rng = np.random.default_rng(2)
+    u_h = DGFunction(mesh, k, rng.normal(size=(12, k + 1))
+                     + 1j * rng.normal(size=(12, k + 1)))
+    sf = scale_flux(cfg, mesh.h)
+    sums, counts = np.zeros(3), np.zeros(3)
+    for j in range(mesh.N):
+        hj = mesh.h_sizes[j]
+        for s, xi in enumerate(special_points(k, hj, sf).sets()):
+            # interior points, so DGFunction.eval reads cell j
+            assert np.all(np.abs(xi) < 1.0)
+            x = mesh.nodes[j] + 0.5 * hj * (xi + 1.0)
+            sums[s] += np.sum(np.abs(f.eval(x, 0.3, s) - u_h.eval(x, s)) ** 2)
+            counts[s] += xi.size
+    assert counts.all()
+    got = point_errors(u_h, f, 0.3, cfg)
+    np.testing.assert_allclose(got, np.sqrt(sums / counts), rtol=1e-12)
 
 
 def test_observed_orders_examples():

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uwdg
+from uwdg.basis import legendre_table
 from uwdg.errors import SingularSymbolError
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, cell_blocks,
                        classify_assumption, gamma_lambda, interface_matrices,
-                       scale_flux, solve_block_circulant)
+                       scale_flux, solve_block_circulant, trace_maps)
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -56,6 +57,21 @@ class TestScaling:
     def test_alternating_matrices(self):
         gh = interface_matrices(scale_flux(ALTERNATING, 1.0))
         np.testing.assert_allclose(gh.G, [[1, 0], [0, 0]])
+
+
+class TestTraceMaps:
+    def test_match_legendre_table(self):
+        # [v, v_x] of L_{j,m} at xi = +1 (R) and xi = -1 (L), with the
+        # chain rule d/dx = (2/h_j) d/dxi
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            k = int(rng.integers(2, 7))
+            h = rng.uniform(0.01, 2.0, size=int(rng.integers(1, 9)))
+            R, L = trace_maps(k, h)
+            tab = legendre_table(k, [1.0, -1.0], ders=1)     # (2, 2, k+1)
+            chain = np.stack([np.ones_like(h), 2.0 / h], axis=1)[:, :, None]
+            np.testing.assert_allclose(R, chain * tab[0], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(L, chain * tab[1], rtol=1e-13, atol=0)
 
 
 class TestCellBlocks:

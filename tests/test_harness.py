@@ -185,6 +185,20 @@ class TestCLI:
     def test_bad_k_exit_code(self):
         assert main(["run", "--k", "9", "--N", "8", "--tend", "0.01"]) == 2
 
+    def test_non_integer_n_exit_code(self, capsys):
+        assert main(["study", "--k", "2", "--N", "10,abc"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_non_integer_config_value_exit_code(self, capsys, tmp_path):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("k = two\n")
+        assert main(["study", "--config", str(cfgfile)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_points_nonpositive_h_exit_code(self, capsys):
+        assert main(["points", "--k", "2", "--h", "0"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_config_file_with_cli_override(self, capsys, tmp_path):
         cfgfile = tmp_path / "study.cfg"
         cfgfile.write_text(

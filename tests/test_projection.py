@@ -4,10 +4,11 @@ import pytest
 import uwdg
 from uwdg.basis import gauss_rule, legendre_table
 from uwdg.errors import ProjectionUndefinedError, ResidualUndefinedError
-from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig, cell_blocks, scale_flux
-from uwdg.projection import (AnalyticField, DGFunction, leading_residual,
-                             plane_wave, project_dagger, project_l2,
-                             project_star, special_points)
+from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, cell_blocks,
+                       scale_flux, trace_maps)
+from uwdg.projection import (AnalyticField, DGFunction, _top_two_local,
+                             leading_residual, plane_wave, project_dagger,
+                             project_l2, project_star, special_points)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
@@ -160,9 +161,9 @@ class TestFluxMatchingProjection:
         AB = blk.A + blk.B
         gh = uwdg.interface_matrices(sf)
         correction = np.zeros((mesh.N, 2), dtype=complex)
+        R, L = trace_maps(k + 6, mesh.h)
         for m in range(k + 1, k + 7):
-            rhs = (gh.G @ uwdg.flux.trace_vector(m, mesh.h, "-")
-                   + gh.H @ uwdg.flux.trace_vector(m, mesh.h, "+"))
+            rhs = gh.G @ R[0, :, m] + gh.H @ L[0, :, m]
             Mm = np.linalg.solve(AB, rhs)
             correction += coef[:, m][:, None] * Mm[None, :]
         direct = ps.coeffs[:, k - 1:] - coef[:, k - 1: k + 1]
@@ -197,6 +198,39 @@ class TestLocalVariant:
             errs.append(uwdg.l2_norm(d))
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
         np.testing.assert_allclose(orders, 5.0, atol=0.25)
+
+    def test_batched_solve_matches_per_cell_loop(self):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 11, "perturbed", 0.1, 9)
+        rng = np.random.default_rng(4)
+        for k, cfg in ((2, ALTERNATING), (3, FluxConfig(0.3, 0.4, 0.4)),
+                       (4, FluxConfig(-0.2, 1.5, 0.3))):
+            sf = scale_flux(cfg, mesh.h)
+            gh = uwdg.interface_matrices(sf)
+            low = rng.normal(size=(11, k + 1)) + 1j * rng.normal(size=(11, k + 1))
+            data = rng.normal(size=(11, 2)) + 1j * rng.normal(size=(11, 2))
+            expect = np.empty((11, 2), dtype=complex)
+            for j in range(mesh.N):
+                h = mesh.h_sizes[j]
+                blk = cell_blocks(sf, k, h)
+                R, L = trace_maps(k, h)
+                foot = gh.G @ R[0, :, : k - 1] + gh.H @ L[0, :, : k - 1]
+                expect[j] = np.linalg.solve(blk.A + blk.B,
+                                            data[j] - foot @ low[j, : k - 1])
+            got = _top_two_local(mesh, k, sf, low, data)
+            np.testing.assert_allclose(got, expect, rtol=1e-13,
+                                       atol=1e-13 * np.abs(expect).max())
+
+    def test_singular_cell_named(self):
+        # beta1~ = 1 at k = 2: det(A_j+B_j) is proportional to
+        # beta1 - 1/h_j, which vanishes on the widest cells (1 and 3)
+        # only; dyadic widths keep the nodes exact
+        sizes = np.array([0.5, 0.75, 0.5, 0.75, 0.625, 0.5])
+        nodes = np.concatenate([[0.0], np.cumsum(sizes)])
+        mesh = uwdg.Mesh1D(a=0.0, b=float(nodes[-1]), N=6, nodes=nodes,
+                           h_sizes=sizes, h=0.75, sigma=1.5, kind="perturbed")
+        with pytest.raises(ProjectionUndefinedError,
+                           match="undefined on cell 1:"):
+            project_dagger(plane_wave(3.0), 0.0, mesh, 2, FluxConfig(0, 1, 0))
 
     def test_singular_cell_raises(self):
         # ratio +1 with even k makes det(A_j+B_j) = 0
@@ -248,8 +282,8 @@ class TestLeadingResidual:
             if abs(np.linalg.det(blk.A + blk.B)) < 1e-8:
                 continue
             gh = uwdg.interface_matrices(sf)
-            rhs = (gh.G @ uwdg.flux.trace_vector(k + 1, h, "-")
-                   + gh.H @ uwdg.flux.trace_vector(k + 1, h, "+"))
+            R, L = trace_maps(k + 1, h)
+            rhs = gh.G @ R[0, :, k + 1] + gh.H @ L[0, :, k + 1]
             Mm = np.linalg.solve(blk.A + blk.B, rhs)
             res = leading_residual(k, h, sf)
             assert res.c == pytest.approx(-Mm[0], rel=1e-10, abs=1e-12)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import uwdg
+from uwdg.basis import gauss_rule, legendre_table
 from uwdg.errors import InstabilityError
-from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig
+from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, interface_matrices,
+                       scale_flux)
 from uwdg.projection import DGFunction, plane_wave, project_star
 from uwdg.solver import (DGOperator, TimeScheme, apply_bilinear, integrate,
                          l2_norm, rk4_step, time_derivative)
@@ -80,6 +82,36 @@ class TestTimeDerivative:
         mf = op.apply(u.coeffs).ravel()
         mat = M @ u.coeffs.ravel()
         assert np.abs(mf - mat).max() <= 1e-13 * np.abs(mat).max()
+
+    def test_weak_action_quadrature_oracle(self):
+        # weak_action[j, m] = int_{I_j} u d_x^2 L_{j,m} dx
+        #   + (uxt v - uhat v_x)(x_{j+1/2}^-) - (uxt v - uhat v_x)(x_{j-1/2}^+)
+        # with [uhat, uxt] = G [u, u_x]^- + H [u, u_x]^+ at each interface
+        k, cfg = 3, FluxConfig(0.3, 0.4, 0.4)
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 7, "perturbed", 0.1, 5)
+        op = DGOperator(mesh, cfg, k)
+        c = random_field(mesh, k, np.random.default_rng(12)).coeffs
+        gh = interface_matrices(scale_flux(cfg, mesh.h))
+        hj = mesh.h_sizes
+        rule = gauss_rule(k + 2)
+        vol_tab = legendre_table(k, rule.nodes, ders=2)     # (nq, 3, k+1)
+        ends = legendre_table(k, [1.0, -1.0], ders=1)       # (2, 2, k+1)
+        # one-sided [u, u_x] at the right (e=0) and left (e=1) cell ends
+        side = [np.stack([c @ ends[e, 0], (c @ ends[e, 1]) * 2 / hj], axis=1)
+                for e in (0, 1)]
+        flux = side[0] @ gh.G.T + np.roll(side[1], -1, axis=0) @ gh.H.T
+        expect = np.empty_like(c)
+        for j in range(mesh.N):
+            u_q = vol_tab[:, 0, :] @ c[j]
+            for m in range(k + 1):
+                vol = (0.5 * hj[j] * (2 / hj[j]) ** 2
+                       * np.sum(rule.weights * u_q * vol_tab[:, 2, m]))
+                v, v_x = ends[:, 0, m], ends[:, 1, m] * 2 / hj[j]
+                (uhat_r, uxt_r), (uhat_l, uxt_l) = flux[j], flux[j - 1]
+                expect[j, m] = (vol + (uxt_r * v[0] - uhat_r * v_x[0])
+                                - (uxt_l * v[1] - uhat_l * v_x[1]))
+        got = op.weak_action(c)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
     def test_coupling_blocks_match_apply(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 9, "perturbed", 0.1, 2)
