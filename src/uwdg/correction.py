@@ -20,8 +20,8 @@ from . import basis
 from .flux import AssumptionClass, FluxConfig, classify_assumption, scale_flux
 from .mesh import Mesh1D
 from .projection import (AnalyticField, DGFunction, _resolve_class,
-                         _top_two_global, _top_two_local, project_l2,
-                         project_star, time_derivative_field)
+                         _top_two, project_l2, project_star,
+                         time_derivative_field)
 
 
 def max_correction_levels(k: int) -> int:
@@ -102,16 +102,13 @@ def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
             return cache[key]
         prev = wq(q - 1, r + 1)
         coeffs = np.zeros((mesh.N, k + 1), dtype=complex)
-        if k >= 2:
-            # low modes from the exact antiderivative inner products
-            inner = (prev * inv_odd) @ d2tab.T          # (N, k-1)
-            fac = -1j * (2 * np.arange(k - 1) + 1) / 4.0
-            coeffs[:, : k - 1] = inner * fac * mesh.h_sizes[:, None] ** 2
-        data = np.zeros((mesh.N, 2))
-        if cls.tag == "A1":
-            coeffs[:, k - 1:] = _top_two_local(mesh, k, sf, coeffs, data)
-        else:
-            coeffs[:, k - 1:] = _top_two_global(mesh, k, sf, coeffs, data)
+        # low modes from the exact antiderivative inner products
+        inner = (prev * inv_odd) @ d2tab.T              # (N, k-1)
+        fac = -1j * (2 * np.arange(k - 1) + 1) / 4.0
+        coeffs[:, : k - 1] = inner * fac * mesh.h_sizes[:, None] ** 2
+        # the numerical fluxes of w_q vanish at every interface
+        coeffs[:, k - 1:] = _top_two(cls, mesh, k, sf, coeffs,
+                                     np.zeros((mesh.N, 2)))
         cache[key] = coeffs
         return coeffs
 

@@ -13,11 +13,14 @@ periodic solve, and the DFT solver for the latter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SingularSymbolError
-from .mesh import Mesh1D
+
+if TYPE_CHECKING:
+    from .mesh import Mesh1D
 
 A1_TOL = 1e-12          # detection of alpha1^2 + beta1*beta2 == 1/4
 RESONANCE_TOL = 1e-9    # |(.)^N - 1| threshold for the A3 non-resonance checks
@@ -27,6 +30,14 @@ SYMBOL_COND_MAX = 1e12  # condition number cutoff for circulant symbol blocks
 BLOCK_DET_TOL = 1e-14   # |det A| below this: Q = -A^{-1}B is not formed
 LOCAL_DET_TOL = 1e-13   # |det(A_j+B_j)| below this: no cell-local projection
 RESIDUAL_DEN_TOL = 1e-13  # |Gamma + (-1)^k Lambda| below this: no residual
+GAMMA_ZERO_TOL = 1e-12  # |Gamma_j| below this on a cell: A1 is unsupported
+LAMBDA_ZERO_TOL = 1e-14  # |Lambda| below this: Gamma/Lambda is undefined
+# companion-matrix roots of the monomial form carry roundoff imaginary parts
+ROOT_IMAG_TOL = 1e-9    # |imag| above this: a complex pair, not a root
+ROOT_EDGE_TOL = 1e-12   # Newton may leave an endpoint root just outside
+ROOT_MERGE_TOL = 1e-8   # a double root splits by ~sqrt(eps): one root
+UNIFORM_TOL = 1e-12     # |h_j - h_0| / h_0 below this: node roundoff only
+STEP_ROUND_TOL = 1e-12  # t_end/dt this near an integer: no remainder step
 
 
 @dataclass(frozen=True)
@@ -179,7 +190,7 @@ def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClas
         gammas = np.array([gamma_lambda(sf, k, hj)[0] for hj in mesh.h_sizes])
         scale = np.abs(gammas).max() + 1.0 / mesh.h
         diag["min|Gamma_j|*h"] = float(np.abs(gammas).min() * mesh.h)
-        if np.all(np.abs(gammas) > 1e-12 * scale):
+        if np.all(np.abs(gammas) > GAMMA_ZERO_TOL * scale):
             return AssumptionClass("A1", diag)
         return AssumptionClass("Unsupported", diag,
                                warning="Gamma_j = 0 on some cell")
@@ -191,7 +202,7 @@ def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClas
 
     gamma, lam = gamma_lambda(sf, k, mesh.h)
     diag["Gamma*h"], diag["Lambda*h"] = gamma * mesh.h, lam * mesh.h
-    if abs(lam) <= 1e-14 * (abs(gamma) + 1.0 / mesh.h):
+    if abs(lam) <= LAMBDA_ZERO_TOL * (abs(gamma) + 1.0 / mesh.h):
         return AssumptionClass("Unsupported", diag,
                                warning="Lambda = 0: Gamma/Lambda undefined")
     rho = gamma / lam

@@ -58,7 +58,6 @@ class StudyConfig:
     init: str = "uI"
     metrics: tuple = tuple(MAIN_METRICS)
     q_max: int | None = None
-    method: str = "auto"
     field_name: str = "wave3"
     out: str | None = None
     fmt: str = "csv"
@@ -80,6 +79,10 @@ class StudyConfig:
             raise ConfigurationError(f"unknown metrics: {bad}")
         if not self.Ns:
             raise ConfigurationError("empty N list")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+            raise ConfigurationError(f"bad t_end {self.t_end}: need finite >= 0")
+        if self.c is not None and not (np.isfinite(self.c) and self.c > 0):
+            raise ConfigurationError(f"bad c {self.c}: need finite > 0")
         return self
 
 
@@ -106,7 +109,7 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
         else:
             u0 = project_l2(f, 0.0, mesh, cfg.k)
         op = DGOperator(mesh, cfg.flux, cfg.k)
-        result = integrate(op, u0, scheme, method=cfg.method)
+        result = integrate(op, u0, scheme)
     except (InstabilityError, ProjectionUndefinedError,
             SingularSymbolError) as exc:
         row["status"] = f"error: {exc}"
@@ -249,6 +252,8 @@ def _parse_flux(text: str) -> FluxConfig:
         a1, b1, b2 = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigurationError(f"bad flux value in {text!r}") from exc
+    if not np.all(np.isfinite([a1, b1, b2])):
+        raise ConfigurationError(f"flux values must be finite, got {text!r}")
     return FluxConfig(a1, b1, b2)
 
 
@@ -362,6 +367,8 @@ def _config_from_args(args, single_n: bool) -> StudyConfig:
 
 
 def _cmd_points(args) -> int:
+    if args.k < 2:
+        raise ConfigurationError(f"points needs k >= 2, got {args.k}")
     if not args.h > 0:
         raise ConfigurationError(f"h must be positive, got {args.h:g}")
     flux = _parse_flux(args.flux) if args.flux else FluxConfig()
@@ -379,6 +386,8 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    if args.k < 1:
+        raise ConfigurationError(f"kernel needs k >= 1, got {args.k}")
     spec = kernel_coeffs(args.k)
     print(f"k = {args.k}, spline order = {spec.order}, "
           f"support half-width = {spec.support_halfwidth:g} h")

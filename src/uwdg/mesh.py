@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .flux import UNIFORM_TOL
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class Mesh1D:
     @property
     def is_uniform(self) -> bool:
         return bool(np.max(np.abs(self.h_sizes - self.h_sizes[0]))
-                    <= 1e-12 * self.h_sizes[0])
+                    <= UNIFORM_TOL * self.h_sizes[0])
 
     def wrap(self, j) -> np.ndarray:
         """Periodic cell index: j modulo N."""

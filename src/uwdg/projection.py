@@ -20,8 +20,9 @@ import numpy as np
 
 from . import basis
 from .errors import ProjectionUndefinedError, ResidualUndefinedError
-from .flux import (LOCAL_DET_TOL, RESIDUAL_DEN_TOL, AssumptionClass,
-                   FluxConfig, ScaledFlux, classify_assumption, gamma_lambda,
+from .flux import (LOCAL_DET_TOL, RESIDUAL_DEN_TOL, ROOT_EDGE_TOL,
+                   ROOT_IMAG_TOL, ROOT_MERGE_TOL, AssumptionClass, FluxConfig,
+                   ScaledFlux, classify_assumption, gamma_lambda,
                    interface_matrices, scale_flux, solve_block_circulant,
                    trace_maps)
 from .mesh import Mesh1D
@@ -167,14 +168,16 @@ def _footprints(k: int, sf: ScaledFlux,
 
 
 def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
-                   low_coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
+                   low_coeffs: np.ndarray, iface: np.ndarray) -> np.ndarray:
     """Per-cell 2x2 solves (A_j + B_j) y_j = data_j - footprint(low modes).
 
-    data holds the cell-local interface target G[u,u_x]|right +
-    H[u,u_x]|left (or zero for correction functions).  Returns (N, 2).
+    Cell j sees its own endpoints: data_j = G [u,u_x](x_{j+1/2})
+    + H [u,u_x](x_{j-1/2}) from the interface data iface (zero for
+    correction functions).  Returns (N, 2).
     """
-    GR, HL = _footprints(k, sf, mesh.h_sizes)
-    F = GR + HL
+    F = sum(_footprints(k, sf, mesh.h_sizes))
+    gh = interface_matrices(sf)
+    data = iface @ gh.G.T + np.roll(iface, 1, axis=0) @ gh.H.T
     AB = F[:, :, k - 1:]
     det = AB[:, 0, 0] * AB[:, 1, 1] - AB[:, 0, 1] * AB[:, 1, 0]
     bad = np.flatnonzero(np.abs(det) <= LOCAL_DET_TOL
@@ -203,6 +206,14 @@ def _top_two_global(mesh: Mesh1D, k: int, sf: ScaledFlux,
     return solve_block_circulant(GR[:, k - 1:], HL[:, k - 1:], rhs)
 
 
+def _top_two(cls: AssumptionClass, mesh: Mesh1D, k: int, sf: ScaledFlux,
+             low_coeffs: np.ndarray, iface: np.ndarray) -> np.ndarray:
+    """Top two coefficients per cell matching the interface data iface,
+    (N, 2) at x_{j+1/2}: cell-local under A1, one periodic solve else."""
+    solve = _top_two_local if cls.tag == "A1" else _top_two_global
+    return solve(mesh, k, sf, low_coeffs, iface)
+
+
 def project_star(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
                  cfg: FluxConfig, cls: AssumptionClass | None = None,
                  n_quad: int | None = None) -> DGFunction:
@@ -216,15 +227,8 @@ def project_star(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
     cls = _resolve_class(cfg, mesh, k, cls)
     sf = scale_flux(cfg, mesh.h)
     out = project_l2(f, t, mesh, k, n_quad)
-    iface = interface_data(f, t, mesh)                    # (N, 2) at x_{j+1/2}
-    if cls.tag == "A1":
-        gh = interface_matrices(sf)
-        # cell j sees its own endpoints: interfaces j+1/2 (right) and j-1/2
-        data = iface @ gh.G.T + np.roll(iface, 1, axis=0) @ gh.H.T
-        top = _top_two_local(mesh, k, sf, out.coeffs, data)
-    else:
-        top = _top_two_global(mesh, k, sf, out.coeffs, iface)
-    out.coeffs[:, k - 1:] = top
+    iface = interface_data(f, t, mesh)
+    out.coeffs[:, k - 1:] = _top_two(cls, mesh, k, sf, out.coeffs, iface)
     return out
 
 
@@ -236,12 +240,9 @@ def project_dagger(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
     if k < 2:
         raise ValueError("projection needs k >= 2")
     sf = scale_flux(cfg, mesh.h)
-    gh = interface_matrices(sf)
     out = project_l2(f, t, mesh, k, n_quad)
     iface = interface_data(f, t, mesh)
-    data = iface @ gh.G.T + np.roll(iface, 1, axis=0) @ gh.H.T
-    top = _top_two_local(mesh, k, sf, out.coeffs, data)
-    out.coeffs[:, k - 1:] = top
+    out.coeffs[:, k - 1:] = _top_two_local(mesh, k, sf, out.coeffs, iface)
     return out
 
 
@@ -311,9 +312,9 @@ def _real_roots_in_reference(leg_coeffs: np.ndarray) -> np.ndarray:
     """Real roots of a Legendre-coefficient polynomial inside [-1, 1].
 
     Companion-matrix roots of the monomial form, one Newton polish step on
-    the (stable) Legendre evaluation, then filtering: |imag| <= 1e-9,
-    |xi| <= 1 (roots at cell endpoints are genuine members of the sets),
-    duplicates merged at 1e-8 spacing.
+    the (stable) Legendre evaluation, then filtering: |imag| <=
+    ROOT_IMAG_TOL, |xi| <= 1 + ROOT_EDGE_TOL (roots at cell endpoints are
+    genuine members of the sets), duplicates merged at ROOT_MERGE_TOL.
     """
     mono = np.polynomial.legendre.leg2poly(leg_coeffs)
     mono = np.trim_zeros(mono, "b")
@@ -327,7 +328,7 @@ def _real_roots_in_reference(leg_coeffs: np.ndarray) -> np.ndarray:
 
     keep = []
     for r in roots:
-        if abs(r.imag) > 1e-9:
+        if abs(r.imag) > ROOT_IMAG_TOL:
             continue
         x = float(r.real)
         tab = basis.legendre_table(deg, x)[0, 0, :]
@@ -335,13 +336,13 @@ def _real_roots_in_reference(leg_coeffs: np.ndarray) -> np.ndarray:
         der = tab @ dcoef
         if der != 0.0:
             x = x - val / der
-        if abs(x) > 1.0 + 1e-12:
+        if abs(x) > 1.0 + ROOT_EDGE_TOL:
             continue
         keep.append(min(1.0, max(-1.0, x)))
     keep.sort()
     out = []
     for x in keep:
-        if not out or x - out[-1] > 1e-8:
+        if not out or x - out[-1] > ROOT_MERGE_TOL:
             out.append(x)
     return np.array(out)
 

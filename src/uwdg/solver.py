@@ -9,12 +9,12 @@ across all RK4 stages.
 
 Time marching is classical RK4 with the step rule dt = c h^{2.5}
 (c = 0.05 for k = 2, 0.01 for k = 3, 4 by default), final step truncated
-to land exactly on the end time.  On uniform meshes the operator is
-block-circulant, so the RK4 update can equivalently be applied in DFT
-space where each frequency carries a small dense update matrix; raising
-that matrix to the step count reproduces the stepping result to roundoff
-at a tiny fraction of the cost, which is what makes the finest table
-rows affordable.  Both paths are exposed and tested against each other.
+to land exactly on the end time.  A step is the linear map R4(dt L),
+R4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  integrate takes its powers
+per eigenvector on uniform meshes, where the operator is block-circulant
+with Hermitian scaled DFT symbols, and as a banded one-step update on
+other meshes.  rk4_step, the literal stage-by-stage step, is the
+reference the tests compare both against.
 """
 
 from __future__ import annotations
@@ -22,15 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import basis
 from .errors import InstabilityError
-from .flux import FluxConfig, interface_matrices, scale_flux, trace_maps
+from .flux import (STEP_ROUND_TOL, FluxConfig, interface_matrices, scale_flux,
+                   trace_maps)
 from .mesh import Mesh1D
 from .projection import DGFunction
 
 DEFAULT_DT_CONSTANTS = {2: 0.05, 3: 0.01, 4: 0.01}
 BLOWUP_FACTOR = 10.0
+HISTORY_SAMPLES = 33    # norm checkpoints per run, evenly spaced in steps
 
 
 def default_dt_constant(k: int) -> float:
@@ -39,14 +42,13 @@ def default_dt_constant(k: int) -> float:
 
 @dataclass(frozen=True)
 class TimeScheme:
-    """Step constant and end time; dt = c * h^2.5 unless overridden."""
+    """Step constant and end time; dt = c * h^2.5."""
 
     c: float
     t_end: float
-    dt_override: float | None = None
 
     def dt(self, h: float) -> float:
-        dt = self.dt_override if self.dt_override is not None else self.c * h ** 2.5
+        dt = self.c * h ** 2.5
         if not dt > 0:
             raise ValueError("time step must be positive")
         return dt
@@ -102,36 +104,34 @@ class DGOperator:
         scale = 1j * self._inv_mass[:, :, None]
         return tuple(scale * C for C in self.blocks)
 
-    def _sparse_matrix(self):
-        """apply() as a CSR matrix on flattened coefficients."""
-        import scipy.sparse as sp
-        N, kp1 = self.mesh.N, self.k + 1
-        j = np.arange(N)
-        cols = np.stack([(j - 1) % N, j, (j + 1) % N], axis=1)
-        order = np.argsort(cols, axis=1)
-        indices = np.take_along_axis(cols, order, axis=1).ravel()
-        data = np.take_along_axis(np.stack(self.coupling_blocks(), axis=1),
-                                  order[:, :, None, None], axis=1)
-        return sp.bsr_matrix((data.reshape(3 * N, kp1, kp1), indices,
-                              np.arange(N + 1) * 3),
-                             shape=(N * kp1, N * kp1)).tocsr()
-
     def as_matrix(self) -> np.ndarray:
         """Dense matrix of apply() on flattened coefficients (tests only)."""
-        return self._sparse_matrix().toarray()
+        N, kp1 = self.mesh.N, self.k + 1
+        M = np.zeros((N, kp1, N, kp1), dtype=complex)
+        j = np.arange(N)
+        for off, C in zip((-1, 0, 1), self.coupling_blocks()):
+            M[j, :, (j + off) % N] += C
+        return M.reshape(N * kp1, N * kp1)
 
-    def rk4_sparse_update(self, dt: float):
-        """One-step RK4 update matrix I + sum_{p<=4} (dt L)^p / p! in CSR
-        form, for stepping on arbitrary (nonuniform) meshes."""
-        import scipy.sparse as sp
-        L = self._sparse_matrix()
-        n = L.shape[0]
-        S = sp.identity(n, dtype=complex, format="csr")
-        # Horner form of the RK4 stability polynomial
+    def rk4_sparse_update(self, dt: float) -> np.ndarray:
+        """One-step RK4 update I + sum_{p<=4} (dt L)^p / p! as block bands.
+
+        Row block j, of shape (k+1, 9(k+1)), multiplies the coefficients
+        of cells j-4 .. j+4 laid end to end; the result has shape
+        (N, k+1, 9(k+1)).  Built by Horner from the blocks of apply(),
+        each product with L widening the band by one cell per side."""
+        N, kp1 = self.mesh.N, self.k + 1
+        L, eye = self.coupling_blocks(), np.eye(kp1)
+        S = np.zeros((N, kp1, 9 * kp1), dtype=complex)
+        S[:, :, 4 * kp1:5 * kp1] = eye
         for p in (4, 3, 2, 1):
-            S = sp.identity(n, dtype=complex, format="csr") \
-                + (dt / p) * (L @ S)
-        S.sort_indices()
+            # (L S)[j] = sum_a La[j] S[j+a], with the bands of S[j+a] moved
+            # a cells over; S spans at most cells j-3..j+3 here, so the
+            # roll along the bands wraps only zeros
+            LS = sum(La @ np.roll(S, (-a, a * kp1), axis=(0, 2))
+                     for a, La in zip((-1, 0, 1), L))
+            S = (dt / p) * LS
+            S[:, :, 4 * kp1:5 * kp1] += eye
         return S
 
 
@@ -174,140 +174,120 @@ class IntegrationResult:
 def _step_counts(t_end: float, dt: float) -> tuple[int, float]:
     if t_end <= 0:
         return 0, 0.0
-    n_full = int(np.floor(t_end / dt + 1e-12))
+    n_full = int(np.floor(t_end / dt + STEP_ROUND_TOL))
     rem = t_end - n_full * dt
-    if rem < 1e-12 * dt:
+    if rem < STEP_ROUND_TOL * dt:
         rem = 0.0
     return n_full, rem
 
 
-def _rk4_update_matrices(blocks, N: int, dt: float) -> np.ndarray:
-    """Per-frequency RK4 update matrices S_l = sum (dt T_l)^p / p!, p<=4,
-    with T_l the DFT symbol of the operator."""
-    Cm, C0, Cp = blocks
-    omega = np.exp(2j * np.pi * np.arange(N) / N)
-    T = (C0[None, :, :]
-         + omega[:, None, None] * Cp[None, :, :]
-         + omega[:, None, None].conj() * Cm[None, :, :])
-    Z = dt * T
-    kp1 = C0.shape[0]
-    S = np.broadcast_to(np.eye(kp1, dtype=complex), Z.shape).copy()
-    term = np.broadcast_to(np.eye(kp1, dtype=complex), Z.shape).copy()
-    for p in range(1, 5):
-        term = np.matmul(Z, term) / p
-        S += term
-    return S
+def _rk4_power(y: np.ndarray, n: int) -> np.ndarray:
+    """R4(iy)^n for real y.  The modulus comes from the exact identity
+    |R4(iy)|^2 = 1 + y^6 (y^2 - 8) / 576 through log1p, not from |.|
+    of a number within roundoff of 1, so n ~ 1e6 does not amplify it."""
+    y2 = y * y
+    log_mod = 0.5 * np.log1p(y2 ** 3 * (y2 - 8.0) / 576.0)
+    phase = np.arctan2(y - y * y2 / 6.0, 1.0 - y2 / 2.0 + y2 * y2 / 24.0)
+    return np.exp(n * (log_mod + 1j * phase))
 
 
-def _matrix_power_batched(S: np.ndarray, n: int) -> np.ndarray:
-    out = np.broadcast_to(np.eye(S.shape[-1], dtype=complex), S.shape).copy()
-    base = S.copy()
-    while n:
-        if n & 1:
-            out = np.matmul(base, out)
-        n >>= 1
-        if n:
-            base = np.matmul(base, base)
-    return out
+class _EigenMarch:
+    """Uniform mesh: RK4 in the eigenbasis of the scaled DFT symbol.
+
+    At frequency l the symbol of apply() is i D^2 K_l with
+    K_l = C0 + w Cp + conj(w) Cm, w = exp(2 pi i l / N) and
+    D = diag(sqrt((2m+1)/h)).  C0 is symmetric and Cm = Cp^T, so
+    D K_l D = V diag(lam) V^H is Hermitian, and each RK4 step multiplies
+    the eigen-coordinates z = V^H D^-1 chat_l by R4(i dt lam).  V is
+    unitary and ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval
+    ||u||^2 = sum |z|^2 / N."""
+
+    def __init__(self, op: DGOperator, coeffs: np.ndarray):
+        Cm, C0, Cp = (C[0] for C in op.blocks)
+        N = op.mesh.N
+        w = np.exp(2j * np.pi * np.arange(N) / N)[:, None, None]
+        self.d = np.sqrt(op._inv_mass[0])
+        H = self.d[:, None] * (C0 + w * Cp + w.conj() * Cm) * self.d
+        self.lam, self.V = np.linalg.eigh(H)
+        chat = np.fft.fft(coeffs, axis=0) / self.d
+        self.state = (chat[:, None, :] @ self.V.conj())[:, 0, :]
+        self.weight = 1.0 / N
+
+    def advance(self, n: int, step: float):
+        self.state *= _rk4_power(step * self.lam, n)
+
+    def coeffs(self) -> np.ndarray:
+        chat = (self.V @ self.state[:, :, None])[:, :, 0] * self.d
+        return np.fft.ifft(chat, axis=0)
 
 
-def integrate(op: DGOperator, u0: DGFunction, scheme: TimeScheme,
-              method: str = "auto", history_samples: int = 33) -> IntegrationResult:
+class _BandMarch:
+    """Any mesh: one banded matrix-vector product per step.
+
+    The coefficients live in a buffer padded by four cells of periodic
+    wrap on each side, so the nine-cell window of every cell, the
+    operand of rk4_sparse_update's row block, is a strided view of it.
+    By Parseval ||u||^2 = sum |c_{j,m}|^2 h_j / (2m+1)."""
+
+    def __init__(self, op: DGOperator, coeffs: np.ndarray):
+        N, kp1 = op.mesh.N, op.k + 1
+        self.op = op
+        self.wrap = np.arange(-4, N + 4) % N
+        self.buf = coeffs[self.wrap]
+        self.window = sliding_window_view(self.buf.ravel(),
+                                          9 * kp1)[::kp1, :, None]
+        self.out = np.empty((N, kp1, 1), dtype=complex)
+        self.state, self.weight = self.buf[4:-4], 1.0 / op._inv_mass
+        self.updates: dict = {}
+
+    def advance(self, n: int, step: float):
+        if step not in self.updates:
+            self.updates[step] = self.op.rk4_sparse_update(step)
+        B = self.updates[step]
+        for _ in range(n):
+            np.matmul(B, self.window, out=self.out)
+            np.take(self.out[:, :, 0], self.wrap, axis=0, out=self.buf,
+                    mode="wrap")
+
+    def coeffs(self) -> np.ndarray:
+        return self.state.copy()
+
+
+def integrate(op: DGOperator, u0: DGFunction,
+              scheme: TimeScheme) -> IntegrationResult:
     """March u0 to t_end with RK4 at dt = c h^2.5 (truncated final step).
 
-    Three equivalent realizations of the same linear update:
-    "stepping" calls rk4_step stage by stage (any mesh; reference path);
-    "sparse" precomputes the one-step RK4 update matrix and applies it
-    per step (any mesh); "circulant" block-diagonalizes the update by
-    DFT on uniform meshes and raises the per-frequency matrix to the
-    step count.  "auto" picks circulant on uniform meshes and sparse
-    otherwise.  The L2 norm history is sampled at a bounded number of
-    times; growth beyond 10x the initial norm raises InstabilityError
-    reporting the dt used.
+    The mesh picks the propagator: eigen-space powers on uniform meshes,
+    the banded one-step update on any other.  Either keeps a state whose
+    weighted sum of squares is ||u||^2.  The L2 norm is sampled at
+    HISTORY_SAMPLES evenly spaced steps and after the truncated step;
+    a non-finite norm or growth beyond 10x the initial norm raises
+    InstabilityError reporting the dt used.
     """
     dt = scheme.dt(op.mesh.h)
     n_full, rem = _step_counts(scheme.t_end, dt)
-    if n_full == 0 and rem == 0.0:
-        return IntegrationResult(u=u0.copy(), dt=dt, n_steps=0,
-                                 norm_history=[(0.0, l2_norm(u0))])
-    if method == "auto":
-        method = "circulant" if op.mesh.is_uniform else "sparse"
-    if method not in ("stepping", "sparse", "circulant"):
-        raise ValueError(f"unknown integration method {method!r}")
-    if method == "circulant" and not op.mesh.is_uniform:
-        raise ValueError("circulant integration needs a uniform mesh")
-
+    every = max(1, n_full // (HISTORY_SAMPLES - 1))
+    stops = [min(s, n_full) for s in range(every, n_full + every, every)]
+    # (steps, step size, time reached) between consecutive norm checks
+    plan = ([(s - p, dt, s * dt) for p, s in zip([0] + stops, stops)]
+            + [(1, rem, scheme.t_end)] * (rem > 0.0))
     norm0 = l2_norm(u0)
     history = [(0.0, norm0)]
-    limit = BLOWUP_FACTOR * max(norm0, 1e-300)
-
-    def check(t, u):
-        nrm = l2_norm(u)
-        history.append((t, nrm))
-        if not np.isfinite(nrm) or nrm > limit:
-            raise InstabilityError(dt, nrm / max(norm0, 1e-300))
-        return nrm
-
-    every = max(1, n_full // max(1, history_samples - 1))
+    if not plan:
+        return IntegrationResult(u=u0.copy(), dt=dt, n_steps=0,
+                                 norm_history=history)
+    march = (_EigenMarch if op.mesh.is_uniform else _BandMarch)(op, u0.coeffs)
+    scale = max(norm0, 1e-300)
     # divergent runs overflow between norm checkpoints; the checkpoints
     # turn that into InstabilityError, so the transient warnings are noise
-    overflow_ok = np.errstate(over="ignore", invalid="ignore")
-
-    if method == "stepping":
-        u = u0.copy()
-        with overflow_ok:
-            for s in range(n_full):
-                u = rk4_step(op, u, dt)
-                if (s + 1) % every == 0 or s + 1 == n_full:
-                    check((s + 1) * dt, u)
-            if rem > 0.0:
-                u = rk4_step(op, u, rem)
-                check(scheme.t_end, u)
-        return IntegrationResult(u=u, dt=dt, n_steps=n_full + (rem > 0),
-                                 norm_history=history)
-
-    if method == "sparse":
-        shape = u0.coeffs.shape
-        x = u0.coeffs.ravel().copy()
-        S = op.rk4_sparse_update(dt) if n_full > 0 else None
-        with overflow_ok:
-            for s in range(n_full):
-                x = S @ x
-                if (s + 1) % every == 0 or s + 1 == n_full:
-                    check((s + 1) * dt,
-                          DGFunction(op.mesh, op.k, x.reshape(shape)))
-            if rem > 0.0:
-                x = op.rk4_sparse_update(rem) @ x
-                check(scheme.t_end,
-                      DGFunction(op.mesh, op.k, x.reshape(shape)))
-        return IntegrationResult(u=DGFunction(op.mesh, op.k, x.reshape(shape)),
-                                 dt=dt, n_steps=n_full + (rem > 0),
-                                 norm_history=history)
-
-    Cm, C0, Cp = op.coupling_blocks()
-    blocks = (Cm[0], C0[0], Cp[0])
-    N = op.mesh.N
-    chat = np.fft.fft(u0.coeffs, axis=0)
-    with overflow_ok:
-        if n_full > 0:
-            S = _rk4_update_matrices(blocks, N, dt)
-            n_chunks = min(8, n_full)
-            done = 0
-            for i in range(n_chunks):
-                target = (i + 1) * n_full // n_chunks
-                take = target - done
-                if take == 0:
-                    continue
-                Spow = _matrix_power_batched(S, take)
-                chat = np.matmul(Spow, chat[:, :, None])[:, :, 0]
-                done = target
-                u_now = DGFunction(op.mesh, op.k, np.fft.ifft(chat, axis=0))
-                check(done * dt, u_now)
-        if rem > 0.0:
-            Srem = _rk4_update_matrices(blocks, N, rem)
-            chat = np.matmul(Srem, chat[:, :, None])[:, :, 0]
-    u = DGFunction(op.mesh, op.k, np.fft.ifft(chat, axis=0))
-    if rem > 0.0:
-        check(scheme.t_end, u)
-    return IntegrationResult(u=u, dt=dt, n_steps=n_full + (rem > 0),
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, step, t in plan:
+            march.advance(n, step)
+            nrm = float(np.sqrt(np.sum(np.abs(march.state) ** 2
+                                       * march.weight)))
+            history.append((t, nrm))
+            if not np.isfinite(nrm) or nrm > BLOWUP_FACTOR * scale:
+                raise InstabilityError(dt, nrm / scale)
+    return IntegrationResult(u=DGFunction(op.mesh, op.k, march.coeffs()),
+                             dt=dt, n_steps=n_full + (rem > 0),
                              norm_history=history)

@@ -199,6 +199,22 @@ class TestCLI:
         assert main(["points", "--k", "2", "--h", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--k", "2", "--N", "10", "--tend", "nan"],
+        ["run", "--k", "2", "--N", "10", "--tend", "-1"],
+        ["run", "--k", "2", "--N", "10", "--c", "-1"],
+        ["run", "--k", "2", "--N", "10", "--c", "inf"],
+        ["run", "--k", "2", "--N", "10", "--flux", "nan,0,0"],
+        ["kernel", "--k", "0"],
+        ["points", "--k", "1"],
+    ], ids=["tend-nan", "tend-negative", "c-negative", "c-inf", "flux-nan",
+            "kernel-k0", "points-k1"])
+    def test_rejected_input_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+
     def test_config_file_with_cli_override(self, capsys, tmp_path):
         cfgfile = tmp_path / "study.cfg"
         cfgfile.write_text(

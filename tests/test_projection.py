@@ -207,16 +207,17 @@ class TestLocalVariant:
             sf = scale_flux(cfg, mesh.h)
             gh = uwdg.interface_matrices(sf)
             low = rng.normal(size=(11, k + 1)) + 1j * rng.normal(size=(11, k + 1))
-            data = rng.normal(size=(11, 2)) + 1j * rng.normal(size=(11, 2))
+            iface = rng.normal(size=(11, 2)) + 1j * rng.normal(size=(11, 2))
             expect = np.empty((11, 2), dtype=complex)
             for j in range(mesh.N):
                 h = mesh.h_sizes[j]
                 blk = cell_blocks(sf, k, h)
                 R, L = trace_maps(k, h)
                 foot = gh.G @ R[0, :, : k - 1] + gh.H @ L[0, :, : k - 1]
+                data = gh.G @ iface[j] + gh.H @ iface[j - 1]
                 expect[j] = np.linalg.solve(blk.A + blk.B,
-                                            data[j] - foot @ low[j, : k - 1])
-            got = _top_two_local(mesh, k, sf, low, data)
+                                            data - foot @ low[j, : k - 1])
+            got = _top_two_local(mesh, k, sf, low, iface)
             np.testing.assert_allclose(got, expect, rtol=1e-13,
                                        atol=1e-13 * np.abs(expect).max())
 

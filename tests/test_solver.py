@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwdg
 from uwdg.basis import gauss_rule, legendre_table
@@ -7,8 +13,8 @@ from uwdg.errors import InstabilityError
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, interface_matrices,
                        scale_flux)
 from uwdg.projection import DGFunction, plane_wave, project_star
-from uwdg.solver import (DGOperator, TimeScheme, apply_bilinear, integrate,
-                         l2_norm, rk4_step, time_derivative)
+from uwdg.solver import (DGOperator, TimeScheme, _rk4_power, apply_bilinear,
+                         integrate, l2_norm, rk4_step, time_derivative)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
@@ -38,6 +44,20 @@ class TestBilinearForm:
             assert abs(auv - avu) <= 1e-12 * abs(auv)
             avvb = apply_bilinear(op, v, DGFunction(mesh, 3, np.conj(v.coeffs)))
             assert abs(avvb.imag) <= 1e-12 * abs(avvb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a1=st.floats(-3, 3), b1=st.floats(-3, 3), b2=st.floats(-3, 3),
+           k=st.integers(2, 5), seed=st.integers(0, 10 ** 6))
+    def test_blocks_symmetric(self, a1, b1, b2, k, seed):
+        # the uniform march diagonalizes the scaled DFT symbol with eigh,
+        # which needs C0[j] = C0[j]^T and Cm[j] = Cp[j-1]^T
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 7, "perturbed", 0.2, seed)
+        Cm, C0, Cp = DGOperator(mesh, FluxConfig(a1, b1, b2), k).blocks
+        tol = 1e-13 * np.abs(C0).max()
+        Cp_prev = np.roll(Cp, 1, axis=0)
+        np.testing.assert_allclose(C0, C0.transpose(0, 2, 1), rtol=0, atol=tol)
+        np.testing.assert_allclose(Cm, Cp_prev.transpose(0, 2, 1), rtol=0,
+                                   atol=tol)
 
     def test_constants_in_kernel(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
@@ -157,6 +177,28 @@ class TestNorm:
         assert l2_norm(u) == pytest.approx(ref, rel=1e-12)
 
 
+def test_march_needs_only_numpy():
+    # of the installed packages, uwdg loads numpy alone, also while it
+    # marches on uniform and on perturbed meshes
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import numpy as np, uwdg\n"
+        "for kind in ('uniform', 'perturbed'):\n"
+        "    mesh = uwdg.make_mesh(0, 2 * np.pi, 8, kind, 0.1, 3)\n"
+        "    op = uwdg.DGOperator(mesh, uwdg.ALTERNATING, 2)\n"
+        "    u0 = uwdg.project_l2(uwdg.plane_wave(1.0), 0.0, mesh, 2)\n"
+        "    uwdg.integrate(op, u0, uwdg.TimeScheme(c=0.05, t_end=0.01))\n"
+        "from importlib.metadata import packages_distributions\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(loaded & set(packages_distributions()) - {'uwdg'}))\n")
+    src = os.path.dirname(os.path.dirname(uwdg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "['numpy']"
+
+
 class _DiagonalOp:
     """Test hook: du/dt = i lambda u."""
 
@@ -191,31 +233,60 @@ class TestRK4:
         f = plane_wave(1.0)
         u0 = uwdg.project_l2(f, 0.0, mesh, 2)
         scheme = TimeScheme(c=0.05, t_end=0.1)
-        res = integrate(op, u0, scheme, method="stepping")
+        res = integrate(op, u0, scheme)
         n_full = int(np.floor(scheme.t_end / res.dt + 1e-12))
         assert res.n_steps == n_full + 1       # truncated final step
         assert res.norm_history[-1][0] == pytest.approx(0.1, abs=1e-14)
 
-    @pytest.mark.parametrize("method", ["sparse", "circulant"])
-    def test_paths_match_stepping(self, method):
-        f = plane_wave(3.0)
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 12)
-        op = DGOperator(mesh, CENTRAL, 3)
-        u0 = project_star(f, 0.0, mesh, 3, CENTRAL)
-        scheme = TimeScheme(c=0.01, t_end=0.043)
-        ref = integrate(op, u0, scheme, method="stepping").u
-        out = integrate(op, u0, scheme, method=method).u
-        assert np.abs(out.coeffs - ref.coeffs).max() < 1e-11
+    @pytest.mark.parametrize("k, cfg, kind, t_end", [
+        (3, CENTRAL, "uniform", 0.043),
+        (3, FluxConfig(0.25, 5, 0), "uniform", 0.043),
+        (3, ALTERNATING, "perturbed", 0.02),
+    ], ids=["uniform-central", "uniform-A3", "perturbed-alternating"])
+    def test_matches_rk4_step_loop(self, k, cfg, kind, t_end):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 12, kind, 0.1, 6)
+        op = DGOperator(mesh, cfg, k)
+        u0 = project_star(plane_wave(3.0), 0.0, mesh, k, cfg)
+        scheme = TimeScheme(c=0.01, t_end=t_end)
+        out = integrate(op, u0, scheme)
+        n_full = int(np.floor(t_end / out.dt + 1e-12))
+        rem = t_end - n_full * out.dt
+        assert rem > 0.1 * out.dt and out.n_steps == n_full + 1
+        u = u0
+        for _ in range(n_full):
+            u = rk4_step(op, u, out.dt)
+        u = rk4_step(op, u, rem)
+        assert np.abs(out.u.coeffs - u.coeffs).max() < 1e-11
+        assert out.norm_history[-1][1] == pytest.approx(l2_norm(u), rel=1e-12)
 
-    def test_sparse_path_on_perturbed_mesh(self):
-        f = plane_wave(3.0)
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 10, "perturbed", 0.1, 6)
-        op = DGOperator(mesh, ALTERNATING, 3)
-        u0 = project_star(f, 0.0, mesh, 3, ALTERNATING)
-        scheme = TimeScheme(c=0.01, t_end=0.02)
-        ref = integrate(op, u0, scheme, method="stepping").u
-        out = integrate(op, u0, scheme, method="sparse").u
-        assert np.abs(out.coeffs - ref.coeffs).max() < 1e-11
+    @pytest.mark.parametrize("N", [4, 9])
+    def test_banded_update_is_dense_rk4_polynomial(self, N):
+        # N=4 aliases the offsets -4 and +4 onto the cell itself
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, 1)
+        op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 2)
+        Z, eye = 0.01 * op.as_matrix(), np.eye(3 * N)
+        expect = eye + Z @ (eye + Z / 2 @ (eye + Z / 3 @ (eye + Z / 4)))
+        bands = op.rk4_sparse_update(0.01).reshape(N, 3, 9, 3)
+        got = np.zeros((N, 3, N, 3), dtype=complex)
+        for i in range(9):
+            got[np.arange(N), :, (np.arange(N) + i - 4) % N] += bands[:, :, i]
+        np.testing.assert_allclose(got.reshape(3 * N, 3 * N), expect, rtol=0,
+                                   atol=1e-14 * np.abs(expect).max())
+
+    def test_rk4_power_matches_extended_precision(self):
+        # the uniform-mesh march takes R4(i dt lam)^n in one go; at the
+        # 2e6 steps of the k=2, N=640 row its error must stay at the
+        # roundoff of the total phase n*arg, with no n*eps modulus drift
+        mp = pytest.importorskip("mpmath")
+        n = 2_000_000
+        y = np.array([1e-6, 1e-4, 1e-2, 0.1, -0.05])
+        got = _rk4_power(y, n)
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            for yi, gi in zip(y, got):
+                z = mp.mpc(0, float(yi))
+                ref = (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) ** n
+                assert abs(gi - complex(ref)) <= 8 * eps * (1 + n * abs(yi))
 
     def test_norm_drift_small(self):
         f = plane_wave(3.0)
@@ -226,15 +297,15 @@ class TestRK4:
         assert abs(l2_norm(res.u) / l2_norm(u0) - 1.0) < 1e-8
 
     def test_instability_detected(self):
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 16)
-        op = DGOperator(mesh, CENTRAL, 2)
-        u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
-        bad = TimeScheme(c=0.05, t_end=3.0, dt_override=0.05)
-        with pytest.raises(InstabilityError) as err:
-            integrate(op, u0, bad, method="stepping")
-        assert err.value.dt == pytest.approx(0.05)
-        with pytest.raises(InstabilityError):
-            integrate(op, u0, bad, method="circulant")
+        for kind in ("uniform", "perturbed"):
+            mesh = uwdg.make_mesh(0, 2 * np.pi, 16, kind, 0.1, 2)
+            op = DGOperator(mesh, CENTRAL, 2)
+            u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
+            bad = TimeScheme(c=0.05 / mesh.h ** 2.5, t_end=3.0)   # dt = 0.05
+            with pytest.raises(InstabilityError,
+                               match="non-finite|grew") as err:
+                integrate(op, u0, bad)
+            assert err.value.dt == pytest.approx(0.05)
 
     def test_overflow_between_checkpoints_detected(self):
         # this flux family exceeds the RK4 limit at k=2, N=80 with the
