@@ -14,8 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
+
+# the other named tolerances are in flux.py, which basis does not import
+STIFF2_ZERO_TOL = 1e-13  # Gauss roundoff of a stiff2 entry that is exactly 0
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ def reference_matrices(k: int) -> ReferenceMatrices:
     vals = tab[:, 0, :]    # (nq, k+1)
     dd = tab[:, 2, :]
     stiff2 = np.einsum("q,qm,qn->mn", rule.weights, dd, vals)
-    stiff2[np.abs(stiff2) < 1e-13] = 0.0
+    stiff2[np.abs(stiff2) < STIFF2_ZERO_TOL] = 0.0
     mass.setflags(write=False)
     stiff2.setflags(write=False)
     return ReferenceMatrices(mass_diag=mass, stiff2=stiff2)
@@ -184,26 +188,49 @@ def legendre_derivative_matrix(k: int) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=16)
+def _bspline_table(order: int) -> np.ndarray:
+    """Coefficients of psi^(order) on its unit pieces: entry [i, p]
+    multiplies t^p on [-ell/2 + i, -ell/2 + i + 1), where t in [0, 1) is
+    the distance from the piece's left knot.
+
+    Exact from the truncated-power form of the cardinal B-spline,
+    M(s) = sum_{j <= s} (-1)^j C(ell, j) (s - j)^(ell-1) / (ell-1)!
+    with s = x + ell/2 = i + t: each coefficient is an integer over
+    (ell-1)!, divided once in floating point.
+    """
+    n = order - 1
+    table = np.empty((order, order))
+    for i in range(order):
+        for p in range(order):
+            num = sum((-1) ** j * comb(order, j) * comb(n, p)
+                      * (i - j) ** (n - p) for j in range(i + 1))
+            table[i, p] = num / factorial(n)    # correctly rounded
+    table.setflags(write=False)
+    return table
+
+
 def bspline_eval(order: int, x) -> np.ndarray | float:
     """Central B-spline of order ell at x (scalar or array).
 
-    psi^(1) is the indicator of [-1/2, 1/2); higher orders follow the
-    Cox-de Boor recursion for uniform knots at -ell/2 .. ell/2, i.e.
-    repeated convolution with the unit indicator.  The result is a
-    piecewise polynomial of degree ell-1 supported on [-ell/2, ell/2]
-    with unit integral.
+    psi^(1) is the indicator of [-1/2, 1/2); psi^(ell) is its ell-fold
+    self-convolution, a piecewise polynomial of degree ell-1 on the unit
+    pieces between the knots -ell/2 .. ell/2, with unit integral.  Each
+    point is located by comparison with the knots, so the support is the
+    half-open [-ell/2, ell/2), and its piece of the exact table is
+    evaluated by Horner.
     """
     if order < 1:
         raise ValueError("B-spline order must be >= 1")
     x = np.asarray(x, dtype=float)
-
-    def rec(ell, y):
-        if ell == 1:
-            return np.where((y >= -0.5) & (y < 0.5), 1.0, 0.0)
-        return (
-            (y + ell / 2) * rec(ell - 1, y + 0.5)
-            + (ell / 2 - y) * rec(ell - 1, y - 0.5)
-        ) / (ell - 1)
-
-    out = rec(order, x)
+    table = _bspline_table(order)
+    knots = np.arange(order + 1) - order / 2.0
+    piece = np.searchsorted(knots, x, side="right") - 1
+    inside = (piece >= 0) & (piece < order)
+    piece = np.clip(piece, 0, order - 1)
+    t = x - knots[piece]
+    out = table[piece, order - 1]
+    for p in range(order - 2, -1, -1):
+        out = out * t + table[piece, p]
+    out = np.where(inside, out, 0.0)
     return out if out.ndim else float(out)

@@ -38,6 +38,10 @@ ROOT_EDGE_TOL = 1e-12   # Newton may leave an endpoint root just outside
 ROOT_MERGE_TOL = 1e-8   # a double root splits by ~sqrt(eps): one root
 UNIFORM_TOL = 1e-12     # |h_j - h_0| / h_0 below this: node roundoff only
 STEP_ROUND_TOL = 1e-12  # t_end/dt this near an integer: no remainder step
+# SIAC breakpoints are sums of half-integers and the offset (1 - xi0)/2
+SIAC_SUPPORT_TOL = 1e-12  # a breakpoint this near an end of the support: kept
+SIAC_PIECE_TOL = 1e-14  # a narrower piece is a duplicate break: skipped
+# basis.STIFF2_ZERO_TOL sits in basis.py, which does not import this module
 
 
 @dataclass(frozen=True)

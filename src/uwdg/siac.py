@@ -9,9 +9,12 @@ assembled and solved in exact rational arithmetic, so the weights are
 correct to the last bit.
 
 Post-processing convolves the DG solution with the h-scaled kernel on a
-uniform mesh; the integral is split at every B-spline knot and every
-cell boundary so each piece is a polynomial integrated exactly by a
-small Gauss rule.
+uniform mesh.  For a point at reference offset xi0 in cell j this is a
+stencil product u* = sum_off W[off] . c_{j+off}, whose weights depend
+only on the kernel, k, xi0 and the Gauss rule, not on u_h, h or N: the
+integral is split at every B-spline knot and every cell boundary so each
+piece is a polynomial integrated exactly by a small Gauss rule.  This is
+the matrix form of Cockburn, Luskin, Shu & Suli (Math. Comp. 2003).
 """
 
 from __future__ import annotations
@@ -25,14 +28,16 @@ import numpy as np
 
 from . import basis
 from .errors import UnsupportedOperationError
+from .flux import SIAC_PIECE_TOL, SIAC_SUPPORT_TOL
 from .projection import AnalyticField, DGFunction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpec:
     """SIAC kernel for DG degree k: B-spline order ell = k+1, integer
     shifts gamma in [-k, k] with symmetric weights summing to 1, support
-    half-width (3k+1)/2 in units of h."""
+    half-width (3k+1)/2 in units of h.  Compared and hashed by identity,
+    so a spec can key the stencil cache."""
 
     k: int
     order: int
@@ -46,19 +51,13 @@ class KernelSpec:
     def eval(self, x) -> np.ndarray:
         """Kernel value K(x) = sum_g w_g psi^(order)(x - g)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        for g, w in zip(self.shifts, self.weights):
-            out += w * basis.bspline_eval(self.order, x - g)
-        return out
+        return basis.bspline_eval(self.order, x[..., None] - self.shifts) \
+            @ self.weights
 
     def knots(self) -> np.ndarray:
-        """Breakpoints of the kernel's piecewise-polynomial structure."""
-        half = self.order / 2.0
-        pts = set()
-        for g in self.shifts:
-            for i in range(self.order + 1):
-                pts.add(float(g - half + i))
-        return np.array(sorted(pts))
+        """Breakpoints of the kernel's piecewise-polynomial structure: the
+        unit-spaced knots of the shifted B-splines fill the support."""
+        return np.arange(3 * self.k + 2) - self.support_halfwidth
 
 
 @lru_cache(maxsize=16)
@@ -99,8 +98,10 @@ def _solve_fraction_system(A: list[list[Fraction]], b: list[Fraction]):
     return [M[i][n] / M[i][i] for i in range(n)]
 
 
+@lru_cache(maxsize=16)
 def kernel_coeffs(k: int) -> KernelSpec:
-    """Build the post-processing kernel for DG degree k >= 1."""
+    """The post-processing kernel for DG degree k >= 1, built once per k;
+    its arrays are read-only."""
     if k < 1:
         raise ValueError("kernel needs k >= 1")
     order = k + 1
@@ -128,40 +129,62 @@ def kernel_coeffs(k: int) -> KernelSpec:
     return KernelSpec(k=k, order=order, shifts=shifts, weights=weights)
 
 
-def _convolve_cells(u_h: DGFunction, cells: np.ndarray, xi0: float,
-                    spec: KernelSpec, n_gauss: int) -> np.ndarray:
-    """u*(x) for the points sitting at reference offset xi0 inside the
-    given cells of a uniform mesh, vectorized over the cells.
+def _stencil(spec: KernelSpec, k: int, xi0: float,
+             n_gauss: int) -> np.ndarray:
+    """Weights W of shape (2R+1, k+1), R = ceil(support half-width), with
+    u*(x) = sum_{off=-R..R} W[off + R] . c_{j+off} for every point x at
+    reference offset xi0 in a cell j of a uniform mesh.
 
     In the scaled variable z = (y - x)/h the kernel knots and the cell
-    crossings are the same for every such point, so each polynomial piece
-    contributes one small matrix product across all cells at once.
+    crossings are the same for every such point, so the integral splits
+    into the same polynomial pieces in every cell.
     """
-    mesh = u_h.mesh
-    k = u_h.k
     half = spec.support_halfwidth
     # breakpoints: kernel knots plus cell-boundary crossings at
     # z = m + (1 - xi0)/2, m integer
     shift = (1.0 - xi0) / 2.0
     cross = shift + np.arange(np.ceil(-half - shift), np.floor(half - shift) + 1)
-    breaks = np.unique(np.concatenate([spec.knots(), cross]))
-    breaks = breaks[(breaks > -half - 1e-12) & (breaks < half + 1e-12)]
+    # a duplicate break leaves a zero-width piece, which is skipped below
+    breaks = np.sort(np.concatenate([spec.knots(), cross]))
+    breaks = breaks[(breaks > -half - SIAC_SUPPORT_TOL)
+                    & (breaks < half + SIAC_SUPPORT_TOL)]
+    z0, z1 = breaks[:-1], breaks[1:]
+    keep = z1 - z0 >= SIAC_PIECE_TOL
+    z0, z1 = z0[keep, None], z1[keep, None]
     rule = basis.gauss_rule(n_gauss)
-    out = np.zeros(len(cells), dtype=complex)
-    for z0, z1 in zip(breaks[:-1], breaks[1:]):
-        if z1 - z0 < 1e-14:
-            continue
-        zg = 0.5 * (z0 + z1) + 0.5 * (z1 - z0) * rule.nodes
-        kv = spec.eval(zg) * (0.5 * (z1 - z0) * rule.weights)
-        for zq, kw in zip(zg, kv):
-            if kw == 0.0:
-                continue
-            # evaluation point y = x + h z sits `off` cells to the right
-            off = int(np.floor((xi0 + 2.0 * zq + 1.0) / 2.0))
-            xi = xi0 + 2.0 * zq - 2.0 * off
-            tab = basis.legendre_table(k, xi)[0, 0, :]
-            vals = u_h.coeffs[(cells + off) % mesh.N] @ tab
-            out += kw * vals
+    zg = 0.5 * (z0 + z1) + 0.5 * (z1 - z0) * rule.nodes
+    kw = spec.eval(zg) * (0.5 * (z1 - z0) * rule.weights)
+    # evaluation point y = x + h z sits `off` cells to the right
+    off = np.floor((xi0 + 2.0 * zg + 1.0) / 2.0)
+    xi = xi0 + 2.0 * zg - 2.0 * off
+    tab = basis.legendre_table(k, xi)[..., 0, :]
+    reach = int(np.ceil(half))
+    W = np.zeros((2 * reach + 1, k + 1))
+    np.add.at(W, off.astype(int).ravel() + reach,
+              (kw[..., None] * tab).reshape(-1, k + 1))
+    return W
+
+
+@lru_cache(maxsize=32)
+def _error_stencils(spec: KernelSpec, k: int, n_quad: int,
+                    n_gauss: int) -> np.ndarray:
+    """Read-only stencils (n_quad, 2R+1, k+1), one per node of the
+    n_quad-point Gauss rule."""
+    W = np.stack([_stencil(spec, k, float(xi0), n_gauss)
+                  for xi0 in basis.gauss_rule(n_quad).nodes])
+    W.setflags(write=False)
+    return W
+
+
+def _apply(u_h: DGFunction, cells: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_off c_{j+off} . W[..., off + R, :] for each cell j, which on all
+    cells is sum_off roll(coeffs, -off) @ W[off]; the result has shape
+    len(cells) + W.shape[:-2]."""
+    reach = W.shape[-2] // 2
+    out = 0.0
+    for i in range(W.shape[-2]):
+        near = u_h.coeffs[(cells + i - reach) % u_h.mesh.N]
+        out = out + near @ W[..., i, :].T
     return out
 
 
@@ -181,10 +204,11 @@ def postprocess_value(u_h: DGFunction, x, spec: KernelSpec,
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     cells, xis = u_h.mesh.reference_coord(xs)
     out = np.empty(xs.shape, dtype=complex)
-    # points sharing a reference offset share the breakpoint pattern
+    # points sharing a reference offset share one stencil
     for xi0 in np.unique(xis):
         mask = xis == xi0
-        out[mask] = _convolve_cells(u_h, cells[mask], float(xi0), spec, ng)
+        out[mask] = _apply(u_h, cells[mask],
+                           _stencil(spec, u_h.k, float(xi0), ng))
     return out if np.ndim(x) else complex(out[0])
 
 
@@ -193,12 +217,10 @@ def postprocessed_error(u_h: DGFunction, f: AnalyticField, t: float,
     """E* = || u - u* || by per-cell quadrature on a uniform mesh."""
     _require_uniform(u_h)
     mesh = u_h.mesh
-    rule = basis.gauss_rule(n_quad or basis.default_quad_points(u_h.k))
-    cells = np.arange(mesh.N)
-    total = 0.0
-    for q, xi0 in enumerate(rule.nodes):
-        x = mesh.centers + 0.5 * mesh.h_sizes * xi0
-        star = _convolve_cells(u_h, cells, float(xi0), spec, u_h.k + 1)
-        diff2 = np.abs(f.eval(x, t, 0) - star) ** 2
-        total += float(np.sum(0.5 * mesh.h_sizes * rule.weights[q] * diff2))
-    return float(np.sqrt(total))
+    n_quad = n_quad or basis.default_quad_points(u_h.k)
+    rule = basis.gauss_rule(n_quad)
+    star = _apply(u_h, np.arange(mesh.N),
+                  _error_stencils(spec, u_h.k, n_quad, u_h.k + 1))
+    diff2 = np.abs(f.eval(mesh.quad_points(rule.nodes), t, 0) - star) ** 2
+    return float(np.sqrt(np.sum(0.5 * mesh.h_sizes[:, None] * rule.weights
+                                * diff2)))

@@ -157,7 +157,34 @@ class TestReferenceMatrices:
             basis.reference_matrices(1)
 
 
+def cox_de_boor(ell, x):
+    """Reference: the recursion over the half-open indicator of [-1/2, 1/2),
+    (x + ell/2) psi^(ell-1)(x + 1/2) + (ell/2 - x) psi^(ell-1)(x - 1/2)
+    over ell - 1."""
+    if ell == 1:
+        return np.where((x >= -0.5) & (x < 0.5), 1.0, 0.0)
+    return ((x + ell / 2) * cox_de_boor(ell - 1, x + 0.5)
+            + (ell / 2 - x) * cox_de_boor(ell - 1, x - 0.5)) / (ell - 1)
+
+
 class TestBSpline:
+    @pytest.mark.parametrize("ell", range(1, 8))
+    def test_table_matches_cox_de_boor(self, ell):
+        knots = np.arange(ell + 1) - ell / 2
+        x = np.concatenate([np.linspace(-ell / 2 - 1, ell / 2 + 1, 1001),
+                            knots, knots + 0.25])
+        np.testing.assert_allclose(basis.bspline_eval(ell, x),
+                                   cox_de_boor(ell, x), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("ell", range(1, 8))
+    def test_half_open_at_knots(self, ell):
+        lo, hi = -ell / 2, ell / 2
+        assert basis.bspline_eval(ell, lo) == (1.0 if ell == 1 else 0.0)
+        assert basis.bspline_eval(ell, hi) == 0.0
+        assert basis.bspline_eval(ell, np.nextafter(lo, -np.inf)) == 0.0
+        below_hi = basis.bspline_eval(ell, np.nextafter(hi, 0.0))
+        assert (below_hi == 1.0) if ell == 1 else abs(below_hi) < 1e-14
+
     def test_indicator(self):
         assert basis.bspline_eval(1, 0.0) == 1.0
         assert basis.bspline_eval(1, 0.6) == 0.0
@@ -165,7 +192,7 @@ class TestBSpline:
     def test_hat_peak(self):
         assert basis.bspline_eval(2, 0.0) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("ell", range(1, 6))
+    @pytest.mark.parametrize("ell", range(1, 8))
     def test_unit_mass(self, ell):
         # integrate piecewise over the knot intervals, exact Gauss per piece
         rule = basis.gauss_rule(ell + 1)
@@ -176,7 +203,7 @@ class TestBSpline:
             total += 0.5 * (b - a) * rule.integrate(basis.bspline_eval(ell, x))
         assert total == pytest.approx(1.0, abs=1e-13)
 
-    @pytest.mark.parametrize("ell", range(1, 6))
+    @pytest.mark.parametrize("ell", range(1, 8))
     def test_partition_of_unity(self, ell):
         x = np.linspace(-0.5, 0.5, 100, endpoint=False)
         total = sum(basis.bspline_eval(ell, x - j) for j in range(-8, 9))

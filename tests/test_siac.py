@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import uwdg
+from uwdg import basis
 from uwdg.basis import gauss_rule
 from uwdg.errors import UnsupportedOperationError
 from uwdg.projection import AnalyticField, DGFunction, plane_wave, project_l2
@@ -22,7 +23,70 @@ def kernel_convolve_monomial(spec, m, s):
     return total
 
 
+def convolve_per_point(u_h, cells, xi0, spec, n_gauss):
+    """Reference u* at reference offset xi0 in the given cells: every
+    Gauss node of every piece between kernel knots and cell crossings
+    evaluates the DG solution in the cell it falls in."""
+    half = spec.support_halfwidth
+    shift = (1.0 - xi0) / 2.0
+    cross = shift + np.arange(np.ceil(-half - shift),
+                              np.floor(half - shift) + 1)
+    breaks = np.unique(np.concatenate([spec.knots(), cross]))
+    breaks = breaks[(breaks > -half - 1e-12) & (breaks < half + 1e-12)]
+    rule = gauss_rule(n_gauss)
+    out = np.zeros(len(cells), dtype=complex)
+    for z0, z1 in zip(breaks[:-1], breaks[1:]):
+        if z1 - z0 < 1e-14:
+            continue
+        zg = 0.5 * (z0 + z1) + 0.5 * (z1 - z0) * rule.nodes
+        kv = spec.eval(zg) * (0.5 * (z1 - z0) * rule.weights)
+        for zq, kw in zip(zg, kv):
+            off = int(np.floor((xi0 + 2.0 * zq + 1.0) / 2.0))
+            xi = xi0 + 2.0 * zq - 2.0 * off
+            tab = basis.legendre_table(u_h.k, xi)[0, 0, :]
+            out += kw * (u_h.coeffs[(cells + off) % u_h.mesh.N] @ tab)
+    return out
+
+
+def reference_value(u_h, x, spec, n_gauss=None):
+    cells, xis = u_h.mesh.reference_coord(x)
+    out = np.empty(len(x), dtype=complex)
+    for xi0 in np.unique(xis):
+        mask = xis == xi0
+        out[mask] = convolve_per_point(u_h, cells[mask], float(xi0), spec,
+                                       n_gauss or u_h.k + 1)
+    return out
+
+
+def reference_error(u_h, f, t, spec, n_quad):
+    mesh = u_h.mesh
+    rule = gauss_rule(n_quad)
+    cells = np.arange(mesh.N)
+    total = 0.0
+    for q, xi0 in enumerate(rule.nodes):
+        star = convolve_per_point(u_h, cells, float(xi0), spec, u_h.k + 1)
+        x = mesh.centers + 0.5 * mesh.h_sizes * xi0
+        total += np.sum(0.5 * mesh.h_sizes * rule.weights[q]
+                        * np.abs(f.eval(x, t, 0) - star) ** 2)
+    return np.sqrt(total)
+
+
+def random_dg(k, N, seed):
+    rng = np.random.default_rng(seed)
+    u = DGFunction(uwdg.make_mesh(0, 2 * np.pi, N), k)
+    u.coeffs[:] = (rng.standard_normal(u.coeffs.shape)
+                   + 1j * rng.standard_normal(u.coeffs.shape))
+    return u, rng
+
+
 class TestKernelWeights:
+    def test_built_once_per_degree_and_read_only(self):
+        spec = kernel_coeffs(3)
+        assert kernel_coeffs(3) is spec
+        for arr in (spec.weights, spec.shifts):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_unit_mass_and_symmetry(self, k):
         spec = kernel_coeffs(k)
@@ -134,3 +198,42 @@ class TestPostprocess:
             u = project_l2(f, 0.0, mesh, 2)
             errs.append(postprocessed_error(u, f, 0.0, spec))
         assert np.log2(errs[0] / errs[1]) > 3.7
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("N", [12, 20])
+class TestStencilMatchesPerPointConvolution:
+    def test_values(self, k, N):
+        u, rng = random_dg(k, N, seed=10 * k + N)
+        spec = kernel_coeffs(k)
+        xs = rng.uniform(0, 2 * np.pi, 25)
+        scale = np.abs(u.coeffs).max()
+        for ng in (None, k + 3):
+            got = postprocess_value(u, xs, spec, n_gauss=ng)
+            want = reference_value(u, xs, spec, ng)
+            assert np.abs(got - want).max() < 1e-13 * scale
+
+    def test_error(self, k, N):
+        u, _ = random_dg(k, N, seed=10 * k + N)
+        spec = kernel_coeffs(k)
+        f = plane_wave(3.0)
+        scale = np.abs(u.coeffs).max()
+        # the default rule and a smaller one, in both orders of first use
+        for n_quad in (None, k + 3, None):
+            got = postprocessed_error(u, f, 0.3, spec, n_quad=n_quad)
+            want = reference_error(u, f, 0.3, spec,
+                                   n_quad or basis.default_quad_points(k))
+            assert abs(got - want) < 1e-13 * scale
+
+    def test_error_is_quadrature_of_values(self, k, N):
+        u, _ = random_dg(k, N, seed=10 * k + N)
+        spec = kernel_coeffs(k)
+        f = plane_wave(3.0)
+        mesh = u.mesh
+        rule = gauss_rule(basis.default_quad_points(k))
+        x = mesh.quad_points(rule.nodes)
+        star = postprocess_value(u, x.ravel(), spec).reshape(x.shape)
+        total = np.sum(0.5 * mesh.h_sizes[:, None] * rule.weights
+                       * np.abs(f.eval(x, 0.3, 0) - star) ** 2)
+        assert abs(postprocessed_error(u, f, 0.3, spec) - np.sqrt(total)) \
+            < 1e-13 * np.abs(u.coeffs).max()
