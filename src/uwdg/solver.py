@@ -12,9 +12,11 @@ Time marching is classical RK4 with the step rule dt = c h^{2.5}
 to land exactly on the end time.  A step is the linear map R4(dt L),
 R4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  integrate takes its powers
 per eigenvector on uniform meshes, where the operator is block-circulant
-with Hermitian scaled DFT symbols, and as a banded one-step update on
-other meshes.  rk4_step, the literal stage-by-stage step, is the
-reference the tests compare both against.
+with Hermitian scaled DFT symbols.  On other meshes it squares the
+banded one-step update and applies two steps per block-banded product;
+an odd step left over, and the truncated final step, are literal
+rk4_step calls.  rk4_step, the literal stage-by-stage step, is also the
+reference the tests compare both propagators against.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ class _EigenMarch:
     D K_l D = V diag(lam) V^H is Hermitian, and each RK4 step multiplies
     the eigen-coordinates z = V^H D^-1 chat_l by R4(i dt lam).  V is
     unitary and ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval
-    ||u||^2 = sum |z|^2 / N."""
+    ||u||^2 = sum |z|^2 / N.  The multiplier of the last (n, step) is
+    kept: the checkpoint chunks of a run repeat one (n, dt)."""
 
     def __init__(self, op: DGOperator, coeffs: np.ndarray):
         Cm, C0, Cp = (C[0] for C in op.blocks)
@@ -212,42 +215,86 @@ class _EigenMarch:
         chat = np.fft.fft(coeffs, axis=0) / self.d
         self.state = (chat[:, None, :] @ self.V.conj())[:, 0, :]
         self.weight = 1.0 / N
+        self.key, self.multiplier = None, None
 
     def advance(self, n: int, step: float):
-        self.state *= _rk4_power(step * self.lam, n)
+        if self.key != (n, step):
+            self.key = (n, step)
+            self.multiplier = _rk4_power(step * self.lam, n)
+        self.state *= self.multiplier
 
     def coeffs(self) -> np.ndarray:
         chat = (self.V @ self.state[:, :, None])[:, :, 0] * self.d
         return np.fft.ifft(chat, axis=0)
 
 
-class _BandMarch:
-    """Any mesh: one banded matrix-vector product per step.
+STEPS_PER_PRODUCT = 2   # RK4 steps per banded product: the update squared
+GROUP = 4               # cells per row block of the two-step update
+REACH = 4 * STEPS_PER_PRODUCT   # cells the two-step update reaches per side
 
-    The coefficients live in a buffer padded by four cells of periodic
-    wrap on each side, so the nine-cell window of every cell, the
-    operand of rk4_sparse_update's row block, is a strided view of it.
-    By Parseval ||u||^2 = sum |c_{j,m}|^2 h_j / (2m+1)."""
+
+def _two_step_rows(P: np.ndarray) -> np.ndarray:
+    """The two-step update P^2 from the one-step bands P of
+    rk4_sparse_update, as row blocks of GROUP consecutive cells.
+
+    Row block r, of shape (4(k+1), 20(k+1)), holds cells 4r .. 4r+3
+    (slot i = j - 4r) and multiplies the coefficients of cells
+    4r-8 .. 4r+11 laid end to end; rows of cells past N are zero.
+    (P^2)_j = sum_a P_j[band a] P_{j+a}, and the nine bands of cell j+a
+    start a - 4 cells from j, i + a + 4 cells into the window."""
+    N, kp1 = P.shape[0], P.shape[1]
+    Q = np.zeros((-(-N // GROUP), GROUP * kp1, (GROUP + 2 * REACH) * kp1),
+                 dtype=complex)
+    for i in range(GROUP):
+        rows = np.arange(i, N, GROUP)
+        Pi = P[i::GROUP]
+        for a in range(-4, 5):
+            col = (i + a - 4 + REACH) * kp1
+            Q[:len(rows), i * kp1:(i + 1) * kp1, col:col + 9 * kp1] += (
+                Pi[..., (a + 4) * kp1:(a + 5) * kp1] @ P[(rows + a) % N])
+    return Q
+
+
+class _BandMarch:
+    """Any mesh: two RK4 steps per banded matrix-vector product.
+
+    The two-step update, the square of rk4_sparse_update, is built by
+    _two_step_rows once per step size, so each product is one batched
+    matmul of (4(k+1), 20(k+1)) row blocks.  The coefficients live in a
+    buffer padded by eight cells of periodic wrap before cell 0 and past
+    the last row block, so the twenty-cell window of every row block is
+    a strided view of it.  A chunk of n steps is n // 2 products and,
+    for odd n, one literal rk4_step; the truncated final step is such a
+    chunk, so no update is built for it.  By Parseval
+    ||u||^2 = sum |c_{j,m}|^2 h_j / (2m+1)."""
 
     def __init__(self, op: DGOperator, coeffs: np.ndarray):
         N, kp1 = op.mesh.N, op.k + 1
+        n_rows = -(-N // GROUP) * GROUP
         self.op = op
-        self.wrap = np.arange(-4, N + 4) % N
+        self.wrap = np.arange(-REACH, n_rows + REACH) % N
         self.buf = coeffs[self.wrap]
-        self.window = sliding_window_view(self.buf.ravel(),
-                                          9 * kp1)[::kp1, :, None]
-        self.out = np.empty((N, kp1, 1), dtype=complex)
-        self.state, self.weight = self.buf[4:-4], 1.0 / op._inv_mass
-        self.updates: dict = {}
+        self.window = sliding_window_view(
+            self.buf.ravel(), (GROUP + 2 * REACH) * kp1)[::GROUP * kp1, :, None]
+        self.out = np.empty((n_rows // GROUP, GROUP * kp1, 1), dtype=complex)
+        self.rows = self.out.reshape(n_rows, kp1)
+        self.state = self.buf[REACH:REACH + N]
+        self.weight = 1.0 / op._inv_mass
+        self.step, self.band = None, None
+
+    def _load(self, coeffs: np.ndarray):
+        np.take(coeffs, self.wrap, axis=0, out=self.buf, mode="wrap")
 
     def advance(self, n: int, step: float):
-        if step not in self.updates:
-            self.updates[step] = self.op.rk4_sparse_update(step)
-        B = self.updates[step]
-        for _ in range(n):
-            np.matmul(B, self.window, out=self.out)
-            np.take(self.out[:, :, 0], self.wrap, axis=0, out=self.buf,
-                    mode="wrap")
+        if n >= STEPS_PER_PRODUCT and self.step != step:
+            self.step = step
+            self.band = _two_step_rows(self.op.rk4_sparse_update(step))
+        for _ in range(n // STEPS_PER_PRODUCT):
+            np.matmul(self.band, self.window, out=self.out)
+            self._load(self.rows)
+        for _ in range(n % STEPS_PER_PRODUCT):
+            u = DGFunction(self.op.mesh, self.op.k, self.state)
+            self._load(rk4_step(self.op, u, step).coeffs)
 
     def coeffs(self) -> np.ndarray:
         return self.state.copy()
@@ -258,7 +305,7 @@ def integrate(op: DGOperator, u0: DGFunction,
     """March u0 to t_end with RK4 at dt = c h^2.5 (truncated final step).
 
     The mesh picks the propagator: eigen-space powers on uniform meshes,
-    the banded one-step update on any other.  Either keeps a state whose
+    two steps per banded product on any other.  Either keeps a state whose
     weighted sum of squares is ||u||^2.  The L2 norm is sampled at
     HISTORY_SAMPLES evenly spaced steps and after the truncated step;
     a non-finite norm or growth beyond 10x the initial norm raises

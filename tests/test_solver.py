@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uwdg
+from uwdg import solver
 from uwdg.basis import gauss_rule, legendre_table
 from uwdg.errors import InstabilityError
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, interface_matrices,
                        scale_flux)
 from uwdg.projection import DGFunction, plane_wave, project_star
-from uwdg.solver import (DGOperator, TimeScheme, _rk4_power, apply_bilinear,
-                         integrate, l2_norm, rk4_step, time_derivative)
+from uwdg.solver import (HISTORY_SAMPLES, DGOperator, TimeScheme, _EigenMarch,
+                         _rk4_power, _step_counts, _two_step_rows,
+                         apply_bilinear, integrate, l2_norm, rk4_step,
+                         time_derivative)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
@@ -238,12 +241,17 @@ class TestRK4:
         assert res.n_steps == n_full + 1       # truncated final step
         assert res.norm_history[-1][0] == pytest.approx(0.1, abs=1e-14)
 
-    @pytest.mark.parametrize("k, cfg, kind, t_end", [
-        (3, CENTRAL, "uniform", 0.043),
-        (3, FluxConfig(0.25, 5, 0), "uniform", 0.043),
-        (3, ALTERNATING, "perturbed", 0.02),
-    ], ids=["uniform-central", "uniform-A3", "perturbed-alternating"])
-    def test_matches_rk4_step_loop(self, k, cfg, kind, t_end):
+    @pytest.mark.parametrize("k, cfg, kind, t_end, chunk", [
+        (3, CENTRAL, "uniform", 0.043, 1),
+        (3, FluxConfig(0.25, 5, 0), "uniform", 0.043, 1),
+        (3, ALTERNATING, "perturbed", 0.02, 1),
+        (3, ALTERNATING, "perturbed", 0.187, 2),
+        (3, ALTERNATING, "perturbed", 0.28, 3),
+    ], ids=["uniform-central", "uniform-A3", "perturbed-alternating",
+            "perturbed-even-chunks", "perturbed-odd-chunks"])
+    def test_matches_rk4_step_loop(self, k, cfg, kind, t_end, chunk):
+        # chunk: steps between norm checkpoints; the perturbed march takes
+        # them two per banded product, and an odd one as a literal step
         mesh = uwdg.make_mesh(0, 2 * np.pi, 12, kind, 0.1, 6)
         op = DGOperator(mesh, cfg, k)
         u0 = project_star(plane_wave(3.0), 0.0, mesh, k, cfg)
@@ -252,12 +260,61 @@ class TestRK4:
         n_full = int(np.floor(t_end / out.dt + 1e-12))
         rem = t_end - n_full * out.dt
         assert rem > 0.1 * out.dt and out.n_steps == n_full + 1
+        assert max(1, n_full // (HISTORY_SAMPLES - 1)) == chunk
         u = u0
         for _ in range(n_full):
             u = rk4_step(op, u, out.dt)
         u = rk4_step(op, u, rem)
         assert np.abs(out.u.coeffs - u.coeffs).max() < 1e-11
         assert out.norm_history[-1][1] == pytest.approx(l2_norm(u), rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(4, 24), k=st.integers(2, 4),
+           seed=st.integers(0, 10 ** 6), n_full=st.integers(128, 300),
+           frac=st.floats(0.2, 0.8))
+    def test_band_march_matches_rk4_step_loop(self, N, k, seed, n_full, frac):
+        # c = 1e-3 keeps dt*rho(L) below ~1.2 here, inside the RK4 limit
+        # 2*sqrt(2); n_full >= 128 makes every chunk at least two products
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, seed)
+        op = DGOperator(mesh, ALTERNATING, k)
+        u0 = random_field(mesh, k, np.random.default_rng(seed))
+        dt = TimeScheme(c=1e-3, t_end=1.0).dt(mesh.h)
+        t_end = (n_full + frac) * dt
+        out = integrate(op, u0, TimeScheme(c=1e-3, t_end=t_end))
+        assert out.n_steps == n_full + 1
+        u = u0
+        for _ in range(n_full):
+            u = rk4_step(op, u, dt)
+        u = rk4_step(op, u, t_end - n_full * dt)
+        assert np.abs(out.u.coeffs - u.coeffs).max() < 1e-11
+
+    def test_eigen_march_reuses_multiplier(self, monkeypatch):
+        # the ~33 checkpoint chunks share one (n, dt); only the last short
+        # chunk and the truncated step need a multiplier of their own
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 20)
+        op = DGOperator(mesh, CENTRAL, 3)
+        u0 = project_star(plane_wave(3.0), 0.0, mesh, 3, CENTRAL)
+        scheme = TimeScheme(c=0.01, t_end=0.5)
+        calls = []
+
+        def counted(y, n):
+            calls.append(n)
+            return _rk4_power(y, n)
+
+        monkeypatch.setattr(solver, "_rk4_power", counted)
+        out = integrate(op, u0, scheme)
+        assert 1 <= len(calls) <= 3
+        # uncached reference: a fresh multiplier for every chunk
+        n_full, rem = _step_counts(scheme.t_end, out.dt)
+        every = max(1, n_full // (HISTORY_SAMPLES - 1))
+        chunks = ([(every, out.dt)] * (n_full // every)
+                  + [(n_full % every, out.dt)] * (n_full % every > 0)
+                  + [(1, rem)] * (rem > 0))
+        assert len(chunks) > 30 and len(set(chunks)) == 3
+        march = _EigenMarch(op, u0.coeffs)
+        for n, step in chunks:
+            march.state = march.state * _rk4_power(step * march.lam, n)
+        assert np.array_equal(out.u.coeffs, march.coeffs())
 
     @pytest.mark.parametrize("N", [4, 9])
     def test_banded_update_is_dense_rk4_polynomial(self, N):
@@ -272,6 +329,28 @@ class TestRK4:
             got[np.arange(N), :, (np.arange(N) + i - 4) % N] += bands[:, :, i]
         np.testing.assert_allclose(got.reshape(3 * N, 3 * N), expect, rtol=0,
                                    atol=1e-14 * np.abs(expect).max())
+
+    @pytest.mark.parametrize("N", [4, 5, 9, 18])
+    def test_two_step_rows_are_dense_rk4_square(self, N):
+        # row block r holds cells 4r..4r+3 against cells 4r-8..4r+11; N not
+        # a multiple of 4 leaves zero rows, and N < 17 aliases the offsets
+        k, kp1, dt = 3, 4, 0.01
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, 1)
+        op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), k)
+        Z, eye = dt * op.as_matrix(), np.eye(kp1 * N)
+        R4 = eye + Z @ (eye + Z / 2 @ (eye + Z / 3 @ (eye + Z / 4)))
+        expect = R4 @ R4
+        Q = _two_step_rows(op.rk4_sparse_update(dt))
+        n_blocks = -(-N // 4)
+        assert Q.shape == (n_blocks, 4 * kp1, 20 * kp1)
+        Q = Q.reshape(n_blocks * 4, kp1, 20, kp1)
+        assert not Q[N:].any()
+        got = np.zeros((N, kp1, N, kp1), dtype=complex)
+        for j in range(N):
+            for c in range(20):
+                got[j, :, (j - j % 4 - 8 + c) % N] += Q[j, :, c]
+        np.testing.assert_allclose(got.reshape(kp1 * N, kp1 * N), expect,
+                                   rtol=0, atol=1e-13 * np.abs(expect).max())
 
     def test_rk4_power_matches_extended_precision(self):
         # the uniform-mesh march takes R4(i dt lam)^n in one go; at the
