@@ -52,12 +52,6 @@ class CorrectionSet:
     w: list[DGFunction]
     _cache: dict
 
-    def total(self) -> DGFunction:
-        out = DGFunction(self.mesh, self.k)
-        for wq in self.w:
-            out = out + wq
-        return out
-
 
 def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
                      cfg: FluxConfig, q_max: int | None = None,

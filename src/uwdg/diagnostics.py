@@ -129,6 +129,3 @@ class ErrorReport:
     metric_names: list[str]
     rows: list[dict] = field(default_factory=list)
     orders: dict = field(default_factory=dict)   # metric -> list aligned rows[1:]
-
-    def column_count(self) -> int:
-        return 1 + 2 * len(self.metric_names)

@@ -36,7 +36,9 @@ LAMBDA_ZERO_TOL = 1e-14  # |Lambda| below this: Gamma/Lambda is undefined
 ROOT_IMAG_TOL = 1e-9    # |imag| above this: a complex pair, not a root
 ROOT_EDGE_TOL = 1e-12   # Newton may leave an endpoint root just outside
 ROOT_MERGE_TOL = 1e-8   # a double root splits by ~sqrt(eps): one root
-UNIFORM_TOL = 1e-12     # |h_j - h_0| / h_0 below this: node roundoff only
+# node x_j = a + j*h is rounded to within ~1 ulp of max|x|, so a uniform
+# mesh has |h_j - h_0| of a few ulps of max(|a|, |b|), whatever N is
+UNIFORM_TOL = 16 * np.finfo(float).eps  # |h_j - h_0| / max(|a|, |b|)
 STEP_ROUND_TOL = 1e-12  # t_end/dt this near an integer: no remainder step
 # SIAC breakpoints are sums of half-integers and the offset (1 - xi0)/2
 SIAC_SUPPORT_TOL = 1e-12  # a breakpoint this near an end of the support: kept

@@ -2,15 +2,17 @@
 
 Configures cases, runs N-sweeps, and emits the error tables (CSV or
 aligned text) with one metric/order column pair per selected metric.
-Subcommands: run (single case), study (N sweep), points (superconvergence
-point sets and residual coefficients), kernel (post-processing weights).
+OPTIONS holds every setting of the subcommands in COMMANDS.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,8 +22,9 @@ from .diagnostics import (DNE, ErrorReport, broken_l2_error,
                           cell_average_error, flux_errors, observed_orders,
                           point_errors, projection_error)
 from .errors import (ConfigurationError, InstabilityError,
-                     ProjectionUndefinedError, SingularSymbolError,
-                     UnsupportedOperationError, UwdgError)
+                     ProjectionUndefinedError, ResidualUndefinedError,
+                     SingularSymbolError, UnsupportedOperationError,
+                     UwdgError)
 from .flux import FluxConfig, classify_assumption, scale_flux
 from .mesh import make_mesh
 from .projection import plane_wave, project_l2, special_points
@@ -66,23 +69,8 @@ class StudyConfig:
         return self.c if self.c is not None else default_dt_constant(self.k)
 
     def validate(self) -> "StudyConfig":
-        if not 2 <= self.k <= 6:
-            raise ConfigurationError(f"k must be in [2, 6], got {self.k}")
-        if self.init not in ("uI", "l2"):
-            raise ConfigurationError(f"init must be uI or l2, got {self.init!r}")
-        if self.fmt not in ("csv", "pretty"):
-            raise ConfigurationError("format must be csv or pretty")
-        if self.field_name not in FIELDS:
-            raise ConfigurationError(f"unknown field {self.field_name!r}")
-        bad = [m for m in self.metrics if m not in ALL_METRICS]
-        if bad:
-            raise ConfigurationError(f"unknown metrics: {bad}")
-        if not self.Ns:
-            raise ConfigurationError("empty N list")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0):
-            raise ConfigurationError(f"bad t_end {self.t_end}: need finite >= 0")
-        if self.c is not None and not (np.isfinite(self.c) and self.c > 0):
-            raise ConfigurationError(f"bad c {self.c}: need finite > 0")
+        """Check every field against its row of OPTIONS."""
+        _check(vars(self), "study")
         return self
 
 
@@ -244,137 +232,154 @@ def emit_report(report: ErrorReport, fmt: str = "csv", out=None) -> str:
 
 # ----------------------------------------------------------------- CLI ----
 
+class _Option(NamedTuple):
+    """One setting of the CLI and of StudyConfig (see OPTIONS)."""
+
+    flag: str           # --flag, and its key in a --config file
+    fields: tuple       # the fields it sets
+    parse: Callable     # text -> value, a tuple of them for several fields
+    ok: Callable        # settings dict -> in range?
+    rule: str           # the range in words, for --help and errors
+    commands: tuple = ("run", "study")
+
+
 def _parse_flux(text: str) -> FluxConfig:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigurationError(f"flux must be 'a1,b1,b2', got {text!r}")
     try:
-        a1, b1, b2 = (float(p) for p in parts)
+        a1, b1, b2 = (float(p) for p in text.split(","))
     except ValueError as exc:
-        raise ConfigurationError(f"bad flux value in {text!r}") from exc
-    if not np.all(np.isfinite([a1, b1, b2])):
-        raise ConfigurationError(f"flux values must be finite, got {text!r}")
+        raise ConfigurationError(
+            f"flux must be 'a1,b1,b2', got {text!r}") from exc
     return FluxConfig(a1, b1, b2)
 
 
 def _parse_mesh(text: str) -> tuple[str, float, int]:
-    if text == "uniform":
+    kind, *spec = text.split(":")
+    if kind == "uniform" and not spec:
         return "uniform", 0.0, 0
-    if text.startswith("perturbed"):
-        parts = text.split(":")
-        try:
-            frac = float(parts[1]) if len(parts) > 1 else 0.1
-            seed = int(parts[2]) if len(parts) > 2 else 0
-        except ValueError as exc:
-            raise ConfigurationError(f"bad mesh spec {text!r}") from exc
-        return "perturbed", frac, seed
-    raise ConfigurationError("mesh must be uniform or perturbed:<frac>:<seed>")
+    if kind != "perturbed" or len(spec) > 2:
+        raise ConfigurationError("mesh must be uniform or "
+                                 "perturbed:<frac>:<seed>")
+    frac, seed = spec + ["0.1", "0"][len(spec):]     # the defaults
+    return "perturbed", float(frac), int(seed)
 
 
 def _parse_metrics(text: str) -> tuple:
-    if text == "all":
-        return tuple(ALL_METRICS)
-    if text == "main":
-        return tuple(MAIN_METRICS)
-    if text == "zeta":
-        return tuple(ZETA_METRICS)
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+    named = {"all": ALL_METRICS, "main": MAIN_METRICS, "zeta": ZETA_METRICS}
+    listed = (t.strip() for t in text.split(",") if t.strip())
+    return tuple(named.get(text, listed))
 
 
-def _number(kind, key: str, text):
-    """kind(text), or a ConfigurationError naming the setting."""
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad {key} value {text!r}") from exc
+def _writable(path: str | None) -> bool:
+    return path is None or (not os.path.isdir(path) and
+                            os.path.isdir(os.path.dirname(path) or "."))
+
+
+#: every setting of every subcommand: main parses each value by its row,
+#: whatever its source, and StudyConfig.validate or _check checks its range
+OPTIONS = (
+    _Option("k", ("k",), int, lambda s: 2 <= s["k"] <= 6,
+            "the degree, an integer in 2..6", ("run", "study", "points")),
+    _Option("k", ("k",), int, lambda s: 1 <= s["k"] <= 6,
+            "the degree, an integer in 1..6", ("kernel",)),
+    _Option("N", ("Ns",), lambda t: tuple(int(n) for n in t.split(",")),
+            lambda s: len(s["Ns"]) > 0 and min(s["Ns"]) >= 4,
+            "a comma list of cell counts, each an integer >= 4 (run: one)"),
+    # a1^2 + b1*b2 is not finite if a parameter is not; a1 * a1 gives inf
+    # where a1 ** 2 would raise OverflowError
+    _Option("flux", ("flux",), _parse_flux,
+            lambda s: math.isfinite(s["flux"].alpha1_t * s["flux"].alpha1_t
+                                    + s["flux"].beta1_t * s["flux"].beta2_t),
+            "tilde a1,b1,b2 with a1^2 + b1*b2 finite",
+            ("run", "study", "points")),
+    _Option("mesh", ("mesh_kind", "fraction", "seed"), _parse_mesh,
+            lambda s: (s["mesh_kind"] in ("uniform", "perturbed")
+                       and 0 <= s["fraction"] < 0.5 and s["seed"] >= 0),
+            "uniform, or perturbed:<frac>:<seed> with 0 <= frac < 0.5 "
+            "(default 0.1) and seed >= 0 (default 0)"),
+    _Option("tend", ("t_end",), float, lambda s: 0 <= s["t_end"] < math.inf,
+            "the final time, finite >= 0"),
+    _Option("c", ("c",), float,
+            lambda s: s["c"] is None or 0 < s["c"] < math.inf,
+            "c in dt = c*h^2.5, finite > 0 (default: by k)"),
+    _Option("init", ("init",), str, lambda s: s["init"] in ("uI", "l2"),
+            "uI | l2"),
+    _Option("metrics", ("metrics",), _parse_metrics,
+            lambda s: set() < set(s["metrics"]) <= set(ALL_METRICS),
+            f"a comma list of {', '.join(ALL_METRICS)}, or all | main | zeta"),
+    _Option("qmax", ("q_max",), int, lambda s: s["q_max"] is None
+            or 0 <= s["q_max"] <= max_correction_levels(s["k"]),
+            "the correction levels, an integer in 0..(k-1)//2"),
+    _Option("field", ("field_name",), str, lambda s: s["field_name"] in FIELDS,
+            " | ".join(FIELDS)),
+    _Option("out", ("out",), str, lambda s: _writable(s["out"]),
+            "a file in an existing directory (default stdout)"),
+    _Option("format", ("fmt",), str, lambda s: s["fmt"] in ("csv", "pretty"),
+            "csv | pretty"),
+    _Option("h", ("h",), float, lambda s: 0 < s["h"] < math.inf,
+            "the cell size, finite > 0 (default 1)", ("points",)),
+)
+
+COMMANDS = {"run": "single (k, N) case", "study": "N sweep with order columns",
+            "points": "superconvergence point sets",
+            "kernel": "post-processing kernel weights"}
+
+
+def _options(command: str) -> list[_Option]:
+    return [opt for opt in OPTIONS if command in opt.commands]
+
+
+def _check(values: dict, command: str) -> None:
+    """Raise ConfigurationError unless each setting is given and in range."""
+    for opt in _options(command):
+        if not all(f in values for f in opt.fields):
+            raise ConfigurationError(f"--{opt.flag} is required")
+        if not opt.ok(values):
+            got = ", ".join(repr(values[f]) for f in opt.fields)
+            raise ConfigurationError(f"bad {opt.flag} {got}: need {opt.rule}")
 
 
 def _read_config_file(path: str) -> dict:
     """Flat key = value file; '#' starts a comment."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [raw.split("#", 1)[0].strip() for raw in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file: {exc}") from exc
+    bad = [line for line in lines if line and "=" not in line]
+    if bad:
+        raise ConfigurationError(f"bad config line: {bad[0]}")
+    return dict((s.strip() for s in line.split("=", 1))
+                for line in lines if line)
+
+
+def _given(args) -> dict:
+    """The settings given on the command line, else in the --config file,
+    each parsed by its row; a setting given in neither is left out."""
+    rows = _options(args.command)
+    path = getattr(args, "config", None)
+    texts = {} if path is None else _read_config_file(path)
+    unknown = sorted(set(texts) - {opt.flag for opt in rows})
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {unknown}")
+    texts.update((k, v) for k, v in vars(args).items() if v is not None)
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"bad config line: {raw.rstrip()}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = val
+    for opt in (opt for opt in rows if opt.flag in texts):
+        try:
+            value = opt.parse(texts[opt.flag])
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"bad {opt.flag} value {texts[opt.flag]!r}") from exc
+        out.update(zip(opt.fields, value) if len(opt.fields) > 1
+                   else [(opt.fields[0], value)])
     return out
 
 
-def _add_case_flags(p: argparse.ArgumentParser, single_n: bool):
-    p.add_argument("--config", help="key = value config file; CLI overrides")
-    p.add_argument("--k", type=int)
-    if single_n:
-        p.add_argument("--N", type=int)
-    else:
-        p.add_argument("--N", help="comma list, e.g. 10,20,40,80")
-    p.add_argument("--flux", help="tilde parameters a1,b1,b2")
-    p.add_argument("--mesh", help="uniform | perturbed:<frac>:<seed>")
-    p.add_argument("--tend", type=float)
-    p.add_argument("--c", type=float, help="dt constant in dt = c*h^2.5")
-    p.add_argument("--init", choices=["uI", "l2"])
-    p.add_argument("--metrics", help="comma list, or all|main|zeta")
-    p.add_argument("--qmax", type=int)
-    p.add_argument("--field", choices=sorted(FIELDS))
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "pretty"])
-
-
-def _config_from_args(args, single_n: bool) -> StudyConfig:
-    cfg = StudyConfig()
-    file_vals = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag, key=None):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return file_vals.get(key or flag)
-
-    updates = {}
-    if (v := pick("k")) is not None:
-        updates["k"] = _number(int, "k", v)
-    if (v := pick("N")) is not None:
-        if single_n and not isinstance(v, str):
-            updates["Ns"] = (int(v),)
-        else:
-            updates["Ns"] = tuple(_number(int, "N", s)
-                                  for s in str(v).split(","))
-    if (v := pick("flux")) is not None:
-        updates["flux"] = v if isinstance(v, FluxConfig) else _parse_flux(v)
-    if (v := pick("mesh")) is not None:
-        kind, frac, seed = _parse_mesh(v)
-        updates.update(mesh_kind=kind, fraction=frac, seed=seed)
-    if (v := pick("tend")) is not None:
-        updates["t_end"] = _number(float, "tend", v)
-    if (v := pick("c")) is not None:
-        updates["c"] = _number(float, "c", v)
-    if (v := pick("init")) is not None:
-        updates["init"] = v
-    if (v := pick("metrics")) is not None:
-        updates["metrics"] = _parse_metrics(v)
-    if (v := pick("qmax")) is not None:
-        updates["q_max"] = _number(int, "qmax", v)
-    if (v := pick("field")) is not None:
-        updates["field_name"] = v
-    if (v := pick("out")) is not None:
-        updates["out"] = v
-    if (v := pick("format", "format")) is not None:
-        updates["fmt"] = v
-    return replace(cfg, **updates).validate()
-
-
-def _cmd_points(args) -> int:
-    if args.k < 2:
-        raise ConfigurationError(f"points needs k >= 2, got {args.k}")
-    if not args.h > 0:
-        raise ConfigurationError(f"h must be positive, got {args.h:g}")
-    flux = _parse_flux(args.flux) if args.flux else FluxConfig()
-    sf = scale_flux(flux, args.h)
-    pts = special_points(args.k, args.h, sf)
-    print(f"k = {args.k}, flux = {flux.label()}, h = {args.h:g}")
+def _cmd_points(given: dict) -> int:
+    s = {"flux": FluxConfig(), "h": 1.0, **given}
+    _check(s, "points")
+    k, flux, h = s["k"], s["flux"], s["h"]
+    pts = special_points(k, h, scale_flux(flux, h))
+    print(f"k = {k}, flux = {flux.label()}, h = {h:g}")
     print(f"b = {pts.residual.b:.12g}")
     print(f"c = {pts.residual.c:.12g}")
     for name, arr in zip(("D0", "D1", "D2"), pts.sets()):
@@ -385,11 +390,10 @@ def _cmd_points(args) -> int:
     return 0
 
 
-def _cmd_kernel(args) -> int:
-    if args.k < 1:
-        raise ConfigurationError(f"kernel needs k >= 1, got {args.k}")
-    spec = kernel_coeffs(args.k)
-    print(f"k = {args.k}, spline order = {spec.order}, "
+def _cmd_kernel(given: dict) -> int:
+    _check(given, "kernel")
+    spec = kernel_coeffs(given["k"])
+    print(f"k = {spec.k}, spline order = {spec.order}, "
           f"support half-width = {spec.support_halfwidth:g} h")
     for g, w in zip(spec.shifts, spec.weights):
         print(f"gamma = {g:+d}: {w:+.15g}")
@@ -397,38 +401,39 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are configuration errors (exit 2)."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uwdg",
         description="Ultra-weak DG superconvergence laboratory for the 1D "
                     "periodic linear Schrodinger equation")
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, text in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command in ("run", "study"):
+            p.add_argument("--config", help="key = value file; CLI wins")
+        for opt in _options(command):
+            p.add_argument("--" + opt.flag, help=opt.rule)
 
-    p_run = sub.add_parser("run", help="single (k, N) case")
-    _add_case_flags(p_run, single_n=True)
-
-    p_study = sub.add_parser("study", help="N sweep with order columns")
-    _add_case_flags(p_study, single_n=False)
-
-    p_pts = sub.add_parser("points", help="superconvergence point sets")
-    p_pts.add_argument("--k", type=int, required=True)
-    p_pts.add_argument("--flux")
-    p_pts.add_argument("--h", type=float, default=1.0)
-
-    p_ker = sub.add_parser("kernel", help="post-processing kernel weights")
-    p_ker.add_argument("--k", type=int, required=True)
-
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        given = _given(args)
         if args.command == "points":
-            return _cmd_points(args)
+            return _cmd_points(given)
         if args.command == "kernel":
-            return _cmd_kernel(args)
-        cfg = _config_from_args(args, single_n=(args.command == "run"))
-        report = run_study(cfg)
-        emit_report(report, fmt=cfg.fmt, out=cfg.out)
+            return _cmd_kernel(given)
+        cfg = StudyConfig(**given)
+        if args.command == "run" and len(cfg.Ns) != 1:
+            raise ConfigurationError(f"run takes one N, got {cfg.Ns}")
+        emit_report(run_study(cfg), fmt=cfg.fmt, out=cfg.out)
         return 0
-    except ConfigurationError as exc:
+    except (ConfigurationError, ResidualUndefinedError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except UwdgError as exc:

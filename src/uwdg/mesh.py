@@ -41,7 +41,7 @@ class Mesh1D:
     @property
     def is_uniform(self) -> bool:
         return bool(np.max(np.abs(self.h_sizes - self.h_sizes[0]))
-                    <= UNIFORM_TOL * self.h_sizes[0])
+                    <= UNIFORM_TOL * max(abs(self.a), abs(self.b)))
 
     def wrap(self, j) -> np.ndarray:
         """Periodic cell index: j modulo N."""

@@ -1,12 +1,18 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwdg
 from uwdg.correction import build_correction
 from uwdg.errors import ConfigurationError
 from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig
-from uwdg.harness import (MAIN_METRICS, StudyConfig, _parse_flux, _parse_mesh,
-                          emit_report, main, run_case, run_study)
+from uwdg.harness import (COMMANDS, MAIN_METRICS, OPTIONS, StudyConfig,
+                          _parse_flux, _parse_mesh, emit_report, main,
+                          run_case, run_study)
 
 
 def smoke_config(**kw):
@@ -207,8 +213,26 @@ class TestCLI:
         ["run", "--k", "2", "--N", "10", "--flux", "nan,0,0"],
         ["kernel", "--k", "0"],
         ["points", "--k", "1"],
+        ["study", "--flux", "1e300,0,0"],
+        ["study", "--config", "/nonexistent/uwdg.cfg"],
+        ["study", "--k", "3", "--qmax", "-1"],
+        ["study", "--k", "3", "--qmax", "50"],
+        ["study", "--metrics", ","],
+        ["kernel", "--k", "7"],
+        ["points", "--k", "7"],
+        ["points", "--k", "2", "--flux", "0,1,0"],
+        ["run", "--k", "2", "--N", "8,16", "--tend", "0.01"],
+        ["study", "--N", "8", "--mesh", "perturbed:0.1:-1"],
+        ["study", "--N", "8", "--out", "."],
+        ["study", "--config", "."],
+        ["study", "--N", "8", "--bogus", "1"],
+        ["kernel"],
     ], ids=["tend-nan", "tend-negative", "c-negative", "c-inf", "flux-nan",
-            "kernel-k0", "points-k1"])
+            "kernel-k0", "points-k1", "flux-overflow", "config-missing",
+            "qmax-negative", "qmax-above-levels", "metrics-empty", "kernel-k7",
+            "points-k7", "points-residual-undefined", "run-two-n",
+            "mesh-negative-seed", "out-directory", "config-directory",
+            "unknown-flag", "kernel-no-k"])
     def test_rejected_input_exit_code(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -225,3 +249,88 @@ class TestCLI:
         out = capsys.readouterr().out
         header = [l for l in out.splitlines() if l.startswith("N,")][0]
         assert header == "N,E_f,order"      # CLI metric choice wins
+
+    @pytest.mark.parametrize("text", [
+        "N = 8\ntend_ = 0.01\n", "N = 8\nk 2\n", "N = 8,16\n"],
+        ids=["unknown-key", "no-equals", "run-two-n"])
+    def test_rejected_config_file_exit_code(self, text, capsys, tmp_path):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert main(["run", "--config", str(cfgfile), "--tend", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+
+
+# Tokens for each flag of the option table.  The valid ones keep a case to
+# milliseconds (N <= 16, tend <= 0.01, c >= 0.01).  Any name in an existing
+# directory is a valid --out, and 1e300 a valid (and long) --tend, so these
+# two flags draw their garbage from narrower lists.
+VALID = {
+    "k": ["2", "3", "6"], "N": ["8", "16", "4", "8,16"],
+    "flux": ["0,0,0", "0.5,0,0", "0.3,0.4,0.4", "0.25,5,0", "0,1,0"],
+    "mesh": ["uniform", "perturbed", "perturbed:0.2:5"],
+    "tend": ["0", "0.01"], "c": ["0.01", "0.05", "1"], "init": ["uI", "l2"],
+    "metrics": ["l2", "main", "zeta", "all", "estar,ef"], "qmax": ["0", "1"],
+    "field": ["wave1", "wave3"], "out": [""], "format": ["csv", "pretty"],
+    "h": ["1", "0.5"],
+}
+MISSING = "/nonexistent/uwdg.out"
+GARBAGE = ["nan", "inf", "-inf", "1e300", "-1", "", ",", "abc", MISSING]
+BAD = {"out": [MISSING, "."], "tend": [g for g in GARBAGE if g != "1e300"]}
+ALWAYS = ("k", "N", "tend")     # so that a case is short and may succeed
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _settings(draw, command):
+    """(flag, token) pairs for some of the command's flags; at most two
+    of the tokens are garbage."""
+    flags = [opt.flag for opt in OPTIONS if command in opt.commands]
+    flags = [f for f in flags if f in ALWAYS or draw(st.booleans())]
+    bad = draw(st.lists(st.sampled_from(flags), max_size=2, unique=True))
+    return [(f, draw(st.sampled_from(BAD.get(f, GARBAGE) if f in bad
+                                     else VALID[f]))) for f in flags]
+
+
+def _assert_exit_0_or_2(argv):
+    rc, out, err = _run_main(argv)
+    assert rc in (0, 2)
+    if rc == 2:
+        assert "configuration error" in err and out == ""
+
+
+def test_every_table_flag_has_tokens():
+    assert set(VALID) == {opt.flag for opt in OPTIONS}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_random_argv_exits_0_or_2(data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for flag, token in data.draw(_settings(command)):
+        argv += ([f"--{flag}={token}"] if data.draw(st.booleans())
+                 else [f"--{flag}", token])
+    argv += data.draw(st.sampled_from([[], ["--bogus"], ["--k"],
+                                       ["--config", MISSING]]))
+    _assert_exit_0_or_2(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_config_file_exits_0_or_2(data, tmp_path_factory):
+    command = data.draw(st.sampled_from(["run", "study"]))
+    lines = [f"{flag} = {token}"
+             for flag, token in data.draw(_settings(command))]
+    lines += data.draw(st.sampled_from([[], ["# comment"], ["no equals"],
+                                        ["bogus = 1"], ["k ="]]))
+    path = tmp_path_factory.getbasetemp() / "random.cfg"
+    path.write_text("\n".join(data.draw(st.permutations(lines))) + "\n")
+    _assert_exit_0_or_2([command, "--config", str(path)])

@@ -80,3 +80,11 @@ def test_wrap_and_cell_lookup():
     # periodic reduction
     j2, _ = m.reference_coord(m.centers[3] + 2 * np.pi)
     assert j2 == 3
+
+
+@pytest.mark.parametrize("N", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])
+def test_uniformity_is_node_roundoff_at_any_n(N):
+    # diff(nodes) carries roundoff of a few ulps of max|x|, which relative
+    # to h grows with N; a 1e-6 perturbation must still count
+    assert make_mesh(0, 2 * np.pi, N).is_uniform
+    assert not make_mesh(0, 2 * np.pi, N, "perturbed", 1e-6, seed=3).is_uniform
