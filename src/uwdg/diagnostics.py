@@ -78,27 +78,31 @@ def point_errors(u_h: DGFunction, f: AnalyticField, t: float,
 
     Points are per-cell reference roots (one-sided evaluation at cell
     endpoints when those are roots); an empty set yields the DNE
-    sentinel for that metric.
+    sentinel for that metric.  The point sets depend on a cell only
+    through h_j: a uniform mesh has one set for every cell, any other
+    mesh one per cell, all from one special_points call.  Positions and
+    chain-rule factors use each cell's own h_j.
     """
-    mesh = u_h.mesh
+    mesh, k = u_h.mesh, u_h.k
     sf = scale_flux(cfg, mesh.h)
-    centers = mesh.centers
+    uniform = mesh.is_uniform
+    pts = special_points(k, mesh.h if uniform else mesh.h_sizes, sf)
     sums = np.zeros(3)
     counts = np.zeros(3, dtype=int)
-    # the point sets depend on the cell only through h_j, so cells of
-    # equal width are evaluated together
-    widths, group = np.unique(mesh.h_sizes, return_inverse=True)
-    for g, hj in enumerate(widths):
-        cells = np.flatnonzero(group == g)
-        pts = special_points(u_h.k, float(hj), sf)
-        for s, xi in enumerate(pts.sets()):
-            if xi.size == 0:
-                continue
-            x = centers[cells, None] + 0.5 * hj * xi
-            tab = basis.legendre_table(u_h.k, xi, ders=s)[:, s, :]
-            uh_vals = (u_h.coeffs[cells] @ tab.T) * (2.0 / hj) ** s
-            sums[s] += np.sum(np.abs(f.eval(x, t, s) - uh_vals) ** 2)
-            counts[s] += x.size
+    for s, (xi, owner) in enumerate(zip(pts.sets(), pts.owners)):
+        if xi.size == 0:
+            continue
+        # cell j of point i: every cell takes the whole set on a uniform
+        # mesh (a (N, 1) column against the row of points)
+        j = np.arange(mesh.N)[:, None] if uniform else owner
+        hj = mesh.h_sizes[j]
+        x = mesh.centers[j] + 0.5 * hj * xi
+        tab = basis.legendre_table(k, xi, ders=s)[:, s, :]
+        uh = (u_h.coeffs @ tab.T if uniform
+              else np.sum(u_h.coeffs[j] * tab, axis=1))
+        uh_vals = uh * (2.0 / hj) ** s
+        sums[s] += np.sum(np.abs(f.eval(x, t, s) - uh_vals) ** 2)
+        counts[s] += x.size
     return tuple(
         float(np.sqrt(sums[s] / counts[s])) if counts[s] else DNE
         for s in range(3)

@@ -78,7 +78,9 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
     """Run one (k, N) case: mesh, initial data, march to t_end, metrics.
 
     Unsupported or unstable configurations annotate the row instead of
-    aborting the sweep.
+    aborting the sweep, and a metric that does not exist for the case
+    (point errors without a leading residual, E* off a uniform mesh) is
+    DNE with a note.
     """
     row: dict = {"N": N, "status": "ok"}
     f = FIELDS[cfg.field_name]()
@@ -120,8 +122,13 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
         row["ef"], row["efx"] = e_f, e_fx
     if "ec" in want:
         row["ec"] = cell_average_error(u_h, f, t)
+    skipped = []
     if want & {"eu", "eux", "euxx"}:
-        e_u, e_ux, e_uxx = point_errors(u_h, f, t, cfg.flux)
+        try:
+            e_u, e_ux, e_uxx = point_errors(u_h, f, t, cfg.flux)
+        except ResidualUndefinedError as exc:
+            e_u = e_ux = e_uxx = DNE
+            skipped.append(f"points skipped: {exc}")
         row["eu"], row["eux"], row["euxx"] = e_u, e_ux, e_uxx
     if want & set(ZETA_METRICS):
         zd = zeta_diagnostics(u_h, f, t, cfg.flux, q_max=cfg.q_max, cls=cls)
@@ -135,7 +142,9 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
                                                      kernel_coeffs(cfg.k))
         except UnsupportedOperationError as exc:
             row["estar"] = DNE
-            row["status"] = f"ok (estar skipped: {exc})"
+            skipped.append(f"estar skipped: {exc}")
+    if skipped:
+        row["status"] = f"ok ({'; '.join(skipped)})"
     return row
 
 
@@ -401,6 +410,20 @@ def _cmd_kernel(given: dict) -> int:
     return 0
 
 
+def _join_dash_values(argv: list) -> list:
+    """Pass '--flag -v' as '--flag=-v': argparse reads a value that starts
+    with one dash, such as the flux -0.5,0,0, as an unknown flag."""
+    flags = {"--config"} | {"--" + opt.flag for opt in OPTIONS}
+    out = []
+    for token in argv:
+        if (out and out[-1] in flags and token.startswith("-")
+                and not token.startswith("--")):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors are configuration errors (exit 2)."""
 
@@ -422,7 +445,8 @@ def main(argv=None) -> int:
             p.add_argument("--" + opt.flag, help=opt.rule)
 
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(
+            sys.argv[1:] if argv is None else list(argv)))
         given = _given(args)
         if args.command == "points":
             return _cmd_points(given)

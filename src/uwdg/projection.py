@@ -248,21 +248,24 @@ def project_dagger(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
 
 @dataclass(frozen=True)
 class LeadingResidual:
-    """R_{k+1} = L_{k+1} + b L_k + c L_{k-1} on the reference interval."""
+    """R_{k+1} = L_{k+1} + b L_k + c L_{k-1} on the reference interval;
+    b and c are floats, or arrays with one entry per cell width."""
 
     k: int
-    b: float
-    c: float
+    b: float | np.ndarray
+    c: float | np.ndarray
 
     def legendre_coeffs(self, s: int = 0) -> np.ndarray:
-        c = np.zeros(self.k + 2)
-        c[self.k + 1] = 1.0
-        c[self.k] = self.b
-        c[self.k - 1] = self.c
+        """Legendre coefficients of the s-th derivative, shape
+        shape(b) + (k+2,)."""
+        coef = np.zeros(np.shape(self.b) + (self.k + 2,))
+        coef[..., self.k + 1] = 1.0
+        coef[..., self.k] = self.b
+        coef[..., self.k - 1] = self.c
         d = basis.legendre_derivative_matrix(self.k + 1)
         for _ in range(s):
-            c = d @ c
-        return c
+            coef = (d @ coef[..., None])[..., 0]
+        return coef
 
     def eval(self, xi, s: int = 0) -> np.ndarray:
         tab = basis.legendre_table(self.k + 1, xi, ders=s)[..., s, :]
@@ -271,23 +274,28 @@ class LeadingResidual:
 
 @dataclass(frozen=True)
 class SpecialPoints:
-    """Reference-interval superconvergence point sets for one cell width.
+    """Reference-interval superconvergence point sets.
 
     d0/d1/d2 are the real roots in [-1, 1] of the leading residual and its
     first two derivatives; empty arrays mean the set does not exist (DNE).
+    For an array of cell widths the sets of every width are laid end to
+    end, and owners[s][i] is the index of the width that root i of set s
+    belongs to.  Each width's roots are sorted.
     """
 
     residual: LeadingResidual
     d0: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
+    owners: tuple
 
     def sets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.d0, self.d1, self.d2
 
 
-def leading_residual(k: int, h_j: float, sf: ScaledFlux) -> LeadingResidual:
-    """Coefficients b, c of the leading projection-error polynomial.
+def leading_residual(k: int, h_j, sf: ScaledFlux) -> LeadingResidual:
+    """Coefficients b, c of the leading projection-error polynomial at the
+    cell width h_j, a float or an array of widths.
 
     Evaluated directly from the scaled parameters at the given cell width
     (the h-dependent terms cancel for scale-invariant fluxes on uniform
@@ -295,10 +303,12 @@ def leading_residual(k: int, h_j: float, sf: ScaledFlux) -> LeadingResidual:
     s = sf.alpha1 ** 2 + sf.beta1 * sf.beta2
     gamma, lam = gamma_lambda(sf, k, h_j)
     den = gamma + (-1.0) ** k * lam
-    scale = abs(gamma) + abs(lam) + 1.0 / h_j
-    if abs(den) <= RESIDUAL_DEN_TOL * scale:
+    scale = np.abs(gamma) + np.abs(lam) + 1.0 / h_j
+    bad = np.flatnonzero(np.abs(den) <= RESIDUAL_DEN_TOL * scale)
+    if bad.size:
         raise ResidualUndefinedError(
-            f"leading residual undefined: Gamma + (-1)^k Lambda = {den:.3e}")
+            "leading residual undefined: Gamma + (-1)^k Lambda = "
+            f"{np.ravel(den)[bad[0]]:.3e}")
     b = -(2 * sf.alpha1 * (2 * k + 1) / h_j) / den
     c_num = (sf.beta1
              - 2 * (k + 1) ** 2 / h_j * (s + 0.25)
@@ -308,56 +318,81 @@ def leading_residual(k: int, h_j: float, sf: ScaledFlux) -> LeadingResidual:
     return LeadingResidual(k=k, b=b, c=c)
 
 
-def _real_roots_in_reference(leg_coeffs: np.ndarray) -> np.ndarray:
-    """Real roots of a Legendre-coefficient polynomial inside [-1, 1].
+def _leg2poly_rows(c: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of every row of a (G, n) stack of Legendre
+    series, by numpy's leg2poly recurrence, step for step."""
+    G, n = c.shape
+    if n < 3:
+        return c.copy()
+    c0, c1 = c[:, -2:-1], c[:, -1:]
+    for i in range(n - 1, 1, -1):
+        t = (c1 * (i - 1)) / i
+        x_c1 = np.zeros((G, c1.shape[1] + 1))
+        x_c1[:, 1:] = c1
+        x_c1 = (x_c1 * (2 * i - 1)) / i
+        x_c1[:, :c0.shape[1]] += c0
+        c0 = -t
+        c0[:, 0] = c[:, i - 2] - t[:, 0]
+        c1 = x_c1
+    out = np.zeros((G, n))
+    out[:, 1:] = c1
+    out[:, :c0.shape[1]] += c0
+    return out
 
-    Companion-matrix roots of the monomial form, one Newton polish step on
-    the (stable) Legendre evaluation, then filtering: |imag| <=
-    ROOT_IMAG_TOL, |xi| <= 1 + ROOT_EDGE_TOL (roots at cell endpoints are
-    genuine members of the sets), duplicates merged at ROOT_MERGE_TOL.
+
+def legendre_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots inside [-1, 1] of every row of a stack of Legendre
+    series, coeffs of shape (G, deg+1) with deg >= 1 and a nonzero top
+    coefficient in each row.
+
+    The roots are the eigenvalues of the companion matrices of the
+    monomial form, one batched eigvals for the stack; each gets one Newton
+    step on the (stable) Legendre evaluation.  Then, for all at once:
+    |imag| <= ROOT_IMAG_TOL, |xi| <= 1 + ROOT_EDGE_TOL (roots at cell
+    endpoints are genuine members of the sets), and within a row a root
+    less than ROOT_MERGE_TOL above the last one kept is its duplicate.
+    Each step is the arithmetic of numpy's polyroots on one row, so each
+    row's roots are those of the one-row stack, bit for bit.  Returns
+    (row, root) as flat arrays, ordered by row and then by root.
     """
-    mono = np.polynomial.legendre.leg2poly(leg_coeffs)
-    mono = np.trim_zeros(mono, "b")
-    if len(mono) <= 1:
-        return np.array([])
-    roots = np.polynomial.polynomial.polyroots(mono)
+    G, n = coeffs.shape[0], coeffs.shape[1] - 1
+    mono = _leg2poly_rows(coeffs)
+    mat = np.zeros((G, n, n))
+    mat[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    mat[:, :, -1] -= mono[:, :-1] / mono[:, -1:]
+    roots = np.linalg.eigvals(mat)
 
-    dmat = basis.legendre_derivative_matrix(len(leg_coeffs) - 1)
-    dcoef = dmat @ leg_coeffs
-    deg = len(leg_coeffs) - 1
-
-    keep = []
-    for r in roots:
-        if abs(r.imag) > ROOT_IMAG_TOL:
-            continue
-        x = float(r.real)
-        tab = basis.legendre_table(deg, x)[0, 0, :]
-        val = tab @ leg_coeffs
-        der = tab @ dcoef
-        if der != 0.0:
-            x = x - val / der
-        if abs(x) > 1.0 + ROOT_EDGE_TOL:
-            continue
-        keep.append(min(1.0, max(-1.0, x)))
-    keep.sort()
-    out = []
-    for x in keep:
-        if not out or x - out[-1] > ROOT_MERGE_TOL:
-            out.append(x)
-    return np.array(out)
+    x = roots.real
+    tab = basis.legendre_table(n, x)[..., 0, None, :]    # (G, n, 1, n+1)
+    dcoef = basis.legendre_derivative_matrix(n) @ coeffs[:, :, None]
+    # (1, n+1) @ (n+1, 1) products: dot products, as in the one-row case
+    val = (tab @ coeffs[:, None, :, None])[..., 0, 0]
+    der = (tab @ dcoef[:, None])[..., 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(der != 0.0, x - val / der, x)
+    keep = ((np.abs(roots.imag) <= ROOT_IMAG_TOL)
+            & (np.abs(x) <= 1.0 + ROOT_EDGE_TOL))
+    x = np.sort(np.where(keep, np.clip(x, -1.0, 1.0), np.inf), axis=1)
+    keep = np.isfinite(x)
+    last = x[:, 0]
+    with np.errstate(invalid="ignore"):        # inf - inf past the roots
+        for i in range(1, n):   # at most deg columns, each over all rows
+            keep[:, i] &= x[:, i] - last > ROOT_MERGE_TOL
+            last = np.where(keep[:, i], x[:, i], last)
+    return np.nonzero(keep)[0], x[keep]
 
 
-def special_points(k: int, h_j: float, sf: ScaledFlux) -> SpecialPoints:
-    """Root sets of the leading residual and its derivatives.
+def special_points(k: int, h_j, sf: ScaledFlux) -> SpecialPoints:
+    """Root sets of the leading residual and its derivatives at the cell
+    width h_j, or at every width of an array h_j (see SpecialPoints).
 
     Empty sets are a valid outcome (reported as DNE by the diagnostics).
     """
     res = leading_residual(k, h_j, sf)
-    c0 = res.legendre_coeffs()
-    d = basis.legendre_derivative_matrix(k + 1)
-    c1 = d @ c0
-    c2 = d @ c1
-    return SpecialPoints(residual=res,
-                         d0=_real_roots_in_reference(c0),
-                         d1=_real_roots_in_reference(c1),
-                         d2=_real_roots_in_reference(c2))
+    # the s-th derivative has degree k+1-s, with a top coefficient of
+    # 1, 2k+1 or (2k+1)(2k-1)
+    found = [legendre_roots(res.legendre_coeffs(s).reshape(np.size(h_j), -1)
+                            [:, :k + 2 - s]) for s in range(3)]
+    return SpecialPoints(residual=res, d0=found[0][1], d1=found[1][1],
+                         d2=found[2][1],
+                         owners=tuple(rows for rows, _ in found))

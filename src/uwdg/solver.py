@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import basis
-from .errors import InstabilityError
+from .errors import ConfigurationError, InstabilityError
 from .flux import (STEP_ROUND_TOL, FluxConfig, interface_matrices, scale_flux,
                    trace_maps)
 from .mesh import Mesh1D
@@ -36,6 +36,9 @@ from .projection import DGFunction
 DEFAULT_DT_CONSTANTS = {2: 0.05, 3: 0.01, 4: 0.01}
 BLOWUP_FACTOR = 10.0
 HISTORY_SAMPLES = 33    # norm checkpoints per run, evenly spaced in steps
+# 1e8 band steps take about half an hour at k=3, N=160 (Table 2's 213k
+# take 3.7 s); a longer march is a mistyped t_end or c, not a study
+MAX_BAND_STEPS = 10 ** 8
 
 
 def default_dt_constant(k: int) -> float:
@@ -52,7 +55,8 @@ class TimeScheme:
     def dt(self, h: float) -> float:
         dt = self.c * h ** 2.5
         if not dt > 0:
-            raise ValueError("time step must be positive")
+            raise ConfigurationError(
+                f"time step c*h^2.5 = {self.c:g}*{h:g}^2.5 is not positive")
         return dt
 
 
@@ -176,6 +180,9 @@ class IntegrationResult:
 def _step_counts(t_end: float, dt: float) -> tuple[int, float]:
     if t_end <= 0:
         return 0, 0.0
+    if not np.isfinite(t_end / dt):
+        raise ConfigurationError(
+            f"step count t_end/dt = {t_end:g}/{dt:g} is not finite")
     n_full = int(np.floor(t_end / dt + STEP_ROUND_TOL))
     rem = t_end - n_full * dt
     if rem < STEP_ROUND_TOL * dt:
@@ -309,10 +316,17 @@ def integrate(op: DGOperator, u0: DGFunction,
     weighted sum of squares is ||u||^2.  The L2 norm is sampled at
     HISTORY_SAMPLES evenly spaced steps and after the truncated step;
     a non-finite norm or growth beyond 10x the initial norm raises
-    InstabilityError reporting the dt used.
+    InstabilityError reporting the dt used.  A dt that is not positive,
+    a step count that is not finite, or more than MAX_BAND_STEPS steps
+    off a uniform mesh raise ConfigurationError before any step.
     """
     dt = scheme.dt(op.mesh.h)
     n_full, rem = _step_counts(scheme.t_end, dt)
+    uniform = op.mesh.is_uniform
+    if not uniform and n_full > MAX_BAND_STEPS:
+        raise ConfigurationError(
+            f"{n_full:.3e} RK4 steps of dt = {dt:.3e} exceed the "
+            f"{MAX_BAND_STEPS:.0e} a march off a uniform mesh may take")
     every = max(1, n_full // (HISTORY_SAMPLES - 1))
     stops = [min(s, n_full) for s in range(every, n_full + every, every)]
     # (steps, step size, time reached) between consecutive norm checks
@@ -323,7 +337,7 @@ def integrate(op: DGOperator, u0: DGFunction,
     if not plan:
         return IntegrationResult(u=u0.copy(), dt=dt, n_steps=0,
                                  norm_history=history)
-    march = (_EigenMarch if op.mesh.is_uniform else _BandMarch)(op, u0.coeffs)
+    march = (_EigenMarch if uniform else _BandMarch)(op, u0.coeffs)
     scale = max(norm0, 1e-300)
     # divergent runs overflow between norm checkpoints; the checkpoints
     # turn that into InstabilityError, so the transient warnings are noise

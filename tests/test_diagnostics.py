@@ -111,6 +111,28 @@ def test_point_errors_perturbed_mesh_per_cell_reference():
     np.testing.assert_allclose(got, np.sqrt(sums / counts), rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+def test_point_errors_one_special_points_call(kind, monkeypatch):
+    # node roundoff gives the uniform N=640 mesh six distinct widths; one
+    # point set serves them all, and a perturbed mesh passes every width
+    # in one call
+    import uwdg.diagnostics as diag
+    calls = []
+
+    def counted(k, h_j, sf):
+        calls.append(np.size(h_j))
+        return special_points(k, h_j, sf)
+
+    monkeypatch.setattr(diag, "special_points", counted)
+    mesh = uwdg.make_mesh(0, 2 * np.pi, 640, kind, 0.1, 1)
+    if kind == "uniform":
+        assert mesh.is_uniform and np.unique(mesh.h_sizes).size > 1
+    u_h = project_l2(plane_wave(3.0), 0.0, mesh, 2)
+    errs = point_errors(u_h, plane_wave(3.0), 0.0, CENTRAL)
+    assert calls == [1 if kind == "uniform" else 640]
+    assert all(isinstance(e, float) and e > 0 for e in errs)
+
+
 def test_observed_orders_examples():
     assert observed_orders([1e-2, 2.5e-3], [10, 20]) == [pytest.approx(2.0)]
     assert observed_orders([5.0, 5.0, 5.0], [8, 16, 32]) == [

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uwdg
 from uwdg.basis import legendre_table
 from uwdg.errors import SingularSymbolError
-from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, cell_blocks,
-                       classify_assumption, gamma_lambda, interface_matrices,
-                       scale_flux, solve_block_circulant, trace_maps)
+from uwdg.flux import (ALTERNATING, CENTRAL, SYMBOL_COND_MAX, FluxConfig,
+                       cell_blocks, classify_assumption, gamma_lambda,
+                       interface_matrices, scale_flux, solve_block_circulant,
+                       symbol_conds, trace_maps)
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -228,3 +229,66 @@ class TestBlockCirculant:
         with pytest.raises(SingularSymbolError) as err:
             solve_block_circulant(np.eye(2), -np.eye(2), rhs)
         assert err.value.frequency == 0
+
+
+def _svd_conds(M):
+    sv = np.linalg.svd(M, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sv[:, 0] / sv[:, 1]
+
+
+@st.composite
+def _symbol_stacks(draw):
+    """(N, 2, 2) complex stacks: random blocks, multiples of a unitary
+    matrix (sigma1 = sigma2), blocks whose rows are parallel up to a drawn
+    relative perturbation (cond up to ~1e16), exactly singular blocks and
+    zero blocks, over scales 1e-100 .. 1e100."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    for i in range(n):
+        kind = draw(st.sampled_from(["random", "unitary", "near", "singular",
+                                     "zero"]))
+        if kind == "unitary":
+            M[i] = np.linalg.qr(M[i])[0]
+        elif kind != "random":
+            eps = (draw(st.sampled_from([1e-2, 1e-6, 1e-10, 1e-13, 1e-16]))
+                   if kind == "near" else 0.0)
+            z = complex(*rng.normal(size=2))
+            M[i, 1] = z * M[i, 0] + eps * M[i, 1]
+        if kind == "zero":
+            M[i] = 0.0
+        M[i] *= 10.0 ** draw(st.sampled_from([-100, -3, 0, 5, 100]))
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_symbol_stacks())
+def test_closed_form_symbol_conds_match_svd(M):
+    ref = _svd_conds(M)
+    got = symbol_conds(M)
+    fine = np.isfinite(ref) & (ref < 1e15)
+    # both are sigma_1 over a sigma_2 with an absolute error of a few ulps
+    # of sigma_1, so they agree to a relative 1e-14 * cond
+    np.testing.assert_array_less(np.abs(got[fine] - ref[fine]),
+                                 1e-14 * ref[fine] ** 2)
+    # the same first frequency is flagged, away from the cutoff itself
+    near_cut = np.abs(np.log10(ref[np.isfinite(ref)] / SYMBOL_COND_MAX))
+    assume(not np.any(near_cut < 1e-2))
+    flagged = np.flatnonzero(~(got <= SYMBOL_COND_MAX))
+    flagged_ref = np.flatnonzero(~np.isfinite(ref) | (ref > SYMBOL_COND_MAX))
+    assert flagged[:1].tolist() == flagged_ref[:1].tolist()
+
+
+def test_singular_symbol_reports_first_bad_frequency():
+    # B = (S - A) / omega^2 with S of rank one: the symbol A + omega^l B is
+    # S, up to roundoff, at l = 2 and regular at every other frequency
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(2, 2)) + np.eye(2) * 3
+    S = np.outer(rng.normal(size=2), rng.normal(size=2))
+    N = 8
+    B = (S - A) / np.exp(2j * np.pi * 2 / N)
+    with pytest.raises(SingularSymbolError) as err:
+        solve_block_circulant(A, B, np.ones((N, 2)))
+    assert err.value.frequency == 2
+    assert not err.value.cond <= SYMBOL_COND_MAX

@@ -227,17 +227,32 @@ class TestCLI:
         ["study", "--config", "."],
         ["study", "--N", "8", "--bogus", "1"],
         ["kernel"],
+        ["study", "--N", "8", "--c", "1e-320", "--metrics", "l2"],
+        ["study", "--N", "1000", "--c", "1e-320", "--metrics", "l2"],
+        ["study", "--tend", "1e300", "--mesh", "perturbed", "--flux",
+         "0.5,0,0", "--metrics", "l2"],
     ], ids=["tend-nan", "tend-negative", "c-negative", "c-inf", "flux-nan",
             "kernel-k0", "points-k1", "flux-overflow", "config-missing",
             "qmax-negative", "qmax-above-levels", "metrics-empty", "kernel-k7",
             "points-k7", "points-residual-undefined", "run-two-n",
             "mesh-negative-seed", "out-directory", "config-directory",
-            "unknown-flag", "kernel-no-k"])
+            "unknown-flag", "kernel-no-k", "steps-not-finite", "dt-underflow",
+            "band-step-cap"])
     def test_rejected_input_exit_code(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
         assert captured.out == ""
+
+    def test_negative_flux_both_forms(self, capsys):
+        outs = []
+        for flux in (["--flux", "-0.5,0,0"], ["--flux=-0.5,0,0"]):
+            argv = ["study", "--k", "2", "--N", "8,16", *flux, "--tend",
+                    "0.01", "--metrics", "l2"]
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "# flux = (-0.5,0,0)" in outs[0]
 
     def test_config_file_with_cli_override(self, capsys, tmp_path):
         cfgfile = tmp_path / "study.cfg"
@@ -334,3 +349,39 @@ def test_random_config_file_exits_0_or_2(data, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "random.cfg"
     path.write_text("\n".join(data.draw(st.permutations(lines))) + "\n")
     _assert_exit_0_or_2([command, "--config", str(path)])
+
+
+class TestPointsSkipped:
+    """A leading residual that does not exist makes the point errors DNE
+    with a note; the rest of the row and the study go on."""
+
+    def test_monkeypatched_residual(self, monkeypatch):
+        import uwdg.projection
+        from uwdg.errors import ResidualUndefinedError
+
+        def undefined(k, h_j, sf):
+            raise ResidualUndefinedError("leading residual undefined: test")
+
+        monkeypatch.setattr(uwdg.projection, "leading_residual", undefined)
+        rep = run_study(smoke_config(metrics=("l2", "eu", "eux", "euxx",
+                                              "estar"),
+                                     mesh_kind="perturbed", fraction=0.1,
+                                     flux=ALTERNATING))
+        for row in rep.rows:
+            assert row["eu"] == row["eux"] == row["euxx"] == "DNE"
+            assert isinstance(row["l2"], float)
+            assert row["status"].startswith(
+                "ok (points skipped: leading residual undefined: test; "
+                "estar skipped: ")
+
+    def test_real_input(self, capsys):
+        # alpha1^2 + beta1*beta2 = 1/4 + 1e-10 is A2 (not the local class),
+        # and beta1 puts Gamma + Lambda within roundoff of zero
+        argv = ["study", "--k", "2", "--N", "8,16", "--flux",
+                "0.5000000001,4.00000000120004,0", "--tend", "0",
+                "--init", "l2", "--metrics", "eu,eux,euxx"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "8,DNE,-,DNE,-,DNE,-" in out
+        assert "# row N=8: ok (points skipped: leading residual undefined" \
+            in out

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import uwdg
-from uwdg.basis import gauss_rule, legendre_table
+from uwdg.basis import (gauss_rule, legendre_derivative_matrix, legendre_eval,
+                        legendre_table)
 from uwdg.errors import ProjectionUndefinedError, ResidualUndefinedError
-from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, cell_blocks,
-                       scale_flux, trace_maps)
-from uwdg.projection import (AnalyticField, DGFunction, _top_two_local,
-                             leading_residual, plane_wave, project_dagger,
-                             project_l2, project_star, special_points)
+from uwdg.flux import (ALTERNATING, CENTRAL, ROOT_EDGE_TOL, ROOT_IMAG_TOL,
+                       ROOT_MERGE_TOL, FluxConfig, cell_blocks, scale_flux,
+                       trace_maps)
+from uwdg.projection import (AnalyticField, DGFunction, LeadingResidual,
+                             _top_two_local, leading_residual, legendre_roots,
+                             plane_wave, project_dagger, project_l2,
+                             project_star, special_points)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
@@ -340,3 +345,110 @@ class TestSpecialPoints:
                 assert pts.d1.size >= k - 2
             checked += 1
         assert checked > 40
+
+
+def _real_roots_in_reference(leg_coeffs: np.ndarray) -> np.ndarray:
+    """One series at a time, as the library found roots before they were
+    batched: companion-matrix roots of the monomial form, one Newton step
+    on the Legendre evaluation, then the |imag|, edge and merge filters."""
+    mono = np.polynomial.legendre.leg2poly(leg_coeffs)
+    mono = np.trim_zeros(mono, "b")
+    if len(mono) <= 1:
+        return np.array([])
+    roots = np.polynomial.polynomial.polyroots(mono)
+
+    dmat = legendre_derivative_matrix(len(leg_coeffs) - 1)
+    dcoef = dmat @ leg_coeffs
+    deg = len(leg_coeffs) - 1
+
+    keep = []
+    for r in roots:
+        if abs(r.imag) > ROOT_IMAG_TOL:
+            continue
+        x = float(r.real)
+        tab = legendre_table(deg, x)[0, 0, :]
+        val = tab @ leg_coeffs
+        der = tab @ dcoef
+        if der != 0.0:
+            x = x - val / der
+        if abs(x) > 1.0 + ROOT_EDGE_TOL:
+            continue
+        keep.append(min(1.0, max(-1.0, x)))
+    keep.sort()
+    out = []
+    for x in keep:
+        if not out or x - out[-1] > ROOT_MERGE_TOL:
+            out.append(x)
+    return np.array(out)
+
+
+def _double_root_bc(k, x0):
+    """(b, c) with R = L_{k+1} + b L_k + c L_{k-1} = R' = 0 at x0."""
+    M = [[legendre_eval(m, s, x0) for m in (k, k - 1)] for s in (0, 1)]
+    rhs = [-legendre_eval(k + 1, s, x0) for s in (0, 1)]
+    return np.linalg.solve(M, rhs)
+
+
+@st.composite
+def _residual_stacks(draw):
+    """(k, b, c): residual coefficients of every kind of root set: random
+    (b, c), a root at x = 1 or at x = -1, and a double root inside."""
+    k = draw(st.integers(2, 6))
+    g = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = rng.normal(size=g) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    c = rng.normal(size=g) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    for i in range(g):
+        kind = draw(st.sampled_from(["random", "right", "left", "double"]))
+        if kind == "right":
+            c[i] = -1.0 - b[i]
+        elif kind == "left":
+            c[i] = b[i] - 1.0
+        elif kind == "double":
+            b[i], c[i] = _double_root_bc(k, rng.uniform(-0.95, 0.95))
+    return k, b, c
+
+
+class TestBatchedRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_residual_stacks())
+    def test_matches_one_series_at_a_time(self, case):
+        k, b, c = case
+        res = LeadingResidual(k=k, b=b, c=c)
+        for s in range(3):
+            coeffs = res.legendre_coeffs(s)[:, :k + 2 - s]
+            rows, roots = legendre_roots(coeffs)
+            assert np.all(np.diff(rows) >= 0)
+            for g in range(len(b)):
+                want = _real_roots_in_reference(coeffs[g])
+                got = roots[rows == g]
+                assert got.shape == want.shape
+                # a double root is found to ~sqrt(eps) only
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+
+    def test_endpoint_roots_kept_exactly(self):
+        # b + c = -1 puts a root at 1, b - c = 1 one at -1
+        rows, roots = legendre_roots(LeadingResidual(
+            k=3, b=np.array([0.4, 0.4]),
+            c=np.array([-1.4, -0.6])).legendre_coeffs())
+        assert roots[rows == 0].max() == 1.0
+        assert roots[rows == 1].min() == -1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 6),
+           flux=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+           widths=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6))
+    def test_widths_in_one_call_match_one_at_a_time(self, k, flux, widths):
+        sf = scale_flux(FluxConfig(*flux), max(widths))
+        try:
+            batch = special_points(k, np.array(widths), sf)
+        except ResidualUndefinedError:
+            assume(False)
+        for g, hj in enumerate(widths):
+            one = special_points(k, hj, sf)
+            for s, (xi, owner) in enumerate(zip(batch.sets(), batch.owners)):
+                np.testing.assert_array_equal(xi[owner == g], one.sets()[s])
+                want = _real_roots_in_reference(
+                    one.residual.legendre_coeffs(s)[:k + 2 - s])
+                np.testing.assert_allclose(one.sets()[s], want,
+                                           rtol=0, atol=1e-7)

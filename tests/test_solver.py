@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import uwdg
 from uwdg import solver
 from uwdg.basis import gauss_rule, legendre_table
-from uwdg.errors import InstabilityError
+from uwdg.errors import ConfigurationError, InstabilityError
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, interface_matrices,
                        scale_flux)
 from uwdg.projection import DGFunction, plane_wave, project_star
@@ -396,3 +396,45 @@ class TestRK4:
         u0 = project_star(plane_wave(3.0), 0.0, mesh, 2, cfg)
         with pytest.raises(InstabilityError, match="non-finite|grew"):
             integrate(op, u0, TimeScheme(c=0.05, t_end=0.05))
+
+
+class TestStepGuard:
+    """Inputs whose march cannot be run are rejected before any step."""
+
+    def _case(self, kind):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 16, kind, 0.1, 1)
+        op = DGOperator(mesh, CENTRAL, 2)
+        return op, uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
+
+    @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+    @pytest.mark.parametrize("c, t_end, match", [
+        (1e-320, 1.0, "not finite"),      # dt is subnormal, t_end/dt inf
+        (5e-324, 1.0, "not positive"),    # dt underflows to 0
+        (1e-200, 1e300, "not finite"),
+    ])
+    def test_rejected_on_every_mesh(self, kind, c, t_end, match):
+        op, u0 = self._case(kind)
+        with pytest.raises(ConfigurationError, match=match):
+            integrate(op, u0, TimeScheme(c=c, t_end=t_end))
+
+    def test_band_march_step_cap(self, monkeypatch):
+        op, u0 = self._case("perturbed")
+        scheme = TimeScheme(c=0.05, t_end=0.1)
+        n_full, _ = _step_counts(scheme.t_end, scheme.dt(op.mesh.h))
+        monkeypatch.setattr(solver, "MAX_BAND_STEPS", n_full - 1)
+
+        def no_march(*args):
+            raise AssertionError("marched past the step cap")
+
+        monkeypatch.setattr(solver, "_BandMarch", no_march)
+        with pytest.raises(ConfigurationError, match="exceed"):
+            integrate(op, u0, scheme)
+        # the eigen march costs the same for any step count: no cap
+        op, u0 = self._case("uniform")
+        assert integrate(op, u0, scheme).n_steps >= n_full
+
+    def test_every_benchmark_case_under_the_cap(self):
+        # the largest: Table 2 at k=3, N=160, 213k steps; dt uses the
+        # largest cell, so the uniform h bounds the count from above
+        dt = TimeScheme(c=0.01, t_end=1.0).dt(2 * np.pi / 160)
+        assert _step_counts(1.0, dt)[0] < solver.MAX_BAND_STEPS / 100
