@@ -11,20 +11,18 @@ from .basis import (QuadratureRule, ReferenceMatrices, antiderivative_map,
                     bspline_eval, gauss_rule, legendre_eval,
                     reference_matrices)
 from .mesh import Mesh1D, make_mesh
-from .flux import (ALTERNATING, CENTRAL, AssumptionClass, CellBlocks,
-                   FluxConfig, InterfaceMatrices, ScaledFlux, cell_blocks,
-                   classify_assumption, gamma_lambda, interface_matrices,
-                   scale_flux, solve_block_circulant)
+from .flux import (ALTERNATING, CENTRAL, AssumptionClass, FluxConfig,
+                   InterfaceMatrices, ScaledFlux, classify_assumption,
+                   gamma_lambda, interface_matrices, scale_flux,
+                   solve_block_circulant)
 from .projection import (AnalyticField, DGFunction, LeadingResidual,
-                         SpecialPoints, leading_residual, plane_wave,
+                         SpecialPoints, l2_norm, leading_residual, plane_wave,
                          project_dagger, project_l2, project_star,
                          special_points, time_derivative_field)
-from .solver import (DGOperator, TimeScheme, apply_bilinear,
-                     default_dt_constant, integrate, l2_norm, rk4_step,
-                     time_derivative)
-from .correction import (CorrectionSet, build_correction,
-                         max_correction_levels, reference_interpolant,
-                         zeta_diagnostics)
+from .solver import (DGOperator, TimeScheme, default_dt_constant, integrate,
+                     rk4_step)
+from .correction import (build_correction, max_correction_levels,
+                         reference_interpolant, zeta_diagnostics)
 from .diagnostics import (DNE, ErrorReport, broken_l2_error,
                           cell_average_error, flux_errors, numerical_fluxes,
                           observed_orders, point_errors, projection_error)

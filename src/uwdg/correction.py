@@ -12,16 +12,14 @@ superconverge well beyond the plain error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import basis
 from .flux import AssumptionClass, FluxConfig, classify_assumption, scale_flux
 from .mesh import Mesh1D
 from .projection import (AnalyticField, DGFunction, _resolve_class,
-                         _top_two, project_l2, project_star,
-                         time_derivative_field)
+                         _top_two, interface_data, l2_norm, project_l2,
+                         project_star, time_derivative_field)
 
 
 def max_correction_levels(k: int) -> int:
@@ -39,31 +37,20 @@ def _d2_table(k: int) -> np.ndarray:
     return tab
 
 
-@dataclass
-class CorrectionSet:
-    """Correction fields w_1..w_q_max at one time, with the time-derivative
-    cache (q, r) -> coefficient array used by the recursion."""
-
-    mesh: Mesh1D
-    k: int
-    cfg: FluxConfig
-    q_max: int
-    t: float
-    w: list[DGFunction]
-    _cache: dict
-
-
 def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
                      cfg: FluxConfig, q_max: int | None = None,
-                     cls: AssumptionClass | None = None) -> CorrectionSet:
-    """Construct w_q for q = 1..q_max (default floor((k-1)/2)).
+                     cls: AssumptionClass | None = None) -> list[DGFunction]:
+    """The correction fields [w_1, .., w_q_max] at time t (q_max defaults
+    to floor((k-1)/2)).
 
-    The recursion w(q, r) <- w(q-1, r+1) is memoized; time derivatives of
-    the exact field enter through d_t^r u = i^r d_x^{2r} u, so only
-    spatial derivatives of f are required.  All volume integrals are
-    evaluated exactly as Legendre coefficient products: for q = 1 only
-    the degree k-1, k components of d_t u - Pstar d_t u contribute, and
-    for q >= 2 the integrand is already polynomial.
+    w_q is reached from d_t^q w_0 in q steps d_t^r w_p -> d_t^{r-1} w_{p+1};
+    the chains of different q share no term.  Time derivatives of the
+    exact field enter through d_t^r u = i^r d_x^{2r} u, so only spatial
+    derivatives of f are required.  All volume integrals are evaluated
+    exactly as Legendre coefficient products: the degree <= k part of
+    d_t^q w_0 = d_t^q u - Pstar d_t^q u has only the modes k-1, k (below
+    them Pstar is the L2 projection), and for p >= 1 the integrand is
+    already polynomial.
     """
     if q_max is None:
         q_max = max_correction_levels(k)
@@ -76,39 +63,26 @@ def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
     sf = scale_flux(cfg, mesh.h)
     d2tab = _d2_table(k)
     inv_odd = 1.0 / (2 * np.arange(k + 1) + 1)
-    cache: dict = {}
-
-    def w0_trunc(r: int) -> np.ndarray:
-        # degree <= k part of d_t^r w_0; only modes k-1, k are nonzero
-        key = (0, r)
-        if key not in cache:
-            fr = time_derivative_field(f, r)
-            p0 = project_l2(fr, t, mesh, k)
-            ps = project_star(fr, t, mesh, k, cfg, cls=cls)
-            cache[key] = p0.coeffs - ps.coeffs
-        return cache[key]
-
-    def wq(q: int, r: int) -> np.ndarray:
-        if q == 0:
-            return w0_trunc(r)
-        key = (q, r)
-        if key in cache:
-            return cache[key]
-        prev = wq(q - 1, r + 1)
-        coeffs = np.zeros((mesh.N, k + 1), dtype=complex)
-        # low modes from the exact antiderivative inner products
-        inner = (prev * inv_odd) @ d2tab.T              # (N, k-1)
-        fac = -1j * (2 * np.arange(k - 1) + 1) / 4.0
-        coeffs[:, : k - 1] = inner * fac * mesh.h_sizes[:, None] ** 2
-        # the numerical fluxes of w_q vanish at every interface
-        coeffs[:, k - 1:] = _top_two(cls, mesh, k, sf, coeffs,
-                                     np.zeros((mesh.N, 2)))
-        cache[key] = coeffs
-        return coeffs
-
-    w = [DGFunction(mesh, k, wq(q, 0)) for q in range(1, q_max + 1)]
-    return CorrectionSet(mesh=mesh, k=k, cfg=cfg, q_max=q_max, t=t,
-                         w=w, _cache=cache)
+    fac = -1j * (2 * np.arange(k - 1) + 1) / 4.0
+    h2 = mesh.h_sizes[:, None] ** 2
+    no_flux = np.zeros((mesh.N, 2))
+    w = []
+    for q in range(1, q_max + 1):
+        fq = time_derivative_field(f, q)
+        p0 = project_l2(fq, t, mesh, k)
+        prev = np.zeros_like(p0.coeffs)
+        prev[:, k - 1:] = p0.coeffs[:, k - 1:] - _top_two(
+            cls, mesh, k, sf, p0.coeffs, interface_data(fq, t, mesh))
+        for _ in range(q):
+            coeffs = np.zeros((mesh.N, k + 1), dtype=complex)
+            # low modes from the exact antiderivative inner products
+            coeffs[:, : k - 1] = (prev * inv_odd) @ d2tab.T * fac * h2
+            # the numerical fluxes of the next level vanish at every
+            # interface
+            coeffs[:, k - 1:] = _top_two(cls, mesh, k, sf, coeffs, no_flux)
+            prev = coeffs
+        w.append(DGFunction(mesh, k, prev))
+    return w
 
 
 def reference_interpolant(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
@@ -118,9 +92,8 @@ def reference_interpolant(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
     if cls is None:
         cls = classify_assumption(cfg, mesh, k)
     out = project_star(f, t, mesh, k, cfg, cls=cls)
-    cset = build_correction(f, t, mesh, k, cfg, q_max=q_max, cls=cls)
-    for wq_ in cset.w:
-        out = out - wq_
+    for wq in build_correction(f, t, mesh, k, cfg, q_max=q_max, cls=cls):
+        out = out - wq
     return out
 
 
@@ -146,7 +119,6 @@ def zeta_diagnostics(u_h: DGFunction, f: AnalyticField, t: float,
     """Norms and interface jumps of zeta_h = u_I - u_h:
     returns {"zeta", "zeta_xx", "zeta_jump", "zeta_x_jump"} with the jump
     metrics as RMS over interfaces (1/N normalization)."""
-    from .solver import l2_norm
     u_i = reference_interpolant(f, t, u_h.mesh, u_h.k, cfg,
                                 q_max=q_max, cls=cls)
     zeta = u_i - u_h

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import basis
 from .flux import FluxConfig, interface_matrices, scale_flux
-from .projection import (AnalyticField, DGFunction, project_star,
+from .projection import (AnalyticField, DGFunction, l2_norm, project_star,
                          special_points)
 
 DNE = "DNE"
@@ -66,7 +66,6 @@ def broken_l2_error(u_h: DGFunction, f: AnalyticField, t: float, s: int = 0,
 def projection_error(u_h: DGFunction, f: AnalyticField, t: float,
                      cfg: FluxConfig) -> float:
     """|| u_h - Pstar u || at time t."""
-    from .solver import l2_norm
     ps = project_star(f, t, u_h.mesh, u_h.k, cfg)
     return l2_norm(u_h - ps)
 

@@ -4,15 +4,14 @@ The scheme's numerical fluxes at an interface act on the trace pairs
 [u, u_x] from the two sides through the 2x2 matrices G and H = I - G.
 Everything the projections, corrections and the operator need at cell
 boundaries is collected here: the endpoint trace map of the Legendre
-basis, the Gamma/Lambda quantities, the boundary blocks A_j/B_j built
-from it, the A1/A2/A3 classification that
+basis, the Gamma/Lambda quantities, the A1/A2/A3 classification that
 decides whether the flux-matching projection is cell-local or a global
 periodic solve, and the DFT solver for the latter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,9 +24,9 @@ if TYPE_CHECKING:
 A1_TOL = 1e-12          # detection of alpha1^2 + beta1*beta2 == 1/4
 RESONANCE_TOL = 1e-9    # |(.)^N - 1| threshold for the A3 non-resonance checks
 SYMBOL_COND_MAX = 1e12  # condition number cutoff for circulant symbol blocks
-# the three determinant tests below are relative to the squared block
-# scale, so they read as "singular to within a few hundred ulps"
-BLOCK_DET_TOL = 1e-14   # |det A| below this: Q = -A^{-1}B is not formed
+# det(A_j+B_j) = 2((-1)^k Gamma_j + Lambda_j): the two tests below are
+# relative to its scale, so they read as "singular to within a few
+# hundred ulps"
 LOCAL_DET_TOL = 1e-13   # |det(A_j+B_j)| below this: no cell-local projection
 RESIDUAL_DEN_TOL = 1e-13  # |Gamma + (-1)^k Lambda| below this: no residual
 GAMMA_ZERO_TOL = 1e-12  # |Gamma_j| below this on a cell: A1 is unsupported
@@ -81,27 +80,6 @@ class InterfaceMatrices:
 
 
 @dataclass(frozen=True)
-class CellBlocks:
-    """Per-cell boundary algebra for polynomial degree k on a cell of
-    width h_j.
-
-    A = G [L^-_{k-1}, L^-_k] and B = H [L^+_{k-1}, L^+_k] where L^-_m and
-    L^+_m are the right and left endpoint traces [v, v_x] of L_{j,m}
-    (columns of trace_maps).
-    Identities: det(A+B) = 2((-1)^k Gamma + Lambda), reducing to
-    2(-1)^k Gamma when Lambda = 0 (the local-projection class).
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    gamma: float
-    lam: float
-    k: int
-    h_j: float
-    Q: np.ndarray | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
 class AssumptionClass:
     """Solvability classification of the flux-matching projection."""
 
@@ -148,30 +126,14 @@ def trace_maps(k: int, h_sizes) -> tuple[np.ndarray, np.ndarray]:
     return R, L
 
 
-def gamma_lambda(sf: ScaledFlux, k: int, h_j: float) -> tuple[float, float]:
+def gamma_lambda(sf: ScaledFlux, k: int, h_j):
+    """Gamma_j and Lambda_j at the cell width h_j, a float or an array of
+    widths (then one entry per width)."""
     s = sf.alpha1 ** 2 + sf.beta1 * sf.beta2
     gamma = (sf.beta1 + sf.beta2 / h_j ** 2 * k ** 2 * (k ** 2 - 1)
              - 2 * k ** 2 / h_j * (s + 0.25))
     lam = -2 * k / h_j * (s - 0.25)
     return gamma, lam
-
-
-def cell_blocks(sf: ScaledFlux, k: int, h_j: float) -> CellBlocks:
-    if k < 2:
-        raise ValueError("boundary blocks need k >= 2")
-    gh = interface_matrices(sf)
-    R, L = trace_maps(k, h_j)
-    A = gh.G @ R[0, :, k - 1:]
-    B = gh.H @ L[0, :, k - 1:]
-    gamma, lam = gamma_lambda(sf, k, h_j)
-    Q = None
-    scale = max(1.0, np.abs(A).max() ** 2)
-    if abs(np.linalg.det(A)) > BLOCK_DET_TOL * scale:
-        Q = -np.linalg.solve(A, B)
-        Q.setflags(write=False)
-    A.setflags(write=False)
-    B.setflags(write=False)
-    return CellBlocks(A=A, B=B, gamma=gamma, lam=lam, k=k, h_j=h_j, Q=Q)
 
 
 def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClass:
@@ -193,7 +155,7 @@ def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClas
     diag: dict = {"alpha1^2+beta1*beta2": s, "N": mesh.N, "k": k}
 
     if abs(s - 0.25) <= A1_TOL:
-        gammas = np.array([gamma_lambda(sf, k, hj)[0] for hj in mesh.h_sizes])
+        gammas = gamma_lambda(sf, k, mesh.h_sizes)[0]
         scale = np.abs(gammas).max() + 1.0 / mesh.h
         diag["min|Gamma_j|*h"] = float(np.abs(gammas).min() * mesh.h)
         if np.all(np.abs(gammas) > GAMMA_ZERO_TOL * scale):

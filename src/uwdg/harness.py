@@ -77,10 +77,11 @@ class StudyConfig:
 def run_case(cfg: StudyConfig, N: int) -> dict:
     """Run one (k, N) case: mesh, initial data, march to t_end, metrics.
 
-    Unsupported or unstable configurations annotate the row instead of
-    aborting the sweep, and a metric that does not exist for the case
-    (point errors without a leading residual, E* off a uniform mesh) is
-    DNE with a note.
+    Unsupported or unstable configurations, and a projection that fails in
+    any phase, annotate the row instead of aborting the sweep; the metrics
+    computed before the failure stay in the row.  A metric that does not
+    exist for the case (point errors without a leading residual, E* off a
+    uniform mesh) is DNE with a note.
     """
     row: dict = {"N": N, "status": "ok"}
     f = FIELDS[cfg.field_name]()
@@ -92,6 +93,12 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
         return row
 
     scheme = TimeScheme(c=cfg.dt_constant(), t_end=cfg.t_end)
+    want = set(cfg.metrics)
+    # tables report norm-type metrics as domain RMS values, ||.||/sqrt(b-a),
+    # which is the normalization the reference tables use
+    rms = 1.0 / np.sqrt(cfg.b - cfg.a)
+    t = cfg.t_end
+    skipped = []
     try:
         if cfg.init == "uI":
             u0 = reference_interpolant(f, 0.0, mesh, cfg.k, cfg.flux,
@@ -100,49 +107,43 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
             u0 = project_l2(f, 0.0, mesh, cfg.k)
         op = DGOperator(mesh, cfg.flux, cfg.k)
         result = integrate(op, u0, scheme)
+        u_h = result.u
+        row["dt"] = result.dt
+
+        if "l2" in want:
+            row["l2"] = rms * broken_l2_error(u_h, f, t)
+        if "ep" in want:
+            row["ep"] = rms * projection_error(u_h, f, t, cfg.flux)
+        if want & {"ef", "efx"}:
+            e_f, e_fx = flux_errors(u_h, f, t, cfg.flux)
+            row["ef"], row["efx"] = e_f, e_fx
+        if "ec" in want:
+            row["ec"] = cell_average_error(u_h, f, t)
+        if want & {"eu", "eux", "euxx"}:
+            try:
+                e_u, e_ux, e_uxx = point_errors(u_h, f, t, cfg.flux)
+            except ResidualUndefinedError as exc:
+                e_u = e_ux = e_uxx = DNE
+                skipped.append(f"points skipped: {exc}")
+            row["eu"], row["eux"], row["euxx"] = e_u, e_ux, e_uxx
+        if want & set(ZETA_METRICS):
+            zd = zeta_diagnostics(u_h, f, t, cfg.flux, q_max=cfg.q_max,
+                                  cls=cls)
+            row["zeta"] = rms * zd["zeta"]
+            row["zetaxx"] = rms * zd["zeta_xx"]
+            row["zetajump"] = zd["zeta_jump"]
+            row["zetaxjump"] = zd["zeta_x_jump"]
+        if "estar" in want:
+            try:
+                row["estar"] = rms * postprocessed_error(
+                    u_h, f, t, kernel_coeffs(cfg.k))
+            except UnsupportedOperationError as exc:
+                row["estar"] = DNE
+                skipped.append(f"estar skipped: {exc}")
     except (InstabilityError, ProjectionUndefinedError,
             SingularSymbolError) as exc:
         row["status"] = f"error: {exc}"
         return row
-
-    u_h = result.u
-    t = cfg.t_end
-    row["dt"] = result.dt
-    want = set(cfg.metrics)
-    # tables report norm-type metrics as domain RMS values, ||.||/sqrt(b-a),
-    # which is the normalization the reference tables use
-    rms = 1.0 / np.sqrt(cfg.b - cfg.a)
-
-    if "l2" in want:
-        row["l2"] = rms * broken_l2_error(u_h, f, t)
-    if "ep" in want:
-        row["ep"] = rms * projection_error(u_h, f, t, cfg.flux)
-    if want & {"ef", "efx"}:
-        e_f, e_fx = flux_errors(u_h, f, t, cfg.flux)
-        row["ef"], row["efx"] = e_f, e_fx
-    if "ec" in want:
-        row["ec"] = cell_average_error(u_h, f, t)
-    skipped = []
-    if want & {"eu", "eux", "euxx"}:
-        try:
-            e_u, e_ux, e_uxx = point_errors(u_h, f, t, cfg.flux)
-        except ResidualUndefinedError as exc:
-            e_u = e_ux = e_uxx = DNE
-            skipped.append(f"points skipped: {exc}")
-        row["eu"], row["eux"], row["euxx"] = e_u, e_ux, e_uxx
-    if want & set(ZETA_METRICS):
-        zd = zeta_diagnostics(u_h, f, t, cfg.flux, q_max=cfg.q_max, cls=cls)
-        row["zeta"] = rms * zd["zeta"]
-        row["zetaxx"] = rms * zd["zeta_xx"]
-        row["zetajump"] = zd["zeta_jump"]
-        row["zetaxjump"] = zd["zeta_x_jump"]
-    if "estar" in want:
-        try:
-            row["estar"] = rms * postprocessed_error(u_h, f, t,
-                                                     kernel_coeffs(cfg.k))
-        except UnsupportedOperationError as exc:
-            row["estar"] = DNE
-            skipped.append(f"estar skipped: {exc}")
     if skipped:
         row["status"] = f"ok ({'; '.join(skipped)})"
     return row

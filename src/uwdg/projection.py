@@ -93,6 +93,11 @@ class DGFunction:
         return np.sum(np.abs(self.coeffs) ** 2 * w, axis=1)
 
 
+def l2_norm(u: DGFunction) -> float:
+    """Parseval: ||u||^2 = sum |c_{j,m}|^2 h_j/(2m+1)."""
+    return float(np.sqrt(np.sum(u.cell_norms_sq()).real))
+
+
 @dataclass(frozen=True)
 class AnalyticField:
     """Exact-solution provider: eval(x, t, d) returns the d-th spatial
@@ -161,7 +166,15 @@ def _footprints(k: int, sf: ScaledFlux,
                 h_sizes) -> tuple[np.ndarray, np.ndarray]:
     """Interface footprints G R and H L of every mode, each (N, 2, k+1):
     what mode m of cell j adds to the fluxes at its right and left
-    endpoint.  Columns k-1, k are the boundary blocks A_j and B_j."""
+    endpoint.
+
+    Columns k-1, k are the boundary blocks A_j = G [L^-_{k-1}, L^-_k] and
+    B_j = H [L^+_{k-1}, L^+_k], with L^-_m and L^+_m the right and left
+    endpoint traces [v, v_x] of L_{j,m}.  They satisfy
+    det(A_j + B_j) = 2((-1)^k Gamma_j + Lambda_j), which is 2(-1)^k Gamma_j
+    in the local class A1 (Lambda = 0).  On a uniform mesh the
+    eigenvalues of Q = -A^{-1} B are (-1)^{k+1} (rho +- sqrt(rho^2 - 1)),
+    rho = Gamma/Lambda; they decide A2/A3 (classify_assumption)."""
     gh = interface_matrices(sf)
     R, L = trace_maps(k, h_sizes)
     return gh.G @ R, gh.H @ L

@@ -31,14 +31,16 @@ from .errors import ConfigurationError, InstabilityError
 from .flux import (STEP_ROUND_TOL, FluxConfig, interface_matrices, scale_flux,
                    trace_maps)
 from .mesh import Mesh1D
-from .projection import DGFunction
+from .projection import DGFunction, l2_norm
 
 DEFAULT_DT_CONSTANTS = {2: 0.05, 3: 0.01, 4: 0.01}
 BLOWUP_FACTOR = 10.0
 HISTORY_SAMPLES = 33    # norm checkpoints per run, evenly spaced in steps
-# 1e8 band steps take about half an hour at k=3, N=160 (Table 2's 213k
-# take 3.7 s); a longer march is a mistyped t_end or c, not a study
-MAX_BAND_STEPS = 10 ** 8
+# a longer march is a mistyped t_end or c, not a study: 1e8 band steps
+# take about half an hour at k=3, N=160 (Table 2's 213k take 3.7 s), and
+# the eigen march's phase n * angle(R4) carries about n * 2 sqrt(2) eps
+# of error, 6e-8 at 1e8 steps and every digit by 1e15
+MAX_STEPS = 10 ** 8
 
 
 def default_dt_constant(k: int) -> float:
@@ -139,24 +141,6 @@ class DGOperator:
             S = (dt / p) * LS
             S[:, :, 4 * kp1:5 * kp1] += eye
         return S
-
-
-def apply_bilinear(op: DGOperator, u: DGFunction, v: DGFunction) -> complex:
-    """A(u, v) summed over cells; bilinear, no conjugation.
-
-    Pass the conjugate field explicitly for sesquilinear uses, e.g.
-    realness of A(v, conj(v))."""
-    w = op.weak_action(u.coeffs)
-    return complex(np.sum(v.coeffs * w))
-
-
-def time_derivative(op: DGOperator, u: DGFunction) -> DGFunction:
-    return DGFunction(u.mesh, u.k, op.apply(u.coeffs))
-
-
-def l2_norm(u: DGFunction) -> float:
-    """Parseval: ||u||^2 = sum |c_{j,m}|^2 h_j/(2m+1)."""
-    return float(np.sqrt(np.sum(u.cell_norms_sq()).real))
 
 
 def rk4_step(op, u: DGFunction, dt: float) -> DGFunction:
@@ -317,16 +301,15 @@ def integrate(op: DGOperator, u0: DGFunction,
     HISTORY_SAMPLES evenly spaced steps and after the truncated step;
     a non-finite norm or growth beyond 10x the initial norm raises
     InstabilityError reporting the dt used.  A dt that is not positive,
-    a step count that is not finite, or more than MAX_BAND_STEPS steps
-    off a uniform mesh raise ConfigurationError before any step.
+    a step count that is not finite, or more than MAX_STEPS steps raise
+    ConfigurationError before any step.
     """
     dt = scheme.dt(op.mesh.h)
     n_full, rem = _step_counts(scheme.t_end, dt)
-    uniform = op.mesh.is_uniform
-    if not uniform and n_full > MAX_BAND_STEPS:
+    if n_full > MAX_STEPS:
         raise ConfigurationError(
             f"{n_full:.3e} RK4 steps of dt = {dt:.3e} exceed the "
-            f"{MAX_BAND_STEPS:.0e} a march off a uniform mesh may take")
+            f"{MAX_STEPS:.0e} a march may take")
     every = max(1, n_full // (HISTORY_SAMPLES - 1))
     stops = [min(s, n_full) for s in range(every, n_full + every, every)]
     # (steps, step size, time reached) between consecutive norm checks
@@ -337,7 +320,8 @@ def integrate(op: DGOperator, u0: DGFunction,
     if not plan:
         return IntegrationResult(u=u0.copy(), dt=dt, n_steps=0,
                                  norm_history=history)
-    march = (_EigenMarch if uniform else _BandMarch)(op, u0.coeffs)
+    march = (_EigenMarch if op.mesh.is_uniform
+             else _BandMarch)(op, u0.coeffs)
     scale = max(norm0, 1e-300)
     # divergent runs overflow between norm checkpoints; the checkpoints
     # turn that into InstabilityError, so the transient warnings are noise

@@ -20,8 +20,7 @@ def test_levels():
 
 def test_k2_has_no_corrections():
     mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
-    cs = build_correction(plane_wave(3.0), 0.0, mesh, 2, CENTRAL)
-    assert cs.w == []
+    assert build_correction(plane_wave(3.0), 0.0, mesh, 2, CENTRAL) == []
     u_i = reference_interpolant(plane_wave(3.0), 0.0, mesh, 2, CENTRAL)
     ps = project_star(plane_wave(3.0), 0.0, mesh, 2, CENTRAL)
     np.testing.assert_array_equal(u_i.coeffs, ps.coeffs)
@@ -34,9 +33,9 @@ def test_homogeneous_fluxes_and_support(cfg, k):
     kind = ("perturbed" if cfg.alpha1_t ** 2 + cfg.beta1_t * cfg.beta2_t
             == 0.25 else "uniform")
     mesh = uwdg.make_mesh(0, 2 * np.pi, 12, kind, 0.1, 4)
-    cs = build_correction(f, 0.2, mesh, k, cfg)
+    w = build_correction(f, 0.2, mesh, k, cfg)
     scale = 3.0 ** (k + 1)     # field derivative scale entering w_q
-    for q, wq in enumerate(cs.w, start=1):
+    for q, wq in enumerate(w, start=1):
         uhat, uxt = uwdg.numerical_fluxes(wq, cfg)
         assert np.abs(uhat).max() < 1e-10 * scale
         assert np.abs(uxt).max() < 1e-10 * scale / mesh.h
@@ -50,8 +49,8 @@ def test_first_level_low_modes_vanish():
     f = plane_wave(3.0)
     mesh = uwdg.make_mesh(0, 2 * np.pi, 10)
     for k in (5, 6):
-        cs = build_correction(f, 0.0, mesh, k, CENTRAL, q_max=1)
-        assert np.abs(cs.w[0].coeffs[:, : k - 3]).max() == 0.0
+        w1 = build_correction(f, 0.0, mesh, k, CENTRAL, q_max=1)[0]
+        assert np.abs(w1.coeffs[:, : k - 3]).max() == 0.0
 
 
 def test_size_order_k_plus_one_plus_two_q():
@@ -59,9 +58,9 @@ def test_size_order_k_plus_one_plus_two_q():
     norms = {q: [] for q in (1, 2)}
     for N in (16, 32):
         mesh = uwdg.make_mesh(0, 2 * np.pi, N)
-        cs = build_correction(f, 0.0, mesh, 5, CENTRAL)
+        w = build_correction(f, 0.0, mesh, 5, CENTRAL)
         for q in (1, 2):
-            norms[q].append(uwdg.l2_norm(cs.w[q - 1]))
+            norms[q].append(uwdg.l2_norm(w[q - 1]))
     assert np.log2(norms[1][0] / norms[1][1]) == pytest.approx(5 + 1 + 2, abs=0.5)
     assert np.log2(norms[2][0] / norms[2][1]) == pytest.approx(5 + 1 + 4, abs=0.8)
 
@@ -94,19 +93,33 @@ def test_volume_condition_against_quadrature():
 
 
 def test_cached_levels_are_time_derivatives():
-    # the recursion's (q, r) cache must hold d_t^r of the w_q(t) field;
-    # cross-check r = 1 against a centered difference in time
+    # the q = 2 level starts from d_t w_1, which is w_1 of the field d_t u;
+    # cross-check it against a centered difference of w_1 in time
     f = plane_wave(3.0)
     mesh = uwdg.make_mesh(0, 2 * np.pi, 10)
     k, eps, t = 5, 1e-4, 0.3
-    cs = build_correction(f, t, mesh, k, CENTRAL, q_max=2)
-    cache = cs._cache
-    assert (1, 1) in cache          # needed by the q = 2 level
-    plus = build_correction(f, t + eps, mesh, k, CENTRAL, q_max=1)
-    minus = build_correction(f, t - eps, mesh, k, CENTRAL, q_max=1)
-    fd = (plus.w[0].coeffs - minus.w[0].coeffs) / (2 * eps)
+    dt_w1 = build_correction(time_derivative_field(f, 1), t, mesh, k,
+                             CENTRAL, q_max=1)[0]
+    plus = build_correction(f, t + eps, mesh, k, CENTRAL, q_max=1)[0]
+    minus = build_correction(f, t - eps, mesh, k, CENTRAL, q_max=1)[0]
+    fd = (plus.coeffs - minus.coeffs) / (2 * eps)
     # plane wave time dependence is exp(-i 9 t): second-order FD error
-    assert np.abs(cache[(1, 1)] - fd).max() < 1e-6 * np.abs(fd).max()
+    assert np.abs(dt_w1.coeffs - fd).max() < 1e-6 * np.abs(fd).max()
+    # the low modes of w_2 are the volume moments of d_t w_1 against the
+    # double antiderivatives: h_j/(2m+1) c_m = -i (h_j/2)^2 int d_t w_1 D2_m
+    w2 = build_correction(f, t, mesh, k, CENTRAL, q_max=2)[1]
+    rule = gauss_rule(20)
+    vals = dt_w1.eval_ref(rule.nodes)                   # (N, nq)
+    for m in range(k - 1):
+        e = np.zeros(m + 1)
+        e[m] = 1.0
+        d2_vals = legendre_table(m + 2, rule.nodes)[:, 0, :] \
+            @ antiderivative_map(2, e)
+        moment = 0.5 * mesh.h_sizes * ((vals * d2_vals) @ rule.weights)
+        expect = -1j * (mesh.h_sizes / 2) ** 2 * moment \
+            * (2 * m + 1) / mesh.h_sizes
+        np.testing.assert_allclose(w2.coeffs[:, m], expect, rtol=0,
+                                   atol=1e-12 * np.abs(w2.coeffs).max())
 
 
 def test_interpolant_keeps_interface_conditions():

@@ -7,9 +7,10 @@ import uwdg
 from uwdg.basis import legendre_table
 from uwdg.errors import SingularSymbolError
 from uwdg.flux import (ALTERNATING, CENTRAL, SYMBOL_COND_MAX, FluxConfig,
-                       cell_blocks, classify_assumption, gamma_lambda,
-                       interface_matrices, scale_flux, solve_block_circulant,
-                       symbol_conds, trace_maps)
+                       classify_assumption, gamma_lambda, interface_matrices,
+                       scale_flux, solve_block_circulant, symbol_conds,
+                       trace_maps)
+from uwdg.projection import _footprints
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -19,6 +20,20 @@ def random_a1_flux(rng):
     a1 = rng.uniform(-0.6, 0.6)
     b1 = rng.uniform(0.2, 3.0) * rng.choice([-1, 1])
     return FluxConfig(a1, b1, (0.25 - a1 * a1) / b1)
+
+
+def random_perturbed_mesh(rng):
+    """4..11 cells, 20% perturbed, with mean width h in [0.05, 2]."""
+    N = int(rng.integers(4, 12))
+    b = N * rng.uniform(0.05, 2.0)
+    return uwdg.make_mesh(0.0, b, N, "perturbed", 0.2, int(rng.integers(99)))
+
+
+def boundary_blocks(k, sf, h_sizes):
+    """A_j and B_j of every cell width: columns k-1, k of the interface
+    footprints, which the cell-local projection inverts as A_j + B_j."""
+    GR, HL = _footprints(k, sf, h_sizes)
+    return GR[..., k - 1:], HL[..., k - 1:]
 
 
 class TestScaling:
@@ -76,30 +91,34 @@ class TestTraceMaps:
 
 
 class TestCellBlocks:
+    """Identities of the boundary blocks the projections solve with, on
+    every cell of a perturbed mesh at that cell's own width."""
+
     def test_det_identity_a1(self):
-        # local class: det(A+B) = 2 (-1)^k Gamma
+        # local class: det(A_j+B_j) = 2 (-1)^k Gamma_j and Lambda_j = 0
         rng = np.random.default_rng(0)
         for _ in range(100):
             k = int(rng.integers(2, 7))
-            h = float(rng.uniform(0.05, 2.0))
-            sf = scale_flux(random_a1_flux(rng), h)
-            blk = cell_blocks(sf, k, h)
-            det = np.linalg.det(blk.A + blk.B)
-            ref = 2 * (-1) ** k * blk.gamma
-            assert det == pytest.approx(ref, rel=1e-12)
-            assert blk.lam == pytest.approx(0.0, abs=1e-12 / h)
+            mesh = random_perturbed_mesh(rng)
+            sf = scale_flux(random_a1_flux(rng), mesh.h)
+            A, B = boundary_blocks(k, sf, mesh.h_sizes)
+            gamma, lam = gamma_lambda(sf, k, mesh.h_sizes)
+            np.testing.assert_allclose(np.linalg.det(A + B),
+                                       2 * (-1) ** k * gamma, rtol=1e-12)
+            assert np.all(np.abs(lam) <= 1e-12 / mesh.h_sizes)
 
     def test_det_identity_general(self):
-        # det(A+B) = 2((-1)^k Gamma + Lambda) for arbitrary parameters
+        # det(A_j+B_j) = 2((-1)^k Gamma_j + Lambda_j) for arbitrary parameters
         rng = np.random.default_rng(1)
         for _ in range(100):
             k = int(rng.integers(2, 7))
-            h = float(rng.uniform(0.05, 2.0))
-            sf = scale_flux(FluxConfig(*rng.normal(size=3)), h)
-            blk = cell_blocks(sf, k, h)
-            det = np.linalg.det(blk.A + blk.B)
-            ref = 2 * ((-1) ** k * blk.gamma + blk.lam)
-            assert det == pytest.approx(ref, rel=1e-11, abs=1e-13)
+            mesh = random_perturbed_mesh(rng)
+            sf = scale_flux(FluxConfig(*rng.normal(size=3)), mesh.h)
+            A, B = boundary_blocks(k, sf, mesh.h_sizes)
+            gamma, lam = gamma_lambda(sf, k, mesh.h_sizes)
+            for det, ref in zip(np.linalg.det(A + B),
+                                2 * ((-1) ** k * gamma + lam)):
+                assert det == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_central_gamma_lambda(self, k):
@@ -114,13 +133,15 @@ class TestCellBlocks:
         for k, b1t in [(2, 2.0), (3, 5.0), (4, 9.0)]:
             h = 2 * np.pi / 40
             sf = scale_flux(FluxConfig(0.25, b1t, 0), h)
-            blk = cell_blocks(sf, k, h)
-            rho = blk.gamma / blk.lam
+            A, B = boundary_blocks(k, sf, h)
+            gamma, lam = gamma_lambda(sf, k, h)
+            rho = gamma / lam
             sign = (-1.0) ** (k + 1)
             pred = sorted([sign * (rho + np.sqrt(complex(rho ** 2 - 1))),
                            sign * (rho - np.sqrt(complex(rho ** 2 - 1)))],
                           key=lambda z: z.imag)
-            got = sorted(np.linalg.eigvals(blk.Q), key=lambda z: z.imag)
+            Q = -np.linalg.solve(A[0], B[0])
+            got = sorted(np.linalg.eigvals(Q), key=lambda z: z.imag)
             np.testing.assert_allclose(got, pred, atol=1e-12)
 
 
@@ -129,6 +150,19 @@ class TestClassification:
         m = uwdg.make_mesh(0, 2 * np.pi, 16, "perturbed", 0.1, 3)
         for a1 in (0.5, -0.5):
             assert classify_assumption(FluxConfig(a1, 0, 0), m, 3).tag == "A1"
+
+    def test_a1_gamma_zero_on_narrow_cells(self):
+        # alpha1 = 1/2, beta2 = 0 at k = 2: Gamma_j = beta1 - 4/h_j, and
+        # beta1~ = 6 with h = 0.75 puts its zero at h_j = 0.5, so only the
+        # narrow cells of this dyadic mesh have Gamma_j = 0
+        sizes = np.array([0.5, 0.75, 0.5, 0.75, 0.625, 0.5])
+        nodes = np.concatenate([[0.0], np.cumsum(sizes)])
+        m = uwdg.Mesh1D(a=0.0, b=float(nodes[-1]), N=6, nodes=nodes,
+                        h_sizes=sizes, h=0.75, sigma=1.5, kind="perturbed")
+        cls = classify_assumption(FluxConfig(0.5, 6.0, 0.0), m, 2)
+        assert cls.tag == "Unsupported"
+        assert cls.warning == "Gamma_j = 0 on some cell"
+        assert classify_assumption(FluxConfig(0.5, 5.0, 0.0), m, 2).tag == "A1"
 
     def test_central_is_a2(self):
         m = uwdg.make_mesh(0, 2 * np.pi, 16)

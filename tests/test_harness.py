@@ -65,7 +65,7 @@ class TestRunCase:
         assert row["l2"] == pytest.approx(
             rms * uwdg.broken_l2_error(u_i, f, 0.0), rel=1e-12)
         # E_P at t = 0 with interpolant initialization is ||w(0)||
-        w1 = build_correction(f, 0.0, mesh, 3, CENTRAL).w[0]
+        w1 = build_correction(f, 0.0, mesh, 3, CENTRAL)[0]
         assert row["ep"] == pytest.approx(rms * uwdg.l2_norm(w1), rel=1e-10)
 
     def test_unsupported_rows_annotate(self):
@@ -231,18 +231,33 @@ class TestCLI:
         ["study", "--N", "1000", "--c", "1e-320", "--metrics", "l2"],
         ["study", "--tend", "1e300", "--mesh", "perturbed", "--flux",
          "0.5,0,0", "--metrics", "l2"],
+        ["study", "--N", "20", "--flux", "0,0,0", "--tend", "1e300",
+         "--metrics", "l2"],
     ], ids=["tend-nan", "tend-negative", "c-negative", "c-inf", "flux-nan",
             "kernel-k0", "points-k1", "flux-overflow", "config-missing",
             "qmax-negative", "qmax-above-levels", "metrics-empty", "kernel-k7",
             "points-k7", "points-residual-undefined", "run-two-n",
             "mesh-negative-seed", "out-directory", "config-directory",
             "unknown-flag", "kernel-no-k", "steps-not-finite", "dt-underflow",
-            "band-step-cap"])
+            "band-step-cap", "eigen-step-cap"])
     def test_rejected_input_exit_code(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
         assert captured.out == ""
+
+    def test_singular_projection_in_metrics_annotates(self, capsys):
+        # with --init l2 the march needs no projection; E_P does, and this
+        # flux makes its global solve singular at every N
+        argv = ["study", "--k", "2", "--N", "8,16", "--flux",
+                "0.5000000001,4.00000000120004,0", "--tend", "0",
+                "--init", "l2", "--metrics", "l2,ep"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for N in (8, 16):
+            assert (f"# row N={N}: error: block-circulant symbol A + omega^l"
+                    " B is singular") in out
+        assert "\n8,-," not in out    # L2 is computed before E_P fails
 
     def test_negative_flux_both_forms(self, capsys):
         outs = []

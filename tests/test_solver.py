@@ -13,11 +13,10 @@ from uwdg.basis import gauss_rule, legendre_table
 from uwdg.errors import ConfigurationError, InstabilityError
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, interface_matrices,
                        scale_flux)
-from uwdg.projection import DGFunction, plane_wave, project_star
+from uwdg.projection import DGFunction, l2_norm, plane_wave, project_star
 from uwdg.solver import (HISTORY_SAMPLES, DGOperator, TimeScheme, _EigenMarch,
-                         _rk4_power, _step_counts, _two_step_rows,
-                         apply_bilinear, integrate, l2_norm, rk4_step,
-                         time_derivative)
+                         _rk4_power, _step_counts, _two_step_rows, integrate,
+                         rk4_step)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
@@ -42,10 +41,11 @@ class TestBilinearForm:
         for _ in range(100):
             u = random_field(mesh, 3, rng)
             v = random_field(mesh, 3, rng)
-            auv = apply_bilinear(op, u, v)
-            avu = apply_bilinear(op, v, u)
+            # A(u, v) = sum v . weak_action(u): bilinear, no conjugation
+            auv = np.sum(v.coeffs * op.weak_action(u.coeffs))
+            avu = np.sum(u.coeffs * op.weak_action(v.coeffs))
             assert abs(auv - avu) <= 1e-12 * abs(auv)
-            avvb = apply_bilinear(op, v, DGFunction(mesh, 3, np.conj(v.coeffs)))
+            avvb = np.sum(np.conj(v.coeffs) * op.weak_action(v.coeffs))
             assert abs(avvb.imag) <= 1e-12 * abs(avvb)
 
     @settings(max_examples=60, deadline=None)
@@ -67,11 +67,10 @@ class TestBilinearForm:
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 2)
         const = DGFunction(mesh, 2)
         const.coeffs[:, 0] = 2.0 - 1.0j
-        td = time_derivative(op, const)
-        assert np.abs(td.coeffs).max() < 1e-13
+        assert np.abs(op.apply(const.coeffs)).max() < 1e-13
         rng = np.random.default_rng(3)
         v = random_field(mesh, 2, rng)
-        assert abs(apply_bilinear(op, const, v)) < 1e-12
+        assert abs(np.sum(v.coeffs * op.weak_action(const.coeffs))) < 1e-12
 
 
 class TestTimeDerivative:
@@ -82,7 +81,7 @@ class TestTimeDerivative:
         rng = np.random.default_rng(23)
         for _ in range(100):
             v = random_field(mesh, 3, rng)
-            td = time_derivative(op, v)
+            td = DGFunction(mesh, 3, op.apply(v.coeffs))
             ip = mass_inner(td, v)
             assert abs(2 * ip.real) <= 1e-12 * l2_norm(td) * l2_norm(v)
 
@@ -92,9 +91,9 @@ class TestTimeDerivative:
         rng = np.random.default_rng(5)
         u, v = random_field(mesh, 2, rng), random_field(mesh, 2, rng)
         a, b = 1.3 - 0.2j, -0.7j
-        lhs = time_derivative(op, a * u + b * v)
-        rhs = a * time_derivative(op, u) + b * time_derivative(op, v)
-        assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-13 * np.abs(lhs.coeffs).max()
+        lhs = op.apply((a * u + b * v).coeffs)
+        rhs = a * op.apply(u.coeffs) + b * op.apply(v.coeffs)
+        assert np.abs(lhs - rhs).max() < 1e-13 * np.abs(lhs).max()
 
     def test_matrix_free_equals_assembled(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 6, "perturbed", 0.1, 4)
@@ -156,7 +155,7 @@ class TestTimeDerivative:
             mesh = uwdg.make_mesh(0, 2 * np.pi, N)
             op = DGOperator(mesh, CENTRAL, 3)
             ps = project_star(f, 0.0, mesh, 3, CENTRAL)
-            resid = time_derivative(op, ps) - (-9j) * ps
+            resid = DGFunction(mesh, 3, op.apply(ps.coeffs)) - (-9j) * ps
             errs.append(l2_norm(resid) / l2_norm(ps))
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
         np.testing.assert_allclose(orders, 4.0, atol=0.35)
@@ -418,23 +417,23 @@ class TestStepGuard:
             integrate(op, u0, TimeScheme(c=c, t_end=t_end))
 
     def test_band_march_step_cap(self, monkeypatch):
-        op, u0 = self._case("perturbed")
-        scheme = TimeScheme(c=0.05, t_end=0.1)
-        n_full, _ = _step_counts(scheme.t_end, scheme.dt(op.mesh.h))
-        monkeypatch.setattr(solver, "MAX_BAND_STEPS", n_full - 1)
-
+        # one cap for both propagators: a step count past it is rejected
+        # before either march is built
         def no_march(*args):
             raise AssertionError("marched past the step cap")
 
         monkeypatch.setattr(solver, "_BandMarch", no_march)
-        with pytest.raises(ConfigurationError, match="exceed"):
-            integrate(op, u0, scheme)
-        # the eigen march costs the same for any step count: no cap
-        op, u0 = self._case("uniform")
-        assert integrate(op, u0, scheme).n_steps >= n_full
+        monkeypatch.setattr(solver, "_EigenMarch", no_march)
+        scheme = TimeScheme(c=0.05, t_end=0.1)
+        for kind in ("perturbed", "uniform"):
+            op, u0 = self._case(kind)
+            n_full, _ = _step_counts(scheme.t_end, scheme.dt(op.mesh.h))
+            monkeypatch.setattr(solver, "MAX_STEPS", n_full - 1)
+            with pytest.raises(ConfigurationError, match="exceed"):
+                integrate(op, u0, scheme)
 
     def test_every_benchmark_case_under_the_cap(self):
         # the largest: Table 2 at k=3, N=160, 213k steps; dt uses the
         # largest cell, so the uniform h bounds the count from above
         dt = TimeScheme(c=0.01, t_end=1.0).dt(2 * np.pi / 160)
-        assert _step_counts(1.0, dt)[0] < solver.MAX_BAND_STEPS / 100
+        assert _step_counts(1.0, dt)[0] < solver.MAX_STEPS / 100
