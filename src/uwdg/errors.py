@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class UwdgError(Exception):
     """Base class for all package errors."""
@@ -31,17 +33,36 @@ class ResidualUndefinedError(UwdgError):
 
 
 class InstabilityError(UwdgError):
-    """Time integration blew up."""
+    """RK4 time integration is unstable at this step size.
 
-    def __init__(self, dt: float, norm_ratio: float):
+    Found before any step: the stability margin dt*rho(S)/(2*sqrt(2)) is
+    above 1, and c_stable = c / margin is the largest stable step
+    constant.  Or, as a backstop that a correct margin rules out, the
+    march ended with its L2 norm grown by norm_ratio."""
+
+    def __init__(self, dt: float, margin: float | None = None,
+                 c_stable: float | None = None,
+                 norm_ratio: float | None = None):
         self.dt = dt
+        self.margin = margin
+        self.c_stable = c_stable
         self.norm_ratio = norm_ratio
-        import math
-        growth = (f"grew by {norm_ratio:.3e}x" if math.isfinite(norm_ratio)
-                  else "became non-finite")
-        super().__init__(
-            f"time integration unstable: L2 norm {growth} with dt={dt:.6e}"
-        )
+        if margin is not None:
+            what = (f"stability margin dt*rho/(2*sqrt(2)) = {margin:.6g} > 1"
+                    f" at dt={dt:.6e}; largest stable c = "
+                    f"{_round_down(c_stable)}")
+        elif math.isfinite(norm_ratio):
+            what = f"L2 norm grew by {norm_ratio:.3e}x with dt={dt:.6e}"
+        else:
+            what = f"L2 norm became non-finite with dt={dt:.6e}"
+        super().__init__(f"time integration unstable: {what}")
+
+
+def _round_down(x: float, digits: int = 4) -> str:
+    """x to `digits` significant digits, rounded toward zero, so that the
+    printed stable c is itself stable."""
+    e = 10.0 ** (math.floor(math.log10(x)) - digits + 1)
+    return f"{math.floor(x / e) * e:.{digits}g}"
 
 
 class UnsupportedOperationError(UwdgError):

@@ -31,14 +31,22 @@ LOCAL_DET_TOL = 1e-13   # |det(A_j+B_j)| below this: no cell-local projection
 RESIDUAL_DEN_TOL = 1e-13  # |Gamma + (-1)^k Lambda| below this: no residual
 GAMMA_ZERO_TOL = 1e-12  # |Gamma_j| below this on a cell: A1 is unsupported
 LAMBDA_ZERO_TOL = 1e-14  # |Lambda| below this: Gamma/Lambda is undefined
-# companion-matrix roots of the monomial form carry roundoff imaginary parts
-ROOT_IMAG_TOL = 1e-9    # |imag| above this: a complex pair, not a root
+# companion-matrix roots of the monomial form carry roundoff: a relative
+# perturbation eps of the coefficients splits a double root x0 into a
+# pair sqrt(2 eps |p| / |p''(x0)|) apart, real or complex conjugate.
+# Over k = 2..6 and |x0| < 0.999 the split measured up to 56 sqrt(eps)
+ROOT_IMAG_TOL = 64 * np.sqrt(np.finfo(float).eps)  # |imag| above: complex
+# roots nearer than this are one root; a longer Newton step is not taken,
+# since at a double root f/f' is roundoff over roundoff
+ROOT_MERGE_TOL = ROOT_IMAG_TOL
 ROOT_EDGE_TOL = 1e-12   # Newton may leave an endpoint root just outside
-ROOT_MERGE_TOL = 1e-8   # a double root splits by ~sqrt(eps): one root
 # node x_j = a + j*h is rounded to within ~1 ulp of max|x|, so a uniform
 # mesh has |h_j - h_0| of a few ulps of max(|a|, |b|), whatever N is
 UNIFORM_TOL = 16 * np.finfo(float).eps  # |h_j - h_0| / max(|a|, |b|)
 STEP_ROUND_TOL = 1e-12  # t_end/dt this near an integer: no remainder step
+# rho(S) off a uniform mesh is bisected from an inertia count only to
+# report an unstable run; its margin and stable c carry this relative error
+RHO_BISECT_TOL = 1e-10
 # SIAC breakpoints are sums of half-integers and the offset (1 - xi0)/2
 SIAC_SUPPORT_TOL = 1e-12  # a breakpoint this near an end of the support: kept
 SIAC_PIECE_TOL = 1e-14  # a narrower piece is a duplicate break: skipped

@@ -360,7 +360,9 @@ def legendre_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The roots are the eigenvalues of the companion matrices of the
     monomial form, one batched eigvals for the stack; each gets one Newton
-    step on the (stable) Legendre evaluation.  Then, for all at once:
+    step on the (stable) Legendre evaluation, unless the step is longer
+    than ROOT_MERGE_TOL: at a double root, split by roundoff into a pair
+    ~sqrt(eps) apart, f/f' is roundoff over roundoff.  Then, for all at once:
     |imag| <= ROOT_IMAG_TOL, |xi| <= 1 + ROOT_EDGE_TOL (roots at cell
     endpoints are genuine members of the sets), and within a row a root
     less than ROOT_MERGE_TOL above the last one kept is its duplicate.
@@ -382,7 +384,8 @@ def legendre_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     val = (tab @ coeffs[:, None, :, None])[..., 0, 0]
     der = (tab @ dcoef[:, None])[..., 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(der != 0.0, x - val / der, x)
+        step = val / der
+    x = np.where(np.abs(step) <= ROOT_MERGE_TOL, x - step, x)
     keep = ((np.abs(roots.imag) <= ROOT_IMAG_TOL)
             & (np.abs(x) <= 1.0 + ROOT_EDGE_TOL))
     x = np.sort(np.where(keep, np.clip(x, -1.0, 1.0), np.inf), axis=1)

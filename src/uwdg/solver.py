@@ -10,36 +10,42 @@ across all RK4 stages.
 Time marching is classical RK4 with the step rule dt = c h^{2.5}
 (c = 0.05 for k = 2, 0.01 for k = 3, 4 by default), final step truncated
 to land exactly on the end time.  A step is the linear map R4(dt L),
-R4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  integrate takes its powers
-per eigenvector on uniform meshes, where the operator is block-circulant
-with Hermitian scaled DFT symbols.  On other meshes it squares the
-banded one-step update and applies two steps per block-banded product;
-an odd step left over, and the truncated final step, are literal
-rk4_step calls.  rk4_step, the literal stage-by-stage step, is also the
-reference the tests compare both propagators against.
+R4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  L = i D^2 A is similar to
+i S with S = D A D real symmetric, and |R4(iy)| <= 1 iff
+|y| <= 2 sqrt(2), so a march is stable iff dt rho(S) <= 2 sqrt(2).
+integrate decides that before any step: from the eigenvalues of the
+Hermitian scaled DFT symbols on uniform meshes, where the operator is
+block-circulant, and by a Sylvester inertia count of S -+ sigma I on
+other meshes.  A stable march is then one power of R4 per eigenvector on
+uniform meshes; on other meshes the square of the banded one-step update
+applied two steps per block-banded product, with an odd step left over
+and the truncated final step taken by the literal rk4_step.  rk4_step,
+the literal stage-by-stage step, is also the reference the tests compare
+both propagators against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import basis
 from .errors import ConfigurationError, InstabilityError
-from .flux import (STEP_ROUND_TOL, FluxConfig, interface_matrices, scale_flux,
-                   trace_maps)
+from .flux import (RHO_BISECT_TOL, STEP_ROUND_TOL, FluxConfig,
+                   interface_matrices, scale_flux, trace_maps)
 from .mesh import Mesh1D
 from .projection import DGFunction, l2_norm
 
 DEFAULT_DT_CONSTANTS = {2: 0.05, 3: 0.01, 4: 0.01}
-BLOWUP_FACTOR = 10.0
-HISTORY_SAMPLES = 33    # norm checkpoints per run, evenly spaced in steps
+BLOWUP_FACTOR = 10.0    # final-norm growth that the backstop reports
+RK4_LIMIT = 2.0 * np.sqrt(2.0)   # |R4(iy)| <= 1 iff |y| <= RK4_LIMIT
 # a longer march is a mistyped t_end or c, not a study: 1e8 band steps
 # take about half an hour at k=3, N=160 (Table 2's 213k take 3.7 s), and
 # the eigen march's phase n * angle(R4) carries about n * 2 sqrt(2) eps
-# of error, 6e-8 at 1e8 steps and every digit by 1e15
+# of error, 6e-8 at 1e8 steps and every digit by 1e15; _rk4_power also
+# needs n < 2^27 for its exact phase product
 MAX_STEPS = 10 ** 8
 
 
@@ -158,7 +164,6 @@ class IntegrationResult:
     u: DGFunction
     dt: float
     n_steps: int
-    norm_history: list = field(default_factory=list)   # (t, ||u||) samples
 
 
 def _step_counts(t_end: float, dt: float) -> tuple[int, float]:
@@ -177,11 +182,32 @@ def _step_counts(t_end: float, dt: float) -> tuple[int, float]:
 def _rk4_power(y: np.ndarray, n: int) -> np.ndarray:
     """R4(iy)^n for real y.  The modulus comes from the exact identity
     |R4(iy)|^2 = 1 + y^6 (y^2 - 8) / 576 through log1p, not from |.|
-    of a number within roundoff of 1, so n ~ 1e6 does not amplify it."""
+    of a number within roundoff of 1, so n ~ 1e6 does not amplify it.
+    The phase n * arg R4 is taken without rounding the product: arg R4
+    splits into a 26-bit head, whose product with n < 2^27 (MAX_STEPS
+    is below it) is exact, and a tail."""
     y2 = y * y
     log_mod = 0.5 * np.log1p(y2 ** 3 * (y2 - 8.0) / 576.0)
     phase = np.arctan2(y - y * y2 / 6.0, 1.0 - y2 / 2.0 + y2 * y2 / 24.0)
-    return np.exp(n * (log_mod + 1j * phase))
+    split = 134217729.0 * phase          # (2^27 + 1) phase: Veltkamp
+    head = split - (split - phase)
+    return (np.exp(n * (log_mod + 1j * (phase - head)))
+            * np.exp(1j * (n * head)))
+
+
+def _symbol_eigh(op: DGOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform mesh: eigenvalues lam (N, k+1) and eigenvectors V of the
+    Hermitian scaled symbols H_l = D K_l D, l = 0..N-1 (see _EigenMarch).
+    The blocks are real, so H_{N-l} = conj(H_l): eigh runs on
+    l = 0..N/2 only, and l > N/2 takes lam and conj(V) of N - l."""
+    Cm, C0, Cp = (C[0] for C in op.blocks)
+    N = op.mesh.N
+    w = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)[:, None, None]
+    d = np.sqrt(op._inv_mass[0])
+    lam, V = np.linalg.eigh(d[:, None] * (C0 + w * Cp + w.conj() * Cm) * d)
+    mirror = N - np.arange(N // 2 + 1, N)
+    return (np.concatenate([lam, lam[mirror]]),
+            np.concatenate([V, V[mirror].conj()]))
 
 
 class _EigenMarch:
@@ -190,33 +216,87 @@ class _EigenMarch:
     At frequency l the symbol of apply() is i D^2 K_l with
     K_l = C0 + w Cp + conj(w) Cm, w = exp(2 pi i l / N) and
     D = diag(sqrt((2m+1)/h)).  C0 is symmetric and Cm = Cp^T, so
-    D K_l D = V diag(lam) V^H is Hermitian, and each RK4 step multiplies
-    the eigen-coordinates z = V^H D^-1 chat_l by R4(i dt lam).  V is
-    unitary and ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval
-    ||u||^2 = sum |z|^2 / N.  The multiplier of the last (n, step) is
-    kept: the checkpoint chunks of a run repeat one (n, dt)."""
+    D K_l D = V diag(lam) V^H is Hermitian (_symbol_eigh), and n RK4
+    steps multiply the eigen-coordinates z = V^H D^-1 chat_l by
+    R4(i dt lam)^n, one _rk4_power call.  V is unitary and
+    ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval ||u||^2 = sum |z|^2 / N."""
 
-    def __init__(self, op: DGOperator, coeffs: np.ndarray):
-        Cm, C0, Cp = (C[0] for C in op.blocks)
-        N = op.mesh.N
-        w = np.exp(2j * np.pi * np.arange(N) / N)[:, None, None]
+    def __init__(self, op: DGOperator, coeffs: np.ndarray,
+                 lam: np.ndarray, V: np.ndarray):
+        self.lam, self.V = lam, V
         self.d = np.sqrt(op._inv_mass[0])
-        H = self.d[:, None] * (C0 + w * Cp + w.conj() * Cm) * self.d
-        self.lam, self.V = np.linalg.eigh(H)
         chat = np.fft.fft(coeffs, axis=0) / self.d
-        self.state = (chat[:, None, :] @ self.V.conj())[:, 0, :]
-        self.weight = 1.0 / N
-        self.key, self.multiplier = None, None
+        self.state = (chat[:, None, :] @ V.conj())[:, 0, :]
+        self.weight = 1.0 / op.mesh.N
 
     def advance(self, n: int, step: float):
-        if self.key != (n, step):
-            self.key = (n, step)
-            self.multiplier = _rk4_power(step * self.lam, n)
-        self.state *= self.multiplier
+        self.state *= _rk4_power(step * self.lam, n)
 
     def coeffs(self) -> np.ndarray:
         chat = (self.V @ self.state[:, :, None])[:, :, 0] * self.d
         return np.fft.ifft(chat, axis=0)
+
+
+def _symmetric_bands(op: DGOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The real symmetric form S = D A D of the operator, apply = i D^2 A
+    with D = diag(sqrt((2m+1)/h_j)), as its diagonal blocks
+    S_jj = D_j C0_j D_j and upper blocks S_{j,j+1} = D_j Cp_j D_{j+1}
+    (periodic in j); the lower blocks are their transposes, since
+    Cm[j+1] = Cp[j]^T."""
+    _, C0, Cp = op.blocks
+    d = np.sqrt(op._inv_mass)
+    return (d[:, :, None] * C0 * d[:, None, :],
+            d[:, :, None] * Cp * np.roll(d, -1, axis=0)[:, None, :])
+
+
+def _count_outside(bands: tuple[np.ndarray, np.ndarray], sigma: float) -> int:
+    """The number of eigenvalues of S outside [-sigma, sigma].
+
+    By Sylvester's law it is the negative inertia of T = sigma I - S plus
+    that of T = sigma I + S; both are counted at once, stacked, by
+    odd-even block cyclic reduction of the periodic block-tridiagonal T.
+    Each level takes out the odd cells, which no two neighbour: their blocks
+    D_e add their own inertia, and the Schur complement on the even cells
+    (Haynsworth) is again periodic block-tridiagonal, with half as many
+    cells.  On an odd count of cells the last even cell keeps its direct
+    coupling to cell 0.  A single cell coupled to itself by E is
+    D + E + E^T.  When the verdict is stable both T are positive
+    definite, and so is every pivot block."""
+    S0, Sp = bands
+    sign = np.array([-1.0, 1.0])[:, None, None, None]
+    D = sigma * np.eye(S0.shape[-1]) + sign * S0   # (2, M, b, b) diagonal
+    E = sign * Sp                                  # block (j, j+1)
+    count = 0
+    while D.shape[1] > 1:
+        M, n_odd = D.shape[1], D.shape[1] // 2
+        left, right = E[:, 0:2 * n_odd:2], E[:, 1::2]   # (e-1, e), (e, e+1)
+        count += np.count_nonzero(np.linalg.eigvalsh(D[:, 1::2]) < 0)
+        inv = np.linalg.inv(D[:, 1::2])
+        X = left @ inv
+        Y = right.swapaxes(-1, -2) @ inv
+        D, E = D[:, 0::2].copy(), E[:, 0::2].copy()
+        D[:, :n_odd] -= X @ left.swapaxes(-1, -2)
+        D[:, (np.arange(n_odd) + 1) % (M - n_odd)] -= Y @ right
+        E[:, :n_odd] = -X @ right
+    last = D[:, 0] + E[:, 0] + E[:, 0].swapaxes(-1, -2)
+    return count + np.count_nonzero(np.linalg.eigvalsh(last) < 0)
+
+
+def _spectral_radius(bands: tuple[np.ndarray, np.ndarray],
+                     lo: float) -> float:
+    """rho(S), for rho(S) > lo >= 0, by bisecting _count_outside between
+    lo and the Gershgorin bound to relative width RHO_BISECT_TOL.  The
+    upper end is returned, so c * 2 sqrt(2) / (dt rho) is a stable c."""
+    S0, Sp = bands
+    hi = float(np.max(np.abs(S0).sum(-1) + np.abs(Sp).sum(-1)
+                      + np.abs(np.roll(Sp, 1, axis=0)).sum(-2)))
+    while hi - lo > RHO_BISECT_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if _count_outside(bands, mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 STEPS_PER_PRODUCT = 2   # RK4 steps per banded product: the update squared
@@ -250,13 +330,13 @@ class _BandMarch:
     """Any mesh: two RK4 steps per banded matrix-vector product.
 
     The two-step update, the square of rk4_sparse_update, is built by
-    _two_step_rows once per step size, so each product is one batched
+    _two_step_rows once per advance, so each product is one batched
     matmul of (4(k+1), 20(k+1)) row blocks.  The coefficients live in a
     buffer padded by eight cells of periodic wrap before cell 0 and past
     the last row block, so the twenty-cell window of every row block is
-    a strided view of it.  A chunk of n steps is n // 2 products and,
-    for odd n, one literal rk4_step; the truncated final step is such a
-    chunk, so no update is built for it.  By Parseval
+    a strided view of it.  An advance of n steps is n // 2 products and,
+    for odd n, one literal rk4_step; the truncated final step is such an
+    advance, so no update is built for it.  By Parseval
     ||u||^2 = sum |c_{j,m}|^2 h_j / (2m+1)."""
 
     def __init__(self, op: DGOperator, coeffs: np.ndarray):
@@ -271,17 +351,15 @@ class _BandMarch:
         self.rows = self.out.reshape(n_rows, kp1)
         self.state = self.buf[REACH:REACH + N]
         self.weight = 1.0 / op._inv_mass
-        self.step, self.band = None, None
 
     def _load(self, coeffs: np.ndarray):
         np.take(coeffs, self.wrap, axis=0, out=self.buf, mode="wrap")
 
     def advance(self, n: int, step: float):
-        if n >= STEPS_PER_PRODUCT and self.step != step:
-            self.step = step
-            self.band = _two_step_rows(self.op.rk4_sparse_update(step))
+        if n >= STEPS_PER_PRODUCT:
+            band = _two_step_rows(self.op.rk4_sparse_update(step))
         for _ in range(n // STEPS_PER_PRODUCT):
-            np.matmul(self.band, self.window, out=self.out)
+            np.matmul(band, self.window, out=self.out)
             self._load(self.rows)
         for _ in range(n % STEPS_PER_PRODUCT):
             u = DGFunction(self.op.mesh, self.op.k, self.state)
@@ -291,18 +369,40 @@ class _BandMarch:
         return self.state.copy()
 
 
+def _certify(op: DGOperator, c: float, dt: float, lam) -> None:
+    """Raise InstabilityError if dt rho(S) > 2 sqrt(2).  rho is max|lam|
+    on a uniform mesh (lam from _symbol_eigh, None on any other mesh);
+    off a uniform mesh the inertia count decides, and only an unstable
+    run bisects rho for its report."""
+    sigma = RK4_LIMIT / dt
+    if lam is not None:
+        rho = float(np.abs(lam).max())
+    else:
+        bands = _symmetric_bands(op)
+        if not _count_outside(bands, sigma):
+            return
+        rho = _spectral_radius(bands, sigma)
+    if rho > sigma:
+        raise InstabilityError(dt, rho / sigma, c * sigma / rho)
+
+
 def integrate(op: DGOperator, u0: DGFunction,
               scheme: TimeScheme) -> IntegrationResult:
     """March u0 to t_end with RK4 at dt = c h^2.5 (truncated final step).
 
-    The mesh picks the propagator: eigen-space powers on uniform meshes,
-    two steps per banded product on any other.  Either keeps a state whose
-    weighted sum of squares is ||u||^2.  The L2 norm is sampled at
-    HISTORY_SAMPLES evenly spaced steps and after the truncated step;
-    a non-finite norm or growth beyond 10x the initial norm raises
-    InstabilityError reporting the dt used.  A dt that is not positive,
-    a step count that is not finite, or more than MAX_STEPS steps raise
-    ConfigurationError before any step.
+    Stability of the step dt is decided before any step (_certify).  On
+    a uniform mesh the margin dt rho(S) / (2 sqrt 2) comes exactly from
+    the symbol eigenvalues, which the eigen march then reuses; on any
+    other mesh an inertia count proves whether any eigenvalue of S lies
+    past 2 sqrt(2) / dt.  An unstable run raises InstabilityError with
+    its margin and the largest stable c, c / margin (dt is linear in c).
+    A run with t_end < dt takes no step of size dt and is not judged by
+    it.  A stable run is one advance of the n_full steps and one of the
+    truncated step, by eigen-space powers on uniform meshes and two steps
+    per banded product on any other.  As a backstop, a final L2 norm that
+    is not finite or beyond 10x the initial one raises InstabilityError
+    too.  A dt that is not positive, a step count that is not finite, or
+    more than MAX_STEPS steps raise ConfigurationError before any step.
     """
     dt = scheme.dt(op.mesh.h)
     n_full, rem = _step_counts(scheme.t_end, dt)
@@ -310,29 +410,22 @@ def integrate(op: DGOperator, u0: DGFunction,
         raise ConfigurationError(
             f"{n_full:.3e} RK4 steps of dt = {dt:.3e} exceed the "
             f"{MAX_STEPS:.0e} a march may take")
-    every = max(1, n_full // (HISTORY_SAMPLES - 1))
-    stops = [min(s, n_full) for s in range(every, n_full + every, every)]
-    # (steps, step size, time reached) between consecutive norm checks
-    plan = ([(s - p, dt, s * dt) for p, s in zip([0] + stops, stops)]
-            + [(1, rem, scheme.t_end)] * (rem > 0.0))
-    norm0 = l2_norm(u0)
-    history = [(0.0, norm0)]
-    if not plan:
-        return IntegrationResult(u=u0.copy(), dt=dt, n_steps=0,
-                                 norm_history=history)
-    march = (_EigenMarch if op.mesh.is_uniform
-             else _BandMarch)(op, u0.coeffs)
-    scale = max(norm0, 1e-300)
-    # divergent runs overflow between norm checkpoints; the checkpoints
-    # turn that into InstabilityError, so the transient warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, step, t in plan:
-            march.advance(n, step)
-            nrm = float(np.sqrt(np.sum(np.abs(march.state) ** 2
-                                       * march.weight)))
-            history.append((t, nrm))
-            if not np.isfinite(nrm) or nrm > BLOWUP_FACTOR * scale:
-                raise InstabilityError(dt, nrm / scale)
+    n_steps = n_full + (rem > 0.0)
+    if not n_steps:
+        return IntegrationResult(u=u0.copy(), dt=dt, n_steps=0)
+    lam, V = _symbol_eigh(op) if op.mesh.is_uniform else (None, None)
+    # the verdict is on the repeated step dt: a run shorter than one step
+    # takes only the truncated step, one bounded multiplication by R4
+    if n_full:
+        _certify(op, scheme.c, dt, lam)
+    march = (_EigenMarch(op, u0.coeffs, lam, V) if lam is not None
+             else _BandMarch(op, u0.coeffs))
+    march.advance(n_full, dt)
+    if rem > 0.0:
+        march.advance(1, rem)
+    scale = max(l2_norm(u0), 1e-300)
+    nrm = float(np.sqrt(np.sum(np.abs(march.state) ** 2 * march.weight)))
+    if not nrm <= BLOWUP_FACTOR * scale:
+        raise InstabilityError(dt, norm_ratio=nrm / scale)
     return IntegrationResult(u=DGFunction(op.mesh, op.k, march.coeffs()),
-                             dt=dt, n_steps=n_full + (rem > 0),
-                             norm_history=history)
+                             dt=dt, n_steps=n_steps)

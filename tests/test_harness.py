@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -116,12 +117,13 @@ class TestReports:
         assert (tmp_path / "r.csv").read_text() == text
 
     def test_orders_in_report(self):
-        cfg = smoke_config(Ns=(8, 16), metrics=("l2",))
+        # c = 0.04: at the default 0.05, N=8 is past the RK4 limit
+        cfg = smoke_config(Ns=(8, 16), metrics=("l2",), c=0.04)
         report = run_study(cfg)
         assert report.orders["l2"][0] == pytest.approx(3.0, abs=0.8)
 
     def test_single_n_no_orders(self):
-        report = run_study(smoke_config(Ns=(8,), metrics=("l2",)))
+        report = run_study(smoke_config(Ns=(8,), metrics=("l2",), c=0.04))
         assert report.orders == {}
         text = emit_report(report, fmt="csv", out=None)
         assert text.splitlines()[-1].endswith("-")
@@ -259,6 +261,24 @@ class TestCLI:
                     " B is singular") in out
         assert "\n8,-," not in out    # L2 is computed before E_P fails
 
+    def test_unstable_row_names_margin_and_stable_c(self, capsys):
+        # k=4, N=20 at c=0.0093 is past the RK4 limit by 3e-4: the row is
+        # annotated before any step, with the c to rerun at
+        argv = ["study", "--k", "4", "--N", "20", "--metrics", "l2"]
+        assert main(argv + ["--c", "0.0093"]) == 0
+        out = capsys.readouterr().out
+        assert "\n20,-,-\n" in out
+        note = re.search(r"# row N=20: error: time integration unstable: "
+                         r"stability margin dt\*rho/\(2\*sqrt\(2\)\) = "
+                         r"(\S+) > 1 at dt=\S+; largest stable c = (\S+)\n",
+                         out)
+        assert note and 1.0002 < float(note[1]) < 1.0004
+        assert 0.009 < float(note[2]) < 0.0093
+        for c in ("0.009", note[2]):
+            assert main(argv + ["--c", c]) == 0
+            out = capsys.readouterr().out
+            assert "\n20,2.1034" in out and "# row" not in out
+
     def test_negative_flux_both_forms(self, capsys):
         outs = []
         for flux in (["--flux", "-0.5,0,0"], ["--flux=-0.5,0,0"]):
@@ -378,10 +398,11 @@ class TestPointsSkipped:
             raise ResidualUndefinedError("leading residual undefined: test")
 
         monkeypatch.setattr(uwdg.projection, "leading_residual", undefined)
+        # c = 0.02 keeps N=8 inside the RK4 limit on this mesh (margin 0.78)
         rep = run_study(smoke_config(metrics=("l2", "eu", "eux", "euxx",
                                               "estar"),
                                      mesh_kind="perturbed", fraction=0.1,
-                                     flux=ALTERNATING))
+                                     flux=ALTERNATING, c=0.02))
         for row in rep.rows:
             assert row["eu"] == row["eux"] == row["euxx"] == "DNE"
             assert isinstance(row["l2"], float)

@@ -366,7 +366,7 @@ def _real_roots_in_reference(leg_coeffs: np.ndarray) -> np.ndarray:
         tab = legendre_table(deg, x)[0, 0, :]
         val = tab @ leg_coeffs
         der = tab @ dcoef
-        if der != 0.0:
+        if der != 0.0 and abs(val / der) <= ROOT_MERGE_TOL:
             x = x - val / der
         if abs(x) > 1.0 + ROOT_EDGE_TOL:
             continue
@@ -422,6 +422,22 @@ class TestBatchedRoots:
                 assert got.shape == want.shape
                 # a double root is found to ~sqrt(eps) only
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_double_root_found_once(self, k):
+        # roundoff splits the double root at 0.3 into a complex pair
+        # (k = 2, 4) or a real pair (k = 3) about 1e-8 apart; both are
+        # one root, and the Newton step, roundoff over roundoff there, is
+        # not taken on the complex pair
+        b, c = _double_root_bc(k, 0.3)
+        res = LeadingResidual(k=k, b=np.array([b]), c=np.array([c]))
+        _, roots = legendre_roots(res.legendre_coeffs(0)[:, :k + 2])
+        near = roots[np.abs(roots - 0.3) < 1e-3]
+        assert len(near) == 1
+        assert abs(near[0] - 0.3) < 1e-7
+        # the derivative has a simple root there
+        _, roots = legendre_roots(res.legendre_coeffs(1)[:, :k + 1])
+        assert np.sum(np.abs(roots - 0.3) < 1e-12) == 1
 
     def test_endpoint_roots_kept_exactly(self):
         # b + c = -1 puts a root at 1, b - c = 1 one at -1

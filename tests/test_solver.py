@@ -1,10 +1,11 @@
 import os
 import subprocess
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uwdg
@@ -14,9 +15,10 @@ from uwdg.errors import ConfigurationError, InstabilityError
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, interface_matrices,
                        scale_flux)
 from uwdg.projection import DGFunction, l2_norm, plane_wave, project_star
-from uwdg.solver import (HISTORY_SAMPLES, DGOperator, TimeScheme, _EigenMarch,
-                         _rk4_power, _step_counts, _two_step_rows, integrate,
-                         rk4_step)
+from uwdg.solver import (RK4_LIMIT, DGOperator, TimeScheme, _count_outside,
+                         _EigenMarch, _rk4_power, _spectral_radius,
+                         _step_counts, _symbol_eigh, _symmetric_bands,
+                         _two_step_rows, integrate, rk4_step)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
@@ -213,10 +215,11 @@ class _DiagonalOp:
 
 class TestRK4:
     def test_zero_field(self):
+        # c = 0.04: at 0.05 this mesh is past the RK4 limit (margin 1.10)
         mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
         op = DGOperator(mesh, CENTRAL, 2)
         u = DGFunction(mesh, 2)
-        out = integrate(op, u, TimeScheme(c=0.05, t_end=0.2))
+        out = integrate(op, u, TimeScheme(c=0.04, t_end=0.2))
         assert np.abs(out.u.coeffs).max() == 0.0
 
     def test_single_step_matches_taylor(self):
@@ -234,38 +237,43 @@ class TestRK4:
         op = DGOperator(mesh, CENTRAL, 2)
         f = plane_wave(1.0)
         u0 = uwdg.project_l2(f, 0.0, mesh, 2)
-        scheme = TimeScheme(c=0.05, t_end=0.1)
+        scheme = TimeScheme(c=0.04, t_end=0.1)    # margin 0.88
         res = integrate(op, u0, scheme)
         n_full = int(np.floor(scheme.t_end / res.dt + 1e-12))
         assert res.n_steps == n_full + 1       # truncated final step
-        assert res.norm_history[-1][0] == pytest.approx(0.1, abs=1e-14)
+        # the literal steps that land on t = 0.1, n_full * dt + rem
+        u = u0
+        for _ in range(n_full):
+            u = rk4_step(op, u, res.dt)
+        u = rk4_step(op, u, 0.1 - n_full * res.dt)
+        assert np.abs(res.u.coeffs - u.coeffs).max() < 1e-13
+        assert l2_norm(res.u) == pytest.approx(l2_norm(u), rel=1e-13)
 
-    @pytest.mark.parametrize("k, cfg, kind, t_end, chunk", [
-        (3, CENTRAL, "uniform", 0.043, 1),
-        (3, FluxConfig(0.25, 5, 0), "uniform", 0.043, 1),
-        (3, ALTERNATING, "perturbed", 0.02, 1),
-        (3, ALTERNATING, "perturbed", 0.187, 2),
-        (3, ALTERNATING, "perturbed", 0.28, 3),
+    @pytest.mark.parametrize("k, cfg, kind, t_end, n_full", [
+        (3, CENTRAL, "uniform", 0.043, 21),
+        (3, FluxConfig(0.25, 5, 0), "uniform", 0.043, 21),
+        (3, ALTERNATING, "perturbed", 0.02, 7),
+        (3, ALTERNATING, "perturbed", 0.187, 70),
+        (3, ALTERNATING, "perturbed", 0.28, 105),
     ], ids=["uniform-central", "uniform-A3", "perturbed-alternating",
-            "perturbed-even-chunks", "perturbed-odd-chunks"])
-    def test_matches_rk4_step_loop(self, k, cfg, kind, t_end, chunk):
-        # chunk: steps between norm checkpoints; the perturbed march takes
-        # them two per banded product, and an odd one as a literal step
+            "perturbed-even-steps", "perturbed-odd-steps"])
+    def test_matches_rk4_step_loop(self, k, cfg, kind, t_end, n_full):
+        # the perturbed march takes the n_full steps two per banded
+        # product, and an odd one left over as a literal step
         mesh = uwdg.make_mesh(0, 2 * np.pi, 12, kind, 0.1, 6)
         op = DGOperator(mesh, cfg, k)
         u0 = project_star(plane_wave(3.0), 0.0, mesh, k, cfg)
         scheme = TimeScheme(c=0.01, t_end=t_end)
         out = integrate(op, u0, scheme)
-        n_full = int(np.floor(t_end / out.dt + 1e-12))
+        assert _step_counts(t_end, out.dt)[0] == n_full
         rem = t_end - n_full * out.dt
         assert rem > 0.1 * out.dt and out.n_steps == n_full + 1
-        assert max(1, n_full // (HISTORY_SAMPLES - 1)) == chunk
         u = u0
         for _ in range(n_full):
             u = rk4_step(op, u, out.dt)
         u = rk4_step(op, u, rem)
         assert np.abs(out.u.coeffs - u.coeffs).max() < 1e-11
-        assert out.norm_history[-1][1] == pytest.approx(l2_norm(u), rel=1e-12)
+        assert l2_norm(out.u) == pytest.approx(l2_norm(u), rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(N=st.integers(4, 24), k=st.integers(2, 4),
@@ -273,7 +281,7 @@ class TestRK4:
            frac=st.floats(0.2, 0.8))
     def test_band_march_matches_rk4_step_loop(self, N, k, seed, n_full, frac):
         # c = 1e-3 keeps dt*rho(L) below ~1.2 here, inside the RK4 limit
-        # 2*sqrt(2); n_full >= 128 makes every chunk at least two products
+        # 2*sqrt(2); n_full >= 128 makes the march mostly banded products
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, seed)
         op = DGOperator(mesh, ALTERNATING, k)
         u0 = random_field(mesh, k, np.random.default_rng(seed))
@@ -288,8 +296,8 @@ class TestRK4:
         assert np.abs(out.u.coeffs - u.coeffs).max() < 1e-11
 
     def test_eigen_march_reuses_multiplier(self, monkeypatch):
-        # the ~33 checkpoint chunks share one (n, dt); only the last short
-        # chunk and the truncated step need a multiplier of their own
+        # a uniform run is two multipliers: R4(i dt lam)^n_full, one power,
+        # and R4(i rem lam) for the truncated step
         mesh = uwdg.make_mesh(0, 2 * np.pi, 20)
         op = DGOperator(mesh, CENTRAL, 3)
         u0 = project_star(plane_wave(3.0), 0.0, mesh, 3, CENTRAL)
@@ -302,18 +310,31 @@ class TestRK4:
 
         monkeypatch.setattr(solver, "_rk4_power", counted)
         out = integrate(op, u0, scheme)
-        assert 1 <= len(calls) <= 3
-        # uncached reference: a fresh multiplier for every chunk
         n_full, rem = _step_counts(scheme.t_end, out.dt)
-        every = max(1, n_full // (HISTORY_SAMPLES - 1))
-        chunks = ([(every, out.dt)] * (n_full // every)
-                  + [(n_full % every, out.dt)] * (n_full % every > 0)
-                  + [(1, rem)] * (rem > 0))
-        assert len(chunks) > 30 and len(set(chunks)) == 3
-        march = _EigenMarch(op, u0.coeffs)
-        for n, step in chunks:
-            march.state = march.state * _rk4_power(step * march.lam, n)
+        assert n_full > 100 and rem > 0 and calls == [n_full, 1]
+        lam, V = _symbol_eigh(op)
+        march = _EigenMarch(op, u0.coeffs, lam, V)
+        march.state = (march.state * _rk4_power(out.dt * lam, n_full)
+                       * _rk4_power(rem * lam, 1))
         assert np.array_equal(out.u.coeffs, march.coeffs())
+
+    @pytest.mark.parametrize("N", [4, 7, 8])
+    def test_half_spectrum_matches_every_symbol(self, N):
+        # eigh runs on l = 0..N/2; l > N/2 mirrors N - l by conjugation
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N)
+        op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 3)
+        lam, V = _symbol_eigh(op)
+        Cm, C0, Cp = (C[0] for C in op.blocks)
+        d = np.sqrt(op._inv_mass[0])
+        for l in range(N):
+            w = np.exp(2j * np.pi * l / N)
+            H = d[:, None] * (C0 + w * Cp + np.conj(w) * Cm) * d
+            np.testing.assert_allclose(lam[l], np.linalg.eigvalsh(H),
+                                       rtol=0, atol=1e-12 * np.abs(lam).max())
+            np.testing.assert_allclose(H @ V[l], V[l] * lam[l], rtol=0,
+                                       atol=1e-12 * np.abs(lam).max())
+            np.testing.assert_allclose(V[l].conj().T @ V[l], np.eye(4),
+                                       rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("N", [4, 9])
     def test_banded_update_is_dense_rk4_polynomial(self, N):
@@ -351,6 +372,41 @@ class TestRK4:
         np.testing.assert_allclose(got.reshape(kp1 * N, kp1 * N), expect,
                                    rtol=0, atol=1e-13 * np.abs(expect).max())
 
+    @pytest.mark.parametrize("k, N, c", [(2, 640, 0.05), (3, 160, 0.01)])
+    def test_single_power_no_farther_than_checkpoint_chunks(self, k, N, c):
+        # the k=2, N=640 and k=3, N=160 uniform rows: 2.1e6 and 3.3e5
+        # steps in one R4(i dt lam)^n.  Over every mode, its distance from
+        # extended precision is at most that of the product of the 33
+        # chunk powers the march used to take, each exp(n (log|R4| + i
+        # arg R4)) with the product n arg R4 rounded
+        mp = pytest.importorskip("mpmath")
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N)
+        op = DGOperator(mesh, CENTRAL, k)
+        dt = TimeScheme(c=c, t_end=1.0).dt(mesh.h)
+        n, _ = _step_counts(1.0, dt)
+        y = dt * _symbol_eigh(op)[0].ravel()
+
+        def old_power(m):
+            y2 = y * y
+            log_mod = 0.5 * np.log1p(y2 ** 3 * (y2 - 8.0) / 576.0)
+            phase = np.arctan2(y - y * y2 / 6.0,
+                               1.0 - y2 / 2.0 + y2 * y2 / 24.0)
+            return np.exp(m * (log_mod + 1j * phase))
+
+        every = n // 32                   # the old checkpoint spacing
+        chunk, chunked = old_power(every), np.ones(len(y), complex)
+        for _ in range(n // every):
+            chunked = chunked * chunk
+        chunked = chunked * old_power(n % every)
+        with mp.workdps(40):
+            ref = []
+            for yi in y:
+                z = mp.mpc(0, float(yi))
+                ref.append(complex(
+                    (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) ** n))
+        assert (np.linalg.norm(_rk4_power(y, n) - ref)
+                <= np.linalg.norm(chunked - ref))
+
     def test_rk4_power_matches_extended_precision(self):
         # the uniform-mesh march takes R4(i dt lam)^n in one go; at the
         # 2e6 steps of the k=2, N=640 row its error must stay at the
@@ -379,22 +435,148 @@ class TestRK4:
             mesh = uwdg.make_mesh(0, 2 * np.pi, 16, kind, 0.1, 2)
             op = DGOperator(mesh, CENTRAL, 2)
             u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
-            bad = TimeScheme(c=0.05 / mesh.h ** 2.5, t_end=3.0)   # dt = 0.05
+            c = 0.05 / mesh.h ** 2.5
+            bad = TimeScheme(c=c, t_end=3.0)   # dt = 0.05
             with pytest.raises(InstabilityError,
-                               match="non-finite|grew") as err:
+                               match=r"stability margin .* > 1") as err:
                 integrate(op, u0, bad)
             assert err.value.dt == pytest.approx(0.05)
+            assert err.value.margin > 1
+            assert err.value.c_stable * err.value.margin == pytest.approx(c)
 
     def test_overflow_between_checkpoints_detected(self):
         # this flux family exceeds the RK4 limit at k=2, N=80 with the
-        # default constant; the norm overflows to non-finite between
-        # checkpoints and must still be flagged
+        # default constant; the norm used to overflow to non-finite within
+        # the march, and the margin now flags the run before any step
         mesh = uwdg.make_mesh(0, 2 * np.pi, 80)
         cfg = FluxConfig(0.3, 0.4, 0.4)
         op = DGOperator(mesh, cfg, 2)
         u0 = project_star(plane_wave(3.0), 0.0, mesh, 2, cfg)
-        with pytest.raises(InstabilityError, match="non-finite|grew"):
+        with pytest.raises(InstabilityError,
+                           match=r"stability margin .* > 1") as err:
             integrate(op, u0, TimeScheme(c=0.05, t_end=0.05))
+        assert err.value.margin == pytest.approx(1.1467, abs=1e-4)
+
+
+class _MarchBuilt(Exception):
+    pass
+
+
+def _no_march(*args):
+    raise _MarchBuilt
+
+
+class TestStabilityCertificate:
+    """RK4 is stable iff dt rho(S) <= 2 sqrt(2); integrate decides it
+    before any march is built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 4), cfg=st.sampled_from(FLUX_FAMILIES),
+           kind=st.sampled_from(["uniform", "perturbed"]),
+           seed=st.integers(0, 10 ** 6), N=st.integers(4, 13),
+           target=st.floats(0.3, 3.0))
+    def test_verdict_matches_dense_spectrum(self, k, cfg, kind, seed, N,
+                                            target):
+        assume(abs(target - 1.0) > 1e-6)
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N, kind, 0.2, seed)
+        op = DGOperator(mesh, cfg, k)
+        rho = np.abs(np.linalg.eigvals(op.as_matrix())).max()
+        c = target * RK4_LIMIT / (rho * mesh.h ** 2.5)
+        scheme = TimeScheme(c=c, t_end=3.5 * TimeScheme(c, 1.0).dt(mesh.h))
+        u0 = random_field(mesh, k, np.random.default_rng(seed))
+        with patch.object(solver, "_EigenMarch", _no_march), \
+                patch.object(solver, "_BandMarch", _no_march):
+            if target < 1.0:
+                with pytest.raises(_MarchBuilt):
+                    integrate(op, u0, scheme)
+            else:
+                with pytest.raises(InstabilityError) as err:
+                    integrate(op, u0, scheme)
+                assert err.value.margin == pytest.approx(target, rel=1e-8)
+                assert err.value.c_stable == pytest.approx(c / target,
+                                                           rel=1e-8)
+        # the count at any shift, and rho bisected from it, on any mesh
+        bands = _symmetric_bands(op)
+        upper = _spectral_radius(bands, 0.0)
+        assert upper == pytest.approx(rho, rel=1e-8)
+        assert _count_outside(bands, upper) == 0     # a proven upper bound
+        lam = np.abs(np.linalg.eigvals(op.as_matrix()).imag)
+        for sigma in rho * np.array([0.3, 0.7, 0.99, 1.01]):
+            assert _count_outside(bands, sigma) == np.sum(lam > sigma)
+
+    @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+    def test_unstable_run_builds_no_march(self, kind, monkeypatch):
+        # k=4, N=20 at c=0.0093: margin 1.0003 on the uniform mesh, where
+        # 1943 steps grow the worst mode only 56x
+        monkeypatch.setattr(solver, "_BandMarch", _no_march)
+        monkeypatch.setattr(solver, "_EigenMarch", _no_march)
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 20, kind, 0.1, 3)
+        op = DGOperator(mesh, CENTRAL, 4)
+        u0 = uwdg.project_l2(plane_wave(1.0), 0.0, mesh, 4)
+        with pytest.raises(InstabilityError, match="stability margin") as err:
+            integrate(op, u0, TimeScheme(c=0.0093, t_end=1.0))
+        assert err.value.margin > 1
+        assert "largest stable c = " in str(err.value)
+
+    def test_uniform_margin_is_exact(self):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 20)
+        op = DGOperator(mesh, CENTRAL, 4)
+        u0 = project_star(plane_wave(1.0), 0.0, mesh, 4, CENTRAL)
+        with pytest.raises(InstabilityError) as err:
+            integrate(op, u0, TimeScheme(c=0.0093, t_end=1.0))
+        dt = 0.0093 * mesh.h ** 2.5
+        rho = np.abs(np.linalg.eigvals(op.as_matrix())).max()
+        assert err.value.margin == pytest.approx(dt * rho / RK4_LIMIT,
+                                                 rel=1e-12)
+        assert 1.0002 < err.value.margin < 1.0004
+        # the printed c, rounded down, is stable: it marches
+        printed = float(str(err.value).rsplit("= ", 1)[1])
+        assert printed <= err.value.c_stable
+        out = integrate(op, u0, TimeScheme(c=printed, t_end=1.0))
+        assert l2_norm(out.u) == pytest.approx(l2_norm(u0), rel=1e-6)
+
+    @pytest.mark.parametrize("c_stable, printed", [
+        (0.00929799, "0.009297"), (12.3456, "12.34"), (1.0, "1")])
+    def test_printed_c_rounds_down(self, c_stable, printed):
+        err = InstabilityError(1e-3, 1.5, c_stable)
+        assert str(err).endswith(f"largest stable c = {printed}")
+
+    @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+    def test_final_norm_backstop(self, kind, monkeypatch):
+        # with the certificate switched off, an unstable march still ends
+        # in InstabilityError, from the final norm
+        monkeypatch.setattr(solver, "_certify", lambda *args: None)
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 16, kind, 0.1, 2)
+        op = DGOperator(mesh, CENTRAL, 2)
+        u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
+        bad = TimeScheme(c=0.05 / mesh.h ** 2.5, t_end=0.5)   # dt = 0.05
+        with pytest.raises(InstabilityError, match="L2 norm grew by") as err:
+            integrate(op, u0, bad)
+        assert err.value.margin is None and err.value.norm_ratio > 10
+
+    def test_run_shorter_than_one_step_not_judged(self, monkeypatch):
+        # t_end < dt: only the truncated step is taken, one bounded
+        # multiplication, so the unstable dt is not judged
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 16, "perturbed", 0.1, 2)
+        op = DGOperator(mesh, CENTRAL, 2)
+        u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
+        bad = TimeScheme(c=0.05 / mesh.h ** 2.5, t_end=0.01)   # dt = 0.05
+        out = integrate(op, u0, bad)
+        assert out.n_steps == 1
+        np.testing.assert_allclose(out.u.coeffs,
+                                   rk4_step(op, u0, 0.01).coeffs,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("N", [4, 5, 6, 7, 9, 33])
+    def test_count_on_odd_and_even_levels(self, N):
+        # odd cell counts keep a direct coupling at each reduction level;
+        # N=4..7 reach one cell through two, three and four cells
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.2, N)
+        op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 3)
+        lam = np.abs(np.linalg.eigvals(op.as_matrix()).imag)
+        bands = _symmetric_bands(op)
+        for sigma in np.quantile(lam, [0.1, 0.5, 0.9, 0.999]):
+            assert _count_outside(bands, sigma) == np.sum(lam > sigma)
 
 
 class TestStepGuard:
