@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import basis
-from .flux import FluxConfig, interface_matrices, scale_flux
+from .flux import (AssumptionClass, FluxConfig, interface_matrices,
+                   scale_flux)
 from .projection import (AnalyticField, DGFunction, l2_norm, project_star,
                          special_points)
 
@@ -64,9 +65,11 @@ def broken_l2_error(u_h: DGFunction, f: AnalyticField, t: float, s: int = 0,
 
 
 def projection_error(u_h: DGFunction, f: AnalyticField, t: float,
-                     cfg: FluxConfig) -> float:
-    """|| u_h - Pstar u || at time t."""
-    ps = project_star(f, t, u_h.mesh, u_h.k, cfg)
+                     cfg: FluxConfig,
+                     cls: AssumptionClass | None = None) -> float:
+    """|| u_h - Pstar u || at time t; cls is the flux's classification on
+    u_h's mesh, found here when not given."""
+    ps = project_star(f, t, u_h.mesh, u_h.k, cfg, cls=cls)
     return l2_norm(u_h - ps)
 
 

@@ -12,6 +12,7 @@ periodic solve, and the DFT solver for the latter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,6 +40,14 @@ ROOT_IMAG_TOL = 64 * np.sqrt(np.finfo(float).eps)  # |imag| above: complex
 # roots nearer than this are one root; a longer Newton step is not taken,
 # since at a double root f/f' is roundoff over roundoff
 ROOT_MERGE_TOL = ROOT_IMAG_TOL
+# a double root near a third root (p'' small there) splits wider: up to
+# 300 sqrt(eps) over 20000 double roots at k = 2..6, |x0| < 0.999, with
+# the third root 7e-5 away.  Two roots nearer than ROOT_CLUSTER_TOL are
+# one double root when |p| at their mean is below ROOT_VALUE_TOL * sum|c_m|
+# (a bound of |p| on [-1, 1]): roundoff of the Legendre evaluation, where
+# two distinct roots g apart give |p''| g^2 / 8
+ROOT_CLUSTER_TOL = 1024 * np.sqrt(np.finfo(float).eps)
+ROOT_VALUE_TOL = 64 * np.finfo(float).eps
 ROOT_EDGE_TOL = 1e-12   # Newton may leave an endpoint root just outside
 # node x_j = a + j*h is rounded to within ~1 ulp of max|x|, so a uniform
 # mesh has |h_j - h_0| of a few ulps of max(|a|, |b|), whatever N is
@@ -211,8 +220,9 @@ def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClas
                 f"{abs(val - 1.0):.3e}")
 
 
-def symbol_conds(M: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers sigma1/sigma2 of a (N, 2, 2) stack.
+def symbol_conds(a, b, c, d) -> np.ndarray:
+    """2-norm condition numbers sigma1/sigma2 of the 2x2 blocks
+    [[a, b], [c, d]], one per entry of the four equal-shape arrays.
 
     sigma1^2 and sigma2^2 are the eigenvalues of M M^H = [[p, q], [q*, r]],
     so sigma1^2 = (F^2 + sqrt(F^4 - 4|det|^2)) / 2 with F^2 = p + r, the
@@ -223,8 +233,9 @@ def symbol_conds(M: np.ndarray) -> np.ndarray:
     inf or nan.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        M = M / np.abs(M).max(axis=(1, 2))[:, None, None]
-    a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+        top = np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                         np.maximum(np.abs(c), np.abs(d)))
+        a, b, c, d = a / top, b / top, c / top, d / top
     p = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
     r = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
     q = a * c.conj() + b * d.conj()
@@ -234,28 +245,52 @@ def symbol_conds(M: np.ndarray) -> np.ndarray:
         return sig1_sq / np.abs(a * d - b * c)
 
 
+@lru_cache(maxsize=1)
+def _symbol_inverse(a: tuple, b: tuple, N: int) -> np.ndarray:
+    """Inverses of the symbols A + omega^l B, l = 0..N-1, as a read-only
+    (2, 2, N) array of their entries; a and b are A.ravel(), B.ravel().
+
+    Closed form: the inverse of [[s00, s01], [s10, s11]] is
+    [[s11, -s01], [-s10, s00]] / (s00 s11 - s01 s10), with the four entry
+    vectors s = a + omega b that the conditioning check also reads.  (The
+    expansion det A + w (a00 b11 + a11 b00 - a01 b10 - a10 b01) + w^2 det B
+    cancels terms of size |A|^2 where the symbol is smaller than the
+    blocks, and then errs up to ~100x more.)  Both blocks are first scaled
+    by a power of two near their largest entry, which is exact and keeps
+    det from overflowing.  One entry is cached: a uniform mesh's interface
+    system is the same in every solve of a case.  A raise is not cached,
+    so a singular system raises on every call.
+    """
+    top = max(map(abs, a + b))
+    scale = 2.0 ** -np.frexp(top)[1] if np.isfinite(top) else 1.0
+    omega = np.exp(2j * np.pi * np.arange(N) / N)
+    s00, s01, s10, s11 = (scale * x + omega * (scale * y)
+                          for x, y in zip(a, b))
+    conds = symbol_conds(s00, s01, s10, s11)
+    bad = np.flatnonzero(~(conds <= SYMBOL_COND_MAX))
+    if bad.size:
+        l = int(bad[0])
+        raise SingularSymbolError(l, float(conds[l]))
+    inv = (np.array([[s11, -s01], [-s10, s00]])
+           * (scale / (s00 * s11 - s01 * s10)))
+    inv.setflags(write=False)
+    return inv
+
+
 def solve_block_circulant(A: np.ndarray, B: np.ndarray,
                           rhs: np.ndarray) -> np.ndarray:
     """Solve the periodic interface system with rows A x_j + B x_{j+1} = r_j.
 
     The coefficient matrix is block-circulant with first block row
     (A, B, 0, ..., 0); the DFT over the cell index block-diagonalizes it
-    into N independent 2x2 solves with symbol A + omega^l B,
-    omega = exp(2 pi i / N).  rhs has shape (N, 2); the solution has the
-    same shape.  A (near) singular symbol raises SingularSymbolError
-    naming the offending frequency.
+    into N independent 2x2 systems with symbol A + omega^l B,
+    omega = exp(2 pi i / N), whose inverses are taken in closed form
+    (_symbol_inverse).  rhs has shape (N, 2); the solution has the same
+    shape.  A (near) singular symbol raises SingularSymbolError naming the
+    offending frequency.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    N = rhs.shape[0]
-    omega = np.exp(2j * np.pi * np.arange(N) / N)
-    symbols = A[None, :, :] + omega[:, None, None] * B[None, :, :]
-
-    conds = symbol_conds(symbols)
-    bad = np.flatnonzero(~(conds <= SYMBOL_COND_MAX))
-    if bad.size:
-        l = int(bad[0])
-        raise SingularSymbolError(l, float(conds[l]))
-
-    rhat = np.fft.fft(rhs, axis=0)
-    xhat = np.linalg.solve(symbols, rhat[:, :, None])[:, :, 0]
-    return np.fft.ifft(xhat, axis=0)
+    inv = _symbol_inverse(tuple(np.ravel(A).tolist()),
+                          tuple(np.ravel(B).tolist()), rhs.shape[0])
+    rhat = np.fft.fft(rhs.T)
+    return np.fft.ifft(inv[:, 0] * rhat[0] + inv[:, 1] * rhat[1]).T

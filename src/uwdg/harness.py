@@ -113,7 +113,7 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
         if "l2" in want:
             row["l2"] = rms * broken_l2_error(u_h, f, t)
         if "ep" in want:
-            row["ep"] = rms * projection_error(u_h, f, t, cfg.flux)
+            row["ep"] = rms * projection_error(u_h, f, t, cfg.flux, cls)
         if want & {"ef", "efx"}:
             e_f, e_fx = flux_errors(u_h, f, t, cfg.flux)
             row["ef"], row["efx"] = e_f, e_fx

@@ -14,14 +14,16 @@ three derivative orders mark where the DG error superconverges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import basis
 from .errors import ProjectionUndefinedError, ResidualUndefinedError
-from .flux import (LOCAL_DET_TOL, RESIDUAL_DEN_TOL, ROOT_EDGE_TOL,
-                   ROOT_IMAG_TOL, ROOT_MERGE_TOL, AssumptionClass, FluxConfig,
+from .flux import (LOCAL_DET_TOL, RESIDUAL_DEN_TOL, ROOT_CLUSTER_TOL,
+                   ROOT_EDGE_TOL, ROOT_IMAG_TOL, ROOT_MERGE_TOL,
+                   ROOT_VALUE_TOL, AssumptionClass, FluxConfig,
                    ScaledFlux, classify_assumption, gamma_lambda,
                    interface_matrices, scale_flux, solve_block_circulant,
                    trace_maps)
@@ -205,12 +207,25 @@ def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
     return np.linalg.solve(AB, r[:, :, None])[:, :, 0]
 
 
+@lru_cache(maxsize=1)
+def _uniform_footprints(k: int,
+                        sf: ScaledFlux) -> tuple[np.ndarray, np.ndarray]:
+    """_footprints of one cell of the uniform width sf.h, each (2, k+1) and
+    read-only.  One entry is cached: the projections and corrections of a
+    case share (k, sf), so it serves every global solve of the case."""
+    GR, HL = _footprints(k, sf, sf.h)
+    GR, HL = GR[0], HL[0]
+    GR.setflags(write=False)
+    HL.setflags(write=False)
+    return GR, HL
+
+
 def _top_two_global(mesh: Mesh1D, k: int, sf: ScaledFlux,
                     low_coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Coupled interface rows A y_j + B y_{j+1} = data_j - footprints,
-    solved by the block-circulant DFT factorization (uniform mesh)."""
-    GR, HL = _footprints(k, sf, mesh.h)
-    GR, HL = GR[0], HL[0]
+    solved by the block-circulant DFT factorization (uniform mesh of
+    width sf.h)."""
+    GR, HL = _uniform_footprints(k, sf)
     # the known low modes reach interface j+1/2 from cell j (through G)
     # and from cell j+1 (through H)
     low = low_coeffs[:, : k - 1]
@@ -359,11 +374,15 @@ def legendre_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     coefficient in each row.
 
     The roots are the eigenvalues of the companion matrices of the
-    monomial form, one batched eigvals for the stack; each gets one Newton
-    step on the (stable) Legendre evaluation, unless the step is longer
-    than ROOT_MERGE_TOL: at a double root, split by roundoff into a pair
-    ~sqrt(eps) apart, f/f' is roundoff over roundoff.  Then, for all at once:
-    |imag| <= ROOT_IMAG_TOL, |xi| <= 1 + ROOT_EDGE_TOL (roots at cell
+    monomial form, one batched eigvals for the stack, sorted by real part.
+    Each gets one Newton step on the (stable) Legendre evaluation, unless
+    the step is longer than ROOT_MERGE_TOL: at a double root, split by
+    roundoff into a pair ~sqrt(eps) apart, f/f' is roundoff over roundoff.
+    Two neighbours less than ROOT_CLUSTER_TOL apart whose mean is a root to
+    roundoff (|p| <= ROOT_VALUE_TOL * sum|c_m|) are one double root at
+    that mean, whatever their imaginary parts; this catches a double root
+    next to a third root, which roundoff splits wider.  Then, for all at
+    once: |imag| <= ROOT_IMAG_TOL, |xi| <= 1 + ROOT_EDGE_TOL (roots at cell
     endpoints are genuine members of the sets), and within a row a root
     less than ROOT_MERGE_TOL above the last one kept is its duplicate.
     Each step is the arithmetic of numpy's polyroots on one row, so each
@@ -375,7 +394,7 @@ def legendre_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mat = np.zeros((G, n, n))
     mat[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     mat[:, :, -1] -= mono[:, :-1] / mono[:, -1:]
-    roots = np.linalg.eigvals(mat)
+    roots = np.sort(np.linalg.eigvals(mat), axis=1)
 
     x = roots.real
     tab = basis.legendre_table(n, x)[..., 0, None, :]    # (G, n, 1, n+1)
@@ -386,8 +405,18 @@ def legendre_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         step = val / der
     x = np.where(np.abs(step) <= ROOT_MERGE_TOL, x - step, x)
-    keep = ((np.abs(roots.imag) <= ROOT_IMAG_TOL)
-            & (np.abs(x) <= 1.0 + ROOT_EDGE_TOL))
+    keep = np.abs(roots.imag) <= ROOT_IMAG_TOL
+    pair = np.abs(np.diff(roots, axis=1)) <= ROOT_CLUSTER_TOL
+    if pair.any():
+        mean = 0.5 * (roots.real[:, :-1] + roots.real[:, 1:])
+        tab = basis.legendre_table(n, mean)[..., 0, None, :]
+        pval = (tab @ coeffs[:, None, :, None])[..., 0, 0]
+        pair &= (np.abs(pval) <= ROOT_VALUE_TOL
+                 * np.abs(coeffs).sum(axis=1, keepdims=True))
+        for side in (slice(None, -1), slice(1, None)):   # both of a pair
+            x[:, side] = np.where(pair, mean, x[:, side])
+            keep[:, side] |= pair
+    keep &= np.abs(x) <= 1.0 + ROOT_EDGE_TOL
     x = np.sort(np.where(keep, np.clip(x, -1.0, 1.0), np.inf), axis=1)
     keep = np.isfinite(x)
     last = x[:, 0]

@@ -7,9 +7,9 @@ import uwdg
 from uwdg.basis import legendre_table
 from uwdg.errors import SingularSymbolError
 from uwdg.flux import (ALTERNATING, CENTRAL, SYMBOL_COND_MAX, FluxConfig,
-                       classify_assumption, gamma_lambda, interface_matrices,
-                       scale_flux, solve_block_circulant, symbol_conds,
-                       trace_maps)
+                       _symbol_inverse, classify_assumption, gamma_lambda,
+                       interface_matrices, scale_flux, solve_block_circulant,
+                       symbol_conds, trace_maps)
 from uwdg.projection import _footprints
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -264,6 +264,54 @@ class TestBlockCirculant:
             solve_block_circulant(np.eye(2), -np.eye(2), rhs)
         assert err.value.frequency == 0
 
+    def test_singular_symbol_raises_on_every_call(self):
+        # the inverse of the last system is cached; a raise is not
+        rhs = np.ones((6, 2), dtype=complex)
+        for _ in range(3):
+            with pytest.raises(SingularSymbolError):
+                solve_block_circulant(np.eye(2), -np.eye(2), rhs)
+        x = solve_block_circulant(np.eye(2), np.zeros((2, 2)), rhs)
+        np.testing.assert_array_equal(x, rhs)
+        with pytest.raises(SingularSymbolError):
+            solve_block_circulant(np.eye(2), -np.eye(2), rhs)
+
+
+@st.composite
+def _real_block_pairs(draw):
+    """Random real A, B over scales 1e-100 .. 1e100, some with B drawn so
+    that the symbol at a real frequency (l = 0 or N/2) is a rank-one
+    matrix plus a drawn perturbation: cond from ~1 up past 1e8."""
+    N = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.normal(size=(2, 2))
+    B = rng.normal(size=(2, 2)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        w = draw(st.sampled_from([1.0, -1.0] if N % 2 == 0 else [1.0]))
+        S = (np.outer(rng.normal(size=2), rng.normal(size=2))
+             + draw(st.sampled_from([1e-2, 1e-5, 1e-7])) * rng.normal(
+                 size=(2, 2)))
+        B = (S - A) / w
+    scale = 10.0 ** draw(st.sampled_from([-100, -3, 0, 5, 100]))
+    return A * scale, B * scale, N, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_real_block_pairs())
+def test_closed_form_inverse_matches_lapack(case):
+    A, B, N, rng = case
+    symbols = A + np.exp(2j * np.pi * np.arange(N) / N)[:, None, None] * B
+    cond = np.linalg.cond(symbols)
+    assume(cond.max() <= 1e8)
+    rhat = rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2))
+    want = np.linalg.solve(symbols, rhat[:, :, None])[:, :, 0]
+    inv = _symbol_inverse(tuple(A.ravel()), tuple(B.ravel()), N)
+    got = (inv[:, 0] * rhat[:, 0] + inv[:, 1] * rhat[:, 1]).T
+    # both solves are backward stable, so they agree to a few eps * cond
+    # relative per frequency: 1e-12 up to cond ~ 280, 16 eps cond beyond
+    tol = np.maximum(1e-12, 16 * np.finfo(float).eps * cond)
+    err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+    np.testing.assert_array_less(err, tol)
+
 
 def _svd_conds(M):
     sv = np.linalg.svd(M, compute_uv=False)
@@ -300,7 +348,7 @@ def _symbol_stacks(draw):
 @given(M=_symbol_stacks())
 def test_closed_form_symbol_conds_match_svd(M):
     ref = _svd_conds(M)
-    got = symbol_conds(M)
+    got = symbol_conds(M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1])
     fine = np.isfinite(ref) & (ref < 1e15)
     # both are sigma_1 over a sigma_2 with an absolute error of a few ulps
     # of sigma_1, so they agree to a relative 1e-14 * cond

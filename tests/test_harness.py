@@ -95,6 +95,20 @@ class TestRunCase:
         row = run_case(cfg, 40)
         assert 0.5 <= row["ef"] / 2.02e-06 <= 2.0
 
+    @pytest.mark.parametrize("flux", [CENTRAL, FluxConfig(0.25, 5, 0)])
+    def test_case_classifies_its_flux_once(self, flux, monkeypatch):
+        # initial data, E_P and zeta reuse the case's class; only the
+        # harness classifies
+        calls = []
+        classify = uwdg.projection.classify_assumption
+        monkeypatch.setattr(uwdg.projection, "classify_assumption",
+                            lambda *a: calls.append(a) or classify(*a))
+        cfg = smoke_config(k=3, Ns=(8,), flux=flux, t_end=0.01,
+                           metrics=("l2", "ep", "zeta"))
+        row = run_case(cfg.validate(), 8)
+        assert row["status"] == "ok" and row["class"] in ("A2", "A3")
+        assert calls == []
+
     def test_dne_metric_in_row(self):
         cfg = smoke_config(flux=FluxConfig(0.3, 0.4, 0.4),
                            mesh_kind="perturbed", fraction=0.1, seed=2,
@@ -260,6 +274,18 @@ class TestCLI:
             assert (f"# row N={N}: error: block-circulant symbol A + omega^l"
                     " B is singular") in out
         assert "\n8,-," not in out    # L2 is computed before E_P fails
+
+    def test_singular_projection_annotates_on_every_run(self, capsys):
+        # a second run meets the same (k, flux, N) interface systems: the
+        # cached solve must raise again, not skip the check
+        argv = ["study", "--k", "2", "--N", "8", "--flux",
+                "0.5000000001,4.00000000120004,0", "--tend", "0",
+                "--init", "l2", "--metrics", "l2,ep"]
+        for _ in range(2):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert ("# row N=8: error: block-circulant symbol A + omega^l"
+                    " B is singular") in out
 
     def test_unstable_row_names_margin_and_stable_c(self, capsys):
         # k=4, N=20 at c=0.0093 is past the RK4 limit by 3e-4: the row is

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 import uwdg
 from uwdg.basis import (gauss_rule, legendre_derivative_matrix, legendre_eval,
                         legendre_table)
-from uwdg.errors import ProjectionUndefinedError, ResidualUndefinedError
-from uwdg.flux import (ALTERNATING, CENTRAL, ROOT_EDGE_TOL, ROOT_IMAG_TOL,
-                       ROOT_MERGE_TOL, FluxConfig, scale_flux, trace_maps)
+from uwdg.errors import (ProjectionUndefinedError, ResidualUndefinedError,
+                         SingularSymbolError)
+from uwdg.flux import (ALTERNATING, CENTRAL, ROOT_CLUSTER_TOL, ROOT_EDGE_TOL,
+                       ROOT_IMAG_TOL, ROOT_MERGE_TOL, ROOT_VALUE_TOL,
+                       FluxConfig, _symbol_inverse, scale_flux, trace_maps)
 from uwdg.projection import (AnalyticField, DGFunction, LeadingResidual,
-                             _footprints, _top_two_local, leading_residual,
+                             _footprints, _top_two_global, _top_two_local,
+                             _uniform_footprints, leading_residual,
                              legendre_roots, plane_wave, project_dagger,
                              project_l2, project_star, special_points)
 
@@ -171,6 +174,56 @@ class TestFluxMatchingProjection:
             correction += coef[:, m][:, None] * Mm[None, :]
         direct = ps.coeffs[:, k - 1:] - coef[:, k - 1: k + 1]
         np.testing.assert_allclose(direct, correction, atol=1e-10)
+
+
+class TestGlobalSolve:
+    SYSTEMS = [(2, CENTRAL, 16), (3, FluxConfig(0.25, 5, 0), 20),
+               (3, CENTRAL, 20)]
+
+    @staticmethod
+    def _inputs(k, cfg, N, seed):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N)
+        rng = np.random.default_rng(seed)
+        low = rng.normal(size=(N, k + 1)) + 1j * rng.normal(size=(N, k + 1))
+        data = rng.normal(size=(N, 2)) + 0j
+        return mesh, k, scale_flux(cfg, mesh.h), low, data
+
+    def _solve(self, k, cfg, N, seed):
+        return _top_two_global(*self._inputs(k, cfg, N, seed))
+
+    def test_interleaved_systems_match_fresh_calls(self):
+        # each system's memo entries are rebuilt whenever the other one
+        # ran last; every call must equal a call on empty caches
+        fresh = {}
+        for i, (k, cfg, N) in enumerate(self.SYSTEMS):
+            _uniform_footprints.cache_clear()
+            _symbol_inverse.cache_clear()
+            fresh[i] = self._solve(k, cfg, N, seed=i)
+            # the fluxes of the full coefficients match the data at every
+            # interface, by footprints built without the caches
+            mesh, k, sf, low, data = self._inputs(k, cfg, N, seed=i)
+            c = low.copy()
+            c[:, k - 1:] = fresh[i]
+            GR, HL = _footprints(k, sf, mesh.h_sizes)
+            flux = ((GR @ c[:, :, None])[:, :, 0]
+                    + np.roll((HL @ c[:, :, None])[:, :, 0], -1, axis=0))
+            np.testing.assert_allclose(flux, data, rtol=0, atol=1e-9)
+        for i in (0, 1, 1, 0, 2, 0, 2, 2, 1):
+            got = self._solve(*self.SYSTEMS[i], seed=i)
+            assert np.array_equal(got, fresh[i])
+
+    def test_singular_system_raises_on_every_call(self):
+        # Gamma + Lambda at roundoff: A + B is singular, so P* raises at
+        # l = 0, however often the same (k, flux, N) is projected
+        cfg = FluxConfig(0.5000000001, 4.00000000120004, 0)
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
+        for _ in range(3):
+            with pytest.raises(SingularSymbolError) as err:
+                project_star(plane_wave(), 0.0, mesh, 2, cfg)
+            assert err.value.frequency == 0
+        self._solve(2, CENTRAL, 8, seed=0)
+        with pytest.raises(SingularSymbolError):
+            project_star(plane_wave(), 0.0, mesh, 2, cfg)
 
 
 class TestLocalVariant:
@@ -347,27 +400,43 @@ class TestSpecialPoints:
 def _real_roots_in_reference(leg_coeffs: np.ndarray) -> np.ndarray:
     """One series at a time, as the library found roots before they were
     batched: companion-matrix roots of the monomial form, one Newton step
-    on the Legendre evaluation, then the |imag|, edge and merge filters."""
+    on the Legendre evaluation, neighbours whose mean is a root to
+    roundoff taken as one double root, then the |imag|, edge and merge
+    filters."""
     mono = np.polynomial.legendre.leg2poly(leg_coeffs)
     mono = np.trim_zeros(mono, "b")
     if len(mono) <= 1:
         return np.array([])
-    roots = np.polynomial.polynomial.polyroots(mono)
+    roots = np.sort(np.polynomial.polynomial.polyroots(mono))
 
     dmat = legendre_derivative_matrix(len(leg_coeffs) - 1)
     dcoef = dmat @ leg_coeffs
     deg = len(leg_coeffs) - 1
 
-    keep = []
+    def p(x):
+        return legendre_table(deg, x)[0, 0, :] @ leg_coeffs
+
+    xs = []
     for r in roots:
-        if abs(r.imag) > ROOT_IMAG_TOL:
-            continue
         x = float(r.real)
-        tab = legendre_table(deg, x)[0, 0, :]
-        val = tab @ leg_coeffs
-        der = tab @ dcoef
+        val = p(x)
+        der = legendre_table(deg, x)[0, 0, :] @ dcoef
         if der != 0.0 and abs(val / der) <= ROOT_MERGE_TOL:
             x = x - val / der
+        xs.append(x)
+    paired = [False] * len(roots)
+    for i in range(len(roots) - 1):
+        mean = 0.5 * (roots[i].real + roots[i + 1].real)
+        if (abs(roots[i + 1] - roots[i]) <= ROOT_CLUSTER_TOL
+                and abs(p(mean)) <= ROOT_VALUE_TOL
+                * np.abs(leg_coeffs).sum()):
+            xs[i] = xs[i + 1] = mean
+            paired[i] = paired[i + 1] = True
+
+    keep = []
+    for r, x, two in zip(roots, xs, paired):
+        if abs(r.imag) > ROOT_IMAG_TOL and not two:
+            continue
         if abs(x) > 1.0 + ROOT_EDGE_TOL:
             continue
         keep.append(min(1.0, max(-1.0, x)))
@@ -438,6 +507,34 @@ class TestBatchedRoots:
         # the derivative has a simple root there
         _, roots = legendre_roots(res.legendre_coeffs(1)[:, :k + 1])
         assert np.sum(np.abs(roots - 0.3) < 1e-12) == 1
+
+    @pytest.mark.parametrize("k, x0, third", [
+        # the double root's pair is complex, 2.2e-6 apart: it was dropped
+        (6, 0.46887024, -6.434e-5),
+        # the pair is real, 1.3e-6 apart after Newton: it was kept twice
+        (3, -0.44717813043340326, -1.064e-4),
+    ])
+    def test_double_root_next_to_third_root_found_once(self, k, x0, third):
+        # a third root within ~1e-4 makes p'' small at x0, so roundoff
+        # splits the double root wider than ROOT_MERGE_TOL
+        b, c = _double_root_bc(k, x0)
+        res = LeadingResidual(k=k, b=np.array([b]), c=np.array([c]))
+        _, roots = legendre_roots(res.legendre_coeffs(0)[:, :k + 2])
+        near = roots[np.abs(roots - x0) < 1e-5]
+        assert len(near) == 1
+        assert abs(near[0] - x0) < 1e-7
+        assert np.sum(np.abs(roots - (x0 + third)) < 1e-6) == 1
+        np.testing.assert_array_equal(
+            roots, _real_roots_in_reference(res.legendre_coeffs(0)[0]))
+
+    def test_distinct_close_roots_kept_apart(self):
+        # roots 0.3 and 0.3 + 1e-6 are distinct: |p| at their mean is
+        # |p''| 1e-12 / 8, far above roundoff, so both stay
+        x1, x2 = 0.3, 0.3 + 1e-6
+        leg = np.polynomial.legendre.poly2leg(
+            np.polynomial.polynomial.polyfromroots([x1, x2, -0.5]))
+        _, roots = legendre_roots(leg[None, :])
+        np.testing.assert_allclose(roots, [-0.5, x1, x2], rtol=0, atol=1e-10)
 
     def test_endpoint_roots_kept_exactly(self):
         # b + c = -1 puts a root at 1, b - c = 1 one at -1
