@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,10 @@ class Mesh1D:
     def centers(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
-    @property
+    @cached_property
     def is_uniform(self) -> bool:
+        """Every width equal to h_sizes[0] to node roundoff; decided once
+        per mesh (the fields are frozen and the arrays read-only)."""
         return bool(np.max(np.abs(self.h_sizes - self.h_sizes[0]))
                     <= UNIFORM_TOL * max(abs(self.a), abs(self.b)))
 

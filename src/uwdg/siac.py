@@ -177,15 +177,15 @@ def _error_stencils(spec: KernelSpec, k: int, n_quad: int,
 
 
 def _apply(u_h: DGFunction, cells: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """sum_off c_{j+off} . W[..., off + R, :] for each cell j, which on all
-    cells is sum_off roll(coeffs, -off) @ W[off]; the result has shape
+    """sum_off c_{j+off} . W[..., off + R, :] for each cell j, as one
+    product of the gathered (2R+1)-cell windows, laid end to end, with
+    the flattened stencils; the result has shape
     len(cells) + W.shape[:-2]."""
     reach = W.shape[-2] // 2
-    out = 0.0
-    for i in range(W.shape[-2]):
-        near = u_h.coeffs[(cells + i - reach) % u_h.mesh.N]
-        out = out + near @ W[..., i, :].T
-    return out
+    near = u_h.coeffs[(cells[:, None] + np.arange(-reach, reach + 1))
+                      % u_h.mesh.N]
+    return (near.reshape(len(cells), -1)
+            @ W.reshape(W.shape[:-2] + (-1,)).T)
 
 
 def _require_uniform(u_h: DGFunction):

@@ -8,7 +8,7 @@ time independent, assembled once per (mesh, flux, degree) and reused
 across all RK4 stages.
 
 Time marching is classical RK4 with the step rule dt = c h^{2.5}
-(c = 0.05 for k = 2, 0.01 for k = 3, 4 by default), final step truncated
+(c by default from DEFAULT_DT_CONSTANTS), final step truncated
 to land exactly on the end time.  A step is the linear map R4(dt L),
 R4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  L = i D^2 A is similar to
 i S with S = D A D real symmetric, and |R4(iy)| <= 1 iff
@@ -38,7 +38,11 @@ from .flux import (RHO_BISECT_TOL, STEP_ROUND_TOL, FluxConfig,
 from .mesh import Mesh1D
 from .projection import DGFunction, l2_norm
 
-DEFAULT_DT_CONSTANTS = {2: 0.05, 3: 0.01, 4: 0.01}
+# k = 4..6: 0.9 times the largest stable c on the uniform N=10 mesh of
+# [0, 2 pi] under the central and the alternating flux, whichever is
+# smaller (0.005763, 0.002758, 0.001486, all alternating), rounded down;
+# the largest stable c grows about as h^-1/2, so finer meshes keep a margin
+DEFAULT_DT_CONSTANTS = {2: 0.05, 3: 0.01, 4: 0.0051, 5: 0.0024, 6: 0.0013}
 BLOWUP_FACTOR = 10.0    # final-norm growth that the backstop reports
 RK4_LIMIT = 2.0 * np.sqrt(2.0)   # |R4(iy)| <= 1 iff |y| <= RK4_LIMIT
 # a longer march is a mistyped t_end or c, not a study: 1e8 band steps
@@ -50,7 +54,7 @@ MAX_STEPS = 10 ** 8
 
 
 def default_dt_constant(k: int) -> float:
-    return DEFAULT_DT_CONSTANTS.get(k, 0.01)
+    return DEFAULT_DT_CONSTANTS[k]
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,11 @@ class DGOperator:
     each endpoint, paired with the test function as + uxt v - uhat v_x
     at the right endpoint and - (uxt v - uhat v_x) at the left.
     apply(c) is the time derivative i * (2m+1)/h_j * weak_action.
+
+    A uniform mesh makes the operator block-circulant: blocks and
+    _inv_mass then keep row 0 alone, of shapes (1, k+1, k+1) and
+    (1, k+1), built from cells N-1, 0 and 1, and every product
+    broadcasts it over the N cells.
     """
 
     def __init__(self, mesh: Mesh1D, cfg: FluxConfig, k: int):
@@ -88,7 +97,9 @@ class DGOperator:
         self.cfg = cfg
         self.k = k
         gh = interface_matrices(scale_flux(cfg, mesh.h))
-        hj = mesh.h_sizes
+        uniform = mesh.is_uniform
+        hj = mesh.h_sizes[[-1, 0, 1]] if uniform else mesh.h_sizes
+        rows = slice(1, 2) if uniform else slice(None)
         R, L = trace_maps(k, hj)
         # test-side pairings of (uhat, uxt): R^T J at the right endpoint,
         # -L^T J at the left, with J = [[0, 1], [-1, 0]]
@@ -100,8 +111,13 @@ class DGOperator:
               + pair_r @ gh.G @ R + pair_l @ gh.H @ L)
         Cp = pair_r @ gh.H @ np.roll(L, -1, axis=0)
         Cm = pair_l @ gh.G @ np.roll(R, 1, axis=0)
-        self.blocks = (Cm, C0, Cp)
-        self._inv_mass = (2 * np.arange(k + 1) + 1) / hj[:, None]
+        self.blocks = (Cm[rows], C0[rows], Cp[rows])
+        self._inv_mass = ((2 * np.arange(k + 1) + 1) / hj[:, None])[rows]
+
+    def _cells(self, a: np.ndarray) -> np.ndarray:
+        """A per-cell array with one row for each of the N cells: on a
+        uniform mesh a read-only broadcast of row 0."""
+        return np.broadcast_to(a, (self.mesh.N,) + a.shape[1:])
 
     def weak_action(self, coeffs: np.ndarray) -> np.ndarray:
         Cm, C0, Cp = self.blocks
@@ -116,7 +132,7 @@ class DGOperator:
         """The blocks of apply(), each of shape (N, k+1, k+1):
         apply(c)_j = C_m[j] c_{j-1} + C_0[j] c_j + C_p[j] c_{j+1}."""
         scale = 1j * self._inv_mass[:, :, None]
-        return tuple(scale * C for C in self.blocks)
+        return tuple(self._cells(scale * C) for C in self.blocks)
 
     def as_matrix(self) -> np.ndarray:
         """Dense matrix of apply() on flattened coefficients (tests only)."""
@@ -219,18 +235,22 @@ class _EigenMarch:
     D K_l D = V diag(lam) V^H is Hermitian (_symbol_eigh), and n RK4
     steps multiply the eigen-coordinates z = V^H D^-1 chat_l by
     R4(i dt lam)^n, one _rk4_power call.  V is unitary and
-    ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval ||u||^2 = sum |z|^2 / N."""
+    ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval ||u||^2 = sum |z|^2 / N.
+    lam of l > N/2 is that of N - l, so the power is taken on
+    l = 0..N/2 and read back at min(l, N - l)."""
 
     def __init__(self, op: DGOperator, coeffs: np.ndarray,
                  lam: np.ndarray, V: np.ndarray):
-        self.lam, self.V = lam, V
+        N = op.mesh.N
+        self.lam_half, self.V = lam[:N // 2 + 1], V
+        self.fold = np.minimum(np.arange(N), N - np.arange(N))
         self.d = np.sqrt(op._inv_mass[0])
         chat = np.fft.fft(coeffs, axis=0) / self.d
         self.state = (chat[:, None, :] @ V.conj())[:, 0, :]
-        self.weight = 1.0 / op.mesh.N
+        self.weight = 1.0 / N
 
     def advance(self, n: int, step: float):
-        self.state *= _rk4_power(step * self.lam, n)
+        self.state *= _rk4_power(step * self.lam_half, n)[self.fold]
 
     def coeffs(self) -> np.ndarray:
         chat = (self.V @ self.state[:, :, None])[:, :, 0] * self.d
@@ -243,8 +263,8 @@ def _symmetric_bands(op: DGOperator) -> tuple[np.ndarray, np.ndarray]:
     S_jj = D_j C0_j D_j and upper blocks S_{j,j+1} = D_j Cp_j D_{j+1}
     (periodic in j); the lower blocks are their transposes, since
     Cm[j+1] = Cp[j]^T."""
-    _, C0, Cp = op.blocks
-    d = np.sqrt(op._inv_mass)
+    _, C0, Cp = map(op._cells, op.blocks)
+    d = np.sqrt(op._cells(op._inv_mass))
     return (d[:, :, None] * C0 * d[:, None, :],
             d[:, :, None] * Cp * np.roll(d, -1, axis=0)[:, None, :])
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +55,13 @@ class TestConfig:
         assert StudyConfig(k=2).dt_constant() == 0.05
         assert StudyConfig(k=3).dt_constant() == 0.01
         assert StudyConfig(k=3, c=0.2).dt_constant() == 0.2
+        # k = 4..6 at their defaults: every row of the default N list is
+        # stable under the central and the alternating flux
+        for k in (4, 5, 6):
+            for flux in (CENTRAL, ALTERNATING):
+                report = run_study(StudyConfig(k=k, flux=flux,
+                                               metrics=("l2",)))
+                assert [r["status"] for r in report.rows] == ["ok"] * 3
 
 
 class TestRunCase:
@@ -176,7 +186,29 @@ class TestReports:
         assert "DNE" in text
 
 
+def _python_m(*args):
+    src = os.path.dirname(os.path.dirname(uwdg.__file__))
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True)
+
+
 class TestCLI:
+    def test_module_entry_points(self):
+        # python -m uwdg.harness runs the module once, so it warns about
+        # nothing; python -m uwdg prints what the console script prints
+        # (uwdg = uwdg.harness:main, called as below)
+        for argv in (["kernel", "--k", "2"],
+                     ["points", "--k", "3", "--flux", "0,0,0"]):
+            run = _python_m("-m", "uwdg.harness", *argv)
+            assert run.stdout and run.stderr == ""
+        script = _python_m("-c", "import sys; from uwdg.harness import main;"
+                           " sys.argv[0] = 'uwdg'; sys.exit(main())",
+                           "kernel", "--k", "2")
+        package = _python_m("-m", "uwdg", "kernel", "--k", "2")
+        assert package.stdout == script.stdout != ""
+        assert package.stderr == script.stderr == ""
+
     def test_points_central_k3(self, capsys):
         assert main(["points", "--k", "3", "--flux", "0,0,0"]) == 0
         out = capsys.readouterr().out

@@ -98,21 +98,29 @@ class TestTimeDerivative:
         assert np.abs(lhs - rhs).max() < 1e-13 * np.abs(lhs).max()
 
     def test_matrix_free_equals_assembled(self):
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 6, "perturbed", 0.1, 4)
-        op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 3)
-        M = op.as_matrix()
-        rng = np.random.default_rng(7)
-        u = random_field(mesh, 3, rng)
-        mf = op.apply(u.coeffs).ravel()
-        mat = M @ u.coeffs.ravel()
-        assert np.abs(mf - mat).max() <= 1e-13 * np.abs(mat).max()
+        # on a uniform mesh both broadcast the one row of blocks
+        for kind, rows in (("perturbed", 6), ("uniform", 1)):
+            mesh = uwdg.make_mesh(0, 2 * np.pi, 6, kind, 0.1, 4)
+            op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 3)
+            assert all(len(C) == rows for C in op.blocks)
+            M = op.as_matrix()
+            rng = np.random.default_rng(7)
+            u = random_field(mesh, 3, rng)
+            mf = op.apply(u.coeffs).ravel()
+            mat = M @ u.coeffs.ravel()
+            assert np.abs(mf - mat).max() <= 1e-13 * np.abs(mat).max()
 
     def test_weak_action_quadrature_oracle(self):
+        for kind in ("perturbed", "uniform"):
+            self._check_quadrature_oracle(
+                uwdg.make_mesh(0, 2 * np.pi, 7, kind, 0.1, 5))
+
+    def _check_quadrature_oracle(self, mesh):
         # weak_action[j, m] = int_{I_j} u d_x^2 L_{j,m} dx
         #   + (uxt v - uhat v_x)(x_{j+1/2}^-) - (uxt v - uhat v_x)(x_{j-1/2}^+)
-        # with [uhat, uxt] = G [u, u_x]^- + H [u, u_x]^+ at each interface
+        # with [uhat, uxt] = G [u, u_x]^- + H [u, u_x]^+ at each interface;
+        # the oracle takes every cell's own width, also on a uniform mesh
         k, cfg = 3, FluxConfig(0.3, 0.4, 0.4)
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 7, "perturbed", 0.1, 5)
         op = DGOperator(mesh, cfg, k)
         c = random_field(mesh, k, np.random.default_rng(12)).coeffs
         gh = interface_matrices(scale_flux(cfg, mesh.h))
