@@ -7,7 +7,8 @@ mass/stiffness matrices of the ultra-weak volume term, and central
 B-splines for the post-processing kernel.
 
 All operations here are pure functions of their inputs; returned arrays
-are freshly allocated and safe to share between threads.
+are freshly allocated, or read-only where a function caches its tables,
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -122,6 +123,16 @@ def gauss_rule(n: int) -> QuadratureRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights)
+
+
+@lru_cache(maxsize=32)
+def weighted_legendre_table(k: int, n: int) -> np.ndarray:
+    """Read-only (n, k+1) table of L_m at the nodes of the n-point Gauss
+    rule times the node's weight: the quadrature of project_l2."""
+    rule = gauss_rule(n)
+    wtab = legendre_table(k, rule.nodes)[:, 0, :] * rule.weights[:, None]
+    wtab.setflags(write=False)
+    return wtab
 
 
 def default_quad_points(k: int) -> int:

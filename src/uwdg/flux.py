@@ -136,10 +136,13 @@ def trace_maps(k: int, h_sizes) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.arange(k + 1)
     h = np.atleast_1d(np.asarray(h_sizes, dtype=float))[:, None]
-    dval = m * (m + 1) / h
-    sgn = np.broadcast_to((-1.0) ** m, dval.shape)
-    R = np.stack([np.ones_like(dval), dval], axis=1)
-    L = np.stack([sgn, -sgn * dval], axis=1)
+    sgn = (-1.0) ** m
+    R = np.empty((len(h), 2, k + 1))
+    L = np.empty_like(R)
+    R[:, 0] = 1.0
+    np.divide(m * (m + 1), h, out=R[:, 1])
+    L[:, 0] = sgn
+    np.multiply(-sgn, R[:, 1], out=L[:, 1])
     return R, L
 
 

@@ -139,12 +139,10 @@ def project_l2(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
                n_quad: int | None = None) -> DGFunction:
     """Cellwise L2 projection onto degree <= k via over-integrated Gauss
     quadrature: coeffs[j, m] = (2m+1)/h_j * int_{I_j} f L_{j,m}."""
-    rule = basis.gauss_rule(n_quad or basis.default_quad_points(k))
-    pts = mesh.quad_points(rule.nodes)
-    fv = f.eval(pts, t, 0)
-    tab = basis.legendre_table(k, rule.nodes)[:, 0, :]      # (nq, k+1)
-    wtab = tab * rule.weights[:, None]
-    coeffs = (fv @ wtab) * ((2 * np.arange(k + 1) + 1) / 2.0)
+    n_quad = n_quad or basis.default_quad_points(k)
+    fv = f.eval(mesh.quad_points(basis.gauss_rule(n_quad).nodes), t, 0)
+    coeffs = ((fv @ basis.weighted_legendre_table(k, n_quad))
+              * ((2 * np.arange(k + 1) + 1) / 2.0))
     return DGFunction(mesh, k, coeffs)
 
 
@@ -208,16 +206,18 @@ def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
 
 
 @lru_cache(maxsize=1)
-def _uniform_footprints(k: int,
-                        sf: ScaledFlux) -> tuple[np.ndarray, np.ndarray]:
-    """_footprints of one cell of the uniform width sf.h, each (2, k+1) and
-    read-only.  One entry is cached: the projections and corrections of a
-    case share (k, sf), so it serves every global solve of the case."""
+def _uniform_footprints(k: int, sf: ScaledFlux) -> tuple[np.ndarray, ...]:
+    """_footprints of one cell of the uniform width sf.h, read-only: those
+    of the low modes as one (k-1, 4) matrix, columns G R then H L, and the
+    boundary blocks A and B.  One entry is cached: the projections and
+    corrections of a case share (k, sf), so it serves every global solve
+    of the case."""
     GR, HL = _footprints(k, sf, sf.h)
-    GR, HL = GR[0], HL[0]
-    GR.setflags(write=False)
-    HL.setflags(write=False)
-    return GR, HL
+    low = np.concatenate([GR[0, :, :k - 1], HL[0, :, :k - 1]]).T
+    A, B = GR[0, :, k - 1:], HL[0, :, k - 1:]
+    for a in (low, A, B):
+        a.setflags(write=False)
+    return low, A, B
 
 
 def _top_two_global(mesh: Mesh1D, k: int, sf: ScaledFlux,
@@ -225,13 +225,14 @@ def _top_two_global(mesh: Mesh1D, k: int, sf: ScaledFlux,
     """Coupled interface rows A y_j + B y_{j+1} = data_j - footprints,
     solved by the block-circulant DFT factorization (uniform mesh of
     width sf.h)."""
-    GR, HL = _uniform_footprints(k, sf)
+    low, A, B = _uniform_footprints(k, sf)
     # the known low modes reach interface j+1/2 from cell j (through G)
     # and from cell j+1 (through H)
-    low = low_coeffs[:, : k - 1]
-    rhs = data - low @ GR[:, : k - 1].T \
-        - np.roll(low, -1, axis=0) @ HL[:, : k - 1].T
-    return solve_block_circulant(GR[:, k - 1:], HL[:, k - 1:], rhs)
+    fp = low_coeffs[:, : k - 1] @ low
+    rhs = data - fp[:, :2]
+    rhs[:-1] -= fp[1:, 2:]
+    rhs[-1] -= fp[0, 2:]
+    return solve_block_circulant(A, B, rhs)
 
 
 def _top_two(cls: AssumptionClass, mesh: Mesh1D, k: int, sf: ScaledFlux,

@@ -182,8 +182,8 @@ def _apply(u_h: DGFunction, cells: np.ndarray, W: np.ndarray) -> np.ndarray:
     the flattened stencils; the result has shape
     len(cells) + W.shape[:-2]."""
     reach = W.shape[-2] // 2
-    near = u_h.coeffs[(cells[:, None] + np.arange(-reach, reach + 1))
-                      % u_h.mesh.N]
+    near = np.take(u_h.coeffs, cells[:, None] + np.arange(-reach, reach + 1),
+                   axis=0, mode="wrap")
     return (near.reshape(len(cells), -1)
             @ W.reshape(W.shape[:-2] + (-1,)).T)
 

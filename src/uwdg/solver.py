@@ -36,7 +36,7 @@ from .errors import ConfigurationError, InstabilityError
 from .flux import (RHO_BISECT_TOL, STEP_ROUND_TOL, FluxConfig,
                    interface_matrices, scale_flux, trace_maps)
 from .mesh import Mesh1D
-from .projection import DGFunction, l2_norm
+from .projection import DGFunction
 
 # k = 4..6: 0.9 times the largest stable c on the uniform N=10 mesh of
 # [0, 2 pi] under the central and the alternating flux, whichever is
@@ -97,22 +97,26 @@ class DGOperator:
         self.cfg = cfg
         self.k = k
         gh = interface_matrices(scale_flux(cfg, mesh.h))
-        uniform = mesh.is_uniform
-        hj = mesh.h_sizes[[-1, 0, 1]] if uniform else mesh.h_sizes
-        rows = slice(1, 2) if uniform else slice(None)
+        # the kept rows, and the rows of their left and right neighbours
+        if mesh.is_uniform:
+            hj = mesh.h_sizes[[-1, 0, 1]]
+            rows, prev, nxt = slice(1, 2), [0], [2]
+        else:
+            hj = mesh.h_sizes
+            rows, prev = slice(None), np.arange(-1, mesh.N - 1)
+            nxt = np.arange(1, mesh.N + 1) % mesh.N
         R, L = trace_maps(k, hj)
+        Rj, Lj, hj = R[rows], L[rows], hj[rows]
         # test-side pairings of (uhat, uxt): R^T J at the right endpoint,
         # -L^T J at the left, with J = [[0, 1], [-1, 0]]
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        pair_r = R.transpose(0, 2, 1) @ J
-        pair_l = -L.transpose(0, 2, 1) @ J
+        pair_r = Rj.transpose(0, 2, 1) @ J
+        pair_l = -Lj.transpose(0, 2, 1) @ J
         stiff2 = basis.reference_matrices(k).stiff2
         C0 = ((2.0 / hj)[:, None, None] * stiff2
-              + pair_r @ gh.G @ R + pair_l @ gh.H @ L)
-        Cp = pair_r @ gh.H @ np.roll(L, -1, axis=0)
-        Cm = pair_l @ gh.G @ np.roll(R, 1, axis=0)
-        self.blocks = (Cm[rows], C0[rows], Cp[rows])
-        self._inv_mass = ((2 * np.arange(k + 1) + 1) / hj[:, None])[rows]
+              + pair_r @ gh.G @ Rj + pair_l @ gh.H @ Lj)
+        self.blocks = (pair_l @ gh.G @ R[prev], C0, pair_r @ gh.H @ L[nxt])
+        self._inv_mass = (2 * np.arange(k + 1) + 1) / hj[:, None]
 
     def _cells(self, a: np.ndarray) -> np.ndarray:
         """A per-cell array with one row for each of the N cells: on a
@@ -196,13 +200,20 @@ def _step_counts(t_end: float, dt: float) -> tuple[int, float]:
 
 
 def _rk4_power(y: np.ndarray, n: int) -> np.ndarray:
-    """R4(iy)^n for real y.  The modulus comes from the exact identity
+    """R4(iy)^n for real y.  n = 1, the truncated final step of a march,
+    is the polynomial R4(iy) = 1 - y^2/2 + y^4/24 + i (y - y^3/6) itself.
+    For other n the modulus comes from the exact identity
     |R4(iy)|^2 = 1 + y^6 (y^2 - 8) / 576 through log1p, not from |.|
     of a number within roundoff of 1, so n ~ 1e6 does not amplify it.
     The phase n * arg R4 is taken without rounding the product: arg R4
     splits into a 26-bit head, whose product with n < 2^27 (MAX_STEPS
     is below it) is exact, and a tail."""
     y2 = y * y
+    if n == 1:
+        out = np.empty(y.shape, dtype=complex)
+        out.real = 1.0 - y2 / 2.0 + y2 * y2 / 24.0
+        out.imag = y - y * y2 / 6.0
+        return out
     log_mod = 0.5 * np.log1p(y2 ** 3 * (y2 - 8.0) / 576.0)
     phase = np.arctan2(y - y * y2 / 6.0, 1.0 - y2 / 2.0 + y2 * y2 / 24.0)
     split = 134217729.0 * phase          # (2^27 + 1) phase: Veltkamp
@@ -235,7 +246,8 @@ class _EigenMarch:
     D K_l D = V diag(lam) V^H is Hermitian (_symbol_eigh), and n RK4
     steps multiply the eigen-coordinates z = V^H D^-1 chat_l by
     R4(i dt lam)^n, one _rk4_power call.  V is unitary and
-    ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval ||u||^2 = sum |z|^2 / N.
+    ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval ||u||^2 = sum |z|^2 / N,
+    which norm() takes.
     lam of l > N/2 is that of N - l, so the power is taken on
     l = 0..N/2 and read back at min(l, N - l)."""
 
@@ -247,10 +259,13 @@ class _EigenMarch:
         self.d = np.sqrt(op._inv_mass[0])
         chat = np.fft.fft(coeffs, axis=0) / self.d
         self.state = (chat[:, None, :] @ V.conj())[:, 0, :]
-        self.weight = 1.0 / N
 
     def advance(self, n: int, step: float):
         self.state *= _rk4_power(step * self.lam_half, n)[self.fold]
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.vdot(self.state, self.state).real
+                             / len(self.state)))
 
     def coeffs(self) -> np.ndarray:
         chat = (self.V @ self.state[:, :, None])[:, :, 0] * self.d
@@ -356,7 +371,7 @@ class _BandMarch:
     the last row block, so the twenty-cell window of every row block is
     a strided view of it.  An advance of n steps is n // 2 products and,
     for odd n, one literal rk4_step; the truncated final step is such an
-    advance, so no update is built for it.  By Parseval
+    advance, so no update is built for it.  norm() takes, by Parseval,
     ||u||^2 = sum |c_{j,m}|^2 h_j / (2m+1)."""
 
     def __init__(self, op: DGOperator, coeffs: np.ndarray):
@@ -370,7 +385,6 @@ class _BandMarch:
         self.out = np.empty((n_rows // GROUP, GROUP * kp1, 1), dtype=complex)
         self.rows = self.out.reshape(n_rows, kp1)
         self.state = self.buf[REACH:REACH + N]
-        self.weight = 1.0 / op._inv_mass
 
     def _load(self, coeffs: np.ndarray):
         np.take(coeffs, self.wrap, axis=0, out=self.buf, mode="wrap")
@@ -387,6 +401,10 @@ class _BandMarch:
 
     def coeffs(self) -> np.ndarray:
         return self.state.copy()
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.sum(np.abs(self.state) ** 2
+                                    / self.op._inv_mass)))
 
 
 def _certify(op: DGOperator, c: float, dt: float, lam) -> None:
@@ -421,8 +439,9 @@ def integrate(op: DGOperator, u0: DGFunction,
     truncated step, by eigen-space powers on uniform meshes and two steps
     per banded product on any other.  As a backstop, a final L2 norm that
     is not finite or beyond 10x the initial one raises InstabilityError
-    too.  A dt that is not positive, a step count that is not finite, or
-    more than MAX_STEPS steps raise ConfigurationError before any step.
+    too; both are the norm() of the march state, by Parseval.  A dt that
+    is not positive, a step count that is not finite, or more than
+    MAX_STEPS steps raise ConfigurationError before any step.
     """
     dt = scheme.dt(op.mesh.h)
     n_full, rem = _step_counts(scheme.t_end, dt)
@@ -440,11 +459,11 @@ def integrate(op: DGOperator, u0: DGFunction,
         _certify(op, scheme.c, dt, lam)
     march = (_EigenMarch(op, u0.coeffs, lam, V) if lam is not None
              else _BandMarch(op, u0.coeffs))
+    scale = max(march.norm(), 1e-300)
     march.advance(n_full, dt)
     if rem > 0.0:
         march.advance(1, rem)
-    scale = max(l2_norm(u0), 1e-300)
-    nrm = float(np.sqrt(np.sum(np.abs(march.state) ** 2 * march.weight)))
+    nrm = march.norm()
     if not nrm <= BLOWUP_FACTOR * scale:
         raise InstabilityError(dt, norm_ratio=nrm / scale)
     return IntegrationResult(u=DGFunction(op.mesh, op.k, march.coeffs()),

@@ -75,6 +75,17 @@ class TestGaussRule:
             assert r.integrate(r.nodes ** p) == pytest.approx(exact, abs=1e-13)
 
 
+    def test_weighted_legendre_table(self):
+        # the quadrature table of project_l2 is cached and read-only
+        rule = basis.gauss_rule(10)
+        tab = basis.weighted_legendre_table(3, 10)
+        assert tab is basis.weighted_legendre_table(3, 10)
+        assert not tab.flags.writeable
+        np.testing.assert_array_equal(
+            tab, basis.legendre_table(3, rule.nodes)[:, 0, :]
+            * rule.weights[:, None])
+
+
 class TestAntiderivative:
     @pytest.mark.parametrize("m", range(1, 8))
     def test_first_order_identity(self, m):

@@ -78,6 +78,19 @@ class TestL2Projection:
         p = project_l2(dg_field(hi), 0.0, mesh, 3)
         np.testing.assert_allclose(p.coeffs, 0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("n_quad", [None, 7])
+    def test_scaling_after_table_product(self, n_quad):
+        # coeffs = (f at the nodes @ weighted table) * (2m+1)/2, bit for
+        # bit: folding the scaling into the table moves Table 7 rows
+        f = plane_wave(3.0)
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 16, "perturbed", 0.1, 3)
+        rule = gauss_rule(n_quad or 10)
+        fv = f.eval(mesh.quad_points(rule.nodes), 0.5, 0)
+        wtab = legendre_table(3, rule.nodes)[:, 0, :] * rule.weights[:, None]
+        np.testing.assert_array_equal(
+            project_l2(f, 0.5, mesh, 3, n_quad).coeffs,
+            (fv @ wtab) * ((2 * np.arange(4) + 1) / 2.0))
+
     def test_order_k_plus_one(self):
         f = plane_wave(3.0)
         errs = []

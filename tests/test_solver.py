@@ -15,8 +15,9 @@ from uwdg.errors import ConfigurationError, InstabilityError
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, interface_matrices,
                        scale_flux)
 from uwdg.projection import DGFunction, l2_norm, plane_wave, project_star
-from uwdg.solver import (RK4_LIMIT, DGOperator, TimeScheme, _count_outside,
-                         _EigenMarch, _rk4_power, _spectral_radius,
+from uwdg.solver import (RK4_LIMIT, DGOperator, TimeScheme, _BandMarch,
+                         _count_outside, _EigenMarch, _rk4_power,
+                         _spectral_radius,
                          _step_counts, _symbol_eigh, _symmetric_bands,
                          _two_step_rows, integrate, rk4_step)
 
@@ -429,6 +430,38 @@ class TestRK4:
                 z = mp.mpc(0, float(yi))
                 ref = (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) ** n
                 assert abs(gi - complex(ref)) <= 8 * eps * (1 + n * abs(yi))
+
+    def test_rk4_power_one_step_is_the_polynomial(self):
+        # the truncated final step of a march multiplies by R4(iy) itself;
+        # over the stable range |y| <= 2 sqrt(2) it is within a few ulps
+        # of the log/exp form the other powers take
+        y = np.linspace(-RK4_LIMIT, RK4_LIMIT, 4001)
+        got = _rk4_power(y, 1)
+        y2 = y * y
+        np.testing.assert_array_equal(got.real, 1.0 - y2 / 2.0 + y2 * y2 / 24.0)
+        np.testing.assert_array_equal(got.imag, y - y * y2 / 6.0)
+        log_mod = 0.5 * np.log1p(y2 ** 3 * (y2 - 8.0) / 576.0)
+        phase = np.arctan2(y - y * y2 / 6.0, 1.0 - y2 / 2.0 + y2 * y2 / 24.0)
+        assert (np.abs(got - np.exp(log_mod + 1j * phase)).max()
+                <= 4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+    def test_march_norm_is_parseval(self, kind):
+        # integrate's backstop compares the norm() of the march state
+        # before and after; each propagator's norm() is the L2 norm of
+        # its coefficients
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 12, kind, 0.1, 4)
+        op = DGOperator(mesh, ALTERNATING, 3)
+        u0 = random_field(mesh, 3, np.random.default_rng(5))
+        dt = TimeScheme(c=0.01, t_end=1.0).dt(mesh.h)
+        marches = [_BandMarch(op, u0.coeffs)]
+        if kind == "uniform":
+            marches.append(_EigenMarch(op, u0.coeffs, *_symbol_eigh(op)))
+        for march in marches:
+            assert march.norm() == pytest.approx(l2_norm(u0), rel=1e-14)
+            march.advance(7, dt)
+            u = DGFunction(mesh, 3, march.coeffs())
+            assert march.norm() == pytest.approx(l2_norm(u), rel=1e-14)
 
     def test_norm_drift_small(self):
         f = plane_wave(3.0)
