@@ -12,6 +12,8 @@ superconverge well beyond the plain error.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import basis
@@ -26,14 +28,17 @@ def max_correction_levels(k: int) -> int:
     return (k - 1) // 2
 
 
+@lru_cache(maxsize=8)
 def _d2_table(k: int) -> np.ndarray:
     """tab[m, n] = n-th Legendre coefficient of the double antiderivative
-    of L_m, for m <= k-2 (degree m+2 <= k, so it fits in k+1 slots)."""
+    of L_m, for m <= k-2 (degree m+2 <= k, so it fits in k+1 slots);
+    cached per k, read-only."""
     tab = np.zeros((max(k - 1, 0), k + 1))
     for m in range(k - 1):
         e = np.zeros(m + 1)
         e[m] = 1.0
         tab[m, : m + 3] = basis.antiderivative_map(2, e)
+    tab.setflags(write=False)
     return tab
 
 
@@ -87,11 +92,13 @@ def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
 
 def reference_interpolant(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
                           cfg: FluxConfig, q_max: int | None = None,
-                          cls: AssumptionClass | None = None) -> DGFunction:
-    """u_I = Pstar u - sum_q w_q (u_I = Pstar u when k = 2)."""
+                          cls: AssumptionClass | None = None,
+                          ps: DGFunction | None = None) -> DGFunction:
+    """u_I = Pstar u - sum_q w_q (u_I = Pstar u when k = 2); ps is
+    project_star(f, t) on this mesh, built here when not given."""
     if cls is None:
         cls = classify_assumption(cfg, mesh, k)
-    out = project_star(f, t, mesh, k, cfg, cls=cls)
+    out = ps if ps is not None else project_star(f, t, mesh, k, cfg, cls=cls)
     for wq in build_correction(f, t, mesh, k, cfg, q_max=q_max, cls=cls):
         out = out - wq
     return out
@@ -115,12 +122,14 @@ def interface_jumps(u: DGFunction) -> tuple[np.ndarray, np.ndarray]:
 
 def zeta_diagnostics(u_h: DGFunction, f: AnalyticField, t: float,
                      cfg: FluxConfig, q_max: int | None = None,
-                     cls: AssumptionClass | None = None) -> dict:
+                     cls: AssumptionClass | None = None,
+                     ps: DGFunction | None = None) -> dict:
     """Norms and interface jumps of zeta_h = u_I - u_h:
     returns {"zeta", "zeta_xx", "zeta_jump", "zeta_x_jump"} with the jump
-    metrics as RMS over interfaces (1/N normalization)."""
+    metrics as RMS over interfaces (1/N normalization).  ps is
+    project_star(f, t) on u_h's mesh, built here when not given."""
     u_i = reference_interpolant(f, t, u_h.mesh, u_h.k, cfg,
-                                q_max=q_max, cls=cls)
+                                q_max=q_max, cls=cls, ps=ps)
     zeta = u_i - u_h
     jump, djump = interface_jumps(zeta)
     n = u_h.mesh.N

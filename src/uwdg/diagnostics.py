@@ -36,7 +36,7 @@ def flux_errors(u_h: DGFunction, f: AnalyticField, t: float,
                 cfg: FluxConfig) -> tuple[float, float]:
     """RMS interface errors of the two numerical fluxes against (u, u_x)."""
     uhat, uxt = numerical_fluxes(u_h, cfg)
-    xs = u_h.mesh.nodes[1:]
+    xs = u_h.mesh.interfaces
     n = u_h.mesh.N
     e_f = np.sqrt(np.sum(np.abs(f.eval(xs, t, 0) - uhat) ** 2) / n)
     e_fx = np.sqrt(np.sum(np.abs(f.eval(xs, t, 1) - uxt) ** 2) / n)
@@ -65,11 +65,13 @@ def broken_l2_error(u_h: DGFunction, f: AnalyticField, t: float, s: int = 0,
 
 
 def projection_error(u_h: DGFunction, f: AnalyticField, t: float,
-                     cfg: FluxConfig,
-                     cls: AssumptionClass | None = None) -> float:
+                     cfg: FluxConfig, cls: AssumptionClass | None = None,
+                     ps: DGFunction | None = None) -> float:
     """|| u_h - Pstar u || at time t; cls is the flux's classification on
-    u_h's mesh, found here when not given."""
-    ps = project_star(f, t, u_h.mesh, u_h.k, cfg, cls=cls)
+    u_h's mesh and ps is project_star(f, t) there, each found here when
+    not given."""
+    if ps is None:
+        ps = project_star(f, t, u_h.mesh, u_h.k, cfg, cls=cls)
     return l2_norm(u_h - ps)
 
 
@@ -82,13 +84,15 @@ def point_errors(u_h: DGFunction, f: AnalyticField, t: float,
     endpoints when those are roots); an empty set yields the DNE
     sentinel for that metric.  The point sets depend on a cell only
     through h_j: a uniform mesh has one set for every cell, any other
-    mesh one per cell, all from one special_points call.  Positions and
-    chain-rule factors use each cell's own h_j.
+    mesh one per cell, all from one special_points call and one Legendre
+    table.  Positions and chain-rule factors use each cell's own h_j.
     """
     mesh, k = u_h.mesh, u_h.k
     sf = scale_flux(cfg, mesh.h)
     uniform = mesh.is_uniform
     pts = special_points(k, mesh.h if uniform else mesh.h_sizes, sf)
+    table = basis.legendre_table(k, np.concatenate(pts.sets()), ders=2)
+    starts = np.cumsum([0] + [xi.size for xi in pts.sets()])
     sums = np.zeros(3)
     counts = np.zeros(3, dtype=int)
     for s, (xi, owner) in enumerate(zip(pts.sets(), pts.owners)):
@@ -99,7 +103,7 @@ def point_errors(u_h: DGFunction, f: AnalyticField, t: float,
         j = np.arange(mesh.N)[:, None] if uniform else owner
         hj = mesh.h_sizes[j]
         x = mesh.centers[j] + 0.5 * hj * xi
-        tab = basis.legendre_table(k, xi, ders=s)[:, s, :]
+        tab = table[starts[s]:starts[s + 1], s, :]
         uh = (u_h.coeffs @ tab.T if uniform
               else np.sum(u_h.coeffs[j] * tab, axis=1))
         uh_vals = uh * (2.0 / hj) ** s

@@ -150,7 +150,7 @@ def gamma_lambda(sf: ScaledFlux, k: int, h_j):
     """Gamma_j and Lambda_j at the cell width h_j, a float or an array of
     widths (then one entry per width)."""
     s = sf.alpha1 ** 2 + sf.beta1 * sf.beta2
-    gamma = (sf.beta1 + sf.beta2 / h_j ** 2 * k ** 2 * (k ** 2 - 1)
+    gamma = (sf.beta1 + sf.beta2 / (h_j * h_j) * k ** 2 * (k ** 2 - 1)
              - 2 * k ** 2 / h_j * (s + 0.25))
     lam = -2 * k / h_j * (s - 0.25)
     return gamma, lam

@@ -35,9 +35,16 @@ class Mesh1D:
     def length(self) -> float:
         return self.b - self.a
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        """Cell midpoints, read-only; computed once per mesh."""
+        return _read_only(0.5 * (self.nodes[:-1] + self.nodes[1:]))
+
+    @cached_property
+    def interfaces(self) -> np.ndarray:
+        """The N interfaces x_{j+1/2} = nodes[1:], one read-only view per
+        mesh."""
+        return self.nodes[1:]
 
     @cached_property
     def is_uniform(self) -> bool:
@@ -65,9 +72,25 @@ class Mesh1D:
         return j, xi
 
     def quad_points(self, nodes_ref: np.ndarray) -> np.ndarray:
-        """Physical points of shape (N, len(nodes_ref)) for reference nodes."""
-        mid = self.centers[:, None]
-        return mid + 0.5 * self.h_sizes[:, None] * nodes_ref[None, :]
+        """Physical points of shape (N, len(nodes_ref)) for reference nodes,
+        read-only; computed once per mesh and set of nodes."""
+        key = np.asarray(nodes_ref, dtype=float).tobytes()
+        pts = self._quad_points.get(key)
+        if pts is None:
+            mid = self.centers[:, None]
+            pts = self._quad_points[key] = _read_only(
+                mid + 0.5 * self.h_sizes[:, None] * nodes_ref[None, :])
+        return pts
+
+    @cached_property
+    def _quad_points(self) -> dict:
+        """quad_points by the bytes of its reference nodes."""
+        return {}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def make_mesh(a: float, b: float, N: int, kind: str = "uniform",

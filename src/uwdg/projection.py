@@ -135,6 +135,29 @@ def time_derivative_field(f: AnalyticField, r: int) -> AnalyticField:
                          name=f"d_t^{r} {f.name}")
 
 
+def memoized_field(f: AnalyticField) -> AnalyticField:
+    """f with each (t, d, points) evaluated once, for read-only point
+    arrays such as the mesh's quad_points and interfaces: a repeat
+    returns the first result, read-only.  Points are matched by identity;
+    hashing their bytes would cost about as much as the evaluations it
+    saves.  The memo keeps each array alive, so no other array takes its
+    id.  Writeable points are evaluated each time.  The memo lives as
+    long as the returned field; a study makes one per case."""
+    memo: dict = {}
+
+    def _eval(x, t, d=0):
+        if not isinstance(x, np.ndarray) or x.flags.writeable:
+            return f.eval(x, t, d)
+        key = (t, d, id(x))
+        if key not in memo:
+            out = np.asarray(f.eval(x, t, d))
+            out.setflags(write=False)
+            memo[key] = (x, out)
+        return memo[key][1]
+
+    return AnalyticField(eval=_eval, d_max=f.d_max, name=f.name)
+
+
 def project_l2(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
                n_quad: int | None = None) -> DGFunction:
     """Cellwise L2 projection onto degree <= k via over-integrated Gauss
@@ -148,7 +171,7 @@ def project_l2(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
 
 def interface_data(f: AnalyticField, t: float, mesh: Mesh1D) -> np.ndarray:
     """Exact [u, u_x] at the N interfaces x_{j+1/2}, shape (N, 2)."""
-    xs = mesh.nodes[1:]
+    xs = mesh.interfaces
     return np.column_stack([f.eval(xs, t, 0), f.eval(xs, t, 1)])
 
 
@@ -342,7 +365,7 @@ def leading_residual(k: int, h_j, sf: ScaledFlux) -> LeadingResidual:
     c_num = (sf.beta1
              - 2 * (k + 1) ** 2 / h_j * (s + 0.25)
              - (-1.0) ** (k + 1) * 2 * (k + 1) / h_j * (s - 0.25)
-             + sf.beta2 / h_j ** 2 * k * (k + 2) * (k + 1) ** 2)
+             + sf.beta2 / (h_j * h_j) * k * (k + 2) * (k + 1) ** 2)
     c = -c_num / den
     return LeadingResidual(k=k, b=b, c=c)
 
@@ -390,13 +413,29 @@ def legendre_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row's roots are those of the one-row stack, bit for bit.  Returns
     (row, root) as flat arrays, ordered by row and then by root.
     """
+    return _polish_roots(coeffs,
+                         np.sort(np.linalg.eigvals(_companions(coeffs))))
+
+
+def _companions(coeffs: np.ndarray) -> np.ndarray:
+    """Companion matrices of the monomial forms of a (G, deg+1) stack of
+    Legendre series, (G, deg, deg), built as numpy's polyroots builds
+    them."""
     G, n = coeffs.shape[0], coeffs.shape[1] - 1
     mono = _leg2poly_rows(coeffs)
     mat = np.zeros((G, n, n))
     mat[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     mat[:, :, -1] -= mono[:, :-1] / mono[:, -1:]
-    roots = np.sort(np.linalg.eigvals(mat), axis=1)
+    return mat
 
+
+def _polish_roots(coeffs: np.ndarray,
+                  roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """legendre_roots from the eigenvalues of the companion matrices of
+    coeffs, sorted within each row, (G, deg): the Newton step, the
+    clustering and the filters.  A row may hold a series of lower degree,
+    padded with zeros, if its extra eigenvalues lie outside [-1, 1]."""
+    n = coeffs.shape[1] - 1
     x = roots.real
     tab = basis.legendre_table(n, x)[..., 0, None, :]    # (G, n, 1, n+1)
     dcoef = basis.legendre_derivative_matrix(n) @ coeffs[:, :, None]
@@ -435,10 +474,27 @@ def special_points(k: int, h_j, sf: ScaledFlux) -> SpecialPoints:
     Empty sets are a valid outcome (reported as DNE by the diagnostics).
     """
     res = leading_residual(k, h_j, sf)
+    G = np.size(h_j)
     # the s-th derivative has degree k+1-s, with a top coefficient of
-    # 1, 2k+1 or (2k+1)(2k-1)
-    found = [legendre_roots(res.legendre_coeffs(s).reshape(np.size(h_j), -1)
-                            [:, :k + 2 - s]) for s in range(3)]
-    return SpecialPoints(residual=res, d0=found[0][1], d1=found[1][1],
-                         d2=found[2][1],
-                         owners=tuple(rows for rows, _ in found))
+    # 1, 2k+1 or (2k+1)(2k-1), and exact zeros above it
+    coeffs = np.stack([res.legendre_coeffs(s).reshape(G, -1)
+                       for s in range(3)])
+    # one root solve for the three orders: the companions of degree k+1-s
+    # are padded to size k+1 with diagonal entries above the Cauchy bound
+    # 1 + max|last column| on the modulus of every root.  Balancing
+    # isolates each pad, so the other eigenvalues are bitwise the unpadded
+    # ones; the edge filter of the polish drops the pads.
+    mat = np.zeros((3, G, k + 1, k + 1))
+    for s in range(3):
+        n = k + 1 - s
+        comp = _companions(coeffs[s, :, :n + 1])
+        mat[s, :, :n, :n] = comp
+        for i in range(n, k + 1):
+            mat[s, :, i, i] = 2.0 + np.abs(comp[:, :, -1]).max(axis=1)
+    rows, roots = _polish_roots(coeffs.reshape(3 * G, k + 2),
+                                np.sort(np.linalg.eigvals(mat))
+                                .reshape(3 * G, k + 1))
+    order, owner = np.divmod(rows, G)
+    sets = [roots[order == s] for s in range(3)]
+    return SpecialPoints(residual=res, d0=sets[0], d1=sets[1], d2=sets[2],
+                         owners=tuple(owner[order == s] for s in range(3)))

@@ -3,7 +3,7 @@ import pytest
 
 import uwdg
 from uwdg.basis import antiderivative_map, gauss_rule, legendre_table
-from uwdg.correction import (build_correction, interface_jumps,
+from uwdg.correction import (_d2_table, build_correction, interface_jumps,
                              max_correction_levels, reference_interpolant,
                              second_derivative_norm, zeta_diagnostics)
 from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig
@@ -139,6 +139,34 @@ def test_zeta_diagnostics_zero_on_interpolant():
     zd = zeta_diagnostics(u_i, f, 0.0, CENTRAL)
     for key, val in zd.items():
         assert val == pytest.approx(0.0, abs=1e-14), key
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_zeta_takes_a_given_projection(k):
+    # the zeta metrics and u_I from a given P*u(t) are those built from
+    # scratch, bit for bit
+    f = plane_wave(3.0)
+    mesh = uwdg.make_mesh(0, 2 * np.pi, 12)
+    u_h = project_l2(f, 0.4, mesh, k)
+    ps = project_star(f, 0.4, mesh, k, CENTRAL)
+    np.testing.assert_array_equal(
+        reference_interpolant(f, 0.4, mesh, k, CENTRAL, ps=ps).coeffs,
+        reference_interpolant(f, 0.4, mesh, k, CENTRAL).coeffs)
+    assert (zeta_diagnostics(u_h, f, 0.4, CENTRAL, ps=ps)
+            == zeta_diagnostics(u_h, f, 0.4, CENTRAL))
+    # and the given projection is left as it was
+    np.testing.assert_array_equal(
+        ps.coeffs, project_star(f, 0.4, mesh, k, CENTRAL).coeffs)
+
+
+def test_d2_table_cached_read_only():
+    for k in (2, 3, 6):
+        tab = _d2_table(k)
+        assert _d2_table(k) is tab and tab.shape == (k - 1, k + 1)
+        assert not tab.flags.writeable
+        for m in range(k - 1):
+            np.testing.assert_array_equal(
+                tab[m, :m + 3], antiderivative_map(2, np.eye(m + 1)[m]))
 
 
 def test_second_derivative_norm_matches_quadrature():

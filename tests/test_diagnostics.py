@@ -54,6 +54,20 @@ def test_projection_error_vanishes_on_projection():
     assert projection_error(ps, f, 0.3, CENTRAL) < 1e-13
 
 
+@pytest.mark.parametrize("cfg", [CENTRAL, FluxConfig(0.25, 5, 0)],
+                         ids=lambda c: c.label())
+def test_projection_error_takes_a_given_projection(cfg):
+    # a given P*u(t) is the one E_P would build: the same bits
+    f = plane_wave(3.0)
+    mesh = uwdg.make_mesh(0, 2 * np.pi, 10)
+    u_h = project_l2(f, 0.3, mesh, 3)
+    ps = project_star(f, 0.3, mesh, 3, cfg)
+    assert (projection_error(u_h, f, 0.3, cfg, ps=ps)
+            == projection_error(u_h, f, 0.3, cfg))
+    # and it is used as given
+    assert projection_error(ps, f, 0.3, cfg, ps=ps) == 0.0
+
+
 def test_broken_l2_error_derivative_orders():
     f = plane_wave(3.0)
     mesh = uwdg.make_mesh(0, 2 * np.pi, 16)

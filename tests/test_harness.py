@@ -14,9 +14,10 @@ import uwdg
 from uwdg.correction import build_correction
 from uwdg.errors import ConfigurationError
 from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig
-from uwdg.harness import (COMMANDS, MAIN_METRICS, OPTIONS, StudyConfig,
-                          _parse_flux, _parse_mesh, emit_report, main,
-                          run_case, run_study)
+from uwdg.harness import (COMMANDS, FIELDS, MAIN_METRICS, OPTIONS,
+                          ZETA_METRICS, StudyConfig, _parse_flux, _parse_mesh,
+                          emit_report, main, run_case, run_study)
+from uwdg.projection import AnalyticField, plane_wave
 
 
 def smoke_config(**kw):
@@ -118,6 +119,45 @@ class TestRunCase:
         row = run_case(cfg.validate(), 8)
         assert row["status"] == "ok" and row["class"] in ("A2", "A3")
         assert calls == []
+
+    @pytest.mark.parametrize("k, metrics, samples", [
+        # Table 5 at k=2: u0 3, E_L2 1, E_P 3, E_f 2, E_c 1, points 3 = 13
+        (2, tuple(MAIN_METRICS), 9),
+        # k=3 with zeta: u0 6 (P* and w_1), the metrics 10, zeta 6 = 22
+        (3, tuple(MAIN_METRICS) + tuple(ZETA_METRICS), 15),
+    ])
+    def test_case_samples_the_exact_field_once(self, k, metrics, samples,
+                                               monkeypatch):
+        # P*u(T)'s quadrature and interface samples are E_L2's, E_c's and
+        # E_f's, and zeta's P*u(T) is E_P's
+        seen = []
+        wave = plane_wave(3.0)
+
+        def counted(x, t, d=0):
+            x = np.asarray(x, float)
+            seen.append((t, d, x.shape, x.tobytes()))
+            return wave.eval(x, t, d)
+
+        monkeypatch.setitem(FIELDS, "wave3", lambda: AnalyticField(
+            eval=counted, d_max=wave.d_max))
+        cfg = StudyConfig(k=k, Ns=(20,), flux=CENTRAL, metrics=metrics)
+        row = run_case(cfg.validate(), 20)
+        assert row["status"] == "ok"
+        assert len(seen) == len(set(seen)) == samples
+
+    def test_case_builds_the_final_projection_once(self, monkeypatch):
+        # E_P and zeta share one P*u(T); the initial data has its own
+        times = []
+        for module in (uwdg.harness, uwdg.correction, uwdg.diagnostics):
+            build = module.project_star
+            monkeypatch.setattr(
+                module, "project_star",
+                lambda f, t, *a, _b=build, **kw: times.append(t)
+                or _b(f, t, *a, **kw))
+        cfg = smoke_config(k=3, Ns=(8,), metrics=("ep", "zeta"))
+        row = run_case(cfg.validate(), 8)
+        assert row["status"] == "ok"
+        assert times == [0.0, cfg.t_end]
 
     def test_dne_metric_in_row(self):
         cfg = smoke_config(flux=FluxConfig(0.3, 0.4, 0.4),

@@ -88,3 +88,28 @@ def test_uniformity_is_node_roundoff_at_any_n(N):
     # to h grows with N; a 1e-6 perturbation must still count
     assert make_mesh(0, 2 * np.pi, N).is_uniform
     assert not make_mesh(0, 2 * np.pi, N, "perturbed", 1e-6, seed=3).is_uniform
+
+
+@pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+def test_mesh_tables_are_cached_read_only(kind):
+    m = make_mesh(0, 2 * np.pi, 12, kind, 0.1, seed=4)
+    nodes = np.polynomial.legendre.leggauss(5)[0]
+    pts = m.quad_points(nodes)
+    np.testing.assert_array_equal(
+        pts, 0.5 * (m.nodes[:-1] + m.nodes[1:])[:, None]
+        + 0.5 * m.h_sizes[:, None] * nodes[None, :])
+    np.testing.assert_array_equal(m.centers,
+                                  0.5 * (m.nodes[:-1] + m.nodes[1:]))
+    # one table per set of reference nodes, equal nodes included
+    assert m.quad_points(nodes.copy()) is pts
+    assert m.centers is m.centers and m.interfaces is m.interfaces
+    np.testing.assert_array_equal(m.interfaces, m.nodes[1:])
+    other = m.quad_points(nodes[:3])
+    assert other.shape == (12, 3) and other is not pts
+    np.testing.assert_array_equal(m.quad_points(0.5 * nodes),
+                                  m.centers[:, None]
+                                  + 0.25 * m.h_sizes[:, None] * nodes)
+    for table in (pts, other, m.centers, m.interfaces):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
