@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,6 +94,75 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+# SeedSequence hash constants (numpy, bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_POOL = 4
+# PCG64: the default 128-bit LCG multiplier (O'Neill, "PCG: A Family of
+# Simple Fast Space-Efficient Statistically Good Algorithms for Random
+# Number Generation", 2014)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """SeedSequence(seed).generate_state(4, uint64): the seed's 32-bit
+    words, least significant first, hashed into a 4-word pool."""
+    entropy = [0] if seed == 0 else []
+    while seed:
+        entropy.append(seed & _M32)
+        seed >>= 32
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = (hash_a * _MULT_A) & _M32
+        value = (value * hash_a) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(word) for word in (entropy + [0] * _POOL)[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_b, out = _INIT_B, []
+    for word in pool + pool:                # 8 words, cycling the pool
+        word ^= hash_b
+        hash_b = (hash_b * _MULT_B) & _M32
+        word = (word * hash_b) & _M32
+        out.append(word ^ (word >> 16))
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+def _uniform_draws(seed: int, lo: float, hi: float, n: int) -> np.ndarray:
+    """numpy's default_rng(seed).uniform(lo, hi, n), bit for bit: PCG64
+    (XSL-RR output, 128-bit LCG) seeded by SeedSequence, each draw
+    lo + (hi - lo) * (53 high bits / 2**53).  Pinned here so the meshes
+    do not follow a change of numpy's default generator."""
+    s0, s1, s2, s3 = _seed_words(seed)
+    inc = (((s2 << 64) | s3) << 1 | 1) & _M128
+    state = (inc + ((s0 << 64) | s1)) & _M128      # a step from state 0
+    state = (state * _PCG_MULT + inc) & _M128
+    span, out = hi - lo, []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        x = ((state >> 64) ^ state) & _M64
+        rot = state >> 122
+        x = ((x >> rot) | (x << (64 - rot))) & _M64
+        out.append(lo + span * ((x >> 11) * 2.0 ** -53))
+    return np.array(out, dtype=float)
+
+
 def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
               fraction: float = 0.0, seed: int = 0) -> Mesh1D:
     """Build a periodic mesh of N cells on [a, b].
@@ -100,8 +170,15 @@ def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
     kind="uniform" gives h_j = (b-a)/N.  kind="perturbed" moves every
     interior node of the uniform mesh by an independent uniform random
     offset in [-fraction*h, fraction*h] (endpoints fixed), deterministic
-    for a fixed seed.  Requires N >= 4 and 0 <= fraction < 0.5 so that
-    cells keep positive width and sigma <= (1+2f)/(1-2f).
+    for a fixed seed.  The offsets are numpy's
+    ``default_rng(seed).uniform(-fraction*h, fraction*h, N-1)`` as of
+    numpy >= 1.17 (PCG64 seeded by SeedSequence), bit for bit, drawn from
+    a copy of that stream pinned in this module (`_uniform_draws`), so a
+    seed's mesh does not change with numpy's default generator and
+    numpy's random package is never imported.  Requires N >= 4 and
+    0 <= fraction < 0.5 so that cells keep positive width and
+    sigma <= (1+2f)/(1-2f); a perturbed mesh requires a seed that is an
+    integer >= 0.
     """
     if N < 4:
         raise ConfigurationError(f"need at least 4 cells, got N={N}")
@@ -112,13 +189,20 @@ def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
     if not 0.0 <= fraction < 0.5:
         raise ConfigurationError(
             f"perturbation fraction must be in [0, 0.5), got {fraction}")
+    if kind == "perturbed":
+        try:
+            seed = operator.index(seed)     # numpy integers too
+            if seed < 0:
+                raise TypeError
+        except TypeError:
+            raise ConfigurationError(
+                f"mesh seed must be an integer >= 0, got {seed!r}") from None
 
     h_unif = (b - a) / N
     nodes = a + h_unif * np.arange(N + 1, dtype=float)
     if kind == "perturbed" and fraction > 0.0:
-        rng = np.random.default_rng(seed)
-        offsets = rng.uniform(-fraction * h_unif, fraction * h_unif, size=N - 1)
-        nodes[1:-1] += offsets
+        nodes[1:-1] += _uniform_draws(seed, -fraction * h_unif,
+                                      fraction * h_unif, N - 1)
     nodes[0] = a
     nodes[-1] = b
 
@@ -130,4 +214,4 @@ def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
     return Mesh1D(a=float(a), b=float(b), N=int(N), nodes=nodes,
                   h_sizes=h_sizes, h=h, sigma=sigma, kind=kind,
                   fraction=float(fraction),
-                  seed=int(seed) if kind == "perturbed" else None)
+                  seed=seed if kind == "perturbed" else None)

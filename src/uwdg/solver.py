@@ -387,7 +387,7 @@ class _BandMarch:
         self.state = self.buf[REACH:REACH + N]
 
     def _load(self, coeffs: np.ndarray):
-        np.take(coeffs, self.wrap, axis=0, out=self.buf, mode="wrap")
+        coeffs.take(self.wrap, axis=0, out=self.buf, mode="wrap")
 
     def advance(self, n: int, step: float):
         if n >= STEPS_PER_PRODUCT:

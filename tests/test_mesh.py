@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uwdg
 from uwdg import make_mesh
 from uwdg.errors import ConfigurationError
+from uwdg.mesh import _uniform_draws
 
 
 def test_uniform_sizes():
@@ -34,6 +40,9 @@ def test_seed_determinism():
     np.testing.assert_array_equal(a.nodes, b.nodes)
     c = make_mesh(0, 1, 32, "perturbed", 0.2, seed=124)
     assert not np.array_equal(a.nodes, c.nodes)
+    d = make_mesh(0, 1, 32, "perturbed", 0.2, seed=np.uint8(123))
+    np.testing.assert_array_equal(a.nodes, d.nodes)
+    assert type(d.seed) is int
 
 
 @settings(max_examples=200, deadline=None)
@@ -57,12 +66,68 @@ def test_thousand_seeds_stay_valid():
 @pytest.mark.parametrize("bad", [
     dict(N=3), dict(N=10, kind="perturbed", fraction=0.5),
     dict(N=10, kind="perturbed", fraction=-0.1), dict(N=10, kind="random"),
+    dict(N=10, kind="perturbed", fraction=0.1, seed=-1),
+    dict(N=10, kind="perturbed", fraction=0.0, seed=-2 ** 70),
+    dict(N=10, kind="perturbed", fraction=0.1, seed=np.int64(-3)),
+    dict(N=10, kind="perturbed", fraction=0.1, seed=1.5),
+    dict(N=10, kind="perturbed", fraction=0.1, seed=2.0),
+    dict(N=10, kind="perturbed", fraction=0.1, seed="3"),
+    dict(N=10, kind="perturbed", fraction=0.1, seed=None),
 ])
 def test_config_errors(bad):
     kwargs = dict(kind=bad.get("kind", "uniform"),
-                  fraction=bad.get("fraction", 0.0))
+                  fraction=bad.get("fraction", 0.0), seed=bad.get("seed", 0))
     with pytest.raises(ConfigurationError):
         make_mesh(0, 1, bad.get("N", 10), **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 300 - 1), n=st.integers(1, 700),
+       half=st.floats(1e-300, 1e300))
+# seeds of 1, 2, 3, 5 and 7 32-bit words; the pool holds 4
+@example(seed=0, n=7, half=0.1)
+@example(seed=2 ** 32, n=20, half=0.1)
+@example(seed=2 ** 64, n=641, half=0.1)
+@example(seed=2 ** 128, n=1, half=0.1)
+@example(seed=2 ** 200 + 1, n=700, half=0.1)
+def test_draws_are_default_rng_bit_for_bit(seed, n, half):
+    expected = np.random.default_rng(seed).uniform(-half, half, n)
+    got = _uniform_draws(seed, -half, half, n)
+    assert got.dtype == expected.dtype and got.shape == (n,)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("N", [20, 40, 80, 160, 320, 640])
+def test_golden_seeds_keep_their_meshes(N):
+    # the seeds the golden records are keyed by, on the benchmark's meshes
+    for seed in [*range(20), 42]:
+        m = make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, seed=seed)
+        h = 2 * np.pi / N
+        nodes = 0 + h * np.arange(N + 1, dtype=float)
+        nodes[1:-1] += np.random.default_rng(seed).uniform(
+            -0.1 * h, 0.1 * h, size=N - 1)
+        nodes[0], nodes[-1] = 0, 2 * np.pi
+        assert m.nodes.tobytes() == nodes.tobytes()
+        assert m.h_sizes.tobytes() == np.diff(nodes).tobytes()
+
+
+def test_perturbed_case_never_imports_numpy_random():
+    # numpy loads its random package only on first use; a perturbed study
+    # must not be that use
+    code = (
+        "import sys\n"
+        "from uwdg.harness import StudyConfig, run_case\n"
+        "from uwdg import ALTERNATING\n"
+        "cfg = StudyConfig(k=2, Ns=(8,), flux=ALTERNATING, t_end=0.01,\n"
+        "                  mesh_kind='perturbed', fraction=0.1, seed=42)\n"
+        "row = run_case(cfg.validate(), 8)\n"
+        "assert row['status'] == 'ok', row\n"
+        "print('numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(uwdg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_empty_interval():
