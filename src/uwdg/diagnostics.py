@@ -11,12 +11,14 @@ empty are reported as the DNE sentinel, never as NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import basis
-from .flux import (AssumptionClass, FluxConfig, interface_matrices,
-                   scale_flux)
+from .errors import ResidualUndefinedError
+from .flux import (AssumptionClass, FluxConfig, ScaledFlux,
+                   interface_matrices, scale_flux)
 from .projection import (AnalyticField, DGFunction, l2_norm, project_star,
                          special_points)
 
@@ -75,6 +77,33 @@ def projection_error(u_h: DGFunction, f: AnalyticField, t: float,
     return l2_norm(u_h - ps)
 
 
+def _point_tables(k: int, h_j, sf: ScaledFlux):
+    """The three root sets of special_points(k, h_j, sf), their owners,
+    and the Legendre table of each set: (n_s, k+1) values of the s-th
+    derivative of L_0..L_k at the n_s roots of set s."""
+    pts = special_points(k, h_j, sf)
+    sets = pts.sets()
+    table = basis.legendre_table(k, np.concatenate(sets), ders=2)
+    table.setflags(write=False)
+    starts = np.cumsum([0] + [xi.size for xi in sets])
+    tabs = tuple(table[starts[s]:starts[s + 1], s, :] for s in range(3))
+    return sets, pts.owners, tabs
+
+
+@lru_cache(maxsize=16)
+def _unit_point_tables(k: int, cfg: FluxConfig):
+    """_point_tables of one cell at unit width, read-only.  Under the tilde
+    scaling of FluxConfig every term of Gamma, Lambda and of the
+    numerators of the residual's b and c goes as 1/h, so b and c, and
+    with them the sets, are those of any one uniform width.  A
+    ResidualUndefinedError is raised again on every call: lru_cache keeps
+    only returned values."""
+    sets, _, tabs = _point_tables(k, 1.0, scale_flux(cfg, 1.0))
+    for xi in sets:
+        xi.setflags(write=False)
+    return sets, tabs
+
+
 def point_errors(u_h: DGFunction, f: AnalyticField, t: float,
                  cfg: FluxConfig):
     """Average point-value errors (E_u, E_ux, E_uxx) at the root sets of
@@ -83,19 +112,30 @@ def point_errors(u_h: DGFunction, f: AnalyticField, t: float,
     Points are per-cell reference roots (one-sided evaluation at cell
     endpoints when those are roots); an empty set yields the DNE
     sentinel for that metric.  The point sets depend on a cell only
-    through h_j: a uniform mesh has one set for every cell, any other
-    mesh one per cell, all from one special_points call and one Legendre
-    table.  Positions and chain-rule factors use each cell's own h_j.
+    through the residual's b and c at h_j.  For the tilde-scaled fluxes
+    every term of Gamma, Lambda and of the numerators of b and c goes as
+    1/h_j, so b and c do not depend on h_j on a uniform mesh: one set
+    serves every cell, taken at unit width with its Legendre table once
+    per (k, flux) and cached.  Any other mesh has one set per cell, all
+    from one special_points call at its widths and one Legendre table.
+    Positions and chain-rule factors use each cell's own h_j.
     """
     mesh, k = u_h.mesh, u_h.k
-    sf = scale_flux(cfg, mesh.h)
     uniform = mesh.is_uniform
-    pts = special_points(k, mesh.h if uniform else mesh.h_sizes, sf)
-    table = basis.legendre_table(k, np.concatenate(pts.sets()), ders=2)
-    starts = np.cumsum([0] + [xi.size for xi in pts.sets()])
+    if uniform:
+        try:
+            sets, tabs = _unit_point_tables(k, cfg)
+        except ResidualUndefinedError:
+            # raised again at the mesh's width, so that the row note names
+            # Gamma + (-1)^k Lambda there
+            sets, _, tabs = _point_tables(k, mesh.h, scale_flux(cfg, mesh.h))
+        owners = (None,) * 3
+    else:
+        sets, owners, tabs = _point_tables(k, mesh.h_sizes,
+                                           scale_flux(cfg, mesh.h))
     sums = np.zeros(3)
     counts = np.zeros(3, dtype=int)
-    for s, (xi, owner) in enumerate(zip(pts.sets(), pts.owners)):
+    for s, (xi, owner, tab) in enumerate(zip(sets, owners, tabs)):
         if xi.size == 0:
             continue
         # cell j of point i: every cell takes the whole set on a uniform
@@ -103,7 +143,6 @@ def point_errors(u_h: DGFunction, f: AnalyticField, t: float,
         j = np.arange(mesh.N)[:, None] if uniform else owner
         hj = mesh.h_sizes[j]
         x = mesh.centers[j] + 0.5 * hj * xi
-        tab = table[starts[s]:starts[s + 1], s, :]
         uh = (u_h.coeffs @ tab.T if uniform
               else np.sum(u_h.coeffs[j] * tab, axis=1))
         uh_vals = uh * (2.0 / hj) ** s

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -284,6 +285,15 @@ def _parse_metrics(text: str) -> tuple:
     return tuple(named.get(text, listed))
 
 
+def _is_integer(x) -> bool:
+    """An int or a numpy integer (operator.index takes it), not a bool."""
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return not isinstance(x, bool)
+
+
 def _writable(path: str | None) -> bool:
     return path is None or (not os.path.isdir(path) and
                             os.path.isdir(os.path.dirname(path) or "."))
@@ -308,9 +318,10 @@ OPTIONS = (
             ("run", "study", "points")),
     _Option("mesh", ("mesh_kind", "fraction", "seed"), _parse_mesh,
             lambda s: (s["mesh_kind"] in ("uniform", "perturbed")
-                       and 0 <= s["fraction"] < 0.5 and s["seed"] >= 0),
+                       and 0 <= s["fraction"] < 0.5
+                       and _is_integer(s["seed"]) and s["seed"] >= 0),
             "uniform, or perturbed:<frac>:<seed> with 0 <= frac < 0.5 "
-            "(default 0.1) and seed >= 0 (default 0)"),
+            "(default 0.1) and an integer seed >= 0 (default 0)"),
     _Option("tend", ("t_end",), float, lambda s: 0 <= s["t_end"] < math.inf,
             "the final time, finite >= 0"),
     _Option("c", ("c",), float,

@@ -153,19 +153,33 @@ class DGOperator:
         Row block j, of shape (k+1, 9(k+1)), multiplies the coefficients
         of cells j-4 .. j+4 laid end to end; the result has shape
         (N, k+1, 9(k+1)).  Built by Horner from the blocks of apply(),
-        each product with L widening the band by one cell per side."""
+        each product with L widening the band by one cell per side.
+
+        Two arrays of the result's size are live at once, S and the sum
+        L S, and one buffer of 8/9 of that size for each product."""
         N, kp1 = self.mesh.N, self.k + 1
-        L, eye = self.coupling_blocks(), np.eye(kp1)
+        Lm, L0, Lp = self.coupling_blocks()
+        eye, w = np.eye(kp1), 8 * kp1
         S = np.zeros((N, kp1, 9 * kp1), dtype=complex)
         S[:, :, 4 * kp1:5 * kp1] = eye
+        LS, prod = np.empty_like(S), np.empty((N, kp1, w), dtype=complex)
         for p in (4, 3, 2, 1):
             # (L S)[j] = sum_a La[j] S[j+a], with the bands of S[j+a] moved
-            # a cells over; S spans at most cells j-3..j+3 here, so the
-            # roll along the bands wraps only zeros
-            LS = sum(La @ np.roll(S, (-a, a * kp1), axis=(0, 2))
-                     for a, La in zip((-1, 0, 1), L))
-            S = (dt / p) * LS
-            S[:, :, 4 * kp1:5 * kp1] += eye
+            # a cells over, summed from 0 in the order a = -1, 0, 1.  S
+            # spans at most cells j-3..j+3 here, so each product skips a
+            # zero cell of S at one end (the first for a = -1 and 0, the
+            # last for a = 1); row j+a wraps from N-1 to 0
+            LS.fill(0)
+            np.matmul(Lm[1:], S[:-1, :, kp1:], out=prod[1:])
+            np.matmul(Lm[:1], S[-1:, :, kp1:], out=prod[:1])
+            LS[:, :, :w] += prod
+            LS[:, :, kp1:] += np.matmul(L0, S[:, :, kp1:], out=prod)
+            np.matmul(Lp[:-1], S[1:, :, :w], out=prod[:-1])
+            np.matmul(Lp[-1:], S[:1, :, :w], out=prod[-1:])
+            LS[:, :, kp1:] += prod
+            LS *= dt / p
+            LS[:, :, 4 * kp1:5 * kp1] += eye
+            S, LS = LS, S
         return S
 
 

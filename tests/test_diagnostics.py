@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 import uwdg
+from uwdg.basis import legendre_table
 from uwdg.correction import build_correction
 from uwdg.diagnostics import (DNE, broken_l2_error, cell_average_error,
                               flux_errors, numerical_fluxes, observed_orders,
                               point_errors, projection_error)
+from uwdg.errors import ResidualUndefinedError
 from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig, scale_flux
-from uwdg.projection import (AnalyticField, DGFunction, plane_wave,
-                             project_l2, project_star, special_points)
+from uwdg.harness import StudyConfig, run_study
+from uwdg.projection import (AnalyticField, DGFunction, leading_residual,
+                             plane_wave, project_l2, project_star,
+                             special_points)
 
 
 def zero_field():
@@ -127,24 +131,65 @@ def test_point_errors_perturbed_mesh_per_cell_reference():
 
 @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
 def test_point_errors_one_special_points_call(kind, monkeypatch):
-    # node roundoff gives the uniform N=640 mesh six distinct widths; one
-    # point set serves them all, and a perturbed mesh passes every width
-    # in one call
+    # uniform meshes of one (k, flux) share one unit-width call, however
+    # many widths node roundoff gives them (six at N=640); a perturbed
+    # mesh passes every width in one call per case
     import uwdg.diagnostics as diag
     calls = []
 
     def counted(k, h_j, sf):
-        calls.append(np.size(h_j))
+        calls.append(h_j if np.size(h_j) == 1 else np.size(h_j))
         return special_points(k, h_j, sf)
 
     monkeypatch.setattr(diag, "special_points", counted)
-    mesh = uwdg.make_mesh(0, 2 * np.pi, 640, kind, 0.1, 1)
-    if kind == "uniform":
-        assert mesh.is_uniform and np.unique(mesh.h_sizes).size > 1
-    u_h = project_l2(plane_wave(3.0), 0.0, mesh, 2)
-    errs = point_errors(u_h, plane_wave(3.0), 0.0, CENTRAL)
-    assert calls == [1 if kind == "uniform" else 640]
-    assert all(isinstance(e, float) and e > 0 for e in errs)
+    diag._unit_point_tables.cache_clear()
+    for N in (320, 640):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N, kind, 0.1, 1)
+        if kind == "uniform":
+            assert mesh.is_uniform and np.unique(mesh.h_sizes).size > 1
+        u_h = project_l2(plane_wave(3.0), 0.0, mesh, 2)
+        errs = point_errors(u_h, plane_wave(3.0), 0.0, CENTRAL)
+        assert all(isinstance(e, float) and e > 0 for e in errs)
+    assert calls == ([1.0] if kind == "uniform" else [320, 640])
+
+
+def test_unit_point_tables_are_unit_width_sets_read_only():
+    from uwdg.diagnostics import _unit_point_tables
+    cfg = FluxConfig(0.25, 5, 0)
+    sets, tabs = _unit_point_tables(3, cfg)
+    assert _unit_point_tables(3, cfg) is _unit_point_tables(3, cfg)
+    pts = special_points(3, 1.0, scale_flux(cfg, 1.0))
+    for s, (xi, tab) in enumerate(zip(sets, tabs)):
+        assert xi.tobytes() == pts.sets()[s].tobytes()
+        np.testing.assert_array_equal(
+            tab, legendre_table(3, xi, ders=2)[:, s, :])
+        for a in (xi, tab):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
+def test_undefined_residual_dne_on_every_uniform_case():
+    # beta1 puts Gamma + Lambda within roundoff of zero at k=2; the error
+    # is not cached, and its note names the value at each mesh's width
+    from uwdg.diagnostics import _unit_point_tables
+    cfg = FluxConfig(0.5000000001, 4.00000000120004, 0)
+    cached = _unit_point_tables.cache_info().currsize
+    for N in (8, 16, 32):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N)
+        with pytest.raises(ResidualUndefinedError) as at_h:
+            leading_residual(2, mesh.h, scale_flux(cfg, mesh.h))
+        u_h = project_l2(plane_wave(3.0), 0.0, mesh, 2)
+        with pytest.raises(ResidualUndefinedError) as exc:
+            point_errors(u_h, plane_wave(3.0), 0.0, cfg)
+        assert str(exc.value) == str(at_h.value)
+    assert _unit_point_tables.cache_info().currsize == cached
+    rep = run_study(StudyConfig(k=2, Ns=(8, 16, 32), flux=cfg, t_end=0.0,
+                                init="l2", metrics=("eu", "eux", "euxx")))
+    for row in rep.rows:
+        assert row["eu"] == row["eux"] == row["euxx"] == DNE
+        assert row["status"].startswith(
+            "ok (points skipped: leading residual undefined")
 
 
 def test_observed_orders_examples():

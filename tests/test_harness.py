@@ -52,6 +52,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             StudyConfig(metrics=("nope",)).validate()
 
+    @pytest.mark.parametrize("seed", [True, 1.5], ids=["bool", "float"])
+    def test_non_integer_seed_rejected(self, seed):
+        # a bool is an int to operator.index, but printed as seed=True
+        cfg = smoke_config(mesh_kind="perturbed", fraction=0.1, seed=seed)
+        with pytest.raises(ConfigurationError, match="integer seed"):
+            cfg.validate()
+        with pytest.raises(ConfigurationError, match="integer seed"):
+            run_study(cfg)
+        smoke_config(mesh_kind="perturbed", fraction=0.1,
+                     seed=np.int64(3)).validate()
+
     def test_default_dt_constants(self):
         assert StudyConfig(k=2).dt_constant() == 0.05
         assert StudyConfig(k=3).dt_constant() == 0.01

@@ -472,6 +472,28 @@ class TestSpecialPoints:
                 if xi.size:
                     assert np.abs(pts.residual.eval(xi, s)).max() < 1e-10
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("flux", [
+        (0, 0, 0), (0.5, 0, 0), (-0.5, 0, 0), (0.25, 5, 0), (0.25, 2, 0),
+        (0.3, 0.4, 0.4), (0, 0.5, 0.5), (1, 1, 1)], ids=str)
+    def test_unit_width_sets_match_uniform_mesh_width(self, k, flux):
+        # b and c do not depend on the width of a uniform mesh, so the
+        # point metrics take the sets at h = 1: the same counts, roots
+        # within 16 ulps, and bitwise for the central flux at the degrees
+        # the tables run (k = 2, 3; roundoff in b and c moves some
+        # central roots at k >= 4 by a few ulps)
+        cfg = FluxConfig(*flux)
+        unit = special_points(k, 1.0, scale_flux(cfg, 1.0)).sets()
+        for N in (10, 33, 640, 4096):
+            h = uwdg.make_mesh(0, 2 * np.pi, N).h
+            at_h = special_points(k, h, scale_flux(cfg, h)).sets()
+            for a, b in zip(unit, at_h):
+                assert a.size == b.size
+                ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+                assert np.all(np.abs(a - b) <= 16 * ulp)
+                if cfg == CENTRAL and k <= 3:
+                    assert a.tobytes() == b.tobytes()
+
     def test_minimum_point_counts(self):
         rng = np.random.default_rng(11)
         checked = 0

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -358,6 +359,19 @@ class TestRK4:
             got[np.arange(N), :, (np.arange(N) + i - 4) % N] += bands[:, :, i]
         np.testing.assert_allclose(got.reshape(3 * N, 3 * N), expect, rtol=0,
                                    atol=1e-14 * np.abs(expect).max())
+
+    def test_banded_update_peak_memory(self):
+        # the build keeps S, the sum L S and one product buffer alive, not
+        # a rolled copy and a product per neighbour
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 640, "perturbed", 0.1, 42)
+        op = DGOperator(mesh, ALTERNATING, 2)
+        tracemalloc.start()
+        try:
+            bands = op.rk4_sparse_update(1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * bands.nbytes
 
     @pytest.mark.parametrize("N", [4, 5, 9, 18])
     def test_two_step_rows_are_dense_rk4_square(self, N):
