@@ -13,7 +13,6 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
@@ -23,23 +22,19 @@ import numpy as np
 STIFF2_ZERO_TOL = 1e-13  # Gauss roundoff of a stiff2 entry that is exactly 0
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre rule on [-1, 1].
 
-    An n-point rule integrates polynomials up to degree 2n-1 exactly;
-    weights are positive and sum to 2.
+    An n-point rule integrates polynomials up to degree 2n-1 exactly
+    (values @ weights); weights are positive and sum to 2.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("nodes", "weights")
 
-    def integrate(self, values: np.ndarray) -> complex:
-        """Integrate from samples at the rule's nodes (last axis)."""
-        return values @ self.weights
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        self.nodes, self.weights = nodes, weights
 
 
-@dataclass(frozen=True)
 class ReferenceMatrices:
     """Reference-interval mass diagonal and second-derivative stiffness.
 
@@ -48,8 +43,10 @@ class ReferenceMatrices:
     n+m even, because L_m'' has degree m-2 and parity (-1)^m.
     """
 
-    mass_diag: np.ndarray
-    stiff2: np.ndarray
+    __slots__ = ("mass_diag", "stiff2")
+
+    def __init__(self, mass_diag: np.ndarray, stiff2: np.ndarray):
+        self.mass_diag, self.stiff2 = mass_diag, stiff2
 
 
 def legendre_eval(m: int, s: int, xi):
@@ -114,12 +111,41 @@ def legendre_table(max_degree: int, xi, ders: int = 0) -> np.ndarray:
     return out
 
 
+def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy's legval(x, c) for a 1-D Legendre series c, step for step:
+    numpy 2.4 scales c1 by the ratio (nd-1)/nd, not by nd-1 then 1/nd."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=64)
 def gauss_rule(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [-1, 1]."""
+    """n-point Gauss-Legendre rule on [-1, 1], read-only: numpy 2.4's
+    leggauss(n) bit for bit, from a copy of its steps pinned here, so
+    numpy.polynomial is never imported and the rule does not follow a
+    change of numpy.  The eigenvalues of the symmetric companion matrix of
+    L_n (Golub & Welsch, Math. Comp. 23, 1969), one Newton step, weights
+    1/(L_{n-1} L_n') scaled to sum to 2, and symmetrisation about 0."""
     if n < 1:
         raise ValueError("quadrature point count must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    m = np.arange(n)
+    c = np.eye(n + 1)[n]                                # L_n
+    dc = np.where((n - m) % 2, 2.0 * m + 1, 0.0)        # L_n'
+    scl = 1.0 / np.sqrt(2 * m + 1)
+    off = m[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    df = _clenshaw(x, dc)
+    x = x - _clenshaw(x, c) / df
+    fm = _clenshaw(x, c[1:])
+    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    nodes = (x - x[::-1]) / 2
+    weights = w * (2.0 / w.sum())
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights)

@@ -10,7 +10,6 @@ empty are reported as the DNE sentinel, never as NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -169,12 +168,14 @@ def observed_orders(errors, Ns) -> list:
     return out
 
 
-@dataclass
 class ErrorReport:
-    """Rows of per-N metrics plus run metadata; orders are attached per
-    metric between successive rows by the study runner."""
+    """Rows of per-N metrics plus run metadata; the study runner attaches
+    orders, each metric's list aligned with rows[1:]."""
 
-    meta: dict
-    metric_names: list[str]
-    rows: list[dict] = field(default_factory=list)
-    orders: dict = field(default_factory=dict)   # metric -> list aligned rows[1:]
+    __slots__ = ("meta", "metric_names", "rows", "orders")
+
+    def __init__(self, meta: dict, metric_names: list[str],
+                 rows: list[dict] | None = None, orders: dict | None = None):
+        self.meta, self.metric_names = meta, metric_names
+        self.rows = [] if rows is None else rows
+        self.orders = {} if orders is None else orders

@@ -79,30 +79,44 @@ CENTRAL = FluxConfig(0.0, 0.0, 0.0)
 ALTERNATING = FluxConfig(0.5, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
 class ScaledFlux:
     """Flux parameters instantiated at mesh scale h:
-    alpha1 = alpha1~, beta1 = beta1~/h, beta2 = beta2~*h."""
+    alpha1 = alpha1~, beta1 = beta1~/h, beta2 = beta2~*h.  Equal and
+    hashed by value, so a scaled flux can key a cache."""
 
-    alpha1: float
-    beta1: float
-    beta2: float
-    h: float
+    __slots__ = ("alpha1", "beta1", "beta2", "h")
+
+    def __init__(self, alpha1: float, beta1: float, beta2: float, h: float):
+        self.alpha1, self.beta1, self.beta2, self.h = alpha1, beta1, beta2, h
+
+    def _key(self) -> tuple:
+        return self.alpha1, self.beta1, self.beta2, self.h
+
+    def __eq__(self, other):
+        return type(other) is ScaledFlux and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class InterfaceMatrices:
-    G: np.ndarray
-    H: np.ndarray
+    """The flux matrices G and H = I - G of the interface traces."""
+
+    __slots__ = ("G", "H")
+
+    def __init__(self, G: np.ndarray, H: np.ndarray):
+        self.G, self.H = G, H
 
 
-@dataclass(frozen=True)
 class AssumptionClass:
-    """Solvability classification of the flux-matching projection."""
+    """Solvability classification of the flux-matching projection; the
+    tag is "A1", "A2", "A3" or "Unsupported"."""
 
-    tag: str                      # "A1" | "A2" | "A3" | "Unsupported"
-    diagnostics: dict
-    warning: str | None = None
+    __slots__ = ("tag", "diagnostics", "warning")
+
+    def __init__(self, tag: str, diagnostics: dict,
+                 warning: str | None = None):
+        self.tag, self.diagnostics, self.warning = tag, diagnostics, warning
 
     @property
     def supported(self) -> bool:

@@ -7,7 +7,6 @@ OPTIONS holds every setting of the subcommands in COMMANDS.
 
 from __future__ import annotations
 
-import argparse
 import math
 import operator
 import os
@@ -441,14 +440,15 @@ def _join_dash_values(argv: list) -> list:
     return out
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors are configuration errors (exit 2)."""
-
-    def error(self, message):
-        raise ConfigurationError(message)
-
-
 def main(argv=None) -> int:
+    import argparse     # on command line use only
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse whose usage errors are configuration errors (exit 2)."""
+
+        def error(self, message):
+            raise ConfigurationError(message)
+
     parser = _Parser(
         prog="uwdg",
         description="Ultra-weak DG superconvergence laboratory for the 1D "

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -12,25 +11,23 @@ from .errors import ConfigurationError
 from .flux import UNIFORM_TOL
 
 
-@dataclass(frozen=True)
 class Mesh1D:
     """Periodic partition a = x_{1/2} < ... < x_{N+1/2} = b.
 
     h is the largest cell size, sigma = h / min h_j the regularity ratio.
     Cell j (0-based) spans nodes[j] .. nodes[j+1]; index arithmetic wraps
     modulo N so downstream code never re-implements periodic wrapping.
+    The fields are not changed after construction; the tables below are
+    computed from them once per mesh.
     """
 
-    a: float
-    b: float
-    N: int
-    nodes: np.ndarray
-    h_sizes: np.ndarray = field(repr=False)
-    h: float
-    sigma: float
-    kind: str = "uniform"
-    fraction: float = 0.0
-    seed: int | None = None
+    def __init__(self, a: float, b: float, N: int, nodes: np.ndarray,
+                 h_sizes: np.ndarray, h: float, sigma: float,
+                 kind: str = "uniform", fraction: float = 0.0,
+                 seed: int | None = None):
+        self.a, self.b, self.N, self.nodes = a, b, N, nodes
+        self.h_sizes, self.h, self.sigma = h_sizes, h, sigma
+        self.kind, self.fraction, self.seed = kind, fraction, seed
 
     @property
     def length(self) -> float:
@@ -50,7 +47,7 @@ class Mesh1D:
     @cached_property
     def is_uniform(self) -> bool:
         """Every width equal to h_sizes[0] to node roundoff; decided once
-        per mesh (the fields are frozen and the arrays read-only)."""
+        per mesh."""
         return bool(np.max(np.abs(self.h_sizes - self.h_sizes[0]))
                     <= UNIFORM_TOL * max(abs(self.a), abs(self.b)))
 

@@ -13,7 +13,6 @@ three derivative orders mark where the DG error superconverges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -100,15 +99,16 @@ def l2_norm(u: DGFunction) -> float:
     return float(np.sqrt(np.sum(u.cell_norms_sq()).real))
 
 
-@dataclass(frozen=True)
 class AnalyticField:
     """Exact-solution provider: eval(x, t, d) returns the d-th spatial
     derivative of u(x, t).  Time derivatives are obtained by callers via
     the evolution identity d_t^r u = i^r d_x^{2r} u."""
 
-    eval: Callable[[np.ndarray, float, int], np.ndarray]
-    d_max: int
-    name: str = "field"
+    __slots__ = ("eval", "d_max", "name")
+
+    def __init__(self, eval: Callable[[np.ndarray, float, int], np.ndarray],
+                 d_max: int, name: str = "field"):
+        self.eval, self.d_max, self.name = eval, d_max, name
 
 
 def plane_wave(kappa: float = 3.0, name: str | None = None) -> AnalyticField:
@@ -298,14 +298,14 @@ def project_dagger(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
     return out
 
 
-@dataclass(frozen=True)
 class LeadingResidual:
     """R_{k+1} = L_{k+1} + b L_k + c L_{k-1} on the reference interval;
     b and c are floats, or arrays with one entry per cell width."""
 
-    k: int
-    b: float | np.ndarray
-    c: float | np.ndarray
+    __slots__ = ("k", "b", "c")
+
+    def __init__(self, k: int, b: float | np.ndarray, c: float | np.ndarray):
+        self.k, self.b, self.c = k, b, c
 
     def legendre_coeffs(self, s: int = 0) -> np.ndarray:
         """Legendre coefficients of the s-th derivative, shape
@@ -324,7 +324,6 @@ class LeadingResidual:
         return tab @ self.legendre_coeffs()
 
 
-@dataclass(frozen=True)
 class SpecialPoints:
     """Reference-interval superconvergence point sets.
 
@@ -335,11 +334,12 @@ class SpecialPoints:
     belongs to.  Each width's roots are sorted.
     """
 
-    residual: LeadingResidual
-    d0: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    owners: tuple
+    __slots__ = ("residual", "d0", "d1", "d2", "owners")
+
+    def __init__(self, residual: LeadingResidual, d0: np.ndarray,
+                 d1: np.ndarray, d2: np.ndarray, owners: tuple):
+        self.residual, self.owners = residual, owners
+        self.d0, self.d1, self.d2 = d0, d1, d2
 
     def sets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.d0, self.d1, self.d2
@@ -413,29 +413,12 @@ def legendre_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row's roots are those of the one-row stack, bit for bit.  Returns
     (row, root) as flat arrays, ordered by row and then by root.
     """
-    return _polish_roots(coeffs,
-                         np.sort(np.linalg.eigvals(_companions(coeffs))))
-
-
-def _companions(coeffs: np.ndarray) -> np.ndarray:
-    """Companion matrices of the monomial forms of a (G, deg+1) stack of
-    Legendre series, (G, deg, deg), built as numpy's polyroots builds
-    them."""
     G, n = coeffs.shape[0], coeffs.shape[1] - 1
     mono = _leg2poly_rows(coeffs)
     mat = np.zeros((G, n, n))
     mat[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     mat[:, :, -1] -= mono[:, :-1] / mono[:, -1:]
-    return mat
-
-
-def _polish_roots(coeffs: np.ndarray,
-                  roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """legendre_roots from the eigenvalues of the companion matrices of
-    coeffs, sorted within each row, (G, deg): the Newton step, the
-    clustering and the filters.  A row may hold a series of lower degree,
-    padded with zeros, if its extra eigenvalues lie outside [-1, 1]."""
-    n = coeffs.shape[1] - 1
+    roots = np.sort(np.linalg.eigvals(mat), axis=1)
     x = roots.real
     tab = basis.legendre_table(n, x)[..., 0, None, :]    # (G, n, 1, n+1)
     dcoef = basis.legendre_derivative_matrix(n) @ coeffs[:, :, None]
@@ -477,24 +460,8 @@ def special_points(k: int, h_j, sf: ScaledFlux) -> SpecialPoints:
     G = np.size(h_j)
     # the s-th derivative has degree k+1-s, with a top coefficient of
     # 1, 2k+1 or (2k+1)(2k-1), and exact zeros above it
-    coeffs = np.stack([res.legendre_coeffs(s).reshape(G, -1)
-                       for s in range(3)])
-    # one root solve for the three orders: the companions of degree k+1-s
-    # are padded to size k+1 with diagonal entries above the Cauchy bound
-    # 1 + max|last column| on the modulus of every root.  Balancing
-    # isolates each pad, so the other eigenvalues are bitwise the unpadded
-    # ones; the edge filter of the polish drops the pads.
-    mat = np.zeros((3, G, k + 1, k + 1))
-    for s in range(3):
-        n = k + 1 - s
-        comp = _companions(coeffs[s, :, :n + 1])
-        mat[s, :, :n, :n] = comp
-        for i in range(n, k + 1):
-            mat[s, :, i, i] = 2.0 + np.abs(comp[:, :, -1]).max(axis=1)
-    rows, roots = _polish_roots(coeffs.reshape(3 * G, k + 2),
-                                np.sort(np.linalg.eigvals(mat))
-                                .reshape(3 * G, k + 1))
-    order, owner = np.divmod(rows, G)
-    sets = [roots[order == s] for s in range(3)]
+    owners, sets = zip(*(
+        legendre_roots(res.legendre_coeffs(s).reshape(G, -1)[:, :k + 2 - s])
+        for s in range(3)))
     return SpecialPoints(residual=res, d0=sets[0], d1=sets[1], d2=sets[2],
-                         owners=tuple(owner[order == s] for s in range(3)))
+                         owners=owners)

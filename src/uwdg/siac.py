@@ -19,8 +19,6 @@ the matrix form of Cockburn, Luskin, Shu & Suli (Math. Comp. 2003).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -32,17 +30,18 @@ from .flux import SIAC_PIECE_TOL, SIAC_SUPPORT_TOL
 from .projection import AnalyticField, DGFunction
 
 
-@dataclass(frozen=True, eq=False)
 class KernelSpec:
     """SIAC kernel for DG degree k: B-spline order ell = k+1, integer
     shifts gamma in [-k, k] with symmetric weights summing to 1, support
     half-width (3k+1)/2 in units of h.  Compared and hashed by identity,
     so a spec can key the stencil cache."""
 
-    k: int
-    order: int
-    shifts: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("k", "order", "shifts", "weights")
+
+    def __init__(self, k: int, order: int, shifts: np.ndarray,
+                 weights: np.ndarray):
+        self.k, self.order = k, order
+        self.shifts, self.weights = shifts, weights
 
     @property
     def support_halfwidth(self) -> float:
@@ -66,6 +65,7 @@ def _bspline_moments(order: int, p_max: int) -> tuple:
 
     psi^(1) has moments 1/(2^p (p+1)) for even p; convolution adds
     moments binomially."""
+    from fractions import Fraction      # on the first kernel only
     mom = [Fraction(1, (p + 1) * 2 ** p) if p % 2 == 0 else Fraction(0)
            for p in range(p_max + 1)]
     base = list(mom)
@@ -80,8 +80,9 @@ def _bspline_moments(order: int, p_max: int) -> tuple:
     return tuple(mom)
 
 
-def _solve_fraction_system(A: list[list[Fraction]], b: list[Fraction]):
-    """Gaussian elimination with partial pivoting over the rationals."""
+def _solve_fraction_system(A: list[list], b: list):
+    """Gaussian elimination with partial pivoting over the rationals
+    (Fraction entries)."""
     n = len(b)
     M = [row[:] + [b[i]] for i, row in enumerate(A)]
     for col in range(n):
@@ -104,6 +105,7 @@ def kernel_coeffs(k: int) -> KernelSpec:
     its arrays are read-only."""
     if k < 1:
         raise ValueError("kernel needs k >= 1")
+    from fractions import Fraction      # on the first kernel only
     order = k + 1
     shifts = np.arange(-k, k + 1)
     mu = _bspline_moments(order, 2 * k)

@@ -26,8 +26,6 @@ both propagators against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -57,12 +55,13 @@ def default_dt_constant(k: int) -> float:
     return DEFAULT_DT_CONSTANTS[k]
 
 
-@dataclass(frozen=True)
 class TimeScheme:
     """Step constant and end time; dt = c * h^2.5."""
 
-    c: float
-    t_end: float
+    __slots__ = ("c", "t_end")
+
+    def __init__(self, c: float, t_end: float):
+        self.c, self.t_end = c, t_end
 
     def dt(self, h: float) -> float:
         dt = self.c * h ** 2.5
@@ -193,11 +192,13 @@ def rk4_step(op, u: DGFunction, dt: float) -> DGFunction:
     return DGFunction(u.mesh, u.k, c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
-@dataclass
 class IntegrationResult:
-    u: DGFunction
-    dt: float
-    n_steps: int
+    """The solution at t_end, the step and the number of steps taken."""
+
+    __slots__ = ("u", "dt", "n_steps")
+
+    def __init__(self, u: DGFunction, dt: float, n_steps: int):
+        self.u, self.dt, self.n_steps = u, dt, n_steps
 
 
 def _step_counts(t_end: float, dt: float) -> tuple[int, float]:

@@ -49,7 +49,81 @@ class TestLegendreEval:
             basis.legendre_eval(2, 3, 0.0)
 
 
+# gauss_rule(n) for n <= 10, every rule the studies use, as float.hex of
+# the nodes >= 0 and their weights; numpy 2.4's leggauss(n) gives them
+GAUSS_PINNED = {
+    1: (('0x0.0p+0',),
+        ('0x1.0000000000000p+1',)),
+    2: (('0x1.279a74590331cp-1',),
+        ('0x1.0000000000000p+0',)),
+    3: (('0x0.0p+0', '0x1.8c97ef43f7248p-1'),
+        ('0x1.c71c71c71c71cp-1', '0x1.1c71c71c71c73p-1')),
+    4: (('0x1.5c23fd9dd3dfcp-2', '0x1.b8e6dbcf63985p-1'),
+        ('0x1.4de5f840c24cdp-1', '0x1.64340f7e7b666p-2')),
+    5: (('0x0.0p+0', '0x1.13b23fd99b705p-1', '0x1.cff6ce0533a69p-1'),
+        ('0x1.23456789abcddp-1', '0x1.ea1da25ae4158p-2',
+         '0x1.e539ec36e0393p-3')),
+    6: (('0x1.e8b12d03675c5p-3', '0x1.528a09655c95ep-1',
+         '0x1.dd6ca4e80a01dp-1'),
+        ('0x1.df24d499545e8p-2', '0x1.716b7b5794c1ep-2',
+         '0x1.5edf601e2dbf5p-3')),
+    7: (('0x0.0p+0', '0x1.9f95df119fd62p-2', '0x1.7ba9f9be3a1d6p-1',
+         '0x1.e5f178e7c622ap-1'),
+        ('0x1.abfd7e03c2fa4p-2', '0x1.86fe74ee32b39p-2',
+         '0x1.1e6b1713d8648p-2', '0x1.092f69f826d58p-3')),
+    8: (('0x1.77ac94f3c7344p-3', '0x1.0d129583284b4p-1',
+         '0x1.97e4ab249f41ep-1', '0x1.ebab1cb0acc66p-1'),
+        ('0x1.736360b19933dp-2', '0x1.413c50a25560ep-2',
+         '0x1.c76fb531d2b94p-3', '0x1.9ea1d04ca03aep-4')),
+    9: (('0x0.0p+0', '0x1.4c0916e48aa66p-2', '0x1.3a0bd2077fd8cp-1',
+         '0x1.ac0c44f0d0298p-1', '0x1.efb2b2ebf2106p-1'),
+        ('0x1.522a43f65486bp-2', '0x1.3fd7e9838d513p-2',
+         '0x1.0add87c827509p-2', '0x1.71f7a9b222be9p-3',
+         '0x1.4ce65f803eee6p-4')),
+    10: (('0x1.30e507891e27ap-3', '0x1.bbcc009016adcp-2',
+          '0x1.5bdb9228de198p-1', '0x1.bae995e9cb2f3p-1',
+          '0x1.f2a3e062af2d8p-1'),
+         ('0x1.2e9de7014d6eep-2', '0x1.13baa7a559c01p-2',
+          '0x1.c0b059d00bc30p-3', '0x1.32138c878efdep-3',
+          '0x1.1115f8b62dc1fp-4')),
+}
+
+
+def _upper_half_hex(nodes, weights):
+    n = len(nodes)
+    return (tuple(x.hex() for x in nodes[n // 2:]),
+            tuple(w.hex() for w in weights[n // 2:]))
+
+
+# numpy before 2.4 rounds each Clenshaw step of legval as
+# (c1 * (nd - 1)) / nd, so its leggauss is an ulp away from n = 4 on;
+# with a numpy that does not give the pinned rules, they are the reference
+NUMPY_LEGGAUSS_PINNED = all(_upper_half_hex(*npleg.leggauss(n)) == pinned
+                            for n, pinned in GAUSS_PINNED.items())
+
+
 class TestGaussRule:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_leggauss_bit_for_bit(self, n):
+        rule = basis.gauss_rule(n)
+        np.testing.assert_array_equal(rule.nodes, -rule.nodes[::-1])
+        np.testing.assert_array_equal(rule.weights, rule.weights[::-1])
+        if n in GAUSS_PINNED:
+            assert _upper_half_hex(rule.nodes, rule.weights) \
+                == GAUSS_PINNED[n]
+        if NUMPY_LEGGAUSS_PINNED:
+            nodes, weights = npleg.leggauss(n)
+            assert rule.nodes.tobytes() == nodes.tobytes()
+            assert rule.weights.tobytes() == weights.tobytes()
+
+    def test_cached_and_read_only(self):
+        rule = basis.gauss_rule(7)
+        assert rule is basis.gauss_rule(7)
+        assert not rule.nodes.flags.writeable
+        assert not rule.weights.flags.writeable
+        with pytest.raises(ValueError):
+            basis.gauss_rule(0)
+
     def test_one_point(self):
         r = basis.gauss_rule(1)
         np.testing.assert_allclose(r.nodes, [0.0])
@@ -62,7 +136,7 @@ class TestGaussRule:
 
     def test_five_point_degree_eight(self):
         r = basis.gauss_rule(5)
-        assert r.integrate(r.nodes ** 8) == pytest.approx(2.0 / 9.0, abs=1e-14)
+        assert r.nodes ** 8 @ r.weights == pytest.approx(2.0 / 9.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_exactness(self, n):
@@ -72,7 +146,7 @@ class TestGaussRule:
         assert np.all(r.weights > 0)
         for p in range(2 * n):
             exact = 0.0 if p % 2 else 2.0 / (p + 1)
-            assert r.integrate(r.nodes ** p) == pytest.approx(exact, abs=1e-13)
+            assert r.nodes ** p @ r.weights == pytest.approx(exact, abs=1e-13)
 
 
     def test_weighted_legendre_table(self):
@@ -211,7 +285,7 @@ class TestBSpline:
         for i in range(ell):
             a, b = -ell / 2 + i, -ell / 2 + i + 1
             x = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
-            total += 0.5 * (b - a) * rule.integrate(basis.bspline_eval(ell, x))
+            total += 0.5 * (b - a) * (basis.bspline_eval(ell, x) @ rule.weights)
         assert total == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("ell", range(1, 8))

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import uwdg
 from uwdg.correction import build_correction
+from uwdg.diagnostics import ErrorReport
 from uwdg.errors import ConfigurationError
 from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig
 from uwdg.harness import (COMMANDS, FIELDS, MAIN_METRICS, OPTIONS,
@@ -62,6 +64,16 @@ class TestConfig:
             run_study(cfg)
         smoke_config(mesh_kind="perturbed", fraction=0.1,
                      seed=np.int64(3)).validate()
+
+    def test_replace_then_validate(self):
+        # perfbench/workloads.py cuts each study to its smallest N so
+        cfg = StudyConfig(k=3, Ns=(20, 40, 80), flux=ALTERNATING)
+        small = dataclasses.replace(cfg, Ns=(20,))
+        assert small.validate() is small
+        assert (small.k, small.Ns, small.flux) == (3, (20,), ALTERNATING)
+        assert cfg.Ns == (20, 40, 80)
+        with pytest.raises(ConfigurationError, match="cell counts"):
+            dataclasses.replace(cfg, Ns=(2,)).validate()
 
     def test_default_dt_constants(self):
         assert StudyConfig(k=2).dt_constant() == 0.05
@@ -197,6 +209,14 @@ class TestReports:
         report = run_study(cfg)
         assert report.orders["l2"][0] == pytest.approx(3.0, abs=0.8)
 
+    def test_fresh_rows_and_orders(self):
+        a = ErrorReport(meta={}, metric_names=["l2"])
+        b = ErrorReport(meta={}, metric_names=["l2"])
+        a.rows.append({"N": 8})
+        a.orders["l2"] = [None]
+        assert (b.rows, b.orders) == ([], {})
+        assert a.rows is not b.rows and a.orders is not b.orders
+
     def test_single_n_no_orders(self):
         report = run_study(smoke_config(Ns=(8,), metrics=("l2",), c=0.04))
         assert report.orders == {}
@@ -259,6 +279,31 @@ class TestCLI:
         package = _python_m("-m", "uwdg", "kernel", "--k", "2")
         assert package.stdout == script.stdout != ""
         assert package.stderr == script.stderr == ""
+
+    def test_cold_start_loads_only_what_its_case_runs(self):
+        # argparse (the CLI), fractions with decimal (the SIAC kernel) and
+        # numpy.polynomial (never) are not loaded by a study without E*,
+        # here uniform_tables' set-up case; an E* study loads fractions
+        code = (
+            "import sys\n"
+            "import uwdg.harness as h\n"
+            "h.run_study(h.StudyConfig(k=2, Ns=(40,), flux=h.FluxConfig(),\n"
+            "                          metrics=tuple(h.MAIN_METRICS)))\n"
+            "lazy = ('argparse', 'fractions', 'decimal', 'numpy.polynomial')\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+            "h.run_study(h.StudyConfig(k=2, Ns=(20,), init='l2',\n"
+            "                          metrics=('estar',)))\n"
+            "print('fractions' in sys.modules)\n"
+            "h.main(['kernel', '--k', '2'])\n")
+        assert _python_m("-c", code).stdout.splitlines() == [
+            "[]", "True",
+            "k = 2, spline order = 3, support half-width = 3.5 h",
+            "gamma = -2: +0.0192708333333333",
+            "gamma = -1: -0.202083333333333",
+            "gamma = +0: +1.365625",
+            "gamma = +1: -0.202083333333333",
+            "gamma = +2: +0.0192708333333333",
+            "sum = 1"]
 
     def test_points_central_k3(self, capsys):
         assert main(["points", "--k", "3", "--flux", "0,0,0"]) == 0

@@ -661,8 +661,8 @@ class TestBatchedRoots:
     @settings(max_examples=200, deadline=None)
     @given(case=_residual_stacks())
     def test_one_call_matches_each_order(self, case):
-        # special_points finds the three orders in one eigvals call on
-        # padded companions; each order's roots are those of its own
+        # special_points finds each order's roots with one legendre_roots
+        # call over all widths; they are those of the order's own
         # legendre_roots call, bit for bit, double roots included
         k, b, c = case
         res = LeadingResidual(k=k, b=b, c=c)

@@ -6,7 +6,8 @@ from uwdg import basis
 from uwdg.basis import gauss_rule
 from uwdg.errors import UnsupportedOperationError
 from uwdg.projection import AnalyticField, DGFunction, plane_wave, project_l2
-from uwdg.siac import kernel_coeffs, postprocess_value, postprocessed_error
+from uwdg.siac import (KernelSpec, kernel_coeffs, postprocess_value,
+                       postprocessed_error)
 
 
 def kernel_convolve_monomial(spec, m, s):
@@ -80,6 +81,14 @@ def random_dg(k, N, seed):
 
 
 class TestKernelWeights:
+    def test_hashed_by_identity(self):
+        # a spec keys the stencil cache by identity, not by its arrays
+        spec = kernel_coeffs(2)
+        twin = KernelSpec(spec.k, spec.order, spec.shifts, spec.weights)
+        assert spec != twin
+        assert hash(spec) == object.__hash__(spec)
+        assert len({spec, twin, spec}) == 2
+
     def test_built_once_per_degree_and_read_only(self):
         spec = kernel_coeffs(3)
         assert kernel_coeffs(3) is spec
