@@ -27,9 +27,8 @@ _EXPORTS = {
              "solve_block_circulant"),
     "projection": ("AnalyticField", "DGFunction", "LeadingResidual",
                    "SpecialPoints", "l2_norm", "leading_residual",
-                   "plane_wave", "project_dagger", "project_l2",
-                   "project_star", "special_points",
-                   "time_derivative_field"),
+                   "plane_wave", "project_l2", "project_star",
+                   "special_points", "time_derivative_field"),
     "solver": ("DGOperator", "TimeScheme", "default_dt_constant",
                "integrate", "rk4_step"),
     "correction": ("build_correction", "max_correction_levels",
@@ -37,8 +36,7 @@ _EXPORTS = {
     "diagnostics": ("DNE", "ErrorReport", "broken_l2_error",
                     "cell_average_error", "flux_errors", "numerical_fluxes",
                     "observed_orders", "point_errors", "projection_error"),
-    "siac": ("KernelSpec", "kernel_coeffs", "postprocess_value",
-             "postprocessed_error"),
+    "siac": ("KernelSpec", "kernel_coeffs", "postprocessed_error"),
     "harness": ("StudyConfig", "emit_report", "run_case", "run_study"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()

@@ -44,23 +44,21 @@ def flux_errors(u_h: DGFunction, f: AnalyticField, t: float,
     return float(e_f), float(e_fx)
 
 
-def cell_average_error(u_h: DGFunction, f: AnalyticField, t: float,
-                       n_quad: int | None = None) -> float:
+def cell_average_error(u_h: DGFunction, f: AnalyticField, t: float) -> float:
     """RMS over cells of the mean-value error |h_j^-1 int (u - u_h)|."""
     mesh = u_h.mesh
-    rule = basis.gauss_rule(n_quad or basis.default_quad_points(u_h.k))
+    rule = basis.gauss_rule(basis.default_quad_points(u_h.k))
     fv = f.eval(mesh.quad_points(rule.nodes), t, 0)
     mean_exact = 0.5 * (fv @ rule.weights)      # h_j^-1 int u = mean on ref
     mean_h = u_h.coeffs[:, 0]
     return float(np.sqrt(np.sum(np.abs(mean_exact - mean_h) ** 2) / mesh.N))
 
 
-def broken_l2_error(u_h: DGFunction, f: AnalyticField, t: float, s: int = 0,
-                    n_quad: int | None = None) -> float:
-    """|| d^s(u - u_h) || over the mesh by per-cell quadrature."""
+def broken_l2_error(u_h: DGFunction, f: AnalyticField, t: float) -> float:
+    """|| u - u_h || over the mesh by per-cell quadrature."""
     mesh = u_h.mesh
-    rule = basis.gauss_rule(n_quad or basis.default_quad_points(u_h.k))
-    diff = f.eval(mesh.quad_points(rule.nodes), t, s) - u_h.eval_ref(rule.nodes, s)
+    rule = basis.gauss_rule(basis.default_quad_points(u_h.k))
+    diff = f.eval(mesh.quad_points(rule.nodes), t, 0) - u_h.eval_ref(rule.nodes)
     cell = 0.5 * mesh.h_sizes * (np.abs(diff) ** 2 @ rule.weights)
     return float(np.sqrt(np.sum(cell)))
 

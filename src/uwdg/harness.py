@@ -98,7 +98,7 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
     want = set(cfg.metrics)
     # tables report norm-type metrics as domain RMS values, ||.||/sqrt(b-a),
     # which is the normalization the reference tables use
-    rms = 1.0 / np.sqrt(cfg.b - cfg.a)
+    rms = 1.0 / math.sqrt(cfg.b - cfg.a)
     t = cfg.t_end
     skipped = []
     try:
@@ -472,7 +472,12 @@ def main(argv=None) -> int:
         cfg = StudyConfig(**given)
         if args.command == "run" and len(cfg.Ns) != 1:
             raise ConfigurationError(f"run takes one N, got {cfg.Ns}")
-        emit_report(run_study(cfg), fmt=cfg.fmt, out=cfg.out)
+        report = run_study(cfg)
+        try:
+            emit_report(report, fmt=cfg.fmt, out=cfg.out)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write the report: {exc}") \
+                from exc
         return 0
     except (ConfigurationError, ResidualUndefinedError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

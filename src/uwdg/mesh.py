@@ -15,8 +15,8 @@ class Mesh1D:
     """Periodic partition a = x_{1/2} < ... < x_{N+1/2} = b.
 
     h is the largest cell size, sigma = h / min h_j the regularity ratio.
-    Cell j (0-based) spans nodes[j] .. nodes[j+1]; index arithmetic wraps
-    modulo N so downstream code never re-implements periodic wrapping.
+    Cell j (0-based) spans nodes[j] .. nodes[j+1], and cell N-1 meets
+    cell 0 at x = b, which is identified with x = a.
     The fields are not changed after construction; the tables below are
     computed from them once per mesh.
     """
@@ -28,10 +28,6 @@ class Mesh1D:
         self.a, self.b, self.N, self.nodes = a, b, N, nodes
         self.h_sizes, self.h, self.sigma = h_sizes, h, sigma
         self.kind, self.fraction, self.seed = kind, fraction, seed
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
 
     @cached_property
     def centers(self) -> np.ndarray:
@@ -50,24 +46,6 @@ class Mesh1D:
         per mesh."""
         return bool(np.max(np.abs(self.h_sizes - self.h_sizes[0]))
                     <= UNIFORM_TOL * max(abs(self.a), abs(self.b)))
-
-    def wrap(self, j) -> np.ndarray:
-        """Periodic cell index: j modulo N."""
-        return np.asarray(j) % self.N
-
-    def cell_of(self, x) -> np.ndarray:
-        """Cell index containing x, after periodic reduction into [a, b)."""
-        xr = np.mod(np.asarray(x, dtype=float) - self.a, self.length) + self.a
-        j = np.searchsorted(self.nodes, xr, side="right") - 1
-        return np.clip(j, 0, self.N - 1)
-
-    def reference_coord(self, x, j=None):
-        """Map x to (cell index, reference coordinate in [-1, 1])."""
-        xr = np.mod(np.asarray(x, dtype=float) - self.a, self.length) + self.a
-        if j is None:
-            j = self.cell_of(xr)
-        xi = 2.0 * (xr - self.nodes[j]) / self.h_sizes[j] - 1.0
-        return j, xi
 
     def quad_points(self, nodes_ref: np.ndarray) -> np.ndarray:
         """Physical points of shape (N, len(nodes_ref)) for reference nodes,

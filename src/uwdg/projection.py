@@ -5,10 +5,9 @@ keeps the L2 moments up to degree k-2 and replaces the top two Legendre
 coefficients per cell so that the numerical fluxes of the projection
 reproduce (u, u_x) exactly at every interface; depending on the flux
 class this is a per-cell 2x2 solve (A1) or one periodic block-circulant
-solve (A2/A3).  Pdagger imposes both endpoint conditions on the same
-cell and is always local.  The leading residual polynomial
-L_{k+1} + b L_k + c L_{k-1} and the root sets D0/D1/D2 of its first
-three derivative orders mark where the DG error superconverges.
+solve (A2/A3).  The leading residual polynomial L_{k+1} + b L_k
++ c L_{k-1} and the root sets D0/D1/D2 of its first three derivative
+orders mark where the DG error superconverges.
 """
 
 from __future__ import annotations
@@ -69,16 +68,6 @@ class DGFunction:
         vals = self.coeffs @ tab.T
         if s:
             vals = vals * (2.0 / self.mesh.h_sizes[:, None]) ** s
-        return vals
-
-    def eval(self, x, s: int = 0) -> np.ndarray:
-        """Evaluate at arbitrary physical points (periodic reduction)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        j, xi = self.mesh.reference_coord(x)
-        tab = basis.legendre_table(self.k, xi, ders=s)[..., s, :]
-        vals = np.einsum("...m,...m->...", self.coeffs[j], tab)
-        if s:
-            vals = vals * (2.0 / self.mesh.h_sizes[j]) ** s
         return vals
 
     def traces(self) -> tuple[np.ndarray, np.ndarray]:
@@ -158,11 +147,11 @@ def memoized_field(f: AnalyticField) -> AnalyticField:
     return AnalyticField(eval=_eval, d_max=f.d_max, name=f.name)
 
 
-def project_l2(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
-               n_quad: int | None = None) -> DGFunction:
+def project_l2(f: AnalyticField, t: float, mesh: Mesh1D,
+               k: int) -> DGFunction:
     """Cellwise L2 projection onto degree <= k via over-integrated Gauss
     quadrature: coeffs[j, m] = (2m+1)/h_j * int_{I_j} f L_{j,m}."""
-    n_quad = n_quad or basis.default_quad_points(k)
+    n_quad = basis.default_quad_points(k)
     fv = f.eval(mesh.quad_points(basis.gauss_rule(n_quad).nodes), t, 0)
     coeffs = ((fv @ basis.weighted_legendre_table(k, n_quad))
               * ((2 * np.arange(k + 1) + 1) / 2.0))
@@ -267,8 +256,8 @@ def _top_two(cls: AssumptionClass, mesh: Mesh1D, k: int, sf: ScaledFlux,
 
 
 def project_star(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
-                 cfg: FluxConfig, cls: AssumptionClass | None = None,
-                 n_quad: int | None = None) -> DGFunction:
+                 cfg: FluxConfig,
+                 cls: AssumptionClass | None = None) -> DGFunction:
     """Flux-matching projection: L2 moments up to k-2, and the scheme's
     numerical fluxes evaluated on the result equal (u, u_x) at every
     interface.  Right-hand data uses the exact interface values of f."""
@@ -278,23 +267,9 @@ def project_star(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
         raise ValueError("field must supply first derivatives")
     cls = _resolve_class(cfg, mesh, k, cls)
     sf = scale_flux(cfg, mesh.h)
-    out = project_l2(f, t, mesh, k, n_quad)
+    out = project_l2(f, t, mesh, k)
     iface = interface_data(f, t, mesh)
     out.coeffs[:, k - 1:] = _top_two(cls, mesh, k, sf, out.coeffs, iface)
-    return out
-
-
-def project_dagger(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
-                   cfg: FluxConfig, n_quad: int | None = None) -> DGFunction:
-    """Cell-local variant: both endpoint flux conditions are written on
-    the same cell, so the solve is always a per-cell 2x2 system.  Under
-    the local class A1 it coincides with project_star."""
-    if k < 2:
-        raise ValueError("projection needs k >= 2")
-    sf = scale_flux(cfg, mesh.h)
-    out = project_l2(f, t, mesh, k, n_quad)
-    iface = interface_data(f, t, mesh)
-    out.coeffs[:, k - 1:] = _top_two_local(mesh, k, sf, out.coeffs, iface)
     return out
 
 

@@ -168,12 +168,12 @@ def _stencil(spec: KernelSpec, k: int, xi0: float,
 
 
 @lru_cache(maxsize=32)
-def _error_stencils(spec: KernelSpec, k: int, n_quad: int,
-                    n_gauss: int) -> np.ndarray:
+def _error_stencils(spec: KernelSpec, k: int) -> np.ndarray:
     """Read-only stencils (n_quad, 2R+1, k+1), one per node of the
-    n_quad-point Gauss rule."""
-    W = np.stack([_stencil(spec, k, float(xi0), n_gauss)
-                  for xi0 in basis.gauss_rule(n_quad).nodes])
+    n_quad-point Gauss rule of the error quadrature, each integrated by
+    the (k+1)-point rule."""
+    W = np.stack([_stencil(spec, k, float(xi0), k + 1) for xi0 in
+                  basis.gauss_rule(basis.default_quad_points(k)).nodes])
     W.setflags(write=False)
     return W
 
@@ -190,39 +190,18 @@ def _apply(u_h: DGFunction, cells: np.ndarray, W: np.ndarray) -> np.ndarray:
             @ W.reshape(W.shape[:-2] + (-1,)).T)
 
 
-def _require_uniform(u_h: DGFunction):
-    if not u_h.mesh.is_uniform:
+def postprocessed_error(u_h: DGFunction, f: AnalyticField, t: float,
+                        spec: KernelSpec) -> float:
+    """E* = || u - u* || by per-cell quadrature on a uniform mesh, with
+    u*(x) = int K_h(y - x) u_h(y) dy over the periodic extension of u_h;
+    K_h(x) = K(x/h)/h and the kernel is even, so orientation is
+    immaterial."""
+    mesh = u_h.mesh
+    if not mesh.is_uniform:
         raise UnsupportedOperationError(
             "post-processing is defined on uniform meshes only")
-
-
-def postprocess_value(u_h: DGFunction, x, spec: KernelSpec,
-                      n_gauss: int | None = None) -> complex | np.ndarray:
-    """Post-processed value u*(x) = int K_h(y - x) u_h(y) dy with the
-    periodic extension of u_h; K_h(x) = K(x/h)/h and the kernel is even,
-    so orientation is immaterial.  Accepts scalar or array x."""
-    _require_uniform(u_h)
-    ng = n_gauss or (u_h.k + 1)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    cells, xis = u_h.mesh.reference_coord(xs)
-    out = np.empty(xs.shape, dtype=complex)
-    # points sharing a reference offset share one stencil
-    for xi0 in np.unique(xis):
-        mask = xis == xi0
-        out[mask] = _apply(u_h, cells[mask],
-                           _stencil(spec, u_h.k, float(xi0), ng))
-    return out if np.ndim(x) else complex(out[0])
-
-
-def postprocessed_error(u_h: DGFunction, f: AnalyticField, t: float,
-                        spec: KernelSpec, n_quad: int | None = None) -> float:
-    """E* = || u - u* || by per-cell quadrature on a uniform mesh."""
-    _require_uniform(u_h)
-    mesh = u_h.mesh
-    n_quad = n_quad or basis.default_quad_points(u_h.k)
-    rule = basis.gauss_rule(n_quad)
-    star = _apply(u_h, np.arange(mesh.N),
-                  _error_stencils(spec, u_h.k, n_quad, u_h.k + 1))
+    rule = basis.gauss_rule(basis.default_quad_points(u_h.k))
+    star = _apply(u_h, np.arange(mesh.N), _error_stencils(spec, u_h.k))
     diff2 = np.abs(f.eval(mesh.quad_points(rule.nodes), t, 0) - star) ** 2
     return float(np.sqrt(np.sum(0.5 * mesh.h_sizes[:, None] * rule.weights
                                 * diff2)))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import uwdg
-from uwdg.basis import antiderivative_map, gauss_rule, legendre_table
+from uwdg.basis import (antiderivative_map, gauss_rule, legendre_eval,
+                        legendre_table)
 from uwdg.correction import (_d2_table, build_correction, interface_jumps,
                              max_correction_levels, reference_interpolant,
                              second_derivative_norm, zeta_diagnostics)
@@ -185,11 +186,10 @@ def test_interface_jumps_match_pointwise():
     rng = np.random.default_rng(4)
     u = uwdg.DGFunction(mesh, 3, rng.normal(size=(8, 4)).astype(complex))
     jump, djump = interface_jumps(u)
-    eps = 1e-9
-    xs = mesh.nodes[1:-1]
-    right = u.eval(xs + eps)
-    left = u.eval(xs - eps)
-    np.testing.assert_allclose(jump[:-1], right - left, atol=1e-6)
-    d_right = u.eval(xs + eps, s=1)
-    d_left = u.eval(xs - eps, s=1)
-    np.testing.assert_allclose(djump[:-1], d_right - d_left, atol=1e-5)
+    # interface j+1/2 joins xi = 1 of cell j to xi = -1 of cell j+1,
+    # and interface N-1/2 joins cell N-1 to cell 0
+    for s, got in enumerate((jump, djump)):
+        end, start = (u.coeffs @ [legendre_eval(m, s, xi) for m in range(4)]
+                      * (2.0 / mesh.h_sizes) ** s for xi in (1.0, -1.0))
+        np.testing.assert_allclose(got, np.roll(start, -1) - end,
+                                   rtol=1e-13, atol=1e-13)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import uwdg
-from uwdg.basis import legendre_table
+from uwdg.basis import legendre_eval, legendre_table
 from uwdg.correction import build_correction
-from uwdg.diagnostics import (DNE, broken_l2_error, cell_average_error,
-                              flux_errors, numerical_fluxes, observed_orders,
-                              point_errors, projection_error)
+from uwdg.diagnostics import (DNE, cell_average_error, flux_errors,
+                              numerical_fluxes, observed_orders, point_errors,
+                              projection_error)
 from uwdg.errors import ResidualUndefinedError
 from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig, scale_flux
 from uwdg.harness import StudyConfig, run_study
@@ -72,13 +72,18 @@ def test_projection_error_takes_a_given_projection(cfg):
     assert projection_error(ps, f, 0.3, cfg, ps=ps) == 0.0
 
 
-def test_broken_l2_error_derivative_orders():
+def test_point_errors_derivative_orders():
+    # the L2 projection is no special projection: each derivative of its
+    # point errors costs one power of h, orders k+1, k, k-1
     f = plane_wave(3.0)
-    mesh = uwdg.make_mesh(0, 2 * np.pi, 16)
-    p0 = project_l2(f, 0.0, mesh, 3)
-    e0 = broken_l2_error(p0, f, 0.0, s=0)
-    e1 = broken_l2_error(p0, f, 0.0, s=1)
-    assert 0 < e0 < e1          # each derivative costs roughly 1/h
+    errs = []
+    for N in (16, 32, 64):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N)
+        errs.append(point_errors(project_l2(f, 0.0, mesh, 3), f, 0.0,
+                                 ALTERNATING))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    np.testing.assert_allclose(orders, [[4.0, 3.0, 2.0]] * 2, atol=0.2)
+    assert all(e0 < e1 < e2 for e0, e1, e2 in errs)
 
 
 def test_point_errors_dne_sentinel():
@@ -119,10 +124,10 @@ def test_point_errors_perturbed_mesh_per_cell_reference():
     for j in range(mesh.N):
         hj = mesh.h_sizes[j]
         for s, xi in enumerate(special_points(k, hj, sf).sets()):
-            # interior points, so DGFunction.eval reads cell j
-            assert np.all(np.abs(xi) < 1.0)
             x = mesh.nodes[j] + 0.5 * hj * (xi + 1.0)
-            sums[s] += np.sum(np.abs(f.eval(x, 0.3, s) - u_h.eval(x, s)) ** 2)
+            uh = sum(u_h.coeffs[j, m] * legendre_eval(m, s, xi)
+                     for m in range(k + 1)) * (2.0 / hj) ** s
+            sums[s] += np.sum(np.abs(f.eval(x, 0.3, s) - uh) ** 2)
             counts[s] += xi.size
     assert counts.all()
     got = point_errors(u_h, f, 0.3, cfg)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import os
 import re
@@ -16,9 +17,9 @@ from uwdg.correction import build_correction
 from uwdg.diagnostics import ErrorReport
 from uwdg.errors import ConfigurationError
 from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig
-from uwdg.harness import (COMMANDS, FIELDS, MAIN_METRICS, OPTIONS,
-                          ZETA_METRICS, StudyConfig, _parse_flux, _parse_mesh,
-                          emit_report, main, run_case, run_study)
+from uwdg.harness import (ALL_METRICS, COMMANDS, FIELDS, MAIN_METRICS,
+                          OPTIONS, ZETA_METRICS, StudyConfig, _parse_flux,
+                          _parse_mesh, emit_report, main, run_case, run_study)
 from uwdg.projection import AnalyticField, plane_wave
 
 
@@ -182,6 +183,15 @@ class TestRunCase:
         assert row["status"] == "ok"
         assert times == [0.0, cfg.t_end]
 
+    def test_metrics_are_python_floats(self):
+        # the domain-RMS factor is a float, so no metric is a numpy scalar
+        report = run_study(smoke_config(k=3, metrics=tuple(ALL_METRICS)))
+        assert report.metric_names == ALL_METRICS
+        for row in report.rows:
+            assert row["status"] == "ok"
+            for m in ALL_METRICS:
+                assert type(row[m]) is float, m
+
     def test_dne_metric_in_row(self):
         cfg = smoke_config(flux=FluxConfig(0.3, 0.4, 0.4),
                            mesh_kind="perturbed", fraction=0.1, seed=2,
@@ -264,6 +274,14 @@ def _python_m(*args):
                           capture_output=True, text=True)
 
 
+def test_every_export_resolves_and_is_listed():
+    listed = dir(uwdg)
+    for name in uwdg.__all__:
+        home = importlib.import_module(f"uwdg.{uwdg._HOME[name]}")
+        assert getattr(uwdg, name) is getattr(home, name), name
+        assert name in listed, name
+
+
 class TestCLI:
     def test_module_entry_points(self):
         # python -m uwdg.harness runs the module once, so it warns about
@@ -328,6 +346,16 @@ class TestCLI:
                    "--out", str(out)])
         assert rc == 0
         assert out.exists()
+
+    def test_unwritable_out_file_exit_code(self, capsys, tmp_path):
+        # the directory exists, but the file name is too long to create
+        out = tmp_path / ("x" * 300 + ".csv")
+        assert main(["study", "--k", "2", "--N", "8", "--tend", "0",
+                     "--metrics", "l2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_flux_exit_code(self):
         assert main(["study", "--k", "2", "--N", "8", "--flux", "bad"]) == 2

@@ -135,18 +135,6 @@ def test_empty_interval():
         make_mesh(1.0, 1.0, 8)
 
 
-def test_wrap_and_cell_lookup():
-    m = make_mesh(0, 2 * np.pi, 8)
-    assert m.wrap(8) == 0
-    assert m.wrap(-1) == 7
-    j, xi = m.reference_coord(m.centers[3])
-    assert j == 3
-    assert xi == pytest.approx(0.0, abs=1e-14)
-    # periodic reduction
-    j2, _ = m.reference_coord(m.centers[3] + 2 * np.pi)
-    assert j2 == 3
-
-
 @pytest.mark.parametrize("N", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])
 def test_uniformity_is_node_roundoff_at_any_n(N):
     # diff(nodes) carries roundoff of a few ulps of max|x|, which relative

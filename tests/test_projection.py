@@ -13,9 +13,9 @@ from uwdg.flux import (ALTERNATING, CENTRAL, ROOT_CLUSTER_TOL, ROOT_EDGE_TOL,
                        FluxConfig, _symbol_inverse, scale_flux, trace_maps)
 from uwdg.projection import (AnalyticField, DGFunction, LeadingResidual,
                              _footprints, _top_two_global, _top_two_local,
-                             _uniform_footprints, leading_residual,
-                             legendre_roots, memoized_field, plane_wave,
-                             project_dagger, project_l2, project_star,
+                             _uniform_footprints, interface_data,
+                             leading_residual, legendre_roots, memoized_field,
+                             plane_wave, project_l2, project_star,
                              special_points, time_derivative_field)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
@@ -23,8 +23,20 @@ FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
 
 
 def dg_field(u: DGFunction) -> AnalyticField:
-    """Expose a DG function as an exact-solution provider."""
-    return AnalyticField(eval=lambda x, t, d=0: u.eval(x, s=d), d_max=2)
+    """Expose a DG function as an exact-solution provider on [a, b]: each
+    point is evaluated in its own cell by legendre_eval."""
+    mesh = u.mesh
+
+    def _eval(x, t, d=0):
+        x = np.asarray(x, dtype=float)
+        j = np.clip(np.searchsorted(mesh.nodes, x, side="right") - 1,
+                    0, mesh.N - 1)
+        xi = 2.0 * (x - mesh.nodes[j]) / mesh.h_sizes[j] - 1.0
+        return (sum(u.coeffs[j, m] * legendre_eval(m, d, xi)
+                    for m in range(u.k + 1))
+                * (2.0 / mesh.h_sizes[j]) ** d)
+
+    return AnalyticField(eval=_eval, d_max=2)
 
 
 def poly_field(mono_coeffs) -> AnalyticField:
@@ -157,17 +169,17 @@ class TestL2Projection:
         p = project_l2(dg_field(hi), 0.0, mesh, 3)
         np.testing.assert_allclose(p.coeffs, 0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("n_quad", [None, 7])
-    def test_scaling_after_table_product(self, n_quad):
+    @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+    def test_scaling_after_table_product(self, kind):
         # coeffs = (f at the nodes @ weighted table) * (2m+1)/2, bit for
         # bit: folding the scaling into the table moves Table 7 rows
         f = plane_wave(3.0)
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 16, "perturbed", 0.1, 3)
-        rule = gauss_rule(n_quad or 10)
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 16, kind, 0.1, 3)
+        rule = gauss_rule(10)
         fv = f.eval(mesh.quad_points(rule.nodes), 0.5, 0)
         wtab = legendre_table(3, rule.nodes)[:, 0, :] * rule.weights[:, None]
         np.testing.assert_array_equal(
-            project_l2(f, 0.5, mesh, 3, n_quad).coeffs,
+            project_l2(f, 0.5, mesh, 3).coeffs,
             (fv @ wtab) * ((2 * np.arange(4) + 1) / 2.0))
 
     def test_order_k_plus_one(self):
@@ -318,21 +330,43 @@ class TestGlobalSolve:
             project_star(plane_wave(), 0.0, mesh, 2, cfg)
 
 
+def local_projection(f: AnalyticField, t: float, mesh, k: int,
+                     cfg: FluxConfig) -> DGFunction:
+    """L2 moments up to k-2 and top two modes from the per-cell 2x2
+    solves of _top_two_local, under any flux: each cell matches the
+    interface data at its own endpoints only."""
+    out = project_l2(f, t, mesh, k)
+    out.coeffs[:, k - 1:] = _top_two_local(mesh, k, scale_flux(cfg, mesh.h),
+                                           out.coeffs,
+                                           interface_data(f, t, mesh))
+    return out
+
+
 class TestLocalVariant:
+    """The per-cell 2x2 solve of the local class A1, _top_two_local."""
+
     def test_equals_star_under_local_class(self):
         f = plane_wave(3.0)
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 12, "perturbed", 0.1, 7)
-        for cfg in (ALTERNATING, FluxConfig(0.3, 0.4, 0.4)):
-            ps = project_star(f, 0.5, mesh, 3, cfg)
-            pd = project_dagger(f, 0.5, mesh, 3, cfg)
-            assert np.abs(ps.coeffs - pd.coeffs).max() < 1e-11
+        for mesh in (uwdg.make_mesh(0, 2 * np.pi, 12, "perturbed", 0.1, 7),
+                     uwdg.make_mesh(0, 2 * np.pi, 12)):
+            for cfg in (ALTERNATING, FluxConfig(0.3, 0.4, 0.4)):
+                ps = project_star(f, 0.5, mesh, 3, cfg)
+                pd = local_projection(f, 0.5, mesh, 3, cfg)
+                assert np.abs(ps.coeffs - pd.coeffs).max() < 1e-11
+        # on a uniform mesh the periodic solve reaches the same top modes
+        sf = scale_flux(ALTERNATING, mesh.h)
+        low = project_l2(f, 0.5, mesh, 3).coeffs
+        iface = interface_data(f, 0.5, mesh)
+        np.testing.assert_allclose(_top_two_global(mesh, 3, sf, low, iface),
+                                   _top_two_local(mesh, 3, sf, low, iface),
+                                   rtol=0, atol=1e-11)
 
     def test_polynomial_identity(self):
         # non-periodic test polynomial: cell 0 reads wrapped left-endpoint
         # data, so the identity is checked on the remaining cells
         mesh = uwdg.make_mesh(0, 1.0, 8)
         f = poly_field([1.0, 0.5, -0.25j])
-        pd = project_dagger(f, 0.0, mesh, 2, CENTRAL)
+        pd = local_projection(f, 0.0, mesh, 2, CENTRAL)
         ref = project_l2(f, 0.0, mesh, 2)
         np.testing.assert_allclose(pd.coeffs[1:], ref.coeffs[1:], atol=1e-13)
 
@@ -342,7 +376,7 @@ class TestLocalVariant:
         for N in (20, 40, 80):
             mesh = uwdg.make_mesh(0, 2 * np.pi, N)
             d = project_star(f, 0.0, mesh, 3, CENTRAL) \
-                - project_dagger(f, 0.0, mesh, 3, CENTRAL)
+                - local_projection(f, 0.0, mesh, 3, CENTRAL)
             errs.append(uwdg.l2_norm(d))
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
         np.testing.assert_allclose(orders, 5.0, atol=0.25)
@@ -378,13 +412,20 @@ class TestLocalVariant:
                            h_sizes=sizes, h=0.75, sigma=1.5, kind="perturbed")
         with pytest.raises(ProjectionUndefinedError,
                            match="undefined on cell 1:"):
-            project_dagger(plane_wave(3.0), 0.0, mesh, 2, FluxConfig(0, 1, 0))
+            self._solve(mesh)
 
     def test_singular_cell_raises(self):
         # ratio +1 with even k makes det(A_j+B_j) = 0
         mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
         with pytest.raises(ProjectionUndefinedError, match="Gamma_j/Lambda_j"):
-            project_dagger(plane_wave(3.0), 0.0, mesh, 2, FluxConfig(0, 1, 0))
+            self._solve(mesh)
+
+    @staticmethod
+    def _solve(mesh):
+        """The k = 2 solve under the flux (0, 1, 0), on zero data."""
+        sf = scale_flux(FluxConfig(0, 1, 0), mesh.h)
+        return _top_two_local(mesh, 2, sf, np.zeros((mesh.N, 3)),
+                              np.zeros((mesh.N, 2)))
 
 
 class TestLeadingResidual:

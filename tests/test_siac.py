@@ -6,7 +6,7 @@ from uwdg import basis
 from uwdg.basis import gauss_rule
 from uwdg.errors import UnsupportedOperationError
 from uwdg.projection import AnalyticField, DGFunction, plane_wave, project_l2
-from uwdg.siac import (KernelSpec, kernel_coeffs, postprocess_value,
+from uwdg.siac import (KernelSpec, _apply, _stencil, kernel_coeffs,
                        postprocessed_error)
 
 
@@ -49,14 +49,11 @@ def convolve_per_point(u_h, cells, xi0, spec, n_gauss):
     return out
 
 
-def reference_value(u_h, x, spec, n_gauss=None):
-    cells, xis = u_h.mesh.reference_coord(x)
-    out = np.empty(len(x), dtype=complex)
-    for xi0 in np.unique(xis):
-        mask = xis == xi0
-        out[mask] = convolve_per_point(u_h, cells[mask], float(xi0), spec,
-                                       n_gauss or u_h.k + 1)
-    return out
+def stencil_values(u_h, cells, xi0, spec, n_gauss=None):
+    """u* at reference offset xi0 in the given cells, by the stencil
+    product the error metric runs."""
+    return _apply(u_h, np.asarray(cells),
+                  _stencil(spec, u_h.k, float(xi0), n_gauss or u_h.k + 1))
 
 
 def reference_error(u_h, f, t, spec, n_quad):
@@ -125,14 +122,16 @@ class TestKernelWeights:
 
 
 class TestPostprocess:
+    XI0 = (-1.0, -0.61, 0.0, 0.37, 0.999)
+
     def test_constant_field(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 16)
         u = DGFunction(mesh, 2)
         u.coeffs[:, 0] = 2.0 - 0.5j
         spec = kernel_coeffs(2)
-        xs = np.linspace(0.1, 6.0, 13)
-        vals = postprocess_value(u, xs, spec)
-        np.testing.assert_allclose(vals, 2.0 - 0.5j, atol=1e-12)
+        for xi0 in self.XI0:
+            vals = stencil_values(u, np.arange(16), xi0, spec)
+            np.testing.assert_allclose(vals, 2.0 - 0.5j, atol=1e-12)
 
     def test_reproduces_dg_polynomial_interior(self):
         # a global degree <= k polynomial represented exactly in V_h^k is
@@ -150,18 +149,12 @@ class TestPostprocess:
 
         u = project_l2(AnalyticField(eval=field, d_max=4), 0.0, mesh, k)
         spec = kernel_coeffs(k)
-        margin = (spec.support_halfwidth + 1) * mesh.h
-        xs = np.linspace(margin, 8.0 - margin, 21)
-        vals = postprocess_value(u, xs, spec)
-        np.testing.assert_allclose(vals, field(xs), atol=1e-10)
-
-    def test_scalar_point(self):
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 16)
-        u = DGFunction(mesh, 2)
-        u.coeffs[:, 0] = 1.0
-        out = postprocess_value(u, 1.234, kernel_coeffs(2))
-        assert isinstance(out, complex)
-        assert out == pytest.approx(1.0, abs=1e-12)
+        reach = int(np.ceil(spec.support_halfwidth)) + 1
+        cells = np.arange(reach, mesh.N - reach)
+        for xi0 in self.XI0:
+            x = mesh.centers[cells] + 0.5 * mesh.h_sizes[cells] * xi0
+            np.testing.assert_allclose(stencil_values(u, cells, xi0, spec),
+                                       field(x), atol=1e-10)
 
     def test_gauss_refinement_is_noise(self):
         # the piecewise split makes the quadrature exact: doubling points
@@ -170,10 +163,10 @@ class TestPostprocess:
         mesh = uwdg.make_mesh(0, 2 * np.pi, 20)
         u = project_l2(f, 0.0, mesh, 2)
         spec = kernel_coeffs(2)
-        xs = np.linspace(0.3, 5.9, 9)
-        a = postprocess_value(u, xs, spec, n_gauss=3)
-        b = postprocess_value(u, xs, spec, n_gauss=6)
-        assert np.abs(a - b).max() < 1e-13
+        for xi0 in self.XI0:
+            a = stencil_values(u, np.arange(20), xi0, spec, n_gauss=3)
+            b = stencil_values(u, np.arange(20), xi0, spec, n_gauss=6)
+            assert np.abs(a - b).max() < 1e-13
 
     def test_linearity(self):
         f = plane_wave(3.0)
@@ -182,17 +175,17 @@ class TestPostprocess:
         uf = project_l2(f, 0.0, mesh, 2)
         ug = project_l2(g, 0.0, mesh, 2)
         spec = kernel_coeffs(2)
-        xs = np.linspace(0.5, 5.5, 7)
         z = 0.7 - 0.4j
-        lhs = postprocess_value(uf + z * ug, xs, spec)
-        rhs = postprocess_value(uf, xs, spec) + z * postprocess_value(ug, xs, spec)
-        assert np.abs(lhs - rhs).max() < 1e-13
+        cells = np.arange(16)
+        for xi0 in self.XI0:
+            lhs = stencil_values(uf + z * ug, cells, xi0, spec)
+            rhs = (stencil_values(uf, cells, xi0, spec)
+                   + z * stencil_values(ug, cells, xi0, spec))
+            assert np.abs(lhs - rhs).max() < 1e-13
 
     def test_nonuniform_mesh_rejected(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 16, "perturbed", 0.1, 3)
         u = DGFunction(mesh, 2)
-        with pytest.raises(UnsupportedOperationError):
-            postprocess_value(u, 1.0, kernel_coeffs(2))
         with pytest.raises(UnsupportedOperationError):
             postprocessed_error(u, plane_wave(3.0), 0.0, kernel_coeffs(2))
 
@@ -215,24 +208,22 @@ class TestStencilMatchesPerPointConvolution:
     def test_values(self, k, N):
         u, rng = random_dg(k, N, seed=10 * k + N)
         spec = kernel_coeffs(k)
-        xs = rng.uniform(0, 2 * np.pi, 25)
+        cells = rng.integers(0, N, 25)
         scale = np.abs(u.coeffs).max()
-        for ng in (None, k + 3):
-            got = postprocess_value(u, xs, spec, n_gauss=ng)
-            want = reference_value(u, xs, spec, ng)
-            assert np.abs(got - want).max() < 1e-13 * scale
+        for xi0 in np.concatenate([[-1.0, 1.0], rng.uniform(-1, 1, 5)]):
+            for ng in (None, k + 3):
+                got = stencil_values(u, cells, xi0, spec, ng)
+                want = convolve_per_point(u, cells, xi0, spec, ng or k + 1)
+                assert np.abs(got - want).max() < 1e-13 * scale
 
     def test_error(self, k, N):
         u, _ = random_dg(k, N, seed=10 * k + N)
         spec = kernel_coeffs(k)
         f = plane_wave(3.0)
         scale = np.abs(u.coeffs).max()
-        # the default rule and a smaller one, in both orders of first use
-        for n_quad in (None, k + 3, None):
-            got = postprocessed_error(u, f, 0.3, spec, n_quad=n_quad)
-            want = reference_error(u, f, 0.3, spec,
-                                   n_quad or basis.default_quad_points(k))
-            assert abs(got - want) < 1e-13 * scale
+        got = postprocessed_error(u, f, 0.3, spec)
+        want = reference_error(u, f, 0.3, spec, basis.default_quad_points(k))
+        assert abs(got - want) < 1e-13 * scale
 
     def test_error_is_quadrature_of_values(self, k, N):
         u, _ = random_dg(k, N, seed=10 * k + N)
@@ -241,7 +232,8 @@ class TestStencilMatchesPerPointConvolution:
         mesh = u.mesh
         rule = gauss_rule(basis.default_quad_points(k))
         x = mesh.quad_points(rule.nodes)
-        star = postprocess_value(u, x.ravel(), spec).reshape(x.shape)
+        star = np.column_stack([stencil_values(u, np.arange(N), xi0, spec)
+                                for xi0 in rule.nodes])
         total = np.sum(0.5 * mesh.h_sizes[:, None] * rule.weights
                        * np.abs(f.eval(x, 0.3, 0) - star) ** 2)
         assert abs(postprocessed_error(u, f, 0.3, spec) - np.sqrt(total)) \
