@@ -17,14 +17,12 @@ _EXPORTS = {
                "ProjectionUndefinedError", "ResidualUndefinedError",
                "SingularSymbolError", "UnsupportedOperationError",
                "UwdgError"),
-    "basis": ("QuadratureRule", "ReferenceMatrices", "antiderivative_map",
-              "bspline_eval", "gauss_rule", "legendre_eval",
-              "reference_matrices"),
+    "basis": ("QuadratureRule", "antiderivative_map", "bspline_eval",
+              "gauss_rule", "legendre_eval", "reference_matrices"),
     "mesh": ("Mesh1D", "make_mesh"),
     "flux": ("ALTERNATING", "CENTRAL", "AssumptionClass", "FluxConfig",
-             "InterfaceMatrices", "ScaledFlux", "classify_assumption",
-             "gamma_lambda", "interface_matrices", "scale_flux",
-             "solve_block_circulant"),
+             "ScaledFlux", "classify_assumption", "gamma_lambda",
+             "interface_matrices", "scale_flux", "solve_block_circulant"),
     "projection": ("AnalyticField", "DGFunction", "LeadingResidual",
                    "SpecialPoints", "l2_norm", "leading_residual",
                    "plane_wave", "project_l2", "project_star",

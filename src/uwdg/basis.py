@@ -3,7 +3,7 @@
 Legendre polynomial evaluation (values and first two derivatives),
 Gauss-Legendre quadrature, the coefficient maps of the antiderivative
 operators used throughout the superconvergence machinery, the reference
-mass/stiffness matrices of the ultra-weak volume term, and central
+second-derivative stiffness of the ultra-weak volume term, and central
 B-splines for the post-processing kernel.
 
 All operations here are pure functions of their inputs; returned arrays
@@ -33,20 +33,6 @@ class QuadratureRule:
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray):
         self.nodes, self.weights = nodes, weights
-
-
-class ReferenceMatrices:
-    """Reference-interval mass diagonal and second-derivative stiffness.
-
-    mass_diag[m] = integral of L_m^2 = 2/(2m+1).
-    stiff2[m][n] = integral of L_n * L_m'' ; zero unless n <= m-2 and
-    n+m even, because L_m'' has degree m-2 and parity (-1)^m.
-    """
-
-    __slots__ = ("mass_diag", "stiff2")
-
-    def __init__(self, mass_diag: np.ndarray, stiff2: np.ndarray):
-        self.mass_diag, self.stiff2 = mass_diag, stiff2
 
 
 def legendre_eval(m: int, s: int, xi):
@@ -191,24 +177,25 @@ def antiderivative_map(order: int, coeffs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def reference_matrices(k: int) -> ReferenceMatrices:
-    """Mass diagonal and exact stiff2 for degrees 0..k (k >= 2).
+def reference_matrices(k: int) -> np.ndarray:
+    """The exact second-derivative stiffness stiff2 for degrees 0..k
+    (k >= 2), read-only.
 
-    The stiff2 integrand L_n L_m'' has degree <= 2k-2, so a (k+1)-point
-    Gauss rule evaluates it exactly.
+    stiff2[m][n] = integral of L_n * L_m'' ; zero unless n <= m-2 and
+    n+m even, because L_m'' has degree m-2 and parity (-1)^m.  The
+    integrand has degree <= 2k-2, so a (k+1)-point Gauss rule evaluates
+    it exactly.
     """
     if k < 2:
         raise ValueError("reference matrices need k >= 2")
-    mass = 2.0 / (2 * np.arange(k + 1) + 1)
     rule = gauss_rule(k + 1)
     tab = legendre_table(k, rule.nodes, ders=2)
     vals = tab[:, 0, :]    # (nq, k+1)
     dd = tab[:, 2, :]
     stiff2 = np.einsum("q,qm,qn->mn", rule.weights, dd, vals)
     stiff2[np.abs(stiff2) < STIFF2_ZERO_TOL] = 0.0
-    mass.setflags(write=False)
     stiff2.setflags(write=False)
-    return ReferenceMatrices(mass_diag=mass, stiff2=stiff2)
+    return stiff2
 
 
 @lru_cache(maxsize=32)

@@ -26,10 +26,10 @@ DNE = "DNE"
 
 def numerical_fluxes(u: DGFunction, cfg: FluxConfig):
     """(uhat, uxtilde) of a DG field at its N interfaces x_{j+1/2}."""
-    gh = interface_matrices(scale_flux(cfg, u.mesh.h))
+    G, H = interface_matrices(scale_flux(cfg, u.mesh.h))
     right, left = u.traces()
     # the interface is the right end of cell j and the left end of j+1
-    flux = right @ gh.G.T + np.roll(left, -1, axis=0) @ gh.H.T
+    flux = right @ G.T + np.roll(left, -1, axis=0) @ H.T
     return flux[:, 0], flux[:, 1]
 
 

@@ -99,15 +99,6 @@ class ScaledFlux:
         return hash(self._key())
 
 
-class InterfaceMatrices:
-    """The flux matrices G and H = I - G of the interface traces."""
-
-    __slots__ = ("G", "H")
-
-    def __init__(self, G: np.ndarray, H: np.ndarray):
-        self.G, self.H = G, H
-
-
 class AssumptionClass:
     """Solvability classification of the flux-matching projection; the
     tag is "A1", "A2", "A3" or "Unsupported"."""
@@ -130,13 +121,14 @@ def scale_flux(cfg: FluxConfig, h: float) -> ScaledFlux:
                       beta2=cfg.beta2_t * h, h=h)
 
 
-def interface_matrices(sf: ScaledFlux) -> InterfaceMatrices:
+def interface_matrices(sf: ScaledFlux) -> tuple[np.ndarray, np.ndarray]:
+    """The flux matrices (G, H = I - G) of the interface traces."""
     G = np.array([[0.5 + sf.alpha1, -sf.beta2],
                   [-sf.beta1, 0.5 - sf.alpha1]])
     H = np.eye(2) - G
     G.setflags(write=False)
     H.setflags(write=False)
-    return InterfaceMatrices(G=G, H=H)
+    return G, H
 
 
 def trace_maps(k: int, h_sizes) -> tuple[np.ndarray, np.ndarray]:

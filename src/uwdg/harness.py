@@ -43,8 +43,7 @@ METRIC_LABELS = {
     "estar": "E_star",
 }
 
-FIELDS = {"wave3": lambda: plane_wave(3.0, name="wave3"),
-          "wave1": lambda: plane_wave(1.0, name="wave1")}
+FIELDS = {"wave3": lambda: plane_wave(3.0), "wave1": lambda: plane_wave(1.0)}
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,6 @@ class StudyConfig:
     mesh_kind: str = "uniform"
     fraction: float = 0.0
     seed: int = 0
-    a: float = 0.0
-    b: float = 2.0 * np.pi
     t_end: float = 1.0
     c: float | None = None          # dt constant; None -> default by k
     init: str = "uI"
@@ -65,6 +62,9 @@ class StudyConfig:
     field_name: str = "wave3"
     out: str | None = None
     fmt: str = "csv"
+    # the domain is the period of every field in FIELDS, not a setting
+    a = 0.0
+    b = 2.0 * math.pi
 
     def dt_constant(self) -> float:
         return self.c if self.c is not None else default_dt_constant(self.k)
@@ -301,12 +301,15 @@ def _writable(path: str | None) -> bool:
 #: every setting of every subcommand: main parses each value by its row,
 #: whatever its source, and StudyConfig.validate or _check checks its range
 OPTIONS = (
-    _Option("k", ("k",), int, lambda s: 2 <= s["k"] <= 6,
+    _Option("k", ("k",), int,
+            lambda s: _is_integer(s["k"]) and 2 <= s["k"] <= 6,
             "the degree, an integer in 2..6", ("run", "study", "points")),
-    _Option("k", ("k",), int, lambda s: 1 <= s["k"] <= 6,
+    _Option("k", ("k",), int,
+            lambda s: _is_integer(s["k"]) and 1 <= s["k"] <= 6,
             "the degree, an integer in 1..6", ("kernel",)),
     _Option("N", ("Ns",), lambda t: tuple(int(n) for n in t.split(",")),
-            lambda s: len(s["Ns"]) > 0 and min(s["Ns"]) >= 4,
+            lambda s: len(s["Ns"]) > 0 and all(map(_is_integer, s["Ns"]))
+            and min(s["Ns"]) >= 4,
             "a comma list of cell counts, each an integer >= 4 (run: one)"),
     # a1^2 + b1*b2 is not finite if a parameter is not; a1 * a1 gives inf
     # where a1 ** 2 would raise OverflowError
@@ -332,7 +335,8 @@ OPTIONS = (
             lambda s: set() < set(s["metrics"]) <= set(ALL_METRICS),
             f"a comma list of {', '.join(ALL_METRICS)}, or all | main | zeta"),
     _Option("qmax", ("q_max",), int, lambda s: s["q_max"] is None
-            or 0 <= s["q_max"] <= max_correction_levels(s["k"]),
+            or _is_integer(s["q_max"])
+            and 0 <= s["q_max"] <= max_correction_levels(s["k"]),
             "the correction levels, an integer in 0..(k-1)//2"),
     _Option("field", ("field_name",), str, lambda s: s["field_name"] in FIELDS,
             " | ".join(FIELDS)),

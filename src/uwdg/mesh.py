@@ -14,20 +14,16 @@ from .flux import UNIFORM_TOL
 class Mesh1D:
     """Periodic partition a = x_{1/2} < ... < x_{N+1/2} = b.
 
-    h is the largest cell size, sigma = h / min h_j the regularity ratio.
-    Cell j (0-based) spans nodes[j] .. nodes[j+1], and cell N-1 meets
-    cell 0 at x = b, which is identified with x = a.
+    h is the largest cell size.  Cell j (0-based) spans nodes[j] ..
+    nodes[j+1], and cell N-1 meets cell 0 at x = b, identified with x = a.
     The fields are not changed after construction; the tables below are
     computed from them once per mesh.
     """
 
     def __init__(self, a: float, b: float, N: int, nodes: np.ndarray,
-                 h_sizes: np.ndarray, h: float, sigma: float,
-                 kind: str = "uniform", fraction: float = 0.0,
-                 seed: int | None = None):
+                 h_sizes: np.ndarray, h: float):
         self.a, self.b, self.N, self.nodes = a, b, N, nodes
-        self.h_sizes, self.h, self.sigma = h_sizes, h, sigma
-        self.kind, self.fraction, self.seed = kind, fraction, seed
+        self.h_sizes, self.h = h_sizes, h
 
     @cached_property
     def centers(self) -> np.ndarray:
@@ -150,13 +146,18 @@ def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
     numpy >= 1.17 (PCG64 seeded by SeedSequence), bit for bit, drawn from
     a copy of that stream pinned in this module (`_uniform_draws`), so a
     seed's mesh does not change with numpy's default generator and
-    numpy's random package is never imported.  Requires N >= 4 and
-    0 <= fraction < 0.5 so that cells keep positive width and
-    sigma <= (1+2f)/(1-2f); a perturbed mesh requires a seed that is an
-    integer >= 0.
+    numpy's random package is never imported.  Requires an integer
+    N >= 4 and 0 <= fraction < 0.5 so that cells keep positive width and
+    max h_j / min h_j <= (1+2f)/(1-2f); a perturbed mesh requires a seed
+    that is an integer >= 0.
     """
-    if N < 4:
-        raise ConfigurationError(f"need at least 4 cells, got N={N}")
+    try:
+        N = operator.index(N)               # numpy integers too
+        if N < 4:
+            raise TypeError
+    except TypeError:
+        raise ConfigurationError(
+            f"need an integer N >= 4 cells, got N={N!r}") from None
     if not b > a:
         raise ConfigurationError(f"empty interval [{a}, {b}]")
     if kind not in ("uniform", "perturbed"):
@@ -184,9 +185,5 @@ def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
     h_sizes = np.diff(nodes)
     nodes.setflags(write=False)
     h_sizes.setflags(write=False)
-    h = float(np.max(h_sizes))
-    sigma = h / float(np.min(h_sizes))
-    return Mesh1D(a=float(a), b=float(b), N=int(N), nodes=nodes,
-                  h_sizes=h_sizes, h=h, sigma=sigma, kind=kind,
-                  fraction=float(fraction),
-                  seed=seed if kind == "perturbed" else None)
+    return Mesh1D(a=float(a), b=float(b), N=N, nodes=nodes,
+                  h_sizes=h_sizes, h=float(np.max(h_sizes)))

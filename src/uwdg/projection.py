@@ -93,22 +93,21 @@ class AnalyticField:
     derivative of u(x, t).  Time derivatives are obtained by callers via
     the evolution identity d_t^r u = i^r d_x^{2r} u."""
 
-    __slots__ = ("eval", "d_max", "name")
+    __slots__ = ("eval", "d_max")
 
     def __init__(self, eval: Callable[[np.ndarray, float, int], np.ndarray],
-                 d_max: int, name: str = "field"):
-        self.eval, self.d_max, self.name = eval, d_max, name
+                 d_max: int):
+        self.eval, self.d_max = eval, d_max
 
 
-def plane_wave(kappa: float = 3.0, name: str | None = None) -> AnalyticField:
+def plane_wave(kappa: float = 3.0) -> AnalyticField:
     """Periodic plane wave exp(i kappa (x - kappa t)) on [0, 2 pi]."""
 
     def _eval(x, t, d=0):
         x = np.asarray(x, dtype=float)
         return (1j * kappa) ** d * np.exp(1j * kappa * (x - kappa * t))
 
-    return AnalyticField(eval=_eval, d_max=10 ** 6,
-                         name=name or f"plane_wave(kappa={kappa:g})")
+    return AnalyticField(eval=_eval, d_max=10 ** 6)
 
 
 def time_derivative_field(f: AnalyticField, r: int) -> AnalyticField:
@@ -120,8 +119,7 @@ def time_derivative_field(f: AnalyticField, r: int) -> AnalyticField:
     def _eval(x, t, d=0):
         return (1j ** r) * f.eval(x, t, d + 2 * r)
 
-    return AnalyticField(eval=_eval, d_max=f.d_max - 2 * r,
-                         name=f"d_t^{r} {f.name}")
+    return AnalyticField(eval=_eval, d_max=f.d_max - 2 * r)
 
 
 def memoized_field(f: AnalyticField) -> AnalyticField:
@@ -144,7 +142,7 @@ def memoized_field(f: AnalyticField) -> AnalyticField:
             memo[key] = (x, out)
         return memo[key][1]
 
-    return AnalyticField(eval=_eval, d_max=f.d_max, name=f.name)
+    return AnalyticField(eval=_eval, d_max=f.d_max)
 
 
 def project_l2(f: AnalyticField, t: float, mesh: Mesh1D,
@@ -187,9 +185,9 @@ def _footprints(k: int, sf: ScaledFlux,
     in the local class A1 (Lambda = 0).  On a uniform mesh the
     eigenvalues of Q = -A^{-1} B are (-1)^{k+1} (rho +- sqrt(rho^2 - 1)),
     rho = Gamma/Lambda; they decide A2/A3 (classify_assumption)."""
-    gh = interface_matrices(sf)
+    G, H = interface_matrices(sf)
     R, L = trace_maps(k, h_sizes)
-    return gh.G @ R, gh.H @ L
+    return G @ R, H @ L
 
 
 def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
@@ -201,8 +199,8 @@ def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
     correction functions).  Returns (N, 2).
     """
     F = sum(_footprints(k, sf, mesh.h_sizes))
-    gh = interface_matrices(sf)
-    data = iface @ gh.G.T + np.roll(iface, 1, axis=0) @ gh.H.T
+    G, H = interface_matrices(sf)
+    data = iface @ G.T + np.roll(iface, 1, axis=0) @ H.T
     AB = F[:, :, k - 1:]
     det = AB[:, 0, 0] * AB[:, 1, 1] - AB[:, 0, 1] * AB[:, 1, 0]
     bad = np.flatnonzero(np.abs(det) <= LOCAL_DET_TOL

@@ -95,7 +95,7 @@ class DGOperator:
         self.mesh = mesh
         self.cfg = cfg
         self.k = k
-        gh = interface_matrices(scale_flux(cfg, mesh.h))
+        G, H = interface_matrices(scale_flux(cfg, mesh.h))
         # the kept rows, and the rows of their left and right neighbours
         if mesh.is_uniform:
             hj = mesh.h_sizes[[-1, 0, 1]]
@@ -111,10 +111,10 @@ class DGOperator:
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
         pair_r = Rj.transpose(0, 2, 1) @ J
         pair_l = -Lj.transpose(0, 2, 1) @ J
-        stiff2 = basis.reference_matrices(k).stiff2
+        stiff2 = basis.reference_matrices(k)
         C0 = ((2.0 / hj)[:, None, None] * stiff2
-              + pair_r @ gh.G @ Rj + pair_l @ gh.H @ Lj)
-        self.blocks = (pair_l @ gh.G @ R[prev], C0, pair_r @ gh.H @ L[nxt])
+              + pair_r @ G @ Rj + pair_l @ H @ Lj)
+        self.blocks = (pair_l @ G @ R[prev], C0, pair_r @ H @ L[nxt])
         self._inv_mass = (2 * np.arange(k + 1) + 1) / hj[:, None]
 
     def _cells(self, a: np.ndarray) -> np.ndarray:

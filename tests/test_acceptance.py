@@ -202,7 +202,7 @@ def test_criterion_7_property_suite():
     worst_pd = 0.0
     for cfg in (ALTERNATING, FluxConfig(0.3, 0.4, 0.4)):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 12, "perturbed", 0.1, 9)
-        gh = uwdg.interface_matrices(scale_flux(cfg, mesh.h))
+        G, H = uwdg.interface_matrices(scale_flux(cfg, mesh.h))
         iface = np.column_stack([f.eval(mesh.nodes[1:], 0.1, d)
                                  for d in (0, 1)])
         for k in (2, 3, 4):
@@ -214,8 +214,8 @@ def test_criterion_7_property_suite():
                     np.array([[legendre_eval(m, s, xi) * (2.0 / h) ** s
                                for m in range(k + 1)] for s in (0, 1)])
                     for xi in (1.0, -1.0))
-                M = gh.G @ right + gh.H @ left
-                data = gh.G @ iface[j] + gh.H @ iface[j - 1]
+                M = G @ right + H @ left
+                data = G @ iface[j] + H @ iface[j - 1]
                 want[j, k - 1:] = np.linalg.solve(
                     M[:, k - 1:], data - M[:, :k - 1] @ want[j, :k - 1])
             worst_pd = max(worst_pd, np.abs(ps - want).max())

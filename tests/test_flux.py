@@ -66,25 +66,26 @@ class TestScaling:
     @settings(max_examples=100, deadline=None)
     @given(a1=finite, b1=finite, b2=finite)
     def test_g_plus_h_identity(self, a1, b1, b2):
-        gh = interface_matrices(scale_flux(FluxConfig(a1, b1, b2), 0.25))
-        np.testing.assert_allclose(gh.G + gh.H, np.eye(2), atol=5e-16)
+        G, H = interface_matrices(scale_flux(FluxConfig(a1, b1, b2), 0.25))
+        np.testing.assert_allclose(G + H, np.eye(2), atol=5e-16)
 
     def test_g_plus_h_exact_for_standard_fluxes(self):
         # off-diagonals cancel exactly; diagonals are exact in the
         # Sterbenz range |alpha1| <= 1/2 covering all standard fluxes
         for cfg in (CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                     FluxConfig(0.25, 5, 0)):
-            gh = interface_matrices(scale_flux(cfg, 0.37))
-            np.testing.assert_array_equal(gh.G + gh.H, np.eye(2))
+            G, H = interface_matrices(scale_flux(cfg, 0.37))
+            np.testing.assert_array_equal(G + H, np.eye(2))
 
     def test_central_matrices(self):
-        gh = interface_matrices(scale_flux(CENTRAL, 1.0))
-        np.testing.assert_allclose(gh.G, 0.5 * np.eye(2))
-        np.testing.assert_allclose(gh.H, 0.5 * np.eye(2))
+        G, H = interface_matrices(scale_flux(CENTRAL, 1.0))
+        np.testing.assert_allclose(G, 0.5 * np.eye(2))
+        np.testing.assert_allclose(H, 0.5 * np.eye(2))
 
     def test_alternating_matrices(self):
-        gh = interface_matrices(scale_flux(ALTERNATING, 1.0))
-        np.testing.assert_allclose(gh.G, [[1, 0], [0, 0]])
+        G, H = interface_matrices(scale_flux(ALTERNATING, 1.0))
+        np.testing.assert_allclose(G, [[1, 0], [0, 0]])
+        np.testing.assert_allclose(H, [[0, 0], [0, 1]])
 
 
 class TestTraceMaps:
@@ -170,7 +171,7 @@ class TestClassification:
         sizes = np.array([0.5, 0.75, 0.5, 0.75, 0.625, 0.5])
         nodes = np.concatenate([[0.0], np.cumsum(sizes)])
         m = uwdg.Mesh1D(a=0.0, b=float(nodes[-1]), N=6, nodes=nodes,
-                        h_sizes=sizes, h=0.75, sigma=1.5, kind="perturbed")
+                        h_sizes=sizes, h=0.75)
         cls = classify_assumption(FluxConfig(0.5, 6.0, 0.0), m, 2)
         assert cls.tag == "Unsupported"
         assert cls.warning == "Gamma_j = 0 on some cell"

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -18,8 +19,9 @@ from uwdg.diagnostics import ErrorReport
 from uwdg.errors import ConfigurationError
 from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig
 from uwdg.harness import (ALL_METRICS, COMMANDS, FIELDS, MAIN_METRICS,
-                          OPTIONS, ZETA_METRICS, StudyConfig, _parse_flux,
-                          _parse_mesh, emit_report, main, run_case, run_study)
+                          OPTIONS, ZETA_METRICS, StudyConfig, _check,
+                          _parse_flux, _parse_mesh, emit_report, main,
+                          run_case, run_study)
 from uwdg.projection import AnalyticField, plane_wave
 
 
@@ -65,6 +67,41 @@ class TestConfig:
             run_study(cfg)
         smoke_config(mesh_kind="perturbed", fraction=0.1,
                      seed=np.int64(3)).validate()
+
+    @pytest.mark.parametrize("settings", [
+        dict(Ns=(20.5,)), dict(Ns=(20, 40.0)), dict(k=3.0),
+        dict(k=3, q_max=0.5), dict(k=3, q_max=1.0),
+    ], ids=["N-half", "N-float", "k-float", "qmax-half", "qmax-float"])
+    def test_non_integer_settings_rejected(self, settings):
+        cfg = smoke_config(**settings)
+        with pytest.raises(ConfigurationError, match="integer"):
+            cfg.validate()
+        with pytest.raises(ConfigurationError, match="integer"):
+            run_study(cfg)
+
+    def test_numpy_integer_settings_pass(self):
+        cfg = smoke_config(k=np.int64(3), Ns=(np.int64(8), np.int32(16)),
+                           q_max=np.int64(1), t_end=0.0, metrics=("l2",))
+        assert [r["status"] for r in run_study(cfg).rows] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("command, settings", [
+        ("kernel", {}), ("points", {"flux": CENTRAL, "h": 1.0})])
+    def test_degree_must_be_an_integer(self, command, settings):
+        with pytest.raises(ConfigurationError, match="integer"):
+            _check({**settings, "k": 3.0}, command)
+        _check({**settings, "k": np.int64(3)}, command)
+
+    def test_domain_is_the_fields_period(self):
+        # perfbench/worker.py reads b - a as a table's length, and
+        # perfbench/workloads.py calls dataclasses.replace
+        names = {f.name for f in dataclasses.fields(StudyConfig)}
+        assert not names & {"a", "b"}
+        assert StudyConfig().b - StudyConfig().a == 2.0 * math.pi
+        dataclasses.replace(StudyConfig(), Ns=(20,)).validate()
+        with pytest.raises(TypeError):
+            StudyConfig(a=0.0, b=1.0)
+        report = run_study(smoke_config(Ns=(8,), t_end=0.0, metrics=("l2",)))
+        assert report.meta["interval"] == "[0, 6.28319]"
 
     def test_replace_then_validate(self):
         # perfbench/workloads.py cuts each study to its smallest N so

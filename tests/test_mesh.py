@@ -16,7 +16,7 @@ from uwdg.mesh import _uniform_draws
 def test_uniform_sizes():
     m = make_mesh(0, 2 * np.pi, 10)
     np.testing.assert_allclose(m.h_sizes, np.pi / 5)
-    assert m.sigma == pytest.approx(1.0)
+    assert m.h == pytest.approx(np.pi / 5)
     assert m.is_uniform
 
 
@@ -42,7 +42,6 @@ def test_seed_determinism():
     assert not np.array_equal(a.nodes, c.nodes)
     d = make_mesh(0, 1, 32, "perturbed", 0.2, seed=np.uint8(123))
     np.testing.assert_array_equal(a.nodes, d.nodes)
-    assert type(d.seed) is int
 
 
 @settings(max_examples=200, deadline=None)
@@ -53,7 +52,8 @@ def test_node_invariants(seed, n, frac):
     m = make_mesh(-1.0, 3.0, n, "perturbed", frac, seed=seed)
     assert np.all(np.diff(m.nodes) > 0)
     assert np.sum(m.h_sizes) == pytest.approx(4.0, abs=1e-12)
-    assert m.sigma <= (1 + 2 * frac) / (1 - 2 * frac) + 1e-9
+    assert (m.h_sizes.max() / m.h_sizes.min()
+            <= (1 + 2 * frac) / (1 - 2 * frac) + 1e-9)
 
 
 def test_thousand_seeds_stay_valid():
@@ -73,6 +73,7 @@ def test_thousand_seeds_stay_valid():
     dict(N=10, kind="perturbed", fraction=0.1, seed=2.0),
     dict(N=10, kind="perturbed", fraction=0.1, seed="3"),
     dict(N=10, kind="perturbed", fraction=0.1, seed=None),
+    dict(N=20.5), dict(N=20.0), dict(N="20"), dict(N=None), dict(N=True),
 ])
 def test_config_errors(bad):
     kwargs = dict(kind=bad.get("kind", "uniform"),
@@ -128,6 +129,12 @@ def test_perturbed_case_never_imports_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_numpy_integer_cell_count():
+    m = make_mesh(0, 1, np.int64(20))
+    assert type(m.N) is int and m.N == 20 and m.is_uniform
+    assert m.nodes.tobytes() == make_mesh(0, 1, 20).nodes.tobytes()
 
 
 def test_empty_interval():

@@ -269,11 +269,11 @@ class TestFluxMatchingProjection:
         wtab = tab * rule.weights[:, None]
         coef = (fv @ wtab) * ((2 * np.arange(k + 7) + 1) / 2.0)   # (N, k+7)
         AB = sum(_footprints(k, sf, mesh.h))[0, :, k - 1:]   # A + B
-        gh = uwdg.interface_matrices(sf)
+        G, H = uwdg.interface_matrices(sf)
         correction = np.zeros((mesh.N, 2), dtype=complex)
         R, L = trace_maps(k + 6, mesh.h)
         for m in range(k + 1, k + 7):
-            rhs = gh.G @ R[0, :, m] + gh.H @ L[0, :, m]
+            rhs = G @ R[0, :, m] + H @ L[0, :, m]
             Mm = np.linalg.solve(AB, rhs)
             correction += coef[:, m][:, None] * Mm[None, :]
         direct = ps.coeffs[:, k - 1:] - coef[:, k - 1: k + 1]
@@ -387,7 +387,7 @@ class TestLocalVariant:
         for k, cfg in ((2, ALTERNATING), (3, FluxConfig(0.3, 0.4, 0.4)),
                        (4, FluxConfig(-0.2, 1.5, 0.3))):
             sf = scale_flux(cfg, mesh.h)
-            gh = uwdg.interface_matrices(sf)
+            G, H = uwdg.interface_matrices(sf)
             low = rng.normal(size=(11, k + 1)) + 1j * rng.normal(size=(11, k + 1))
             iface = rng.normal(size=(11, 2)) + 1j * rng.normal(size=(11, 2))
             expect = np.empty((11, 2), dtype=complex)
@@ -395,8 +395,8 @@ class TestLocalVariant:
                 h = mesh.h_sizes[j]
                 AB = sum(_footprints(k, sf, h))[0, :, k - 1:]
                 R, L = trace_maps(k, h)
-                foot = gh.G @ R[0, :, : k - 1] + gh.H @ L[0, :, : k - 1]
-                data = gh.G @ iface[j] + gh.H @ iface[j - 1]
+                foot = G @ R[0, :, : k - 1] + H @ L[0, :, : k - 1]
+                data = G @ iface[j] + H @ iface[j - 1]
                 expect[j] = np.linalg.solve(AB, data - foot @ low[j, : k - 1])
             got = _top_two_local(mesh, k, sf, low, iface)
             np.testing.assert_allclose(got, expect, rtol=1e-13,
@@ -409,7 +409,7 @@ class TestLocalVariant:
         sizes = np.array([0.5, 0.75, 0.5, 0.75, 0.625, 0.5])
         nodes = np.concatenate([[0.0], np.cumsum(sizes)])
         mesh = uwdg.Mesh1D(a=0.0, b=float(nodes[-1]), N=6, nodes=nodes,
-                           h_sizes=sizes, h=0.75, sigma=1.5, kind="perturbed")
+                           h_sizes=sizes, h=0.75)
         with pytest.raises(ProjectionUndefinedError,
                            match="undefined on cell 1:"):
             self._solve(mesh)
@@ -470,9 +470,9 @@ class TestLeadingResidual:
             AB = sum(_footprints(k, sf, h))[0, :, k - 1:]
             if abs(np.linalg.det(AB)) < 1e-8:
                 continue
-            gh = uwdg.interface_matrices(sf)
+            G, H = uwdg.interface_matrices(sf)
             R, L = trace_maps(k + 1, h)
-            rhs = gh.G @ R[0, :, k + 1] + gh.H @ L[0, :, k + 1]
+            rhs = G @ R[0, :, k + 1] + H @ L[0, :, k + 1]
             Mm = np.linalg.solve(AB, rhs)
             res = leading_residual(k, h, sf)
             assert res.c == pytest.approx(-Mm[0], rel=1e-10, abs=1e-12)

@@ -99,6 +99,22 @@ class TestTimeDerivative:
         rhs = a * op.apply(u.coeffs) + b * op.apply(v.coeffs)
         assert np.abs(lhs - rhs).max() < 1e-13 * np.abs(lhs).max()
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_inverse_mass_is_the_gauss_mass_inverted(self, k):
+        # the mass of L_{j,m} is h_j/2 times the Gauss integral of L_m^2,
+        # 2/(2m+1); apply() divides the weak form by it
+        rule = gauss_rule(k + 1)
+        tab = legendre_table(k, rule.nodes)[:, 0, :]
+        ref_mass = rule.weights @ tab ** 2
+        np.testing.assert_allclose(ref_mass, 2 / (2 * np.arange(k + 1) + 1),
+                                   rtol=1e-14)
+        for kind in ("perturbed", "uniform"):
+            mesh = uwdg.make_mesh(0, 2 * np.pi, 9, kind, 0.1, 6)
+            op = DGOperator(mesh, CENTRAL, k)
+            mass = 0.5 * mesh.h_sizes[:, None] * ref_mass
+            np.testing.assert_allclose(op._cells(op._inv_mass) * mass, 1.0,
+                                       rtol=1e-14)
+
     def test_matrix_free_equals_assembled(self):
         # on a uniform mesh both broadcast the one row of blocks
         for kind, rows in (("perturbed", 6), ("uniform", 1)):
@@ -125,7 +141,7 @@ class TestTimeDerivative:
         k, cfg = 3, FluxConfig(0.3, 0.4, 0.4)
         op = DGOperator(mesh, cfg, k)
         c = random_field(mesh, k, np.random.default_rng(12)).coeffs
-        gh = interface_matrices(scale_flux(cfg, mesh.h))
+        G, H = interface_matrices(scale_flux(cfg, mesh.h))
         hj = mesh.h_sizes
         rule = gauss_rule(k + 2)
         vol_tab = legendre_table(k, rule.nodes, ders=2)     # (nq, 3, k+1)
@@ -133,7 +149,7 @@ class TestTimeDerivative:
         # one-sided [u, u_x] at the right (e=0) and left (e=1) cell ends
         side = [np.stack([c @ ends[e, 0], (c @ ends[e, 1]) * 2 / hj], axis=1)
                 for e in (0, 1)]
-        flux = side[0] @ gh.G.T + np.roll(side[1], -1, axis=0) @ gh.H.T
+        flux = side[0] @ G.T + np.roll(side[1], -1, axis=0) @ H.T
         expect = np.empty_like(c)
         for j in range(mesh.N):
             u_q = vol_tab[:, 0, :] @ c[j]
