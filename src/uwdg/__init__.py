@@ -27,8 +27,7 @@ _EXPORTS = {
                    "SpecialPoints", "l2_norm", "leading_residual",
                    "plane_wave", "project_l2", "project_star",
                    "special_points", "time_derivative_field"),
-    "solver": ("DGOperator", "TimeScheme", "default_dt_constant",
-               "integrate", "rk4_step"),
+    "solver": ("DGOperator", "integrate", "rk4_step"),
     "correction": ("build_correction", "max_correction_levels",
                    "reference_interpolant", "zeta_diagnostics"),
     "diagnostics": ("DNE", "ErrorReport", "broken_l2_error",

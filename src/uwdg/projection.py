@@ -398,7 +398,7 @@ def legendre_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (1, n+1) @ (n+1, 1) products: dot products, as in the one-row case
     val = (tab @ coeffs[:, None, :, None])[..., 0, 0]
     der = (tab @ dcoef[:, None])[..., 0, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         step = val / der
     x = np.where(np.abs(step) <= ROOT_MERGE_TOL, x - step, x)
     keep = np.abs(roots.imag) <= ROOT_IMAG_TOL

@@ -7,21 +7,21 @@ the coefficient ODE du/dt = i M^{-1} A u.  The operator is linear and
 time independent, assembled once per (mesh, flux, degree) and reused
 across all RK4 stages.
 
-Time marching is classical RK4 with the step rule dt = c h^{2.5}
-(c by default from DEFAULT_DT_CONSTANTS), final step truncated
+Time marching is classical RK4 with the step rule dt = c h^{2.5} (a
+study's c by default from DEFAULT_DT_CONSTANTS), final step truncated
 to land exactly on the end time.  A step is the linear map R4(dt L),
 R4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  L = i D^2 A is similar to
 i S with S = D A D real symmetric, and |R4(iy)| <= 1 iff
 |y| <= 2 sqrt(2), so a march is stable iff dt rho(S) <= 2 sqrt(2).
-integrate decides that before any step: from the eigenvalues of the
-Hermitian scaled DFT symbols on uniform meshes, where the operator is
-block-circulant, and by a Sylvester inertia count of S -+ sigma I on
-other meshes.  A stable march is then one power of R4 per eigenvector on
-uniform meshes; on other meshes the square of the banded one-step update
-applied two steps per block-banded product, with an odd step left over
-and the truncated final step taken by the literal rk4_step.  rk4_step,
-the literal stage-by-stage step, is also the reference the tests compare
-both propagators against.
+integrate decides that before any step, from the rho(S) of the
+propagator the mesh selects: the eigenvalues of the Hermitian scaled DFT
+symbols on uniform meshes, where the operator is block-circulant, and a
+Sylvester inertia count of S -+ sigma I on other meshes.  A stable march
+is then one power of R4 per eigenvector on uniform meshes; on other
+meshes the square of the banded one-step update applied two steps per
+block-banded product, with an odd step left over and the truncated
+final step taken by the literal rk4_step, the stage-by-stage step that
+is also the reference the tests compare both propagators against.
 """
 
 from __future__ import annotations
@@ -51,26 +51,6 @@ RK4_LIMIT = 2.0 * np.sqrt(2.0)   # |R4(iy)| <= 1 iff |y| <= RK4_LIMIT
 MAX_STEPS = 10 ** 8
 
 
-def default_dt_constant(k: int) -> float:
-    return DEFAULT_DT_CONSTANTS[k]
-
-
-class TimeScheme:
-    """Step constant and end time; dt = c * h^2.5."""
-
-    __slots__ = ("c", "t_end")
-
-    def __init__(self, c: float, t_end: float):
-        self.c, self.t_end = c, t_end
-
-    def dt(self, h: float) -> float:
-        dt = self.c * h ** 2.5
-        if not dt > 0:
-            raise ConfigurationError(
-                f"time step c*h^2.5 = {self.c:g}*{h:g}^2.5 is not positive")
-        return dt
-
-
 class DGOperator:
     """The spatial discretization as per-cell neighbour blocks.
 
@@ -93,7 +73,6 @@ class DGOperator:
         if k < 2:
             raise ValueError("solver needs k >= 2")
         self.mesh = mesh
-        self.cfg = cfg
         self.k = k
         G, H = interface_matrices(scale_flux(cfg, mesh.h))
         # the kept rows, and the rows of their left and right neighbours
@@ -237,43 +216,35 @@ def _rk4_power(y: np.ndarray, n: int) -> np.ndarray:
             * np.exp(1j * (n * head)))
 
 
-def _symbol_eigh(op: DGOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform mesh: eigenvalues lam (N, k+1) and eigenvectors V of the
-    Hermitian scaled symbols H_l = D K_l D, l = 0..N-1 (see _EigenMarch).
-    The blocks are real, so H_{N-l} = conj(H_l): eigh runs on
-    l = 0..N/2 only, and l > N/2 takes lam and conj(V) of N - l."""
-    Cm, C0, Cp = (C[0] for C in op.blocks)
-    N = op.mesh.N
-    w = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)[:, None, None]
-    d = np.sqrt(op._inv_mass[0])
-    lam, V = np.linalg.eigh(d[:, None] * (C0 + w * Cp + w.conj() * Cm) * d)
-    mirror = N - np.arange(N // 2 + 1, N)
-    return (np.concatenate([lam, lam[mirror]]),
-            np.concatenate([V, V[mirror].conj()]))
-
-
 class _EigenMarch:
     """Uniform mesh: RK4 in the eigenbasis of the scaled DFT symbol.
 
     At frequency l the symbol of apply() is i D^2 K_l with
     K_l = C0 + w Cp + conj(w) Cm, w = exp(2 pi i l / N) and
     D = diag(sqrt((2m+1)/h)).  C0 is symmetric and Cm = Cp^T, so
-    D K_l D = V diag(lam) V^H is Hermitian (_symbol_eigh), and n RK4
-    steps multiply the eigen-coordinates z = V^H D^-1 chat_l by
-    R4(i dt lam)^n, one _rk4_power call.  V is unitary and
-    ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval ||u||^2 = sum |z|^2 / N,
-    which norm() takes.
-    lam of l > N/2 is that of N - l, so the power is taken on
-    l = 0..N/2 and read back at min(l, N - l)."""
+    D K_l D = V diag(lam) V^H is Hermitian, and n RK4 steps multiply the
+    eigen-coordinates z = V^H D^-1 chat_l by R4(i dt lam)^n, one
+    _rk4_power call.  The blocks are real, so K_{N-l} = conj(K_l): eigh
+    runs on l = 0..N/2 only, l > N/2 takes conj(V) of N - l, and lam and
+    the power are kept for l = 0..N/2 and read at min(l, N - l).
+    V is unitary and ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval
+    ||u||^2 = sum |z|^2 / N, which norm() takes."""
 
-    def __init__(self, op: DGOperator, coeffs: np.ndarray,
-                 lam: np.ndarray, V: np.ndarray):
-        N = op.mesh.N
-        self.lam_half, self.V = lam[:N // 2 + 1], V
+    def __init__(self, op: DGOperator, coeffs: np.ndarray):
+        Cm, C0, Cp = (C[0] for C in op.blocks)
+        N, d = op.mesh.N, np.sqrt(op._inv_mass[0])
+        w = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)[:, None, None]
+        self.lam_half, V = np.linalg.eigh(
+            d[:, None] * (C0 + w * Cp + w.conj() * Cm) * d)
+        self.V = np.concatenate([V, V[N - np.arange(N // 2 + 1, N)].conj()])
         self.fold = np.minimum(np.arange(N), N - np.arange(N))
-        self.d = np.sqrt(op._inv_mass[0])
-        chat = np.fft.fft(coeffs, axis=0) / self.d
-        self.state = (chat[:, None, :] @ V.conj())[:, 0, :]
+        self.d = d
+        chat = np.fft.fft(coeffs, axis=0) / d
+        self.state = (chat[:, None, :] @ self.V.conj())[:, 0, :]
+
+    def rho(self, sigma: float) -> float:
+        """rho(S), the largest |lam|, whatever sigma."""
+        return float(np.abs(self.lam_half).max())
 
     def advance(self, n: int, step: float):
         self.state *= _rk4_power(step * self.lam_half, n)[self.fold]
@@ -414,6 +385,14 @@ class _BandMarch:
             u = DGFunction(self.op.mesh, self.op.k, self.state)
             self._load(rk4_step(self.op, u, step).coeffs)
 
+    def rho(self, sigma: float) -> float:
+        """rho(S) if some eigenvalue of S lies outside [-sigma, sigma] (by
+        the inertia count), else sigma, which bounds it."""
+        bands = _symmetric_bands(self.op)
+        if not _count_outside(bands, sigma):
+            return sigma
+        return _spectral_radius(bands, sigma)
+
     def coeffs(self) -> np.ndarray:
         return self.state.copy()
 
@@ -422,35 +401,19 @@ class _BandMarch:
                                     / self.op._inv_mass)))
 
 
-def _certify(op: DGOperator, c: float, dt: float, lam) -> None:
-    """Raise InstabilityError if dt rho(S) > 2 sqrt(2).  rho is max|lam|
-    on a uniform mesh (lam from _symbol_eigh, None on any other mesh);
-    off a uniform mesh the inertia count decides, and only an unstable
-    run bisects rho for its report."""
-    sigma = RK4_LIMIT / dt
-    if lam is not None:
-        rho = float(np.abs(lam).max())
-    else:
-        bands = _symmetric_bands(op)
-        if not _count_outside(bands, sigma):
-            return
-        rho = _spectral_radius(bands, sigma)
-    if rho > sigma:
-        raise InstabilityError(dt, rho / sigma, c * sigma / rho)
-
-
-def integrate(op: DGOperator, u0: DGFunction,
-              scheme: TimeScheme) -> IntegrationResult:
+def integrate(op: DGOperator, u0: DGFunction, c: float,
+              t_end: float) -> IntegrationResult:
     """March u0 to t_end with RK4 at dt = c h^2.5 (truncated final step).
 
-    Stability of the step dt is decided before any step (_certify).  On
-    a uniform mesh the margin dt rho(S) / (2 sqrt 2) comes exactly from
-    the symbol eigenvalues, which the eigen march then reuses; on any
-    other mesh an inertia count proves whether any eigenvalue of S lies
-    past 2 sqrt(2) / dt.  An unstable run raises InstabilityError with
-    its margin and the largest stable c, c / margin (dt is linear in c).
-    A run with t_end < dt takes no step of size dt and is not judged by
-    it.  A stable run is one advance of the n_full steps and one of the
+    Stability of the step dt is decided before any step, from the one
+    number the propagator the mesh selects gives: rho(S), exact from the
+    symbol eigenvalues on a uniform mesh; on any other mesh an inertia
+    count proves whether any eigenvalue of S lies past 2 sqrt(2) / dt,
+    and only then is rho bisected.  An unstable run raises
+    InstabilityError with its margin dt rho(S) / (2 sqrt 2) and the
+    largest stable c, c / margin (dt is linear in c).  A run with
+    t_end < dt takes no step of size dt and is not judged by it.  A
+    stable run is one advance of the n_full steps and one of the
     truncated step, by eigen-space powers on uniform meshes and two steps
     per banded product on any other.  As a backstop, a final L2 norm that
     is not finite or beyond 10x the initial one raises InstabilityError
@@ -458,8 +421,11 @@ def integrate(op: DGOperator, u0: DGFunction,
     is not positive, a step count that is not finite, or more than
     MAX_STEPS steps raise ConfigurationError before any step.
     """
-    dt = scheme.dt(op.mesh.h)
-    n_full, rem = _step_counts(scheme.t_end, dt)
+    dt = c * op.mesh.h ** 2.5
+    if not dt > 0:
+        raise ConfigurationError(
+            f"time step c*h^2.5 = {c:g}*{op.mesh.h:g}^2.5 is not positive")
+    n_full, rem = _step_counts(t_end, dt)
     if n_full > MAX_STEPS:
         raise ConfigurationError(
             f"{n_full:.3e} RK4 steps of dt = {dt:.3e} exceed the "
@@ -467,13 +433,13 @@ def integrate(op: DGOperator, u0: DGFunction,
     n_steps = n_full + (rem > 0.0)
     if not n_steps:
         return IntegrationResult(u=u0.copy(), dt=dt, n_steps=0)
-    lam, V = _symbol_eigh(op) if op.mesh.is_uniform else (None, None)
+    march = (_EigenMarch if op.mesh.is_uniform else _BandMarch)(op, u0.coeffs)
     # the verdict is on the repeated step dt: a run shorter than one step
     # takes only the truncated step, one bounded multiplication by R4
-    if n_full:
-        _certify(op, scheme.c, dt, lam)
-    march = (_EigenMarch(op, u0.coeffs, lam, V) if lam is not None
-             else _BandMarch(op, u0.coeffs))
+    sigma = RK4_LIMIT / dt
+    rho = march.rho(sigma) if n_full else 0.0
+    if rho > sigma:
+        raise InstabilityError(dt, rho / sigma, c * sigma / rho)
     scale = max(march.norm(), 1e-300)
     march.advance(n_full, dt)
     if rem > 0.0:

@@ -576,8 +576,9 @@ def _real_roots_in_reference(leg_coeffs: np.ndarray) -> np.ndarray:
         x = float(r.real)
         val = p(x)
         der = legendre_table(deg, x)[0, 0, :] @ dcoef
-        if der != 0.0 and abs(val / der) <= ROOT_MERGE_TOL:
-            x = x - val / der
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if der != 0.0 and abs(val / der) <= ROOT_MERGE_TOL:
+                x = x - val / der
         xs.append(x)
     paired = [False] * len(roots)
     for i in range(len(roots) - 1):

@@ -16,11 +16,10 @@ from uwdg.errors import ConfigurationError, InstabilityError
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, interface_matrices,
                        scale_flux)
 from uwdg.projection import DGFunction, l2_norm, plane_wave, project_star
-from uwdg.solver import (RK4_LIMIT, DGOperator, TimeScheme, _BandMarch,
-                         _count_outside, _EigenMarch, _rk4_power,
-                         _spectral_radius,
-                         _step_counts, _symbol_eigh, _symmetric_bands,
-                         _two_step_rows, integrate, rk4_step)
+from uwdg.solver import (RK4_LIMIT, DGOperator, _BandMarch, _count_outside,
+                         _EigenMarch, _rk4_power, _spectral_radius,
+                         _step_counts, _symmetric_bands, _two_step_rows,
+                         integrate, rk4_step)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
@@ -218,7 +217,7 @@ def test_march_needs_only_numpy():
         "    mesh = uwdg.make_mesh(0, 2 * np.pi, 8, kind, 0.1, 3)\n"
         "    op = uwdg.DGOperator(mesh, uwdg.ALTERNATING, 2)\n"
         "    u0 = uwdg.project_l2(uwdg.plane_wave(1.0), 0.0, mesh, 2)\n"
-        "    uwdg.integrate(op, u0, uwdg.TimeScheme(c=0.05, t_end=0.01))\n"
+        "    uwdg.integrate(op, u0, c=0.05, t_end=0.01)\n"
         "from importlib.metadata import packages_distributions\n"
         "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
         "print(sorted(loaded & set(packages_distributions()) - {'uwdg'}))\n")
@@ -245,7 +244,7 @@ class TestRK4:
         mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
         op = DGOperator(mesh, CENTRAL, 2)
         u = DGFunction(mesh, 2)
-        out = integrate(op, u, TimeScheme(c=0.04, t_end=0.2))
+        out = integrate(op, u, c=0.04, t_end=0.2)
         assert np.abs(out.u.coeffs).max() == 0.0
 
     def test_single_step_matches_taylor(self):
@@ -263,9 +262,8 @@ class TestRK4:
         op = DGOperator(mesh, CENTRAL, 2)
         f = plane_wave(1.0)
         u0 = uwdg.project_l2(f, 0.0, mesh, 2)
-        scheme = TimeScheme(c=0.04, t_end=0.1)    # margin 0.88
-        res = integrate(op, u0, scheme)
-        n_full = int(np.floor(scheme.t_end / res.dt + 1e-12))
+        res = integrate(op, u0, c=0.04, t_end=0.1)    # margin 0.88
+        n_full = int(np.floor(0.1 / res.dt + 1e-12))
         assert res.n_steps == n_full + 1       # truncated final step
         # the literal steps that land on t = 0.1, n_full * dt + rem
         u = u0
@@ -289,8 +287,7 @@ class TestRK4:
         mesh = uwdg.make_mesh(0, 2 * np.pi, 12, kind, 0.1, 6)
         op = DGOperator(mesh, cfg, k)
         u0 = project_star(plane_wave(3.0), 0.0, mesh, k, cfg)
-        scheme = TimeScheme(c=0.01, t_end=t_end)
-        out = integrate(op, u0, scheme)
+        out = integrate(op, u0, c=0.01, t_end=t_end)
         assert _step_counts(t_end, out.dt)[0] == n_full
         rem = t_end - n_full * out.dt
         assert rem > 0.1 * out.dt and out.n_steps == n_full + 1
@@ -311,9 +308,9 @@ class TestRK4:
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, seed)
         op = DGOperator(mesh, ALTERNATING, k)
         u0 = random_field(mesh, k, np.random.default_rng(seed))
-        dt = TimeScheme(c=1e-3, t_end=1.0).dt(mesh.h)
+        dt = 1e-3 * mesh.h ** 2.5
         t_end = (n_full + frac) * dt
-        out = integrate(op, u0, TimeScheme(c=1e-3, t_end=t_end))
+        out = integrate(op, u0, c=1e-3, t_end=t_end)
         assert out.n_steps == n_full + 1
         u = u0
         for _ in range(n_full):
@@ -327,7 +324,6 @@ class TestRK4:
         mesh = uwdg.make_mesh(0, 2 * np.pi, 20)
         op = DGOperator(mesh, CENTRAL, 3)
         u0 = project_star(plane_wave(3.0), 0.0, mesh, 3, CENTRAL)
-        scheme = TimeScheme(c=0.01, t_end=0.5)
         calls = []
 
         def counted(y, n):
@@ -335,11 +331,11 @@ class TestRK4:
             return _rk4_power(y, n)
 
         monkeypatch.setattr(solver, "_rk4_power", counted)
-        out = integrate(op, u0, scheme)
-        n_full, rem = _step_counts(scheme.t_end, out.dt)
+        out = integrate(op, u0, c=0.01, t_end=0.5)
+        n_full, rem = _step_counts(0.5, out.dt)
         assert n_full > 100 and rem > 0 and calls == [n_full, 1]
-        lam, V = _symbol_eigh(op)
-        march = _EigenMarch(op, u0.coeffs, lam, V)
+        march = _EigenMarch(op, u0.coeffs)
+        lam = march.lam_half[march.fold]
         march.state = (march.state * _rk4_power(out.dt * lam, n_full)
                        * _rk4_power(rem * lam, 1))
         assert np.array_equal(out.u.coeffs, march.coeffs())
@@ -349,7 +345,8 @@ class TestRK4:
         # eigh runs on l = 0..N/2; l > N/2 mirrors N - l by conjugation
         mesh = uwdg.make_mesh(0, 2 * np.pi, N)
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 3)
-        lam, V = _symbol_eigh(op)
+        march = _EigenMarch(op, np.zeros((N, 4)))
+        lam, V = march.lam_half[march.fold], march.V
         Cm, C0, Cp = (C[0] for C in op.blocks)
         d = np.sqrt(op._inv_mass[0])
         for l in range(N):
@@ -421,9 +418,10 @@ class TestRK4:
         mp = pytest.importorskip("mpmath")
         mesh = uwdg.make_mesh(0, 2 * np.pi, N)
         op = DGOperator(mesh, CENTRAL, k)
-        dt = TimeScheme(c=c, t_end=1.0).dt(mesh.h)
+        dt = c * mesh.h ** 2.5
         n, _ = _step_counts(1.0, dt)
-        y = dt * _symbol_eigh(op)[0].ravel()
+        march = _EigenMarch(op, np.zeros((N, k + 1)))
+        y = dt * march.lam_half[march.fold].ravel()
 
         def old_power(m):
             y2 = y * y
@@ -483,10 +481,10 @@ class TestRK4:
         mesh = uwdg.make_mesh(0, 2 * np.pi, 12, kind, 0.1, 4)
         op = DGOperator(mesh, ALTERNATING, 3)
         u0 = random_field(mesh, 3, np.random.default_rng(5))
-        dt = TimeScheme(c=0.01, t_end=1.0).dt(mesh.h)
+        dt = 0.01 * mesh.h ** 2.5
         marches = [_BandMarch(op, u0.coeffs)]
         if kind == "uniform":
-            marches.append(_EigenMarch(op, u0.coeffs, *_symbol_eigh(op)))
+            marches.append(_EigenMarch(op, u0.coeffs))
         for march in marches:
             assert march.norm() == pytest.approx(l2_norm(u0), rel=1e-14)
             march.advance(7, dt)
@@ -498,7 +496,7 @@ class TestRK4:
         mesh = uwdg.make_mesh(0, 2 * np.pi, 40)
         op = DGOperator(mesh, CENTRAL, 2)
         u0 = uwdg.reference_interpolant(f, 0.0, mesh, 2, CENTRAL)
-        res = integrate(op, u0, TimeScheme(c=0.05, t_end=1.0))
+        res = integrate(op, u0, c=0.05, t_end=1.0)
         assert abs(l2_norm(res.u) / l2_norm(u0) - 1.0) < 1e-8
 
     def test_instability_detected(self):
@@ -507,10 +505,9 @@ class TestRK4:
             op = DGOperator(mesh, CENTRAL, 2)
             u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
             c = 0.05 / mesh.h ** 2.5
-            bad = TimeScheme(c=c, t_end=3.0)   # dt = 0.05
             with pytest.raises(InstabilityError,
                                match=r"stability margin .* > 1") as err:
-                integrate(op, u0, bad)
+                integrate(op, u0, c=c, t_end=3.0)   # dt = 0.05
             assert err.value.dt == pytest.approx(0.05)
             assert err.value.margin > 1
             assert err.value.c_stable * err.value.margin == pytest.approx(c)
@@ -525,21 +522,21 @@ class TestRK4:
         u0 = project_star(plane_wave(3.0), 0.0, mesh, 2, cfg)
         with pytest.raises(InstabilityError,
                            match=r"stability margin .* > 1") as err:
-            integrate(op, u0, TimeScheme(c=0.05, t_end=0.05))
+            integrate(op, u0, c=0.05, t_end=0.05)
         assert err.value.margin == pytest.approx(1.1467, abs=1e-4)
 
 
-class _MarchBuilt(Exception):
+class _Stepped(Exception):
     pass
 
 
-def _no_march(*args):
-    raise _MarchBuilt
+def _no_step(*args):
+    raise _Stepped
 
 
 class TestStabilityCertificate:
     """RK4 is stable iff dt rho(S) <= 2 sqrt(2); integrate decides it
-    before any march is built."""
+    before any step."""
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(2, 4), cfg=st.sampled_from(FLUX_FAMILIES),
@@ -553,16 +550,16 @@ class TestStabilityCertificate:
         op = DGOperator(mesh, cfg, k)
         rho = np.abs(np.linalg.eigvals(op.as_matrix())).max()
         c = target * RK4_LIMIT / (rho * mesh.h ** 2.5)
-        scheme = TimeScheme(c=c, t_end=3.5 * TimeScheme(c, 1.0).dt(mesh.h))
+        t_end = 3.5 * c * mesh.h ** 2.5
         u0 = random_field(mesh, k, np.random.default_rng(seed))
-        with patch.object(solver, "_EigenMarch", _no_march), \
-                patch.object(solver, "_BandMarch", _no_march):
+        with patch.object(solver._EigenMarch, "advance", _no_step), \
+                patch.object(solver._BandMarch, "advance", _no_step):
             if target < 1.0:
-                with pytest.raises(_MarchBuilt):
-                    integrate(op, u0, scheme)
+                with pytest.raises(_Stepped):
+                    integrate(op, u0, c, t_end)
             else:
                 with pytest.raises(InstabilityError) as err:
-                    integrate(op, u0, scheme)
+                    integrate(op, u0, c, t_end)
                 assert err.value.margin == pytest.approx(target, rel=1e-8)
                 assert err.value.c_stable == pytest.approx(c / target,
                                                            rel=1e-8)
@@ -576,25 +573,44 @@ class TestStabilityCertificate:
             assert _count_outside(bands, sigma) == np.sum(lam > sigma)
 
     @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
-    def test_unstable_run_builds_no_march(self, kind, monkeypatch):
+    def test_unstable_run_takes_no_step(self, kind, monkeypatch):
         # k=4, N=20 at c=0.0093: margin 1.0003 on the uniform mesh, where
         # 1943 steps grow the worst mode only 56x
-        monkeypatch.setattr(solver, "_BandMarch", _no_march)
-        monkeypatch.setattr(solver, "_EigenMarch", _no_march)
+        for march in (solver._EigenMarch, solver._BandMarch):
+            monkeypatch.setattr(march, "advance", _no_step)
         mesh = uwdg.make_mesh(0, 2 * np.pi, 20, kind, 0.1, 3)
         op = DGOperator(mesh, CENTRAL, 4)
         u0 = uwdg.project_l2(plane_wave(1.0), 0.0, mesh, 4)
         with pytest.raises(InstabilityError, match="stability margin") as err:
-            integrate(op, u0, TimeScheme(c=0.0093, t_end=1.0))
+            integrate(op, u0, c=0.0093, t_end=1.0)
         assert err.value.margin > 1
         assert "largest stable c = " in str(err.value)
+
+    @pytest.mark.parametrize("kind, cfg, k, c, margin, printed", [
+        ("uniform", CENTRAL, 4, 0.0093, 1.00029, "0.009297"),
+        ("perturbed", FluxConfig(0.5, 0, 0), 3, 1.0, 85.2461, "0.01173"),
+    ], ids=["eigen", "band"])
+    def test_verdict_of_each_propagator(self, kind, cfg, k, c, margin,
+                                        printed):
+        # the rows `uwdg study --k 4 --N 20 --c 0.0093` and `--k 3 --N 20
+        # --mesh perturbed:0.1:0 --flux 0.5,0,0 --c 1`: the eigen march
+        # answers max|lam|; the band march's inertia count finds
+        # eigenvalues past 2 sqrt(2) / dt, and rho is bisected
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 20, kind, 0.1, 0)
+        op = DGOperator(mesh, cfg, k)
+        u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, k)
+        with pytest.raises(InstabilityError) as err:
+            integrate(op, u0, c, t_end=1.0)
+        assert f"{err.value.margin:.6g}" == f"{margin:.6g}"
+        assert err.value.c_stable == pytest.approx(c / margin, rel=1e-5)
+        assert str(err.value).endswith(f"largest stable c = {printed}")
 
     def test_uniform_margin_is_exact(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 20)
         op = DGOperator(mesh, CENTRAL, 4)
         u0 = project_star(plane_wave(1.0), 0.0, mesh, 4, CENTRAL)
         with pytest.raises(InstabilityError) as err:
-            integrate(op, u0, TimeScheme(c=0.0093, t_end=1.0))
+            integrate(op, u0, c=0.0093, t_end=1.0)
         dt = 0.0093 * mesh.h ** 2.5
         rho = np.abs(np.linalg.eigvals(op.as_matrix())).max()
         assert err.value.margin == pytest.approx(dt * rho / RK4_LIMIT,
@@ -603,7 +619,7 @@ class TestStabilityCertificate:
         # the printed c, rounded down, is stable: it marches
         printed = float(str(err.value).rsplit("= ", 1)[1])
         assert printed <= err.value.c_stable
-        out = integrate(op, u0, TimeScheme(c=printed, t_end=1.0))
+        out = integrate(op, u0, c=printed, t_end=1.0)
         assert l2_norm(out.u) == pytest.approx(l2_norm(u0), rel=1e-6)
 
     @pytest.mark.parametrize("c_stable, printed", [
@@ -616,13 +632,14 @@ class TestStabilityCertificate:
     def test_final_norm_backstop(self, kind, monkeypatch):
         # with the certificate switched off, an unstable march still ends
         # in InstabilityError, from the final norm
-        monkeypatch.setattr(solver, "_certify", lambda *args: None)
+        for march in (solver._EigenMarch, solver._BandMarch):
+            monkeypatch.setattr(march, "rho", lambda self, sigma: 0.0)
         mesh = uwdg.make_mesh(0, 2 * np.pi, 16, kind, 0.1, 2)
         op = DGOperator(mesh, CENTRAL, 2)
         u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
-        bad = TimeScheme(c=0.05 / mesh.h ** 2.5, t_end=0.5)   # dt = 0.05
+        c = 0.05 / mesh.h ** 2.5                 # dt = 0.05
         with pytest.raises(InstabilityError, match="L2 norm grew by") as err:
-            integrate(op, u0, bad)
+            integrate(op, u0, c, t_end=0.5)
         assert err.value.margin is None and err.value.norm_ratio > 10
 
     def test_run_shorter_than_one_step_not_judged(self, monkeypatch):
@@ -631,8 +648,7 @@ class TestStabilityCertificate:
         mesh = uwdg.make_mesh(0, 2 * np.pi, 16, "perturbed", 0.1, 2)
         op = DGOperator(mesh, CENTRAL, 2)
         u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
-        bad = TimeScheme(c=0.05 / mesh.h ** 2.5, t_end=0.01)   # dt = 0.05
-        out = integrate(op, u0, bad)
+        out = integrate(op, u0, c=0.05 / mesh.h ** 2.5, t_end=0.01)  # dt 0.05
         assert out.n_steps == 1
         np.testing.assert_allclose(out.u.coeffs,
                                    rk4_step(op, u0, 0.01).coeffs,
@@ -663,11 +679,13 @@ class TestStepGuard:
         (1e-320, 1.0, "not finite"),      # dt is subnormal, t_end/dt inf
         (5e-324, 1.0, "not positive"),    # dt underflows to 0
         (1e-200, 1e300, "not finite"),
+        (0.0, 1.0, r"time step c\*h\^2\.5 = 0\*.* not positive"),
+        (-0.01, 1.0, r"time step c\*h\^2\.5 = -0\.01\*.* not positive"),
     ])
     def test_rejected_on_every_mesh(self, kind, c, t_end, match):
         op, u0 = self._case(kind)
         with pytest.raises(ConfigurationError, match=match):
-            integrate(op, u0, TimeScheme(c=c, t_end=t_end))
+            integrate(op, u0, c=c, t_end=t_end)
 
     def test_band_march_step_cap(self, monkeypatch):
         # one cap for both propagators: a step count past it is rejected
@@ -677,16 +695,15 @@ class TestStepGuard:
 
         monkeypatch.setattr(solver, "_BandMarch", no_march)
         monkeypatch.setattr(solver, "_EigenMarch", no_march)
-        scheme = TimeScheme(c=0.05, t_end=0.1)
         for kind in ("perturbed", "uniform"):
             op, u0 = self._case(kind)
-            n_full, _ = _step_counts(scheme.t_end, scheme.dt(op.mesh.h))
+            n_full, _ = _step_counts(0.1, 0.05 * op.mesh.h ** 2.5)
             monkeypatch.setattr(solver, "MAX_STEPS", n_full - 1)
             with pytest.raises(ConfigurationError, match="exceed"):
-                integrate(op, u0, scheme)
+                integrate(op, u0, c=0.05, t_end=0.1)
 
     def test_every_benchmark_case_under_the_cap(self):
         # the largest: Table 2 at k=3, N=160, 213k steps; dt uses the
         # largest cell, so the uniform h bounds the count from above
-        dt = TimeScheme(c=0.01, t_end=1.0).dt(2 * np.pi / 160)
+        dt = 0.01 * (2 * np.pi / 160) ** 2.5
         assert _step_counts(1.0, dt)[0] < solver.MAX_STEPS / 100
