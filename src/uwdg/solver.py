@@ -21,10 +21,17 @@ is then one power of R4 per eigenvector on uniform meshes; on other
 meshes the square of the banded one-step update applied two steps per
 block-banded product, with an odd step left over and the truncated
 final step taken by the literal rk4_step, the stage-by-stage step that
-is also the reference the tests compare both propagators against.
+is also the reference the tests compare both propagators against.  A
+band too large for one core's L2 cache is marched in contiguous parts of
+its ring of row blocks, one thread per core, each on its own halo for
+four products between barriers; the result is bitwise that of one part.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -181,7 +188,9 @@ class IntegrationResult:
 
 
 def _step_counts(t_end: float, dt: float) -> tuple[int, float]:
-    if t_end <= 0:
+    if t_end < 0:
+        raise ConfigurationError(f"final time t_end = {t_end:g} is negative")
+    if t_end == 0:
         return 0, 0.0
     if not np.isfinite(t_end / dt):
         raise ConfigurationError(
@@ -323,28 +332,108 @@ def _spectral_radius(bands: tuple[np.ndarray, np.ndarray],
 STEPS_PER_PRODUCT = 2   # RK4 steps per banded product: the update squared
 GROUP = 4               # cells per row block of the two-step update
 REACH = 4 * STEPS_PER_PRODUCT   # cells the two-step update reaches per side
+HALO = REACH // GROUP   # row blocks a product reads past its own, per side
+ROUND = 4               # products per barrier of a march in several parts
+# a march runs in parts only when its band fills at least L2_SHARE of a
+# core's L2 cache, and in no more parts than keep MIN_PART_BLOCKS row
+# blocks each.  On 2 cores with 2 MB of L2 each, per product: k=2 at
+# N=640 and 1280, k=3 and k=4 at N=320 took 0.56-0.81 of the serial time
+# in two parts; k=2 at N=320, and k=3 and k=4 at N=160 (40 row blocks),
+# took 1.1-2.2 of it
+L2_SHARE = 0.75
+MIN_PART_BLOCKS = 40
 
 
-def _two_step_rows(P: np.ndarray) -> np.ndarray:
+@functools.cache
+def _l2_bytes() -> int:
+    """The L2 cache of one core in bytes, or 0 where it cannot be read."""
+    try:
+        with open("/sys/devices/system/cpu/cpu0/cache/index2/size") as f:
+            size = f.read().strip()
+        return int(size.rstrip("KM")) * {"K": 1 << 10, "M": 1 << 20}.get(
+            size[-1:], 1)
+    except (OSError, ValueError):
+        return 0
+
+
+def _host() -> tuple[int, int]:
+    """(the cores this process may run on, _l2_bytes())."""
+    l2 = _l2_bytes()
+    return (len(os.sched_getaffinity(0)) if l2 else 1), l2
+
+
+def _part_count(n_blocks: int, band_bytes: int, cpus: int, l2: int) -> int:
+    """The parts a band march of n_blocks row blocks, whose two-step band
+    takes band_bytes, runs in on cpus cores of l2 bytes of L2 each (0:
+    unknown)."""
+    if not l2 or band_bytes < L2_SHARE * l2:
+        return 1
+    return max(1, min(cpus, n_blocks // MIN_PART_BLOCKS))
+
+
+def _two_step_rows(P: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """The two-step update P^2 from the one-step bands P of
-    rk4_sparse_update, as row blocks of GROUP consecutive cells.
+    rk4_sparse_update, as the row blocks of GROUP consecutive cells that
+    blocks lists, in its order; a list may wrap and repeat row blocks.
 
-    Row block r, of shape (4(k+1), 20(k+1)), holds cells 4r .. 4r+3
-    (slot i = j - 4r) and multiplies the coefficients of cells
-    4r-8 .. 4r+11 laid end to end; rows of cells past N are zero.
+    Row block b, of shape (4(k+1), 20(k+1)), holds cells 4b .. 4b+3
+    (slot i = j - 4b) and multiplies the coefficients of cells
+    4b-8 .. 4b+11 laid end to end; rows of cells past N are zero.
     (P^2)_j = sum_a P_j[band a] P_{j+a}, and the nine bands of cell j+a
     start a - 4 cells from j, i + a + 4 cells into the window."""
     N, kp1 = P.shape[0], P.shape[1]
-    Q = np.zeros((-(-N // GROUP), GROUP * kp1, (GROUP + 2 * REACH) * kp1),
+    Q = np.zeros((len(blocks), GROUP * kp1, (GROUP + 2 * REACH) * kp1),
                  dtype=complex)
     for i in range(GROUP):
-        rows = np.arange(i, N, GROUP)
-        Pi = P[i::GROUP]
+        cells = (GROUP * blocks + i) % N
+        Pi = P[cells]
         for a in range(-4, 5):
             col = (i + a - 4 + REACH) * kp1
-            Q[:len(rows), i * kp1:(i + 1) * kp1, col:col + 9 * kp1] += (
-                Pi[..., (a + 4) * kp1:(a + 5) * kp1] @ P[(rows + a) % N])
+            Q[:, i * kp1:(i + 1) * kp1, col:col + 9 * kp1] += (
+                Pi[..., (a + 4) * kp1:(a + 5) * kp1] @ P[(cells + a) % N])
+    cells = GROUP * blocks[:, None] + np.arange(GROUP)
+    Q.reshape(-1, kp1, Q.shape[2])[cells.ravel() >= N] = 0
     return Q
+
+
+class _Part:
+    """Row blocks [b0, b1) of the ring of a band march, advanced s
+    two-step products a round.
+
+    A round gathers the part's cells, with s * REACH cells of periodic
+    halo on each side, from one march state into bufs.  It then takes s
+    products on ranges that shrink by HALO row blocks per side each time;
+    the last is the part's own row blocks, written into the other state.
+    Product i reads bufs[i % 2] and, but for the last, writes
+    bufs[(i + 1) % 2].  The part's band rows, blocks, are those of its
+    first product, [b0 - HALO (s-1), b1 + HALO (s-1)) around the ring;
+    product i takes rows i HALO .. len - i HALO of them."""
+
+    def __init__(self, b0: int, b1: int, s: int, N: int, kp1: int):
+        pad = HALO * (s - 1)
+        self.own, self.s = slice(b0, b1), s
+        self.blocks = np.arange(b0 - pad, b1 + pad) % -(-N // GROUP)
+        self.cells = np.arange(GROUP * (b0 - pad - HALO),
+                               GROUP * (b1 + pad + HALO)) % N
+        self.bufs = [np.empty((len(self.cells), kp1), dtype=complex)
+                     for _ in range(min(s, 2))]
+        self.windows = [sliding_window_view(
+            b.ravel(), (GROUP + 2 * REACH) * kp1)[::GROUP * kp1, :, None]
+            for b in self.bufs]
+
+    def set_band(self, band: np.ndarray, states: list[np.ndarray]):
+        """Set steps[x], the s (band, window, out) triples of a round that
+        writes states[x], from band, the part's rows of the band."""
+        m, blk = len(band), band.shape[1]
+        self.steps = ([], [])
+        for x, steps in enumerate(self.steps):
+            for i in range(self.s):
+                rows = slice(i * HALO, m - i * HALO)
+                out = (states[x].reshape(-1, blk, 1)[self.own]
+                       if i == self.s - 1 else
+                       self.bufs[(i + 1) % 2].reshape(-1, blk, 1)[
+                           (i + 1) * HALO:m - (i - 1) * HALO])
+                steps.append((band[rows], self.windows[i % 2][rows], out))
 
 
 class _BandMarch:
@@ -352,38 +441,106 @@ class _BandMarch:
 
     The two-step update, the square of rk4_sparse_update, is built by
     _two_step_rows once per advance, so each product is one batched
-    matmul of (4(k+1), 20(k+1)) row blocks.  The coefficients live in a
-    buffer padded by eight cells of periodic wrap before cell 0 and past
-    the last row block, so the twenty-cell window of every row block is
-    a strided view of it.  An advance of n steps is n // 2 products and,
-    for odd n, one literal rk4_step; the truncated final step is such an
-    advance, so no update is built for it.  norm() takes, by Parseval,
+    matmul of (4(k+1), 20(k+1)) row blocks, each against a strided view
+    of its twenty-cell window.  The ring of ceil(N/4) row blocks is cut
+    into contiguous _Parts, each marched in its own thread, the first in
+    the calling one.  A single part takes one product a round, on a
+    buffer of its cells with eight cells of periodic wrap at each end.
+    Several parts take ROUND products a round each and meet at one
+    barrier a round; the halo each gathers lets it take them alone.  The
+    state is two buffers that the rounds alternate between, so a part
+    writing the next state never overwrites cells that another part is
+    still gathering.  Every output row block is the matmul of the same
+    band rows and the same window values however the ring is cut, so the
+    result is bitwise the same.  _part_count decides the parts from the
+    cores, the band's bytes and the per-core L2 cache, so that each part
+    keeps its share of a band too large for one core's cache in its own
+    core's; parts need N a multiple of 4.
+
+    An advance of n steps is n // 2 products and, for odd n, one literal
+    rk4_step; the truncated final step is such an advance, so no update
+    is built for it.  norm() takes, by Parseval,
     ||u||^2 = sum |c_{j,m}|^2 h_j / (2m+1)."""
 
     def __init__(self, op: DGOperator, coeffs: np.ndarray):
         N, kp1 = op.mesh.N, op.k + 1
-        n_rows = -(-N // GROUP) * GROUP
-        self.op = op
-        self.wrap = np.arange(-REACH, n_rows + REACH) % N
-        self.buf = coeffs[self.wrap]
-        self.window = sliding_window_view(
-            self.buf.ravel(), (GROUP + 2 * REACH) * kp1)[::GROUP * kp1, :, None]
-        self.out = np.empty((n_rows // GROUP, GROUP * kp1, 1), dtype=complex)
-        self.rows = self.out.reshape(n_rows, kp1)
-        self.state = self.buf[REACH:REACH + N]
+        n_blocks = -(-N // GROUP)
+        band_bytes = 16 * n_blocks * GROUP * (GROUP + 2 * REACH) * kp1 ** 2
+        T = (_part_count(n_blocks, band_bytes, *_host())
+             if N % GROUP == 0 else 1)
+        self.op, self.N, self.cur = op, N, 0
+        self.states = list(np.zeros((2, n_blocks * GROUP, kp1),
+                                    dtype=complex))
+        self.states[0][:N] = coeffs
+        ends = [n_blocks * t // T for t in range(T + 1)]
+        self.parts = [_Part(b0, b1, ROUND if T > 1 else 1, N, kp1)
+                      for b0, b1 in zip(ends, ends[1:])]
 
-    def _load(self, coeffs: np.ndarray):
-        coeffs.take(self.wrap, axis=0, out=self.buf, mode="wrap")
+    @property
+    def state(self) -> np.ndarray:
+        return self.states[self.cur][:self.N]
 
     def advance(self, n: int, step: float):
-        if n >= STEPS_PER_PRODUCT:
-            band = _two_step_rows(self.op.rk4_sparse_update(step))
-        for _ in range(n // STEPS_PER_PRODUCT):
-            np.matmul(band, self.window, out=self.out)
-            self._load(self.rows)
+        products = n // STEPS_PER_PRODUCT
+        if products:
+            band = _two_step_rows(self.op.rk4_sparse_update(step),
+                                  np.concatenate([p.blocks
+                                                  for p in self.parts]))
+            start = 0
+            for part in self.parts:
+                part.set_band(band[start:start + len(part.blocks)],
+                              self.states)
+                start += len(part.blocks)
+            self._run(products)
         for _ in range(n % STEPS_PER_PRODUCT):
             u = DGFunction(self.op.mesh, self.op.k, self.state)
-            self._load(rk4_step(self.op, u, step).coeffs)
+            self.state[:] = rk4_step(self.op, u, step).coeffs
+
+    def _run(self, products: int):
+        """Take the products in every part, each in its own thread, the
+        first in this one.  An error in any part is raised here once every
+        thread has ended."""
+        if len(self.parts) == 1:
+            self._march(self.parts[0], products, None)
+        else:
+            barrier = threading.Barrier(len(self.parts))
+            failed = []
+
+            def run(part):
+                try:
+                    self._march(part, products, barrier)
+                except BaseException as exc:    # release the other parts
+                    failed.append(exc)
+                    barrier.abort()
+
+            threads = []
+            try:
+                for part in self.parts[1:]:
+                    thread = threading.Thread(target=run, args=(part,))
+                    thread.start()
+                    threads.append(thread)
+                run(self.parts[0])
+            finally:
+                if len(threads) < len(self.parts) - 1:  # one did not start
+                    barrier.abort()
+                for thread in threads:
+                    thread.join()
+            if failed:
+                raise failed[0]
+        self.cur ^= -(-products // self.parts[0].s) % 2
+
+    def _march(self, part: _Part, products: int, barrier):
+        """Take the products in one part, a short round first."""
+        states, cells, bufs, steps = (self.states, part.cells, part.bufs,
+                                      part.steps)
+        first, x = -products % part.s, self.cur
+        for _ in range(-(-products // part.s)):
+            states[x].take(cells, axis=0, out=bufs[first % 2], mode="wrap")
+            for band, window, out in steps[1 - x][first:]:
+                np.matmul(band, window, out=out)
+            if barrier is not None:
+                barrier.wait()
+            x, first = 1 - x, 0
 
     def rho(self, sigma: float) -> float:
         """rho(S) if some eigenvalue of S lies outside [-sigma, sigma] (by
@@ -415,10 +572,13 @@ def integrate(op: DGOperator, u0: DGFunction, c: float,
     t_end < dt takes no step of size dt and is not judged by it.  A
     stable run is one advance of the n_full steps and one of the
     truncated step, by eigen-space powers on uniform meshes and two steps
-    per banded product on any other.  As a backstop, a final L2 norm that
-    is not finite or beyond 10x the initial one raises InstabilityError
-    too; both are the norm() of the march state, by Parseval.  A dt that
-    is not positive, a step count that is not finite, or more than
+    per banded product on any other, in as many threads as _part_count
+    decides from the cores and the per-core L2 cache; every thread has
+    ended when integrate returns or raises, and an error in one is raised
+    here.  As a backstop, a final L2 norm that is not finite or beyond
+    10x the initial one raises InstabilityError too; both are the norm()
+    of the march state, by Parseval.  A dt that is not positive, a
+    negative t_end, a step count that is not finite, or more than
     MAX_STEPS steps raise ConfigurationError before any step.
     """
     dt = c * op.mesh.h ** 2.5

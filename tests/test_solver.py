@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from unittest.mock import patch
 
@@ -16,10 +18,10 @@ from uwdg.errors import ConfigurationError, InstabilityError
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, interface_matrices,
                        scale_flux)
 from uwdg.projection import DGFunction, l2_norm, plane_wave, project_star
-from uwdg.solver import (RK4_LIMIT, DGOperator, _BandMarch, _count_outside,
-                         _EigenMarch, _rk4_power, _spectral_radius,
-                         _step_counts, _symmetric_bands, _two_step_rows,
-                         integrate, rk4_step)
+from uwdg.solver import (DEFAULT_DT_CONSTANTS, RK4_LIMIT, DGOperator,
+                         _BandMarch, _count_outside, _EigenMarch, _rk4_power,
+                         _spectral_radius, _step_counts, _symmetric_bands,
+                         _two_step_rows, integrate, rk4_step)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
@@ -388,25 +390,33 @@ class TestRK4:
 
     @pytest.mark.parametrize("N", [4, 5, 9, 18])
     def test_two_step_rows_are_dense_rk4_square(self, N):
-        # row block r holds cells 4r..4r+3 against cells 4r-8..4r+11; N not
-        # a multiple of 4 leaves zero rows, and N < 17 aliases the offsets
+        # row block b holds cells 4b..4b+3 against cells 4b-8..4b+11; the
+        # list is padded by 6 wrapped row blocks per side, as a part's band
+        # is; N not a multiple of 4 leaves zero rows, and N < 17 aliases
+        # the offsets
         k, kp1, dt = 3, 4, 0.01
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, 1)
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), k)
         Z, eye = dt * op.as_matrix(), np.eye(kp1 * N)
         R4 = eye + Z @ (eye + Z / 2 @ (eye + Z / 3 @ (eye + Z / 4)))
-        expect = R4 @ R4
-        Q = _two_step_rows(op.rk4_sparse_update(dt))
+        expect = (R4 @ R4).reshape(N, kp1, N * kp1)
         n_blocks = -(-N // 4)
-        assert Q.shape == (n_blocks, 4 * kp1, 20 * kp1)
-        Q = Q.reshape(n_blocks * 4, kp1, 20, kp1)
-        assert not Q[N:].any()
-        got = np.zeros((N, kp1, N, kp1), dtype=complex)
-        for j in range(N):
-            for c in range(20):
-                got[j, :, (j - j % 4 - 8 + c) % N] += Q[j, :, c]
-        np.testing.assert_allclose(got.reshape(kp1 * N, kp1 * N), expect,
-                                   rtol=0, atol=1e-13 * np.abs(expect).max())
+        blocks = np.arange(-6, n_blocks + 6) % n_blocks
+        Q = _two_step_rows(op.rk4_sparse_update(dt), blocks)
+        assert Q.shape == (len(blocks), 4 * kp1, 20 * kp1)
+        Q = Q.reshape(len(blocks), 4, kp1, 20, kp1)
+        for r, b in enumerate(blocks):
+            for i in range(4):
+                j = 4 * b + i
+                if j >= N:
+                    assert not Q[r, i].any()
+                    continue
+                got = np.zeros((kp1, N, kp1), dtype=complex)
+                for c in range(20):
+                    got[:, (4 * b - 8 + c) % N] += Q[r, i, :, c]
+                np.testing.assert_allclose(
+                    got.reshape(kp1, N * kp1), expect[j], rtol=0,
+                    atol=1e-13 * np.abs(expect).max())
 
     @pytest.mark.parametrize("k, N, c", [(2, 640, 0.05), (3, 160, 0.01)])
     def test_single_power_no_farther_than_checkpoint_chunks(self, k, N, c):
@@ -681,6 +691,7 @@ class TestStepGuard:
         (1e-200, 1e300, "not finite"),
         (0.0, 1.0, r"time step c\*h\^2\.5 = 0\*.* not positive"),
         (-0.01, 1.0, r"time step c\*h\^2\.5 = -0\.01\*.* not positive"),
+        (0.05, -1.0, r"final time t_end = -1 is negative"),
     ])
     def test_rejected_on_every_mesh(self, kind, c, t_end, match):
         op, u0 = self._case(kind)
@@ -707,3 +718,87 @@ class TestStepGuard:
         # largest cell, so the uniform h bounds the count from above
         dt = 0.01 * (2 * np.pi / 160) ** 2.5
         assert _step_counts(1.0, dt)[0] < solver.MAX_STEPS / 100
+
+
+class TestBandParts:
+    """A band march cut into parts, one thread each, is bitwise the march
+    in one part, and leaves no thread behind."""
+
+    def _case(self, k, N):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, 42)
+        op = DGOperator(mesh, ALTERNATING, k)
+        return op, random_field(mesh, k, np.random.default_rng(N))
+
+    @pytest.mark.parametrize("k, N, n", [
+        (2, 640, 47),   # 23 products: odd n, a short round of 3
+        (3, 64, 19),  # 16 row blocks: an 8-block halo is wider than a part
+    ])
+    def test_parts_are_bitwise_one_part(self, k, N, n, monkeypatch):
+        op, u0 = self._case(k, N)
+        dt = DEFAULT_DT_CONSTANTS[k] * op.mesh.h ** 2.5
+        got, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as can be
+        try:
+            for T in (1, 2, 3):     # 3 parts on 2 cores: more than the cores
+                monkeypatch.setattr(solver, "_part_count", lambda *a, T=T: T)
+                march = _BandMarch(op, u0.coeffs)
+                assert len(march.parts) == T
+                march.advance(n, dt)
+                march.advance(1, 0.5 * dt)
+                got.append(march.coeffs())
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got[0], got[1])
+        assert np.array_equal(got[0], got[2])
+        u = u0
+        for step in [dt] * n + [0.5 * dt]:
+            u = rk4_step(op, u, step)
+        assert np.abs(got[0] - u.coeffs).max() < 1e-11 * np.abs(u.coeffs).max()
+
+    def test_part_count_rule(self):
+        # 2 cores of 2 MB L2: k=2, N=640 is a 1.84 MB band of 160 row blocks
+        mb2, band = 2 << 20, 160 * 12 * 60 * 16
+        assert solver._part_count(160, band, 2, mb2) == 2
+        assert solver._part_count(160, band, 1, mb2) == 1
+        assert solver._part_count(160, band, 8, mb2) == 4   # 40 blocks each
+        assert solver._part_count(160, band, 2, 0) == 1     # L2 unknown
+        assert solver._part_count(160, band, 2, 4 << 20) == 1
+
+    @pytest.mark.parametrize("k, N, parts", [
+        *[(3, N, 1) for N in (20, 40, 80, 160)],   # perturbed_march
+        *[(2, N, 1) for N in (80, 160, 320)],      # perturbed_short
+        (2, 640, 2),
+        (2, 642, 1),                               # a ragged last row block
+    ])
+    def test_parts_of_benchmark_cases(self, k, N, parts, monkeypatch):
+        monkeypatch.setattr(solver, "_host", lambda: (2, 2 << 20))
+        op, u0 = self._case(k, N)
+        assert len(_BandMarch(op, u0.coeffs).parts) == parts
+
+    def test_threads_end_and_errors_are_raised(self, monkeypatch):
+        op, u0 = self._case(2, 640)
+        monkeypatch.setattr(solver, "_part_count", lambda *a: 3)
+        march = solver._BandMarch._march
+
+        def in_worker():
+            return threading.current_thread() is not threading.main_thread()
+
+        def slow(self, part, products, barrier):
+            march(self, part, products, barrier)
+            if in_worker():     # ends well after the calling thread's part
+                time.sleep(0.05)
+
+        def failing(self, part, products, barrier):
+            if in_worker():
+                raise RuntimeError("part failed")
+            march(self, part, products, barrier)
+
+        t_end = 20.5 * 0.05 * op.mesh.h ** 2.5     # 21 steps, 10 products
+        threads = threading.active_count()
+        monkeypatch.setattr(solver._BandMarch, "_march", slow)
+        assert integrate(op, u0, 0.05, t_end).n_steps == 21
+        assert threading.active_count() == threads
+        monkeypatch.setattr(solver._BandMarch, "_march", failing)
+        with pytest.raises(RuntimeError, match="part failed"):
+            integrate(op, u0, 0.05, t_end)
+        assert threading.active_count() == threads
