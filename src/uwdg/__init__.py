@@ -18,7 +18,7 @@ _EXPORTS = {
                "SingularSymbolError", "UnsupportedOperationError",
                "UwdgError"),
     "basis": ("QuadratureRule", "antiderivative_map", "bspline_eval",
-              "gauss_rule", "legendre_eval", "reference_matrices"),
+              "gauss_rule", "reference_matrices"),
     "mesh": ("Mesh1D", "make_mesh"),
     "flux": ("ALTERNATING", "CENTRAL", "AssumptionClass", "FluxConfig",
              "ScaledFlux", "classify_assumption", "gamma_lambda",

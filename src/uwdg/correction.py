@@ -45,8 +45,9 @@ def _d2_table(k: int) -> np.ndarray:
 def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
                      cfg: FluxConfig, q_max: int | None = None,
                      cls: AssumptionClass | None = None) -> list[DGFunction]:
-    """The correction fields [w_1, .., w_q_max] at time t (q_max defaults
-    to floor((k-1)/2)).
+    """The correction fields [w_1, .., w_q_max] at time t; q_max, an
+    integer in 0..floor((k-1)/2), defaults to floor((k-1)/2), and any
+    other value raises ValueError.
 
     w_q is reached from d_t^q w_0 in q steps d_t^r w_p -> d_t^{r-1} w_{p+1};
     the chains of different q share no term.  Time derivatives of the
@@ -57,9 +58,13 @@ def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
     them Pstar is the L2 projection), and for p >= 1 the integrand is
     already polynomial.
     """
+    levels = max_correction_levels(k)
     if q_max is None:
-        q_max = max_correction_levels(k)
-    q_max = min(q_max, max_correction_levels(k))
+        q_max = levels
+    elif (isinstance(q_max, bool) or not isinstance(q_max, (int, np.integer))
+          or not 0 <= q_max <= levels):
+        raise ValueError(f"q_max = {q_max!r} is not an integer in "
+                         f"0..{levels} at k = {k}")
     if q_max > 0:
         cls = _resolve_class(cfg, mesh, k, cls)
         if f.d_max < 2 * q_max + 1:

@@ -48,16 +48,8 @@ class DGFunction:
     def copy(self) -> "DGFunction":
         return DGFunction(self.mesh, self.k, self.coeffs.copy())
 
-    def __add__(self, other: "DGFunction") -> "DGFunction":
-        return DGFunction(self.mesh, self.k, self.coeffs + other.coeffs)
-
     def __sub__(self, other: "DGFunction") -> "DGFunction":
         return DGFunction(self.mesh, self.k, self.coeffs - other.coeffs)
-
-    def __mul__(self, z) -> "DGFunction":
-        return DGFunction(self.mesh, self.k, self.coeffs * z)
-
-    __rmul__ = __mul__
 
     def eval_ref(self, xi, s: int = 0) -> np.ndarray:
         """Evaluate the s-th x-derivative at reference points xi in every
@@ -77,15 +69,12 @@ class DGFunction:
         c = self.coeffs[:, :, None]
         return (R @ c)[:, :, 0], (L @ c)[:, :, 0]
 
-    def cell_norms_sq(self) -> np.ndarray:
-        """Per-cell squared L2 norms by Parseval."""
-        w = self.mesh.h_sizes[:, None] / (2 * np.arange(self.k + 1) + 1)
-        return np.sum(np.abs(self.coeffs) ** 2 * w, axis=1)
-
 
 def l2_norm(u: DGFunction) -> float:
     """Parseval: ||u||^2 = sum |c_{j,m}|^2 h_j/(2m+1)."""
-    return float(np.sqrt(np.sum(u.cell_norms_sq()).real))
+    w = u.mesh.h_sizes[:, None] / (2 * np.arange(u.k + 1) + 1)
+    return float(np.sqrt(np.sum(np.sum(np.abs(u.coeffs) ** 2 * w,
+                                       axis=1)).real))
 
 
 class AnalyticField:
@@ -291,10 +280,6 @@ class LeadingResidual:
         for _ in range(s):
             coef = (d @ coef[..., None])[..., 0]
         return coef
-
-    def eval(self, xi, s: int = 0) -> np.ndarray:
-        tab = basis.legendre_table(self.k + 1, xi, ders=s)[..., s, :]
-        return tab @ self.legendre_coeffs()
 
 
 class SpecialPoints:

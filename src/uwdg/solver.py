@@ -7,24 +7,13 @@ the coefficient ODE du/dt = i M^{-1} A u.  The operator is linear and
 time independent, assembled once per (mesh, flux, degree) and reused
 across all RK4 stages.
 
-Time marching is classical RK4 with the step rule dt = c h^{2.5} (a
-study's c by default from DEFAULT_DT_CONSTANTS), final step truncated
-to land exactly on the end time.  A step is the linear map R4(dt L),
-R4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  L = i D^2 A is similar to
-i S with S = D A D real symmetric, and |R4(iy)| <= 1 iff
-|y| <= 2 sqrt(2), so a march is stable iff dt rho(S) <= 2 sqrt(2).
-integrate decides that before any step, from the rho(S) of the
-propagator the mesh selects: the eigenvalues of the Hermitian scaled DFT
-symbols on uniform meshes, where the operator is block-circulant, and a
-Sylvester inertia count of S -+ sigma I on other meshes.  A stable march
-is then one power of R4 per eigenvector on uniform meshes; on other
-meshes the square of the banded one-step update applied two steps per
-block-banded product, with an odd step left over and the truncated
-final step taken by the literal rk4_step, the stage-by-stage step that
-is also the reference the tests compare both propagators against.  A
-band too large for one core's L2 cache is marched in contiguous parts of
-its ring of row blocks, one thread per core, each on its own halo for
-four products between barriers; the result is bitwise that of one part.
+Time marching is classical RK4 at dt = c h^{2.5} (c by default from
+DEFAULT_DT_CONSTANTS), the final step truncated to land on the end time.
+integrate proves the march stable from rho(S), S = D A D, before any
+step.  Two propagators answer rho(S) and march: _EigenMarch in the
+eigenbasis of the DFT symbols on uniform meshes, and _BandMarch, two
+steps per block-banded product, on any other.  rk4_step, the literal
+stage-by-stage step, is the reference the tests compare both against.
 """
 
 from __future__ import annotations
@@ -41,7 +30,7 @@ from .errors import ConfigurationError, InstabilityError
 from .flux import (RHO_BISECT_TOL, STEP_ROUND_TOL, FluxConfig,
                    interface_matrices, scale_flux, trace_maps)
 from .mesh import Mesh1D
-from .projection import DGFunction
+from .projection import DGFunction, l2_norm
 
 # k = 4..6: 0.9 times the largest stable c on the uniform N=10 mesh of
 # [0, 2 pi] under the central and the alternating flux, whichever is
@@ -122,15 +111,6 @@ class DGOperator:
         apply(c)_j = C_m[j] c_{j-1} + C_0[j] c_j + C_p[j] c_{j+1}."""
         scale = 1j * self._inv_mass[:, :, None]
         return tuple(self._cells(scale * C) for C in self.blocks)
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense matrix of apply() on flattened coefficients (tests only)."""
-        N, kp1 = self.mesh.N, self.k + 1
-        M = np.zeros((N, kp1, N, kp1), dtype=complex)
-        j = np.arange(N)
-        for off, C in zip((-1, 0, 1), self.coupling_blocks()):
-            M[j, :, (j + off) % N] += C
-        return M.reshape(N * kp1, N * kp1)
 
     def rk4_sparse_update(self, dt: float) -> np.ndarray:
         """One-step RK4 update I + sum_{p<=4} (dt L)^p / p! as block bands.
@@ -356,19 +336,15 @@ def _l2_bytes() -> int:
         return 0
 
 
-def _host() -> tuple[int, int]:
-    """(the cores this process may run on, _l2_bytes())."""
-    l2 = _l2_bytes()
-    return (len(os.sched_getaffinity(0)) if l2 else 1), l2
-
-
-def _part_count(n_blocks: int, band_bytes: int, cpus: int, l2: int) -> int:
+def _part_count(n_blocks: int, band_bytes: int) -> int:
     """The parts a band march of n_blocks row blocks, whose two-step band
-    takes band_bytes, runs in on cpus cores of l2 bytes of L2 each (0:
-    unknown)."""
+    takes band_bytes, runs in on the cores this process may run on, each
+    with _l2_bytes() of L2 (0: unknown)."""
+    l2 = _l2_bytes()
     if not l2 or band_bytes < L2_SHARE * l2:
         return 1
-    return max(1, min(cpus, n_blocks // MIN_PART_BLOCKS))
+    return max(1, min(len(os.sched_getaffinity(0)),
+                      n_blocks // MIN_PART_BLOCKS))
 
 
 def _two_step_rows(P: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -405,105 +381,97 @@ class _Part:
     products on ranges that shrink by HALO row blocks per side each time;
     the last is the part's own row blocks, written into the other state.
     Product i reads bufs[i % 2] and, but for the last, writes
-    bufs[(i + 1) % 2].  The part's band rows, blocks, are those of its
-    first product, [b0 - HALO (s-1), b1 + HALO (s-1)) around the ring;
-    product i takes rows i HALO .. len - i HALO of them."""
+    bufs[(i + 1) % 2].  The part's band rows are _two_step_rows of the
+    one-step bands P at the row blocks of its first product,
+    [b0 - HALO (s-1), b1 + HALO (s-1)) around the ring; product i takes
+    rows i HALO .. len - i HALO of them.  steps[x] holds the s
+    (band, window, out) triples of a round that writes states[x]."""
 
-    def __init__(self, b0: int, b1: int, s: int, N: int, kp1: int):
+    def __init__(self, b0: int, b1: int, s: int, P: np.ndarray,
+                 states: list[np.ndarray]):
+        N, kp1 = P.shape[:2]
         pad = HALO * (s - 1)
-        self.own, self.s = slice(b0, b1), s
-        self.blocks = np.arange(b0 - pad, b1 + pad) % -(-N // GROUP)
+        self.s = s
         self.cells = np.arange(GROUP * (b0 - pad - HALO),
                                GROUP * (b1 + pad + HALO)) % N
         self.bufs = [np.empty((len(self.cells), kp1), dtype=complex)
                      for _ in range(min(s, 2))]
-        self.windows = [sliding_window_view(
+        band = _two_step_rows(P, np.arange(b0 - pad, b1 + pad)
+                              % (len(states[0]) // GROUP))
+        windows = [sliding_window_view(
             b.ravel(), (GROUP + 2 * REACH) * kp1)[::GROUP * kp1, :, None]
             for b in self.bufs]
-
-    def set_band(self, band: np.ndarray, states: list[np.ndarray]):
-        """Set steps[x], the s (band, window, out) triples of a round that
-        writes states[x], from band, the part's rows of the band."""
         m, blk = len(band), band.shape[1]
         self.steps = ([], [])
         for x, steps in enumerate(self.steps):
-            for i in range(self.s):
+            for i in range(s):
                 rows = slice(i * HALO, m - i * HALO)
-                out = (states[x].reshape(-1, blk, 1)[self.own]
-                       if i == self.s - 1 else
+                out = (states[x].reshape(-1, blk, 1)[b0:b1]
+                       if i == s - 1 else
                        self.bufs[(i + 1) % 2].reshape(-1, blk, 1)[
                            (i + 1) * HALO:m - (i - 1) * HALO])
-                steps.append((band[rows], self.windows[i % 2][rows], out))
+                steps.append((band[rows], windows[i % 2][rows], out))
 
 
 class _BandMarch:
     """Any mesh: two RK4 steps per banded matrix-vector product.
 
-    The two-step update, the square of rk4_sparse_update, is built by
-    _two_step_rows once per advance, so each product is one batched
-    matmul of (4(k+1), 20(k+1)) row blocks, each against a strided view
-    of its twenty-cell window.  The ring of ceil(N/4) row blocks is cut
-    into contiguous _Parts, each marched in its own thread, the first in
-    the calling one.  A single part takes one product a round, on a
-    buffer of its cells with eight cells of periodic wrap at each end.
-    Several parts take ROUND products a round each and meet at one
-    barrier a round; the halo each gathers lets it take them alone.  The
-    state is two buffers that the rounds alternate between, so a part
-    writing the next state never overwrites cells that another part is
-    still gathering.  Every output row block is the matmul of the same
-    band rows and the same window values however the ring is cut, so the
-    result is bitwise the same.  _part_count decides the parts from the
-    cores, the band's bytes and the per-core L2 cache, so that each part
-    keeps its share of a band too large for one core's cache in its own
-    core's; parts need N a multiple of 4.
+    The ring of ceil(N/4) row blocks is cut into n_parts contiguous
+    _Parts, built afresh by each advance from one rk4_sparse_update.
+    Each product is one batched matmul of (4(k+1), 20(k+1)) rows of the
+    two-step update against strided views of their twenty-cell windows.
+    Each part runs in its own thread, the first in the calling one.  One
+    part takes one product a round, on its cells with eight cells of
+    periodic wrap at each end; several parts take ROUND products a round
+    each on their halos and meet at one barrier a round.  The rounds
+    alternate between the two states, so no part overwrites cells that
+    another is still gathering; an advance starts from states[0] and
+    leaves its result there.  Every output row block is the matmul of the
+    same band rows and window values however the ring is cut, so the
+    result is bitwise that of one part.  _part_count chooses the parts
+    from the cores, the band's bytes and the per-core L2 cache, so that
+    each part keeps its share of a band too large for one core's cache in
+    its own core's; parts need N a multiple of 4.
 
     An advance of n steps is n // 2 products and, for odd n, one literal
     rk4_step; the truncated final step is such an advance, so no update
-    is built for it.  norm() takes, by Parseval,
-    ||u||^2 = sum |c_{j,m}|^2 h_j / (2m+1)."""
+    is built for it."""
 
     def __init__(self, op: DGOperator, coeffs: np.ndarray):
         N, kp1 = op.mesh.N, op.k + 1
         n_blocks = -(-N // GROUP)
         band_bytes = 16 * n_blocks * GROUP * (GROUP + 2 * REACH) * kp1 ** 2
-        T = (_part_count(n_blocks, band_bytes, *_host())
-             if N % GROUP == 0 else 1)
-        self.op, self.N, self.cur = op, N, 0
+        self.op, self.N = op, N
+        self.n_parts = (_part_count(n_blocks, band_bytes)
+                        if N % GROUP == 0 else 1)
         self.states = list(np.zeros((2, n_blocks * GROUP, kp1),
                                     dtype=complex))
         self.states[0][:N] = coeffs
-        ends = [n_blocks * t // T for t in range(T + 1)]
-        self.parts = [_Part(b0, b1, ROUND if T > 1 else 1, N, kp1)
-                      for b0, b1 in zip(ends, ends[1:])]
-
-    @property
-    def state(self) -> np.ndarray:
-        return self.states[self.cur][:self.N]
 
     def advance(self, n: int, step: float):
         products = n // STEPS_PER_PRODUCT
         if products:
-            band = _two_step_rows(self.op.rk4_sparse_update(step),
-                                  np.concatenate([p.blocks
-                                                  for p in self.parts]))
-            start = 0
-            for part in self.parts:
-                part.set_band(band[start:start + len(part.blocks)],
-                              self.states)
-                start += len(part.blocks)
-            self._run(products)
+            P = self.op.rk4_sparse_update(step)
+            T, n_blocks = self.n_parts, len(self.states[0]) // GROUP
+            s = ROUND if T > 1 else 1
+            ends = [n_blocks * t // T for t in range(T + 1)]
+            self._run([_Part(b0, b1, s, P, self.states)
+                       for b0, b1 in zip(ends, ends[1:])], products)
+            if -(-products // s) % 2:   # the last round wrote states[1]
+                self.states.reverse()
+        u = self.states[0][:self.N]
         for _ in range(n % STEPS_PER_PRODUCT):
-            u = DGFunction(self.op.mesh, self.op.k, self.state)
-            self.state[:] = rk4_step(self.op, u, step).coeffs
+            u[:] = rk4_step(self.op, DGFunction(self.op.mesh, self.op.k, u),
+                            step).coeffs
 
-    def _run(self, products: int):
+    def _run(self, parts: list[_Part], products: int):
         """Take the products in every part, each in its own thread, the
         first in this one.  An error in any part is raised here once every
         thread has ended."""
-        if len(self.parts) == 1:
-            self._march(self.parts[0], products, None)
+        if len(parts) == 1:
+            self._march(parts[0], products, None)
         else:
-            barrier = threading.Barrier(len(self.parts))
+            barrier = threading.Barrier(len(parts))
             failed = []
 
             def run(part):
@@ -515,25 +483,25 @@ class _BandMarch:
 
             threads = []
             try:
-                for part in self.parts[1:]:
+                for part in parts[1:]:
                     thread = threading.Thread(target=run, args=(part,))
                     thread.start()
                     threads.append(thread)
-                run(self.parts[0])
+                run(parts[0])
             finally:
-                if len(threads) < len(self.parts) - 1:  # one did not start
+                if len(threads) < len(parts) - 1:   # one did not start
                     barrier.abort()
                 for thread in threads:
                     thread.join()
             if failed:
                 raise failed[0]
-        self.cur ^= -(-products // self.parts[0].s) % 2
 
     def _march(self, part: _Part, products: int, barrier):
-        """Take the products in one part, a short round first."""
+        """Take the products in one part, a short round first; round r
+        reads states[r % 2]."""
         states, cells, bufs, steps = (self.states, part.cells, part.bufs,
                                       part.steps)
-        first, x = -products % part.s, self.cur
+        first, x = -products % part.s, 0
         for _ in range(-(-products // part.s)):
             states[x].take(cells, axis=0, out=bufs[first % 2], mode="wrap")
             for band, window, out in steps[1 - x][first:]:
@@ -551,11 +519,11 @@ class _BandMarch:
         return _spectral_radius(bands, sigma)
 
     def coeffs(self) -> np.ndarray:
-        return self.state.copy()
+        return self.states[0][:self.N].copy()
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.state) ** 2
-                                    / self.op._inv_mass)))
+        return l2_norm(DGFunction(self.op.mesh, self.op.k,
+                                  self.states[0][:self.N]))
 
 
 def integrate(op: DGOperator, u0: DGFunction, c: float,

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import uwdg
+from oracles import legendre_eval
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, gamma_lambda,
                        scale_flux)
 from uwdg.harness import MAIN_METRICS, ZETA_METRICS, StudyConfig, run_study
-from uwdg.basis import legendre_eval
 from uwdg.projection import (DGFunction, _footprints, plane_wave, project_l2,
                              project_star)
 from uwdg.siac import kernel_coeffs
@@ -18,6 +18,20 @@ from uwdg.solver import DGOperator
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
+
+# Published central-flux rows.  The harness reproduces the error
+# magnitudes to a fraction of a percent column by column (the point-value
+# error E_u differs by ~4% from the endpoint-counting convention, and the
+# reported cell-average error is half the published one, which carries a
+# factor 2 relative to its own defining formula).  These frozen rows pin
+# the whole pipeline: projection, initialization, time marching, and
+# every metric.
+TABLE_K2_N320 = {"l2": 5.99e-6, "ep": 9.01e-7, "euxx": 8.57e-3,
+                 "eux": 7.14e-5, "eu": 9.10e-7, "ef": 9.01e-7,
+                 "efx": 3.00e-6, "ec": 0.5 * 1.80e-6}
+TABLE_K3_N40 = {"l2": 1.71e-5, "ep": 1.02e-6, "euxx": 5.49e-3,
+                "eux": 2.04e-4, "eu": 5.17e-6, "ef": 1.02e-6,
+                "efx": 3.07e-6, "ec": 0.5 * 2.03e-6}
 
 
 def _report(num, ok, detail):
@@ -58,12 +72,12 @@ def test_criterion_1_table5_k2(central_k2):
         ok &= lo <= o <= hi
         details.append(f"{metric}={o:.2f}")
     ep320 = rep.rows[3]["ep"]
-    ratio = ep320 / 9.01e-07
+    ratio = ep320 / TABLE_K2_N320["ep"]
     ok &= 0.5 <= ratio <= 2.0
     elapsed = rep.meta["elapsed"]
     ok &= elapsed < 180.0
     _report(1, ok, "central k=2 finest orders " + " ".join(details)
-            + f"; E_P(320)={ep320:.3e} ({ratio:.2f}x of 9.01e-07); "
+            + f"; E_P(320)={ep320:.3e} ({ratio:.2f}x of {TABLE_K2_N320['ep']:.2e}); "
             f"runtime {elapsed:.1f}s < 180s")
 
 
@@ -78,10 +92,21 @@ def test_criterion_2_table5_k3(central_k3):
         ok &= lo <= o <= hi
         details.append(f"{metric}={o:.2f}")
     ef40 = rep.rows[1]["ef"]
-    ratio = ef40 / 1.02e-06
+    ratio = ef40 / TABLE_K3_N40["ef"]
     ok &= 0.5 <= ratio <= 2.0
     _report(2, ok, "central k=3 finest orders " + " ".join(details)
-            + f"; E_f(40)={ef40:.3e} ({ratio:.2f}x of 1.02e-06)")
+            + f"; E_f(40)={ef40:.3e} ({ratio:.2f}x of {TABLE_K3_N40['ef']:.2e})")
+
+
+@pytest.mark.parametrize("study, N, expected", [
+    ("central_k2", 320, TABLE_K2_N320),
+    ("central_k3", 40, TABLE_K3_N40),
+], ids=["k2-N320", "k3-N40"])
+def test_central_flux_row_magnitudes(study, N, expected, request):
+    row, = (r for r in request.getfixturevalue(study).rows if r["N"] == N)
+    for metric, ref in expected.items():
+        tol = 0.15 if metric == "eu" else 0.10
+        assert row[metric] == pytest.approx(ref, rel=tol), metric
 
 
 def test_criterion_3_table2_perturbed():

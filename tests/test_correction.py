@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import uwdg
-from uwdg.basis import (antiderivative_map, gauss_rule, legendre_eval,
-                        legendre_table)
+from oracles import legendre_eval
+from uwdg.basis import antiderivative_map, gauss_rule, legendre_table
 from uwdg.correction import (_d2_table, build_correction, interface_jumps,
                              max_correction_levels, reference_interpolant,
                              second_derivative_norm, zeta_diagnostics)
@@ -17,6 +17,20 @@ FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
 
 def test_levels():
     assert [max_correction_levels(k) for k in (2, 3, 4, 5, 6)] == [0, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("q_max", [5, 2, -1, 1.5, 1.0, True])
+def test_q_max_out_of_range_rejected(q_max):
+    # k = 3 has one correction level; the CLI takes q_max in 0..1 only
+    mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
+    f = plane_wave(3.0)
+    with pytest.raises(ValueError, match="q_max"):
+        build_correction(f, 0.0, mesh, 3, CENTRAL, q_max=q_max)
+    with pytest.raises(ValueError, match="q_max"):
+        reference_interpolant(f, 0.0, mesh, 3, CENTRAL, q_max=q_max)
+    assert build_correction(f, 0.0, mesh, 3, CENTRAL, q_max=0) == []
+    assert len(build_correction(f, 0.0, mesh, 3, CENTRAL,
+                                q_max=np.int64(1))) == 1
 
 
 def test_k2_has_no_corrections():

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uwdg
+from oracles import as_matrix
 from uwdg import solver
 from uwdg.basis import gauss_rule, legendre_table
 from uwdg.errors import ConfigurationError, InstabilityError
@@ -96,7 +97,7 @@ class TestTimeDerivative:
         rng = np.random.default_rng(5)
         u, v = random_field(mesh, 2, rng), random_field(mesh, 2, rng)
         a, b = 1.3 - 0.2j, -0.7j
-        lhs = op.apply((a * u + b * v).coeffs)
+        lhs = op.apply(a * u.coeffs + b * v.coeffs)
         rhs = a * op.apply(u.coeffs) + b * op.apply(v.coeffs)
         assert np.abs(lhs - rhs).max() < 1e-13 * np.abs(lhs).max()
 
@@ -122,7 +123,7 @@ class TestTimeDerivative:
             mesh = uwdg.make_mesh(0, 2 * np.pi, 6, kind, 0.1, 4)
             op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 3)
             assert all(len(C) == rows for C in op.blocks)
-            M = op.as_matrix()
+            M = as_matrix(op)
             rng = np.random.default_rng(7)
             u = random_field(mesh, 3, rng)
             mf = op.apply(u.coeffs).ravel()
@@ -184,7 +185,7 @@ class TestTimeDerivative:
             mesh = uwdg.make_mesh(0, 2 * np.pi, N)
             op = DGOperator(mesh, CENTRAL, 3)
             ps = project_star(f, 0.0, mesh, 3, CENTRAL)
-            resid = DGFunction(mesh, 3, op.apply(ps.coeffs)) - (-9j) * ps
+            resid = DGFunction(mesh, 3, op.apply(ps.coeffs) + 9j * ps.coeffs)
             errs.append(l2_norm(resid) / l2_norm(ps))
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
         np.testing.assert_allclose(orders, 4.0, atol=0.35)
@@ -366,7 +367,7 @@ class TestRK4:
         # N=4 aliases the offsets -4 and +4 onto the cell itself
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, 1)
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 2)
-        Z, eye = 0.01 * op.as_matrix(), np.eye(3 * N)
+        Z, eye = 0.01 * as_matrix(op), np.eye(3 * N)
         expect = eye + Z @ (eye + Z / 2 @ (eye + Z / 3 @ (eye + Z / 4)))
         bands = op.rk4_sparse_update(0.01).reshape(N, 3, 9, 3)
         got = np.zeros((N, 3, N, 3), dtype=complex)
@@ -397,7 +398,7 @@ class TestRK4:
         k, kp1, dt = 3, 4, 0.01
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, 1)
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), k)
-        Z, eye = dt * op.as_matrix(), np.eye(kp1 * N)
+        Z, eye = dt * as_matrix(op), np.eye(kp1 * N)
         R4 = eye + Z @ (eye + Z / 2 @ (eye + Z / 3 @ (eye + Z / 4)))
         expect = (R4 @ R4).reshape(N, kp1, N * kp1)
         n_blocks = -(-N // 4)
@@ -558,7 +559,7 @@ class TestStabilityCertificate:
         assume(abs(target - 1.0) > 1e-6)
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, kind, 0.2, seed)
         op = DGOperator(mesh, cfg, k)
-        rho = np.abs(np.linalg.eigvals(op.as_matrix())).max()
+        rho = np.abs(np.linalg.eigvals(as_matrix(op))).max()
         c = target * RK4_LIMIT / (rho * mesh.h ** 2.5)
         t_end = 3.5 * c * mesh.h ** 2.5
         u0 = random_field(mesh, k, np.random.default_rng(seed))
@@ -578,7 +579,7 @@ class TestStabilityCertificate:
         upper = _spectral_radius(bands, 0.0)
         assert upper == pytest.approx(rho, rel=1e-8)
         assert _count_outside(bands, upper) == 0     # a proven upper bound
-        lam = np.abs(np.linalg.eigvals(op.as_matrix()).imag)
+        lam = np.abs(np.linalg.eigvals(as_matrix(op)).imag)
         for sigma in rho * np.array([0.3, 0.7, 0.99, 1.01]):
             assert _count_outside(bands, sigma) == np.sum(lam > sigma)
 
@@ -622,7 +623,7 @@ class TestStabilityCertificate:
         with pytest.raises(InstabilityError) as err:
             integrate(op, u0, c=0.0093, t_end=1.0)
         dt = 0.0093 * mesh.h ** 2.5
-        rho = np.abs(np.linalg.eigvals(op.as_matrix())).max()
+        rho = np.abs(np.linalg.eigvals(as_matrix(op))).max()
         assert err.value.margin == pytest.approx(dt * rho / RK4_LIMIT,
                                                  rel=1e-12)
         assert 1.0002 < err.value.margin < 1.0004
@@ -670,7 +671,7 @@ class TestStabilityCertificate:
         # N=4..7 reach one cell through two, three and four cells
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.2, N)
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 3)
-        lam = np.abs(np.linalg.eigvals(op.as_matrix()).imag)
+        lam = np.abs(np.linalg.eigvals(as_matrix(op)).imag)
         bands = _symmetric_bands(op)
         for sigma in np.quantile(lam, [0.1, 0.5, 0.9, 0.999]):
             assert _count_outside(bands, sigma) == np.sum(lam > sigma)
@@ -729,11 +730,14 @@ class TestBandParts:
         op = DGOperator(mesh, ALTERNATING, k)
         return op, random_field(mesh, k, np.random.default_rng(N))
 
-    @pytest.mark.parametrize("k, N, n", [
-        (2, 640, 47),   # 23 products: odd n, a short round of 3
-        (3, 64, 19),  # 16 row blocks: an 8-block halo is wider than a part
+    @pytest.mark.parametrize("k, N, n, n2", [
+        # 23 products, odd n, a short round of 3; then 2 rounds of 4 parts
+        (2, 640, 47, 10),
+        # 16 row blocks: an 8-block halo is wider than a part; then 3 steps,
+        # one short round, so both advances end on states[1] in every part
+        (3, 64, 19, 7),
     ])
-    def test_parts_are_bitwise_one_part(self, k, N, n, monkeypatch):
+    def test_parts_are_bitwise_one_part(self, k, N, n, n2, monkeypatch):
         op, u0 = self._case(k, N)
         dt = DEFAULT_DT_CONSTANTS[k] * op.mesh.h ** 2.5
         got, interval = [], sys.getswitchinterval()
@@ -742,8 +746,9 @@ class TestBandParts:
             for T in (1, 2, 3):     # 3 parts on 2 cores: more than the cores
                 monkeypatch.setattr(solver, "_part_count", lambda *a, T=T: T)
                 march = _BandMarch(op, u0.coeffs)
-                assert len(march.parts) == T
+                assert march.n_parts == T
                 march.advance(n, dt)
+                march.advance(n2, dt)
                 march.advance(1, 0.5 * dt)
                 got.append(march.coeffs())
         finally:
@@ -751,18 +756,25 @@ class TestBandParts:
         assert np.array_equal(got[0], got[1])
         assert np.array_equal(got[0], got[2])
         u = u0
-        for step in [dt] * n + [0.5 * dt]:
+        for step in [dt] * (n + n2) + [0.5 * dt]:
             u = rk4_step(op, u, step)
         assert np.abs(got[0] - u.coeffs).max() < 1e-11 * np.abs(u.coeffs).max()
 
-    def test_part_count_rule(self):
+    def _fake_host(self, monkeypatch, cpus, l2):
+        monkeypatch.setattr(solver, "_l2_bytes", lambda: l2)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+
+    def test_part_count_rule(self, monkeypatch):
         # 2 cores of 2 MB L2: k=2, N=640 is a 1.84 MB band of 160 row blocks
         mb2, band = 2 << 20, 160 * 12 * 60 * 16
-        assert solver._part_count(160, band, 2, mb2) == 2
-        assert solver._part_count(160, band, 1, mb2) == 1
-        assert solver._part_count(160, band, 8, mb2) == 4   # 40 blocks each
-        assert solver._part_count(160, band, 2, 0) == 1     # L2 unknown
-        assert solver._part_count(160, band, 2, 4 << 20) == 1
+        for cpus, l2, parts in [
+                (2, mb2, 2), (1, mb2, 1),
+                (8, mb2, 4),            # 40 blocks each
+                (2, 0, 1),              # L2 unknown
+                (2, 4 << 20, 1)]:
+            self._fake_host(monkeypatch, cpus, l2)
+            assert solver._part_count(160, band) == parts
 
     @pytest.mark.parametrize("k, N, parts", [
         *[(3, N, 1) for N in (20, 40, 80, 160)],   # perturbed_march
@@ -771,9 +783,9 @@ class TestBandParts:
         (2, 642, 1),                               # a ragged last row block
     ])
     def test_parts_of_benchmark_cases(self, k, N, parts, monkeypatch):
-        monkeypatch.setattr(solver, "_host", lambda: (2, 2 << 20))
+        self._fake_host(monkeypatch, 2, 2 << 20)
         op, u0 = self._case(k, N)
-        assert len(_BandMarch(op, u0.coeffs).parts) == parts
+        assert _BandMarch(op, u0.coeffs).n_parts == parts
 
     def test_threads_end_and_errors_are_raised(self, monkeypatch):
         op, u0 = self._case(2, 640)
