@@ -343,8 +343,9 @@ OPTIONS = (
             "a file in an existing directory (default stdout)"),
     _Option("format", ("fmt",), str, lambda s: s["fmt"] in ("csv", "pretty"),
             "csv | pretty"),
-    _Option("h", ("h",), float, lambda s: 0 < s["h"] < math.inf,
-            "the cell size, finite > 0 (default 1)", ("points",)),
+    # special_points under- or overflows in h^2 past about 1e+-150
+    _Option("h", ("h",), float, lambda s: 1e-100 <= s["h"] <= 1e100,
+            "the cell size, 1e-100 <= h <= 1e100 (default 1)", ("points",)),
 )
 
 COMMANDS = {"run": "single (k, N) case", "study": "N sweep with order columns",

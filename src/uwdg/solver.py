@@ -18,7 +18,6 @@ stage-by-stage step, is the reference the tests compare both against.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 
@@ -177,7 +176,7 @@ def _step_counts(t_end: float, dt: float) -> tuple[int, float]:
             f"step count t_end/dt = {t_end:g}/{dt:g} is not finite")
     n_full = int(np.floor(t_end / dt + STEP_ROUND_TOL))
     rem = t_end - n_full * dt
-    if rem < STEP_ROUND_TOL * dt:
+    if n_full and rem < STEP_ROUND_TOL * dt:   # t_end < dt: one step
         rem = 0.0
     return n_full, rem
 
@@ -215,9 +214,7 @@ class _EigenMarch:
     eigen-coordinates z = V^H D^-1 chat_l by R4(i dt lam)^n, one
     _rk4_power call.  The blocks are real, so K_{N-l} = conj(K_l): eigh
     runs on l = 0..N/2 only, l > N/2 takes conj(V) of N - l, and lam and
-    the power are kept for l = 0..N/2 and read at min(l, N - l).
-    V is unitary and ||u||^2 = sum_j |D^-1 c_j|^2, so by Parseval
-    ||u||^2 = sum |z|^2 / N, which norm() takes."""
+    the power are kept for l = 0..N/2 and read at min(l, N - l)."""
 
     def __init__(self, op: DGOperator, coeffs: np.ndarray):
         Cm, C0, Cp = (C[0] for C in op.blocks)
@@ -237,10 +234,6 @@ class _EigenMarch:
 
     def advance(self, n: int, step: float):
         self.state *= _rk4_power(step * self.lam_half, n)[self.fold]
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.state, self.state).real
-                             / len(self.state)))
 
     def coeffs(self) -> np.ndarray:
         chat = (self.V @ self.state[:, :, None])[:, :, 0] * self.d
@@ -314,37 +307,22 @@ GROUP = 4               # cells per row block of the two-step update
 REACH = 4 * STEPS_PER_PRODUCT   # cells the two-step update reaches per side
 HALO = REACH // GROUP   # row blocks a product reads past its own, per side
 ROUND = 4               # products per barrier of a march in several parts
-# a march runs in parts only when its band fills at least L2_SHARE of a
-# core's L2 cache, and in no more parts than keep MIN_PART_BLOCKS row
-# blocks each.  On 2 cores with 2 MB of L2 each, per product: k=2 at
-# N=640 and 1280, k=3 and k=4 at N=320 took 0.56-0.81 of the serial time
-# in two parts; k=2 at N=320, and k=3 and k=4 at N=160 (40 row blocks),
-# took 1.1-2.2 of it
-L2_SHARE = 0.75
-MIN_PART_BLOCKS = 40
+# a march runs in the most parts, at most the cores, in which each part
+# owns more than GIL_OUTPUTS output rows (numpy 2.4's matmul holds the
+# GIL for 500 outputs or fewer) and takes MIN_PART_MACS complex
+# multiply-adds a product (640 KB of band) to pay for its barrier.  On 2
+# cores, two parts against one: k=2 at N=640 0.69, k=4 at N=240 0.75,
+# k=6 at N=160 0.79, k=3 at N=256 0.97; k=5 at N=160 1.11, k=3 N=160 1.59
+GIL_OUTPUTS = 500
+MIN_PART_MACS = 40_000
 
 
-@functools.cache
-def _l2_bytes() -> int:
-    """The L2 cache of one core in bytes, or 0 where it cannot be read."""
-    try:
-        with open("/sys/devices/system/cpu/cpu0/cache/index2/size") as f:
-            size = f.read().strip()
-        return int(size.rstrip("KM")) * {"K": 1 << 10, "M": 1 << 20}.get(
-            size[-1:], 1)
-    except (OSError, ValueError):
-        return 0
-
-
-def _part_count(n_blocks: int, band_bytes: int) -> int:
-    """The parts a band march of n_blocks row blocks, whose two-step band
-    takes band_bytes, runs in on the cores this process may run on, each
-    with _l2_bytes() of L2 (0: unknown)."""
-    l2 = _l2_bytes()
-    if not l2 or band_bytes < L2_SHARE * l2:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)),
-                      n_blocks // MIN_PART_BLOCKS))
+def _part_count(n_blocks: int, kp1: int) -> int:
+    """The parts a band march of n_blocks row blocks of degree kp1-1 takes."""
+    rows = GROUP * kp1                          # a row block's outputs
+    macs = rows * (GROUP + 2 * REACH) * kp1     # and its multiply-adds
+    min_blocks = max(GIL_OUTPUTS // rows + 1, -(-MIN_PART_MACS // macs))
+    return max(1, min(len(os.sched_getaffinity(0)), n_blocks // min_blocks))
 
 
 def _two_step_rows(P: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -358,8 +336,10 @@ def _two_step_rows(P: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     (P^2)_j = sum_a P_j[band a] P_{j+a}, and the nine bands of cell j+a
     start a - 4 cells from j, i + a + 4 cells into the window."""
     N, kp1 = P.shape[0], P.shape[1]
-    Q = np.zeros((len(blocks), GROUP * kp1, (GROUP + 2 * REACH) * kp1),
-                 dtype=complex)
+    shape = (len(blocks), GROUP * kp1, (GROUP + 2 * REACH) * kp1)
+    # Q on a 64-byte line: 16 bytes off one, the k=3 N=160 march took 1.15x
+    raw = np.zeros(np.prod(shape) + 3, dtype=complex)
+    Q = raw[(-raw.ctypes.data // 16) % 4:][:np.prod(shape)].reshape(shape)
     for i in range(GROUP):
         cells = (GROUP * blocks + i) % N
         Pi = P[cells]
@@ -384,8 +364,9 @@ class _Part:
     bufs[(i + 1) % 2].  The part's band rows are _two_step_rows of the
     one-step bands P at the row blocks of its first product,
     [b0 - HALO (s-1), b1 + HALO (s-1)) around the ring; product i takes
-    rows i HALO .. len - i HALO of them.  steps[x] holds the s
-    (band, window, out) triples of a round that writes states[x]."""
+    rows i HALO .. len - i HALO of them.  steps holds the (band, window,
+    out) triples of the s - 1 products into bufs; the last product's band
+    and window are kept with outs, its output in each state."""
 
     def __init__(self, b0: int, b1: int, s: int, P: np.ndarray,
                  states: list[np.ndarray]):
@@ -402,15 +383,14 @@ class _Part:
             b.ravel(), (GROUP + 2 * REACH) * kp1)[::GROUP * kp1, :, None]
             for b in self.bufs]
         m, blk = len(band), band.shape[1]
-        self.steps = ([], [])
-        for x, steps in enumerate(self.steps):
-            for i in range(s):
-                rows = slice(i * HALO, m - i * HALO)
-                out = (states[x].reshape(-1, blk, 1)[b0:b1]
-                       if i == s - 1 else
+        rows = [slice(i * HALO, m - i * HALO) for i in range(s)]
+        self.steps = [(band[rows[i]], windows[i % 2][rows[i]],
                        self.bufs[(i + 1) % 2].reshape(-1, blk, 1)[
                            (i + 1) * HALO:m - (i - 1) * HALO])
-                steps.append((band[rows], windows[i % 2][rows], out))
+                      for i in range(s - 1)]
+        self.band = band[rows[-1]]
+        self.window = windows[(s - 1) % 2][rows[-1]]
+        self.outs = [x.reshape(-1, blk, 1)[b0:b1] for x in states]
 
 
 class _BandMarch:
@@ -429,9 +409,7 @@ class _BandMarch:
     leaves its result there.  Every output row block is the matmul of the
     same band rows and window values however the ring is cut, so the
     result is bitwise that of one part.  _part_count chooses the parts
-    from the cores, the band's bytes and the per-core L2 cache, so that
-    each part keeps its share of a band too large for one core's cache in
-    its own core's; parts need N a multiple of 4.
+    from the cores and the work of each; parts need N a multiple of 4.
 
     An advance of n steps is n // 2 products and, for odd n, one literal
     rk4_step; the truncated final step is such an advance, so no update
@@ -440,9 +418,8 @@ class _BandMarch:
     def __init__(self, op: DGOperator, coeffs: np.ndarray):
         N, kp1 = op.mesh.N, op.k + 1
         n_blocks = -(-N // GROUP)
-        band_bytes = 16 * n_blocks * GROUP * (GROUP + 2 * REACH) * kp1 ** 2
         self.op, self.N = op, N
-        self.n_parts = (_part_count(n_blocks, band_bytes)
+        self.n_parts = (_part_count(n_blocks, kp1)
                         if N % GROUP == 0 else 1)
         self.states = list(np.zeros((2, n_blocks * GROUP, kp1),
                                     dtype=complex))
@@ -501,11 +478,13 @@ class _BandMarch:
         reads states[r % 2]."""
         states, cells, bufs, steps = (self.states, part.cells, part.bufs,
                                       part.steps)
+        last_band, last_window, outs = part.band, part.window, part.outs
         first, x = -products % part.s, 0
         for _ in range(-(-products // part.s)):
             states[x].take(cells, axis=0, out=bufs[first % 2], mode="wrap")
-            for band, window, out in steps[1 - x][first:]:
+            for band, window, out in steps[first:]:
                 np.matmul(band, window, out=out)
+            np.matmul(last_band, last_window, out=outs[1 - x])
             if barrier is not None:
                 barrier.wait()
             x, first = 1 - x, 0
@@ -520,10 +499,6 @@ class _BandMarch:
 
     def coeffs(self) -> np.ndarray:
         return self.states[0][:self.N].copy()
-
-    def norm(self) -> float:
-        return l2_norm(DGFunction(self.op.mesh, self.op.k,
-                                  self.states[0][:self.N]))
 
 
 def integrate(op: DGOperator, u0: DGFunction, c: float,
@@ -541,11 +516,10 @@ def integrate(op: DGOperator, u0: DGFunction, c: float,
     stable run is one advance of the n_full steps and one of the
     truncated step, by eigen-space powers on uniform meshes and two steps
     per banded product on any other, in as many threads as _part_count
-    decides from the cores and the per-core L2 cache; every thread has
-    ended when integrate returns or raises, and an error in one is raised
-    here.  As a backstop, a final L2 norm that is not finite or beyond
-    10x the initial one raises InstabilityError too; both are the norm()
-    of the march state, by Parseval.  A dt that is not positive, a
+    decides from the cores and the work of each; every thread has ended
+    when integrate returns or raises, and an error in one is raised here.
+    As a backstop, a final l2_norm that is not finite or beyond 10x the
+    initial one raises InstabilityError too.  A dt that is not positive, a
     negative t_end, a step count that is not finite, or more than
     MAX_STEPS steps raise ConfigurationError before any step.
     """
@@ -568,12 +542,14 @@ def integrate(op: DGOperator, u0: DGFunction, c: float,
     rho = march.rho(sigma) if n_full else 0.0
     if rho > sigma:
         raise InstabilityError(dt, rho / sigma, c * sigma / rho)
-    scale = max(march.norm(), 1e-300)
-    march.advance(n_full, dt)
+    scale = max(l2_norm(u0), 1e-300)
+    # with n_full = 0, dt * lam may overflow, and R4(i dt lam)^0 is nan
+    if n_full:
+        march.advance(n_full, dt)
     if rem > 0.0:
         march.advance(1, rem)
-    nrm = march.norm()
+    u = DGFunction(op.mesh, op.k, march.coeffs())
+    nrm = l2_norm(u)
     if not nrm <= BLOWUP_FACTOR * scale:
         raise InstabilityError(dt, norm_ratio=nrm / scale)
-    return IntegrationResult(u=DGFunction(op.mesh, op.k, march.coeffs()),
-                             dt=dt, n_steps=n_steps)
+    return IntegrationResult(u=u, dt=dt, n_steps=n_steps)

@@ -414,6 +414,15 @@ class TestCLI:
         assert main(["points", "--k", "2", "--h", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_points_h_range_ends_print_the_unit_sets(self, capsys):
+        # b, c and the point sets are those of h = 1 across the range
+        out = []
+        for h in ("1", "1e-100", "1e100"):
+            assert main(["points", "--k", "3", "--flux", "0.3,0.4,0.5",
+                         "--h", h]) == 0
+            out.append(capsys.readouterr().out.split("\n", 1))
+        assert out[0][1] == out[1][1] == out[2][1]
+
     @pytest.mark.parametrize("argv", [
         ["run", "--k", "2", "--N", "10", "--tend", "nan"],
         ["run", "--k", "2", "--N", "10", "--tend", "-1"],
@@ -430,6 +439,8 @@ class TestCLI:
         ["kernel", "--k", "7"],
         ["points", "--k", "7"],
         ["points", "--k", "2", "--flux", "0,1,0"],
+        ["points", "--k", "3", "--flux", "0.3,0.4,0.5", "--h", "1e-170"],
+        ["points", "--k", "3", "--flux", "0.3,0.4,0.5", "--h", "1e160"],
         ["run", "--k", "2", "--N", "8,16", "--tend", "0.01"],
         ["study", "--N", "8", "--mesh", "perturbed:0.1:-1"],
         ["study", "--N", "8", "--out", "."],
@@ -445,7 +456,8 @@ class TestCLI:
     ], ids=["tend-nan", "tend-negative", "c-negative", "c-inf", "flux-nan",
             "kernel-k0", "points-k1", "flux-overflow", "config-missing",
             "qmax-negative", "qmax-above-levels", "metrics-empty", "kernel-k7",
-            "points-k7", "points-residual-undefined", "run-two-n",
+            "points-k7", "points-residual-undefined", "points-h-underflow",
+            "points-h-overflow", "run-two-n",
             "mesh-negative-seed", "out-directory", "config-directory",
             "unknown-flag", "kernel-no-k", "steps-not-finite", "dt-underflow",
             "band-step-cap", "eigen-step-cap"])

@@ -405,6 +405,7 @@ class TestRK4:
         blocks = np.arange(-6, n_blocks + 6) % n_blocks
         Q = _two_step_rows(op.rk4_sparse_update(dt), blocks)
         assert Q.shape == (len(blocks), 4 * kp1, 20 * kp1)
+        assert Q.ctypes.data % 64 == 0      # on a cache line, for the march
         Q = Q.reshape(len(blocks), 4, kp1, 20, kp1)
         for r, b in enumerate(blocks):
             for i in range(4):
@@ -483,24 +484,6 @@ class TestRK4:
         phase = np.arctan2(y - y * y2 / 6.0, 1.0 - y2 / 2.0 + y2 * y2 / 24.0)
         assert (np.abs(got - np.exp(log_mod + 1j * phase)).max()
                 <= 4 * np.finfo(float).eps)
-
-    @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
-    def test_march_norm_is_parseval(self, kind):
-        # integrate's backstop compares the norm() of the march state
-        # before and after; each propagator's norm() is the L2 norm of
-        # its coefficients
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 12, kind, 0.1, 4)
-        op = DGOperator(mesh, ALTERNATING, 3)
-        u0 = random_field(mesh, 3, np.random.default_rng(5))
-        dt = 0.01 * mesh.h ** 2.5
-        marches = [_BandMarch(op, u0.coeffs)]
-        if kind == "uniform":
-            marches.append(_EigenMarch(op, u0.coeffs))
-        for march in marches:
-            assert march.norm() == pytest.approx(l2_norm(u0), rel=1e-14)
-            march.advance(7, dt)
-            u = DGFunction(mesh, 3, march.coeffs())
-            assert march.norm() == pytest.approx(l2_norm(u), rel=1e-14)
 
     def test_norm_drift_small(self):
         f = plane_wave(3.0)
@@ -665,6 +648,18 @@ class TestStabilityCertificate:
                                    rk4_step(op, u0, 0.01).coeffs,
                                    rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+    def test_step_longer_than_the_run_is_taken(self, kind):
+        # dt = 1e300 h^2.5 >> t_end: the march is one truncated step of
+        # t_end, not none, and the backstop judges its blow-up
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 16, kind, 0.1, 2)
+        op = DGOperator(mesh, CENTRAL, 2)
+        u0 = uwdg.project_l2(plane_wave(3.0), 0.0, mesh, 2)
+        assert _step_counts(1.0, 1e300 * mesh.h ** 2.5) == (0, 1.0)
+        with pytest.raises(InstabilityError, match="L2 norm grew by") as err:
+            integrate(op, u0, c=1e300, t_end=1.0)
+        assert err.value.margin is None and err.value.norm_ratio > 10
+
     @pytest.mark.parametrize("N", [4, 5, 6, 7, 9, 33])
     def test_count_on_odd_and_even_levels(self, N):
         # odd cell counts keep a direct coupling at each reduction level;
@@ -736,6 +731,8 @@ class TestBandParts:
         # 16 row blocks: an 8-block halo is wider than a part; then 3 steps,
         # one short round, so both advances end on states[1] in every part
         (3, 64, 19, 7),
+        # split in two on 2 cores: 6 products, a short round of 2; then 3
+        (4, 240, 13, 6),
     ])
     def test_parts_are_bitwise_one_part(self, k, N, n, n2, monkeypatch):
         op, u0 = self._case(k, N)
@@ -760,21 +757,25 @@ class TestBandParts:
             u = rk4_step(op, u, step)
         assert np.abs(got[0] - u.coeffs).max() < 1e-11 * np.abs(u.coeffs).max()
 
-    def _fake_host(self, monkeypatch, cpus, l2):
-        monkeypatch.setattr(solver, "_l2_bytes", lambda: l2)
+    def _fake_host(self, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
 
-    def test_part_count_rule(self, monkeypatch):
-        # 2 cores of 2 MB L2: k=2, N=640 is a 1.84 MB band of 160 row blocks
-        mb2, band = 2 << 20, 160 * 12 * 60 * 16
-        for cpus, l2, parts in [
-                (2, mb2, 2), (1, mb2, 1),
-                (8, mb2, 4),            # 40 blocks each
-                (2, 0, 1),              # L2 unknown
-                (2, 4 << 20, 1)]:
-            self._fake_host(monkeypatch, cpus, l2)
-            assert solver._part_count(160, band) == parts
+    @pytest.mark.parametrize("cpus, k, N, parts", [
+        (2, 2, 640, 2),     # 960 output rows and 57.6k multiply-adds a part
+        (2, 3, 320, 2), (2, 4, 320, 2),
+        (2, 3, 256, 2),     # 512 rows, 41k
+        (2, 4, 240, 2), (2, 6, 160, 2), (2, 2, 480, 2),
+        (2, 2, 400, 1),     # 600 rows, but 36k multiply-adds a part
+        (2, 5, 160, 1),     # 58k, but 480 rows a part
+        (2, 4, 160, 1), (2, 3, 160, 1), (2, 2, 320, 1),
+        (1, 2, 640, 1),
+        (8, 2, 640, 2),     # a k=2 part needs 56 row blocks, a k=3 part 32
+        (8, 2, 1280, 5), (8, 3, 1280, 8), (3, 3, 1280, 3)])
+    def test_part_count_rule(self, cpus, k, N, parts, monkeypatch):
+        # 2 cores: the cases timed when the rule was set; then the core cap
+        self._fake_host(monkeypatch, cpus)
+        assert solver._part_count(N // 4, k + 1) == parts
 
     @pytest.mark.parametrize("k, N, parts", [
         *[(3, N, 1) for N in (20, 40, 80, 160)],   # perturbed_march
@@ -783,7 +784,7 @@ class TestBandParts:
         (2, 642, 1),                               # a ragged last row block
     ])
     def test_parts_of_benchmark_cases(self, k, N, parts, monkeypatch):
-        self._fake_host(monkeypatch, 2, 2 << 20)
+        self._fake_host(monkeypatch, 2)
         op, u0 = self._case(k, N)
         assert _BandMarch(op, u0.coeffs).n_parts == parts
 
