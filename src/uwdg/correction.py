@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import basis
-from .flux import AssumptionClass, FluxConfig, classify_assumption, scale_flux
+from .flux import FluxConfig, classify_assumption  # tracer.py patches it
 from .mesh import Mesh1D
 from .projection import (AnalyticField, DGFunction, _resolve_class,
                          _top_two, interface_data, l2_norm, project_l2,
@@ -43,8 +43,8 @@ def _d2_table(k: int) -> np.ndarray:
 
 
 def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
-                     cfg: FluxConfig, q_max: int | None = None,
-                     cls: AssumptionClass | None = None) -> list[DGFunction]:
+                     cfg: FluxConfig,
+                     q_max: int | None = None) -> list[DGFunction]:
     """The correction fields [w_1, .., w_q_max] at time t; q_max, an
     integer in 0..floor((k-1)/2), defaults to floor((k-1)/2), and any
     other value raises ValueError.
@@ -66,11 +66,10 @@ def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
         raise ValueError(f"q_max = {q_max!r} is not an integer in "
                          f"0..{levels} at k = {k}")
     if q_max > 0:
-        cls = _resolve_class(cfg, mesh, k, cls)
+        cls = _resolve_class(cfg, mesh, k)
         if f.d_max < 2 * q_max + 1:
             raise ValueError("field does not supply enough derivatives "
                              "for the requested correction depth")
-    sf = scale_flux(cfg, mesh.h)
     d2tab = _d2_table(k)
     inv_odd = 1.0 / (2 * np.arange(k + 1) + 1)
     fac = -1j * (2 * np.arange(k - 1) + 1) / 4.0
@@ -82,14 +81,14 @@ def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
         p0 = project_l2(fq, t, mesh, k)
         prev = np.zeros_like(p0.coeffs)
         prev[:, k - 1:] = p0.coeffs[:, k - 1:] - _top_two(
-            cls, mesh, k, sf, p0.coeffs, interface_data(fq, t, mesh))
+            cls, mesh, k, cfg, p0.coeffs, interface_data(fq, t, mesh))
         for _ in range(q):
             coeffs = np.zeros((mesh.N, k + 1), dtype=complex)
             # low modes from the exact antiderivative inner products
             coeffs[:, : k - 1] = (prev * inv_odd) @ d2tab.T * fac * h2
             # the numerical fluxes of the next level vanish at every
             # interface
-            coeffs[:, k - 1:] = _top_two(cls, mesh, k, sf, coeffs, no_flux)
+            coeffs[:, k - 1:] = _top_two(cls, mesh, k, cfg, coeffs, no_flux)
             prev = coeffs
         w.append(DGFunction(mesh, k, prev))
     return w
@@ -97,14 +96,11 @@ def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
 
 def reference_interpolant(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
                           cfg: FluxConfig, q_max: int | None = None,
-                          cls: AssumptionClass | None = None,
                           ps: DGFunction | None = None) -> DGFunction:
     """u_I = Pstar u - sum_q w_q (u_I = Pstar u when k = 2); ps is
     project_star(f, t) on this mesh, built here when not given."""
-    if cls is None:
-        cls = classify_assumption(cfg, mesh, k)
-    out = ps if ps is not None else project_star(f, t, mesh, k, cfg, cls=cls)
-    for wq in build_correction(f, t, mesh, k, cfg, q_max=q_max, cls=cls):
+    out = ps if ps is not None else project_star(f, t, mesh, k, cfg)
+    for wq in build_correction(f, t, mesh, k, cfg, q_max=q_max):
         out = out - wq
     return out
 
@@ -127,14 +123,13 @@ def interface_jumps(u: DGFunction) -> tuple[np.ndarray, np.ndarray]:
 
 def zeta_diagnostics(u_h: DGFunction, f: AnalyticField, t: float,
                      cfg: FluxConfig, q_max: int | None = None,
-                     cls: AssumptionClass | None = None,
                      ps: DGFunction | None = None) -> dict:
     """Norms and interface jumps of zeta_h = u_I - u_h:
     returns {"zeta", "zeta_xx", "zeta_jump", "zeta_x_jump"} with the jump
     metrics as RMS over interfaces (1/N normalization).  ps is
     project_star(f, t) on u_h's mesh, built here when not given."""
     u_i = reference_interpolant(f, t, u_h.mesh, u_h.k, cfg,
-                                q_max=q_max, cls=cls, ps=ps)
+                                q_max=q_max, ps=ps)
     zeta = u_i - u_h
     jump, djump = interface_jumps(zeta)
     n = u_h.mesh.N

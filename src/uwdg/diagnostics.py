@@ -16,8 +16,7 @@ import numpy as np
 
 from . import basis
 from .errors import ResidualUndefinedError
-from .flux import (AssumptionClass, FluxConfig, ScaledFlux,
-                   interface_matrices, scale_flux)
+from .flux import FluxConfig, ScaledFlux, interface_matrices, scale_flux
 from .projection import (AnalyticField, DGFunction, l2_norm, project_star,
                          special_points)
 
@@ -64,13 +63,12 @@ def broken_l2_error(u_h: DGFunction, f: AnalyticField, t: float) -> float:
 
 
 def projection_error(u_h: DGFunction, f: AnalyticField, t: float,
-                     cfg: FluxConfig, cls: AssumptionClass | None = None,
+                     cfg: FluxConfig,
                      ps: DGFunction | None = None) -> float:
-    """|| u_h - Pstar u || at time t; cls is the flux's classification on
-    u_h's mesh and ps is project_star(f, t) there, each found here when
-    not given."""
+    """|| u_h - Pstar u || at time t; ps is project_star(f, t) on u_h's
+    mesh, built here when not given."""
     if ps is None:
-        ps = project_star(f, t, u_h.mesh, u_h.k, cfg, cls=cls)
+        ps = project_star(f, t, u_h.mesh, u_h.k, cfg)
     return l2_norm(u_h - ps)
 
 

@@ -81,22 +81,12 @@ ALTERNATING = FluxConfig(0.5, 0.0, 0.0)
 
 class ScaledFlux:
     """Flux parameters instantiated at mesh scale h:
-    alpha1 = alpha1~, beta1 = beta1~/h, beta2 = beta2~*h.  Equal and
-    hashed by value, so a scaled flux can key a cache."""
+    alpha1 = alpha1~, beta1 = beta1~/h, beta2 = beta2~*h."""
 
     __slots__ = ("alpha1", "beta1", "beta2", "h")
 
     def __init__(self, alpha1: float, beta1: float, beta2: float, h: float):
         self.alpha1, self.beta1, self.beta2, self.h = alpha1, beta1, beta2, h
-
-    def _key(self) -> tuple:
-        return self.alpha1, self.beta1, self.beta2, self.h
-
-    def __eq__(self, other):
-        return type(other) is ScaledFlux and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 class AssumptionClass:

@@ -8,7 +8,6 @@ OPTIONS holds every setting of the subcommands in COMMANDS.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .errors import (ConfigurationError, InstabilityError,
                      SingularSymbolError, UnsupportedOperationError,
                      UwdgError)
 from .flux import FluxConfig, classify_assumption, scale_flux
-from .mesh import make_mesh
+from .mesh import _is_integer, make_mesh
 from .projection import (memoized_field, plane_wave, project_l2,
                          project_star, special_points)
 from .siac import kernel_coeffs, postprocessed_error
@@ -103,7 +102,7 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
     try:
         if cfg.init == "uI":
             u0 = reference_interpolant(f, 0.0, mesh, cfg.k, cfg.flux,
-                                       q_max=cfg.q_max, cls=cls)
+                                       q_max=cfg.q_max)
         else:
             u0 = project_l2(f, 0.0, mesh, cfg.k)
         op = DGOperator(mesh, cfg.flux, cfg.k)
@@ -116,8 +115,8 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
             row["l2"] = rms * broken_l2_error(u_h, f, t)
         if "ep" in want:
             if want & set(ZETA_METRICS):
-                ps = project_star(f, t, mesh, cfg.k, cfg.flux, cls=cls)
-            row["ep"] = rms * projection_error(u_h, f, t, cfg.flux, cls, ps)
+                ps = project_star(f, t, mesh, cfg.k, cfg.flux)
+            row["ep"] = rms * projection_error(u_h, f, t, cfg.flux, ps)
         if want & {"ef", "efx"}:
             e_f, e_fx = flux_errors(u_h, f, t, cfg.flux)
             row["ef"], row["efx"] = e_f, e_fx
@@ -131,16 +130,14 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
                 skipped.append(f"points skipped: {exc}")
             row["eu"], row["eux"], row["euxx"] = e_u, e_ux, e_uxx
         if want & set(ZETA_METRICS):
-            zd = zeta_diagnostics(u_h, f, t, cfg.flux, q_max=cfg.q_max,
-                                  cls=cls, ps=ps)
+            zd = zeta_diagnostics(u_h, f, t, cfg.flux, q_max=cfg.q_max, ps=ps)
             row["zeta"] = rms * zd["zeta"]
             row["zetaxx"] = rms * zd["zeta_xx"]
             row["zetajump"] = zd["zeta_jump"]
             row["zetaxjump"] = zd["zeta_x_jump"]
         if "estar" in want:
             try:
-                row["estar"] = rms * postprocessed_error(
-                    u_h, f, t, kernel_coeffs(cfg.k))
+                row["estar"] = rms * postprocessed_error(u_h, f, t)
             except UnsupportedOperationError as exc:
                 row["estar"] = DNE
                 skipped.append(f"estar skipped: {exc}")
@@ -281,15 +278,6 @@ def _parse_metrics(text: str) -> tuple:
     named = {"all": ALL_METRICS, "main": MAIN_METRICS, "zeta": ZETA_METRICS}
     listed = (t.strip() for t in text.split(",") if t.strip())
     return tuple(named.get(text, listed))
-
-
-def _is_integer(x) -> bool:
-    """An int or a numpy integer (operator.index takes it), not a bool."""
-    try:
-        operator.index(x)
-    except TypeError:
-        return False
-    return not isinstance(x, bool)
 
 
 def _writable(path: str | None) -> bool:

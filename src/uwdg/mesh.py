@@ -134,6 +134,15 @@ def _uniform_draws(seed: int, lo: float, hi: float, n: int) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
+def _is_integer(x) -> bool:
+    """An int or a numpy integer (operator.index takes it), not a bool."""
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return not isinstance(x, bool)
+
+
 def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
               fraction: float = 0.0, seed: int = 0) -> Mesh1D:
     """Build a periodic mesh of N cells on [a, b].
@@ -151,13 +160,9 @@ def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
     max h_j / min h_j <= (1+2f)/(1-2f); a perturbed mesh requires a seed
     that is an integer >= 0.
     """
-    try:
-        N = operator.index(N)               # numpy integers too
-        if N < 4:
-            raise TypeError
-    except TypeError:
-        raise ConfigurationError(
-            f"need an integer N >= 4 cells, got N={N!r}") from None
+    if not (_is_integer(N) and N >= 4):
+        raise ConfigurationError(f"need an integer N >= 4 cells, got N={N!r}")
+    N = operator.index(N)                   # numpy integers too
     if not b > a:
         raise ConfigurationError(f"empty interval [{a}, {b}]")
     if kind not in ("uniform", "perturbed"):
@@ -166,13 +171,10 @@ def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
         raise ConfigurationError(
             f"perturbation fraction must be in [0, 0.5), got {fraction}")
     if kind == "perturbed":
-        try:
-            seed = operator.index(seed)     # numpy integers too
-            if seed < 0:
-                raise TypeError
-        except TypeError:
+        if not (_is_integer(seed) and seed >= 0):
             raise ConfigurationError(
-                f"mesh seed must be an integer >= 0, got {seed!r}") from None
+                f"mesh seed must be an integer >= 0, got {seed!r}")
+        seed = operator.index(seed)
 
     h_unif = (b - a) / N
     nodes = a + h_unif * np.arange(N + 1, dtype=float)

@@ -151,10 +151,9 @@ def interface_data(f: AnalyticField, t: float, mesh: Mesh1D) -> np.ndarray:
     return np.column_stack([f.eval(xs, t, 0), f.eval(xs, t, 1)])
 
 
-def _resolve_class(cfg: FluxConfig, mesh: Mesh1D, k: int,
-                   cls: AssumptionClass | None) -> AssumptionClass:
-    if cls is None:
-        cls = classify_assumption(cfg, mesh, k)
+def _resolve_class(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClass:
+    """The class that solves the projection; refuses an unsupported one."""
+    cls = classify_assumption(cfg, mesh, k)
     if not cls.supported:
         raise ProjectionUndefinedError(
             f"flux {cfg.label()} on this mesh is {cls.tag}: {cls.warning}")
@@ -179,7 +178,7 @@ def _footprints(k: int, sf: ScaledFlux,
     return G @ R, H @ L
 
 
-def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
+def _top_two_local(mesh: Mesh1D, k: int, cfg: FluxConfig,
                    low_coeffs: np.ndarray, iface: np.ndarray) -> np.ndarray:
     """Per-cell 2x2 solves (A_j + B_j) y_j = data_j - footprint(low modes).
 
@@ -187,6 +186,7 @@ def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
     + H [u,u_x](x_{j-1/2}) from the interface data iface (zero for
     correction functions).  Returns (N, 2).
     """
+    sf = scale_flux(cfg, mesh.h)
     F = sum(_footprints(k, sf, mesh.h_sizes))
     G, H = interface_matrices(sf)
     data = iface @ G.T + np.roll(iface, 1, axis=0) @ H.T
@@ -205,13 +205,13 @@ def _top_two_local(mesh: Mesh1D, k: int, sf: ScaledFlux,
 
 
 @lru_cache(maxsize=1)
-def _uniform_footprints(k: int, sf: ScaledFlux) -> tuple[np.ndarray, ...]:
-    """_footprints of one cell of the uniform width sf.h, read-only: those
+def _uniform_footprints(k: int, cfg: FluxConfig, h: float) -> tuple:
+    """_footprints of one cell of the uniform width h, read-only: those
     of the low modes as one (k-1, 4) matrix, columns G R then H L, and the
     boundary blocks A and B.  One entry is cached: the projections and
-    corrections of a case share (k, sf), so it serves every global solve
-    of the case."""
-    GR, HL = _footprints(k, sf, sf.h)
+    corrections of a case share (k, cfg, h), so it serves every global
+    solve of the case."""
+    GR, HL = _footprints(k, scale_flux(cfg, h), h)
     low = np.concatenate([GR[0, :, :k - 1], HL[0, :, :k - 1]]).T
     A, B = GR[0, :, k - 1:], HL[0, :, k - 1:]
     for a in (low, A, B):
@@ -219,12 +219,12 @@ def _uniform_footprints(k: int, sf: ScaledFlux) -> tuple[np.ndarray, ...]:
     return low, A, B
 
 
-def _top_two_global(mesh: Mesh1D, k: int, sf: ScaledFlux,
+def _top_two_global(mesh: Mesh1D, k: int, cfg: FluxConfig,
                     low_coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Coupled interface rows A y_j + B y_{j+1} = data_j - footprints,
     solved by the block-circulant DFT factorization (uniform mesh of
-    width sf.h)."""
-    low, A, B = _uniform_footprints(k, sf)
+    width mesh.h)."""
+    low, A, B = _uniform_footprints(k, cfg, mesh.h)
     # the known low modes reach interface j+1/2 from cell j (through G)
     # and from cell j+1 (through H)
     fp = low_coeffs[:, : k - 1] @ low
@@ -234,17 +234,16 @@ def _top_two_global(mesh: Mesh1D, k: int, sf: ScaledFlux,
     return solve_block_circulant(A, B, rhs)
 
 
-def _top_two(cls: AssumptionClass, mesh: Mesh1D, k: int, sf: ScaledFlux,
+def _top_two(cls: AssumptionClass, mesh: Mesh1D, k: int, cfg: FluxConfig,
              low_coeffs: np.ndarray, iface: np.ndarray) -> np.ndarray:
     """Top two coefficients per cell matching the interface data iface,
     (N, 2) at x_{j+1/2}: cell-local under A1, one periodic solve else."""
     solve = _top_two_local if cls.tag == "A1" else _top_two_global
-    return solve(mesh, k, sf, low_coeffs, iface)
+    return solve(mesh, k, cfg, low_coeffs, iface)
 
 
 def project_star(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
-                 cfg: FluxConfig,
-                 cls: AssumptionClass | None = None) -> DGFunction:
+                 cfg: FluxConfig) -> DGFunction:
     """Flux-matching projection: L2 moments up to k-2, and the scheme's
     numerical fluxes evaluated on the result equal (u, u_x) at every
     interface.  Right-hand data uses the exact interface values of f."""
@@ -252,11 +251,10 @@ def project_star(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
         raise ValueError("projection needs k >= 2")
     if f.d_max < 1:
         raise ValueError("field must supply first derivatives")
-    cls = _resolve_class(cfg, mesh, k, cls)
-    sf = scale_flux(cfg, mesh.h)
+    cls = _resolve_class(cfg, mesh, k)
     out = project_l2(f, t, mesh, k)
     iface = interface_data(f, t, mesh)
-    out.coeffs[:, k - 1:] = _top_two(cls, mesh, k, sf, out.coeffs, iface)
+    out.coeffs[:, k - 1:] = _top_two(cls, mesh, k, cfg, out.coeffs, iface)
     return out
 
 

@@ -33,8 +33,7 @@ from .projection import AnalyticField, DGFunction
 class KernelSpec:
     """SIAC kernel for DG degree k: B-spline order ell = k+1, integer
     shifts gamma in [-k, k] with symmetric weights summing to 1, support
-    half-width (3k+1)/2 in units of h.  Compared and hashed by identity,
-    so a spec can key the stencil cache."""
+    half-width (3k+1)/2 in units of h."""
 
     __slots__ = ("k", "order", "shifts", "weights")
 
@@ -131,17 +130,16 @@ def kernel_coeffs(k: int) -> KernelSpec:
     return KernelSpec(k=k, order=order, shifts=shifts, weights=weights)
 
 
-def _stencil(spec: KernelSpec, k: int, xi0: float,
-             n_gauss: int) -> np.ndarray:
-    """Weights W of shape (2R+1, k+1), R = ceil(support half-width), with
-    u*(x) = sum_{off=-R..R} W[off + R] . c_{j+off} for every point x at
-    reference offset xi0 in a cell j of a uniform mesh.
+def _stencil(spec: KernelSpec, xi0: float, n_gauss: int) -> np.ndarray:
+    """Weights W of shape (2R+1, k+1), k = spec.k and R = ceil(support
+    half-width), with u*(x) = sum_{off=-R..R} W[off + R] . c_{j+off} for
+    every point x at reference offset xi0 in a cell j of a uniform mesh.
 
     In the scaled variable z = (y - x)/h the kernel knots and the cell
     crossings are the same for every such point, so the integral splits
     into the same polynomial pieces in every cell.
     """
-    half = spec.support_halfwidth
+    half, k = spec.support_halfwidth, spec.k
     # breakpoints: kernel knots plus cell-boundary crossings at
     # z = m + (1 - xi0)/2, m integer
     shift = (1.0 - xi0) / 2.0
@@ -168,11 +166,11 @@ def _stencil(spec: KernelSpec, k: int, xi0: float,
 
 
 @lru_cache(maxsize=32)
-def _error_stencils(spec: KernelSpec, k: int) -> np.ndarray:
-    """Read-only stencils (n_quad, 2R+1, k+1), one per node of the
-    n_quad-point Gauss rule of the error quadrature, each integrated by
-    the (k+1)-point rule."""
-    W = np.stack([_stencil(spec, k, float(xi0), k + 1) for xi0 in
+def _error_stencils(k: int) -> np.ndarray:
+    """Read-only stencils (n_quad, 2R+1, k+1) of the degree-k kernel, one
+    per node of the n_quad-point Gauss rule of the error quadrature, each
+    integrated by the (k+1)-point rule."""
+    W = np.stack([_stencil(kernel_coeffs(k), float(xi0), k + 1) for xi0 in
                   basis.gauss_rule(basis.default_quad_points(k)).nodes])
     W.setflags(write=False)
     return W
@@ -190,18 +188,17 @@ def _apply(u_h: DGFunction, cells: np.ndarray, W: np.ndarray) -> np.ndarray:
             @ W.reshape(W.shape[:-2] + (-1,)).T)
 
 
-def postprocessed_error(u_h: DGFunction, f: AnalyticField, t: float,
-                        spec: KernelSpec) -> float:
+def postprocessed_error(u_h: DGFunction, f: AnalyticField, t: float) -> float:
     """E* = || u - u* || by per-cell quadrature on a uniform mesh, with
     u*(x) = int K_h(y - x) u_h(y) dy over the periodic extension of u_h;
-    K_h(x) = K(x/h)/h and the kernel is even, so orientation is
-    immaterial."""
+    K is kernel_coeffs(u_h.k), K_h(x) = K(x/h)/h, and the kernel is even,
+    so orientation is immaterial."""
     mesh = u_h.mesh
     if not mesh.is_uniform:
         raise UnsupportedOperationError(
             "post-processing is defined on uniform meshes only")
     rule = basis.gauss_rule(basis.default_quad_points(u_h.k))
-    star = _apply(u_h, np.arange(mesh.N), _error_stencils(spec, u_h.k))
+    star = _apply(u_h, np.arange(mesh.N), _error_stencils(u_h.k))
     diff2 = np.abs(f.eval(mesh.quad_points(rule.nodes), t, 0) - star) ** 2
     return float(np.sqrt(np.sum(0.5 * mesh.h_sizes[:, None] * rule.weights
                                 * diff2)))

@@ -322,7 +322,9 @@ def _part_count(n_blocks: int, kp1: int) -> int:
     rows = GROUP * kp1                          # a row block's outputs
     macs = rows * (GROUP + 2 * REACH) * kp1     # and its multiply-adds
     min_blocks = max(GIL_OUTPUTS // rows + 1, -(-MIN_PART_MACS // macs))
-    return max(1, min(len(os.sched_getaffinity(0)), n_blocks // min_blocks))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)      # no affinity on macOS, Windows
+    return max(1, min(cores, n_blocks // min_blocks))
 
 
 def _two_step_rows(P: np.ndarray, blocks: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from uwdg.basis import antiderivative_map, gauss_rule, legendre_table
 from uwdg.correction import (_d2_table, build_correction, interface_jumps,
                              max_correction_levels, reference_interpolant,
                              second_derivative_norm, zeta_diagnostics)
+from uwdg.errors import ProjectionUndefinedError
 from uwdg.flux import ALTERNATING, CENTRAL, FluxConfig
 from uwdg.projection import (plane_wave, project_l2, project_star,
                              time_derivative_field)
@@ -31,6 +32,20 @@ def test_q_max_out_of_range_rejected(q_max):
     assert build_correction(f, 0.0, mesh, 3, CENTRAL, q_max=0) == []
     assert len(build_correction(f, 0.0, mesh, 3, CENTRAL,
                                 q_max=np.int64(1))) == 1
+
+
+def test_unsupported_class_raises_before_any_solve(monkeypatch):
+    # the global classes need a uniform mesh: central flux on a perturbed
+    # one is refused before any projection or interface solve
+    mesh = uwdg.make_mesh(0, 2 * np.pi, 8, "perturbed", 0.1, 1)
+
+    def solved(*args):
+        raise AssertionError("a solve ran")
+
+    for name in ("project_l2", "_top_two"):
+        monkeypatch.setattr(uwdg.correction, name, solved)
+    with pytest.raises(ProjectionUndefinedError, match="is Unsupported"):
+        build_correction(plane_wave(3.0), 0.0, mesh, 3, CENTRAL, q_max=1)
 
 
 def test_k2_has_no_corrections():

@@ -167,20 +167,6 @@ class TestRunCase:
         row = run_case(cfg, 40)
         assert 0.5 <= row["ef"] / 2.02e-06 <= 2.0
 
-    @pytest.mark.parametrize("flux", [CENTRAL, FluxConfig(0.25, 5, 0)])
-    def test_case_classifies_its_flux_once(self, flux, monkeypatch):
-        # initial data, E_P and zeta reuse the case's class; only the
-        # harness classifies
-        calls = []
-        classify = uwdg.projection.classify_assumption
-        monkeypatch.setattr(uwdg.projection, "classify_assumption",
-                            lambda *a: calls.append(a) or classify(*a))
-        cfg = smoke_config(k=3, Ns=(8,), flux=flux, t_end=0.01,
-                           metrics=("l2", "ep", "zeta"))
-        row = run_case(cfg.validate(), 8)
-        assert row["status"] == "ok" and row["class"] in ("A2", "A3")
-        assert calls == []
-
     @pytest.mark.parametrize("k, metrics, samples", [
         # Table 5 at k=2: u0 3, E_L2 1, E_P 3, E_f 2, E_c 1, points 3 = 13
         (2, tuple(MAIN_METRICS), 9),

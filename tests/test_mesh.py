@@ -74,6 +74,8 @@ def test_thousand_seeds_stay_valid():
     dict(N=10, kind="perturbed", fraction=0.1, seed="3"),
     dict(N=10, kind="perturbed", fraction=0.1, seed=None),
     dict(N=20.5), dict(N=20.0), dict(N="20"), dict(N=None), dict(N=True),
+    dict(N=10, kind="perturbed", fraction=0.1, seed=True),
+    dict(N=10, kind="perturbed", fraction=0.1, seed=False),
 ])
 def test_config_errors(bad):
     kwargs = dict(kind=bad.get("kind", "uniform"),
@@ -129,6 +131,11 @@ def test_perturbed_case_never_imports_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_bad_cell_count_quoted_as_given():
+    with pytest.raises(ConfigurationError, match="got N=True$"):
+        make_mesh(0, 1, True)
 
 
 def test_numpy_integer_cell_count():

@@ -291,7 +291,7 @@ class TestGlobalSolve:
         rng = np.random.default_rng(seed)
         low = rng.normal(size=(N, k + 1)) + 1j * rng.normal(size=(N, k + 1))
         data = rng.normal(size=(N, 2)) + 0j
-        return mesh, k, scale_flux(cfg, mesh.h), low, data
+        return mesh, k, cfg, low, data
 
     def _solve(self, k, cfg, N, seed):
         return _top_two_global(*self._inputs(k, cfg, N, seed))
@@ -306,10 +306,10 @@ class TestGlobalSolve:
             fresh[i] = self._solve(k, cfg, N, seed=i)
             # the fluxes of the full coefficients match the data at every
             # interface, by footprints built without the caches
-            mesh, k, sf, low, data = self._inputs(k, cfg, N, seed=i)
+            mesh, k, cfg, low, data = self._inputs(k, cfg, N, seed=i)
             c = low.copy()
             c[:, k - 1:] = fresh[i]
-            GR, HL = _footprints(k, sf, mesh.h_sizes)
+            GR, HL = _footprints(k, scale_flux(cfg, mesh.h), mesh.h_sizes)
             flux = ((GR @ c[:, :, None])[:, :, 0]
                     + np.roll((HL @ c[:, :, None])[:, :, 0], -1, axis=0))
             np.testing.assert_allclose(flux, data, rtol=0, atol=1e-9)
@@ -337,8 +337,7 @@ def local_projection(f: AnalyticField, t: float, mesh, k: int,
     solves of _top_two_local, under any flux: each cell matches the
     interface data at its own endpoints only."""
     out = project_l2(f, t, mesh, k)
-    out.coeffs[:, k - 1:] = _top_two_local(mesh, k, scale_flux(cfg, mesh.h),
-                                           out.coeffs,
+    out.coeffs[:, k - 1:] = _top_two_local(mesh, k, cfg, out.coeffs,
                                            interface_data(f, t, mesh))
     return out
 
@@ -355,11 +354,12 @@ class TestLocalVariant:
                 pd = local_projection(f, 0.5, mesh, 3, cfg)
                 assert np.abs(ps.coeffs - pd.coeffs).max() < 1e-11
         # on a uniform mesh the periodic solve reaches the same top modes
-        sf = scale_flux(ALTERNATING, mesh.h)
         low = project_l2(f, 0.5, mesh, 3).coeffs
         iface = interface_data(f, 0.5, mesh)
-        np.testing.assert_allclose(_top_two_global(mesh, 3, sf, low, iface),
-                                   _top_two_local(mesh, 3, sf, low, iface),
+        np.testing.assert_allclose(_top_two_global(mesh, 3, ALTERNATING, low,
+                                                   iface),
+                                   _top_two_local(mesh, 3, ALTERNATING, low,
+                                                  iface),
                                    rtol=0, atol=1e-11)
 
     def test_polynomial_identity(self):
@@ -399,7 +399,7 @@ class TestLocalVariant:
                 foot = G @ R[0, :, : k - 1] + H @ L[0, :, : k - 1]
                 data = G @ iface[j] + H @ iface[j - 1]
                 expect[j] = np.linalg.solve(AB, data - foot @ low[j, : k - 1])
-            got = _top_two_local(mesh, k, sf, low, iface)
+            got = _top_two_local(mesh, k, cfg, low, iface)
             np.testing.assert_allclose(got, expect, rtol=1e-13,
                                        atol=1e-13 * np.abs(expect).max())
 
@@ -424,8 +424,8 @@ class TestLocalVariant:
     @staticmethod
     def _solve(mesh):
         """The k = 2 solve under the flux (0, 1, 0), on zero data."""
-        sf = scale_flux(FluxConfig(0, 1, 0), mesh.h)
-        return _top_two_local(mesh, 2, sf, np.zeros((mesh.N, 3)),
+        return _top_two_local(mesh, 2, FluxConfig(0, 1, 0),
+                              np.zeros((mesh.N, 3)),
                               np.zeros((mesh.N, 2)))
 
 

@@ -49,11 +49,12 @@ def convolve_per_point(u_h, cells, xi0, spec, n_gauss):
     return out
 
 
-def stencil_values(u_h, cells, xi0, spec, n_gauss=None):
+def stencil_values(u_h, cells, xi0, n_gauss=None):
     """u* at reference offset xi0 in the given cells, by the stencil
-    product the error metric runs."""
+    product the error metric runs with the kernel of u_h's degree."""
     return _apply(u_h, np.asarray(cells),
-                  _stencil(spec, u_h.k, float(xi0), n_gauss or u_h.k + 1))
+                  _stencil(kernel_coeffs(u_h.k), float(xi0),
+                           n_gauss or u_h.k + 1))
 
 
 def reference_error(u_h, f, t, spec, n_quad):
@@ -79,7 +80,7 @@ def random_dg(k, N, seed):
 
 class TestKernelWeights:
     def test_hashed_by_identity(self):
-        # a spec keys the stencil cache by identity, not by its arrays
+        # a spec is compared by identity, not by its arrays
         spec = kernel_coeffs(2)
         twin = KernelSpec(spec.k, spec.order, spec.shifts, spec.weights)
         assert spec != twin
@@ -128,9 +129,8 @@ class TestPostprocess:
         mesh = uwdg.make_mesh(0, 2 * np.pi, 16)
         u = DGFunction(mesh, 2)
         u.coeffs[:, 0] = 2.0 - 0.5j
-        spec = kernel_coeffs(2)
         for xi0 in self.XI0:
-            vals = stencil_values(u, np.arange(16), xi0, spec)
+            vals = stencil_values(u, np.arange(16), xi0)
             np.testing.assert_allclose(vals, 2.0 - 0.5j, atol=1e-12)
 
     def test_reproduces_dg_polynomial_interior(self):
@@ -153,7 +153,7 @@ class TestPostprocess:
         cells = np.arange(reach, mesh.N - reach)
         for xi0 in self.XI0:
             x = mesh.centers[cells] + 0.5 * mesh.h_sizes[cells] * xi0
-            np.testing.assert_allclose(stencil_values(u, cells, xi0, spec),
+            np.testing.assert_allclose(stencil_values(u, cells, xi0),
                                        field(x), atol=1e-10)
 
     def test_gauss_refinement_is_noise(self):
@@ -162,10 +162,9 @@ class TestPostprocess:
         f = plane_wave(3.0)
         mesh = uwdg.make_mesh(0, 2 * np.pi, 20)
         u = project_l2(f, 0.0, mesh, 2)
-        spec = kernel_coeffs(2)
         for xi0 in self.XI0:
-            a = stencil_values(u, np.arange(20), xi0, spec, n_gauss=3)
-            b = stencil_values(u, np.arange(20), xi0, spec, n_gauss=6)
+            a = stencil_values(u, np.arange(20), xi0, n_gauss=3)
+            b = stencil_values(u, np.arange(20), xi0, n_gauss=6)
             assert np.abs(a - b).max() < 1e-13
 
     def test_linearity(self):
@@ -174,32 +173,30 @@ class TestPostprocess:
         mesh = uwdg.make_mesh(0, 2 * np.pi, 16)
         uf = project_l2(f, 0.0, mesh, 2)
         ug = project_l2(g, 0.0, mesh, 2)
-        spec = kernel_coeffs(2)
         z = 0.7 - 0.4j
         cells = np.arange(16)
         for xi0 in self.XI0:
             lhs = stencil_values(DGFunction(mesh, 2, uf.coeffs + z * ug.coeffs),
-                                 cells, xi0, spec)
-            rhs = (stencil_values(uf, cells, xi0, spec)
-                   + z * stencil_values(ug, cells, xi0, spec))
+                                 cells, xi0)
+            rhs = (stencil_values(uf, cells, xi0)
+                   + z * stencil_values(ug, cells, xi0))
             assert np.abs(lhs - rhs).max() < 1e-13
 
     def test_nonuniform_mesh_rejected(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 16, "perturbed", 0.1, 3)
         u = DGFunction(mesh, 2)
         with pytest.raises(UnsupportedOperationError):
-            postprocessed_error(u, plane_wave(3.0), 0.0, kernel_coeffs(2))
+            postprocessed_error(u, plane_wave(3.0), 0.0)
 
     def test_error_of_projection_superconverges(self):
         # without time stepping: E* of the L2 projection already shows the
         # enhanced rate (2k vs k+1)
         f = plane_wave(3.0)
-        spec = kernel_coeffs(2)
         errs = []
         for N in (40, 80):
             mesh = uwdg.make_mesh(0, 2 * np.pi, N)
             u = project_l2(f, 0.0, mesh, 2)
-            errs.append(postprocessed_error(u, f, 0.0, spec))
+            errs.append(postprocessed_error(u, f, 0.0))
         assert np.log2(errs[0] / errs[1]) > 3.7
 
 
@@ -213,7 +210,7 @@ class TestStencilMatchesPerPointConvolution:
         scale = np.abs(u.coeffs).max()
         for xi0 in np.concatenate([[-1.0, 1.0], rng.uniform(-1, 1, 5)]):
             for ng in (None, k + 3):
-                got = stencil_values(u, cells, xi0, spec, ng)
+                got = stencil_values(u, cells, xi0, ng)
                 want = convolve_per_point(u, cells, xi0, spec, ng or k + 1)
                 assert np.abs(got - want).max() < 1e-13 * scale
 
@@ -222,20 +219,19 @@ class TestStencilMatchesPerPointConvolution:
         spec = kernel_coeffs(k)
         f = plane_wave(3.0)
         scale = np.abs(u.coeffs).max()
-        got = postprocessed_error(u, f, 0.3, spec)
+        got = postprocessed_error(u, f, 0.3)
         want = reference_error(u, f, 0.3, spec, basis.default_quad_points(k))
         assert abs(got - want) < 1e-13 * scale
 
     def test_error_is_quadrature_of_values(self, k, N):
         u, _ = random_dg(k, N, seed=10 * k + N)
-        spec = kernel_coeffs(k)
         f = plane_wave(3.0)
         mesh = u.mesh
         rule = gauss_rule(basis.default_quad_points(k))
         x = mesh.quad_points(rule.nodes)
-        star = np.column_stack([stencil_values(u, np.arange(N), xi0, spec)
+        star = np.column_stack([stencil_values(u, np.arange(N), xi0)
                                 for xi0 in rule.nodes])
         total = np.sum(0.5 * mesh.h_sizes[:, None] * rule.weights
                        * np.abs(f.eval(x, 0.3, 0) - star) ** 2)
-        assert abs(postprocessed_error(u, f, 0.3, spec) - np.sqrt(total)) \
+        assert abs(postprocessed_error(u, f, 0.3) - np.sqrt(total)) \
             < 1e-13 * np.abs(u.coeffs).max()

@@ -757,6 +757,21 @@ class TestBandParts:
             u = rk4_step(op, u, step)
         assert np.abs(got[0] - u.coeffs).max() < 1e-11 * np.abs(u.coeffs).max()
 
+    @pytest.mark.parametrize("cpus, parts", [(None, 1), (2, 2)])
+    def test_march_without_affinity(self, cpus, parts, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: the march takes
+        # os.cpu_count() cores, or one, and its bits do not change
+        op, u0 = self._case(2, 640)
+        dt = DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5
+        marches = [_BandMarch(op, u0.coeffs)]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert solver._part_count(160, 3) == parts
+        marches.append(_BandMarch(op, u0.coeffs))
+        for march in marches:
+            march.advance(5, dt)
+        assert np.array_equal(marches[0].coeffs(), marches[1].coeffs())
+
     def _fake_host(self, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
