@@ -296,8 +296,9 @@ OPTIONS = (
             "the degree, an integer in 1..6", ("kernel",)),
     _Option("N", ("Ns",), lambda t: tuple(int(n) for n in t.split(",")),
             lambda s: len(s["Ns"]) > 0 and all(map(_is_integer, s["Ns"]))
-            and min(s["Ns"]) >= 4,
-            "a comma list of cell counts, each an integer >= 4 (run: one)"),
+            and min(s["Ns"]) >= 4 and max(s["Ns"]) < 2 ** 53,
+            "a comma list of cell counts, each an integer in 4..2^53-1 "
+            "(run: one)"),
     # a1^2 + b1*b2 is not finite if a parameter is not; a1 * a1 gives inf
     # where a1 ** 2 would raise OverflowError
     _Option("flux", ("flux",), _parse_flux,

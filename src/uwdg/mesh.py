@@ -156,12 +156,14 @@ def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
     a copy of that stream pinned in this module (`_uniform_draws`), so a
     seed's mesh does not change with numpy's default generator and
     numpy's random package is never imported.  Requires an integer
-    N >= 4 and 0 <= fraction < 0.5 so that cells keep positive width and
+    4 <= N < 2^53, so that float64 holds the node indices exactly, and
+    0 <= fraction < 0.5 so that cells keep positive width and
     max h_j / min h_j <= (1+2f)/(1-2f); a perturbed mesh requires a seed
     that is an integer >= 0.
     """
-    if not (_is_integer(N) and N >= 4):
-        raise ConfigurationError(f"need an integer N >= 4 cells, got N={N!r}")
+    if not (_is_integer(N) and 4 <= N < 2 ** 53):
+        raise ConfigurationError(
+            f"need an integer 4 <= N < 2^53 cells, got N={N!r}")
     N = operator.index(N)                   # numpy integers too
     if not b > a:
         raise ConfigurationError(f"empty interval [{a}, {b}]")

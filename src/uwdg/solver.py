@@ -354,64 +354,71 @@ def _two_step_rows(P: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return Q
 
 
-class _Part:
-    """Row blocks [b0, b1) of the ring of a band march, advanced s
-    two-step products a round.
+def _march_part(b0: int, b1: int, s: int, P: np.ndarray,
+                states: list[np.ndarray], products: int, barrier):
+    """Build the band rows of row blocks [b0, b1) of the ring of a band
+    march, in the calling thread, and take the products in them, s a
+    round, a short round first.
 
-    A round gathers the part's cells, with s * REACH cells of periodic
-    halo on each side, from one march state into bufs.  It then takes s
-    products on ranges that shrink by HALO row blocks per side each time;
-    the last is the part's own row blocks, written into the other state.
-    Product i reads bufs[i % 2] and, but for the last, writes
-    bufs[(i + 1) % 2].  The part's band rows are _two_step_rows of the
-    one-step bands P at the row blocks of its first product,
+    Round r gathers the part's cells, with s * REACH cells of periodic
+    halo on each side, from states[r % 2] into bufs, then takes s products
+    on ranges that shrink by HALO row blocks per side each time; the last
+    is the part's own row blocks, written into the other state, and a
+    barrier, if any, is met.  Product i reads bufs[i % 2] and, but for the
+    last, writes bufs[(i + 1) % 2].  The band rows Q are _two_step_rows
+    of the one-step bands P at the row blocks of the first product,
     [b0 - HALO (s-1), b1 + HALO (s-1)) around the ring; product i takes
     rows i HALO .. len - i HALO of them.  steps holds the (band, window,
-    out) triples of the s - 1 products into bufs; the last product's band
-    and window are kept with outs, its output in each state."""
-
-    def __init__(self, b0: int, b1: int, s: int, P: np.ndarray,
-                 states: list[np.ndarray]):
-        N, kp1 = P.shape[:2]
-        pad = HALO * (s - 1)
-        self.s = s
-        self.cells = np.arange(GROUP * (b0 - pad - HALO),
-                               GROUP * (b1 + pad + HALO)) % N
-        self.bufs = [np.empty((len(self.cells), kp1), dtype=complex)
-                     for _ in range(min(s, 2))]
-        band = _two_step_rows(P, np.arange(b0 - pad, b1 + pad)
-                              % (len(states[0]) // GROUP))
-        windows = [sliding_window_view(
-            b.ravel(), (GROUP + 2 * REACH) * kp1)[::GROUP * kp1, :, None]
-            for b in self.bufs]
-        m, blk = len(band), band.shape[1]
-        rows = [slice(i * HALO, m - i * HALO) for i in range(s)]
-        self.steps = [(band[rows[i]], windows[i % 2][rows[i]],
-                       self.bufs[(i + 1) % 2].reshape(-1, blk, 1)[
-                           (i + 1) * HALO:m - (i - 1) * HALO])
-                      for i in range(s - 1)]
-        self.band = band[rows[-1]]
-        self.window = windows[(s - 1) % 2][rows[-1]]
-        self.outs = [x.reshape(-1, blk, 1)[b0:b1] for x in states]
+    out) triples of the s - 1 products into bufs; outs holds the last
+    product's output in each state."""
+    N, kp1 = P.shape[:2]
+    pad = HALO * (s - 1)
+    cells = np.arange(GROUP * (b0 - pad - HALO),
+                      GROUP * (b1 + pad + HALO)) % N
+    bufs = [np.empty((len(cells), kp1), dtype=complex)
+            for _ in range(min(s, 2))]
+    Q = _two_step_rows(P, np.arange(b0 - pad, b1 + pad)
+                       % (len(states[0]) // GROUP))
+    windows = [sliding_window_view(
+        b.ravel(), (GROUP + 2 * REACH) * kp1)[::GROUP * kp1, :, None]
+        for b in bufs]
+    m, blk = len(Q), Q.shape[1]
+    rows = [slice(i * HALO, m - i * HALO) for i in range(s)]
+    steps = [(Q[rows[i]], windows[i % 2][rows[i]],
+              bufs[(i + 1) % 2].reshape(-1, blk, 1)[
+                  (i + 1) * HALO:m - (i - 1) * HALO])
+             for i in range(s - 1)]
+    last_band, last_window = Q[rows[-1]], windows[(s - 1) % 2][rows[-1]]
+    outs = [x.reshape(-1, blk, 1)[b0:b1] for x in states]
+    first, x = -products % s, 0
+    for _ in range(-(-products // s)):
+        states[x].take(cells, axis=0, out=bufs[first % 2], mode="wrap")
+        for band, window, out in steps[first:]:
+            np.matmul(band, window, out=out)
+        np.matmul(last_band, last_window, out=outs[1 - x])
+        if barrier is not None:
+            barrier.wait()
+        x, first = 1 - x, 0
 
 
 class _BandMarch:
     """Any mesh: two RK4 steps per banded matrix-vector product.
 
     The ring of ceil(N/4) row blocks is cut into n_parts contiguous
-    _Parts, built afresh by each advance from one rk4_sparse_update.
-    Each product is one batched matmul of (4(k+1), 20(k+1)) rows of the
-    two-step update against strided views of their twenty-cell windows.
-    Each part runs in its own thread, the first in the calling one.  One
-    part takes one product a round, on its cells with eight cells of
-    periodic wrap at each end; several parts take ROUND products a round
-    each on their halos and meet at one barrier a round.  The rounds
-    alternate between the two states, so no part overwrites cells that
-    another is still gathering; an advance starts from states[0] and
-    leaves its result there.  Every output row block is the matmul of the
-    same band rows and window values however the ring is cut, so the
-    result is bitwise that of one part.  _part_count chooses the parts
-    from the cores and the work of each; parts need N a multiple of 4.
+    parts.  Each product is one batched matmul of (4(k+1), 20(k+1)) rows
+    of the two-step update against strided views of their twenty-cell
+    windows.  Each advance makes one rk4_sparse_update, and each part,
+    _march_part, builds its band rows from it and takes its products in
+    its own thread, the first in the calling one.  One part takes one
+    product a round, on its cells with eight cells of periodic wrap at
+    each end; several parts take ROUND products a round each on their
+    halos and meet at one barrier a round.  The rounds alternate between
+    the two states, so no part overwrites cells that another is still
+    gathering; an advance starts from states[0] and leaves its result
+    there.  Every output row block is the matmul of the same band rows
+    and window values however the ring is cut, so the result is bitwise
+    that of one part.  _part_count chooses the parts from the cores and
+    the work of each; parts need N a multiple of 4.
 
     An advance of n steps is n // 2 products and, for odd n, one literal
     rk4_step; the truncated final step is such an advance, so no update
@@ -430,66 +437,46 @@ class _BandMarch:
     def advance(self, n: int, step: float):
         products = n // STEPS_PER_PRODUCT
         if products:
-            P = self.op.rk4_sparse_update(step)
-            T, n_blocks = self.n_parts, len(self.states[0]) // GROUP
-            s = ROUND if T > 1 else 1
-            ends = [n_blocks * t // T for t in range(T + 1)]
-            self._run([_Part(b0, b1, s, P, self.states)
-                       for b0, b1 in zip(ends, ends[1:])], products)
-            if -(-products // s) % 2:   # the last round wrote states[1]
-                self.states.reverse()
+            self._run(self.op.rk4_sparse_update(step), products)
         u = self.states[0][:self.N]
         for _ in range(n % STEPS_PER_PRODUCT):
             u[:] = rk4_step(self.op, DGFunction(self.op.mesh, self.op.k, u),
                             step).coeffs
 
-    def _run(self, parts: list[_Part], products: int):
+    def _run(self, P: np.ndarray, products: int):
         """Take the products in every part, each in its own thread, the
-        first in this one.  An error in any part is raised here once every
-        thread has ended."""
-        if len(parts) == 1:
-            self._march(parts[0], products, None)
-        else:
-            barrier = threading.Barrier(len(parts))
-            failed = []
+        first in this one, and leave the result in states[0].  An error in
+        any part is raised here once every thread has ended."""
+        T, n_blocks = self.n_parts, len(self.states[0]) // GROUP
+        s = ROUND if T > 1 else 1
+        ends = [n_blocks * t // T for t in range(T + 1)]
+        barrier = threading.Barrier(T) if T > 1 else None
+        failed = []
 
-            def run(part):
-                try:
-                    self._march(part, products, barrier)
-                except BaseException as exc:    # release the other parts
-                    failed.append(exc)
-                    barrier.abort()
-
-            threads = []
+        def run(b0, b1):
             try:
-                for part in parts[1:]:
-                    thread = threading.Thread(target=run, args=(part,))
-                    thread.start()
-                    threads.append(thread)
-                run(parts[0])
-            finally:
-                if len(threads) < len(parts) - 1:   # one did not start
+                _march_part(b0, b1, s, P, self.states, products, barrier)
+            except BaseException as exc:    # release the other parts
+                failed.append(exc)
+                if barrier is not None:
                     barrier.abort()
-                for thread in threads:
-                    thread.join()
-            if failed:
-                raise failed[0]
 
-    def _march(self, part: _Part, products: int, barrier):
-        """Take the products in one part, a short round first; round r
-        reads states[r % 2]."""
-        states, cells, bufs, steps = (self.states, part.cells, part.bufs,
-                                      part.steps)
-        last_band, last_window, outs = part.band, part.window, part.outs
-        first, x = -products % part.s, 0
-        for _ in range(-(-products // part.s)):
-            states[x].take(cells, axis=0, out=bufs[first % 2], mode="wrap")
-            for band, window, out in steps[first:]:
-                np.matmul(band, window, out=out)
-            np.matmul(last_band, last_window, out=outs[1 - x])
-            if barrier is not None:
-                barrier.wait()
-            x, first = 1 - x, 0
+        threads = []
+        try:
+            for b0, b1 in zip(ends[1:], ends[2:]):
+                thread = threading.Thread(target=run, args=(b0, b1))
+                thread.start()
+                threads.append(thread)
+            run(ends[0], ends[1])
+        finally:
+            if len(threads) < T - 1:    # one did not start
+                barrier.abort()
+            for thread in threads:
+                thread.join()
+        if failed:
+            raise failed[0]
+        if -(-products // s) % 2:       # the last round wrote states[1]
+            self.states.reverse()
 
     def rho(self, sigma: float) -> float:
         """rho(S) if some eigenvalue of S lies outside [-sigma, sigma] (by

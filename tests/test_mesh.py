@@ -76,6 +76,8 @@ def test_thousand_seeds_stay_valid():
     dict(N=20.5), dict(N=20.0), dict(N="20"), dict(N=None), dict(N=True),
     dict(N=10, kind="perturbed", fraction=0.1, seed=True),
     dict(N=10, kind="perturbed", fraction=0.1, seed=False),
+    # N + 1 nodes past 2^53: float64 no longer holds every node index
+    dict(N=2 ** 63 - 1), dict(N=2 ** 53),
 ])
 def test_config_errors(bad):
     kwargs = dict(kind=bad.get("kind", "uniform"),

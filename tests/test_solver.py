@@ -806,27 +806,54 @@ class TestBandParts:
     def test_threads_end_and_errors_are_raised(self, monkeypatch):
         op, u0 = self._case(2, 640)
         monkeypatch.setattr(solver, "_part_count", lambda *a: 3)
-        march = solver._BandMarch._march
+        march_part, two_step_rows = solver._march_part, solver._two_step_rows
 
         def in_worker():
             return threading.current_thread() is not threading.main_thread()
 
-        def slow(self, part, products, barrier):
-            march(self, part, products, barrier)
+        def slow(*args):
+            march_part(*args)
             if in_worker():     # ends well after the calling thread's part
                 time.sleep(0.05)
 
-        def failing(self, part, products, barrier):
+        def failing(*args):
             if in_worker():
                 raise RuntimeError("part failed")
-            march(self, part, products, barrier)
+            march_part(*args)
+
+        def failing_build(*args):   # in the part's thread, under its guard
+            if in_worker():
+                raise RuntimeError("build failed")
+            return two_step_rows(*args)
 
         t_end = 20.5 * 0.05 * op.mesh.h ** 2.5     # 21 steps, 10 products
         threads = threading.active_count()
-        monkeypatch.setattr(solver._BandMarch, "_march", slow)
+        monkeypatch.setattr(solver, "_march_part", slow)
         assert integrate(op, u0, 0.05, t_end).n_steps == 21
         assert threading.active_count() == threads
-        monkeypatch.setattr(solver._BandMarch, "_march", failing)
+        monkeypatch.setattr(solver, "_march_part", failing)
         with pytest.raises(RuntimeError, match="part failed"):
             integrate(op, u0, 0.05, t_end)
         assert threading.active_count() == threads
+        monkeypatch.setattr(solver, "_march_part", march_part)
+        monkeypatch.setattr(solver, "_two_step_rows", failing_build)
+        with pytest.raises(RuntimeError, match="build failed"):
+            integrate(op, u0, 0.05, t_end)
+        assert threading.active_count() == threads
+
+    def test_each_part_builds_its_rows_in_its_own_thread(self, monkeypatch):
+        op, u0 = self._case(2, 640)
+        monkeypatch.setattr(solver, "_part_count", lambda *a: 3)
+        two_step_rows, builders = solver._two_step_rows, []
+
+        def recorded(*args):
+            builders.append(threading.get_ident())
+            return two_step_rows(*args)
+
+        monkeypatch.setattr(solver, "_two_step_rows", recorded)
+        march = _BandMarch(op, u0.coeffs)
+        dt = DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5
+        for n in (9, 2):
+            builders.clear()
+            march.advance(n, dt)
+            assert len(builders) == len(set(builders)) == 3
