@@ -475,6 +475,10 @@ def main(argv=None) -> int:
     except (ConfigurationError, ResidualUndefinedError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"configuration error: the case does not fit in memory: {exc}",
+              file=sys.stderr)
+        return 2
     except UwdgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

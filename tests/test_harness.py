@@ -439,6 +439,9 @@ class TestCLI:
          "0.5,0,0", "--metrics", "l2"],
         ["study", "--N", "20", "--flux", "0,0,0", "--tend", "1e300",
          "--metrics", "l2"],
+        # N = 2^53 - 1: numpy refuses the 64 PiB of nodes at once
+        ["study", "--k", "2", "--N", "9007199254740991", "--tend", "0",
+         "--metrics", "l2"],
     ], ids=["tend-nan", "tend-negative", "c-negative", "c-inf", "flux-nan",
             "kernel-k0", "points-k1", "flux-overflow", "config-missing",
             "qmax-negative", "qmax-above-levels", "metrics-empty", "kernel-k7",
@@ -446,7 +449,7 @@ class TestCLI:
             "points-h-overflow", "run-two-n",
             "mesh-negative-seed", "out-directory", "config-directory",
             "unknown-flag", "kernel-no-k", "steps-not-finite", "dt-underflow",
-            "band-step-cap", "eigen-step-cap"])
+            "band-step-cap", "eigen-step-cap", "case-out-of-memory"])
     def test_rejected_input_exit_code(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

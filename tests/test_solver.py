@@ -392,9 +392,10 @@ class TestRK4:
     @pytest.mark.parametrize("N", [4, 5, 9, 18])
     def test_two_step_rows_are_dense_rk4_square(self, N):
         # row block b holds cells 4b..4b+3 against cells 4b-8..4b+11; the
-        # list is padded by 6 wrapped row blocks per side, as a part's band
-        # is; N not a multiple of 4 leaves zero rows, and N < 17 aliases
-        # the offsets
+        # run starts 6 row blocks before block 0 and ends 6 past the ring's
+        # end, as a part's band may, and is built 5 row blocks a call, so
+        # that windows wrap at both ends; N not a multiple of 4 leaves zero
+        # rows, and N < 17 aliases the offsets
         k, kp1, dt = 3, 4, 0.01
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, 1)
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), k)
@@ -402,12 +403,15 @@ class TestRK4:
         R4 = eye + Z @ (eye + Z / 2 @ (eye + Z / 3 @ (eye + Z / 4)))
         expect = (R4 @ R4).reshape(N, kp1, N * kp1)
         n_blocks = -(-N // 4)
-        blocks = np.arange(-6, n_blocks + 6) % n_blocks
-        Q = _two_step_rows(op.rk4_sparse_update(dt), blocks)
-        assert Q.shape == (len(blocks), 4 * kp1, 20 * kp1)
+        P = op.rk4_sparse_update(dt)
+        b0, b1 = -6, n_blocks + 6
+        _, _, Q, S, wrap = solver._part_arrays(b0, b1, 1, P)
+        assert Q.shape == (b1 - b0, 4 * kp1, 20 * kp1)
         assert Q.ctypes.data % 64 == 0      # on a cache line, for the march
-        Q = Q.reshape(len(blocks), 4, kp1, 20, kp1)
-        for r, b in enumerate(blocks):
+        for c in range(0, len(Q), 5):
+            _two_step_rows(P, Q[c:c + 5], b0 + c, S, wrap)
+        Q = Q.reshape(len(Q), 4, kp1, 20, kp1)
+        for r, b in enumerate(np.arange(b0, b1) % n_blocks):
             for i in range(4):
                 j = 4 * b + i
                 if j >= N:
@@ -842,18 +846,81 @@ class TestBandParts:
         assert threading.active_count() == threads
 
     def test_each_part_builds_its_rows_in_its_own_thread(self, monkeypatch):
+        # every row block of a part's band, [b0 - 6, b1 + 6) in rounds of
+        # 4, is built once, in chunks, all in the thread that marches it
         op, u0 = self._case(2, 640)
         monkeypatch.setattr(solver, "_part_count", lambda *a: 3)
-        two_step_rows, builders = solver._two_step_rows, []
+        march_part, two_step_rows = solver._march_part, solver._two_step_rows
+        parts, built = {}, []
 
-        def recorded(*args):
-            builders.append(threading.get_ident())
-            return two_step_rows(*args)
+        def recorded_part(b0, b1, *args):
+            parts[threading.get_ident()] = range(b0 - 6, b1 + 6)
+            march_part(b0, b1, *args)
 
-        monkeypatch.setattr(solver, "_two_step_rows", recorded)
+        def recorded_rows(P, Q, b, *args):
+            built.append((threading.get_ident(), range(b, b + len(Q))))
+            two_step_rows(P, Q, b, *args)
+
+        monkeypatch.setattr(solver, "_march_part", recorded_part)
+        monkeypatch.setattr(solver, "_two_step_rows", recorded_rows)
         march = _BandMarch(op, u0.coeffs)
         dt = DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5
         for n in (9, 2):
-            builders.clear()
+            parts.clear()
+            built.clear()
             march.advance(n, dt)
-            assert len(builders) == len(set(builders)) == 3
+            assert len(parts) == 3
+            assert sorted(r.start for r in parts.values()) == [-6, 47, 100]
+            assert {thread for thread, _ in built} == set(parts)
+            for thread, blocks in parts.items():
+                got = sorted(b for t, run in built if t == thread for b in run)
+                assert got == list(blocks)
+
+    @pytest.mark.parametrize("k, N, n, n2", [
+        (2, 640, 47, 10), (3, 64, 19, 7), (4, 240, 13, 6)])
+    @pytest.mark.parametrize("chunk", [1, 5, "part"])
+    def test_build_chunks_are_bitwise(self, k, N, n, n2, chunk, monkeypatch):
+        # the two-part marches of test_parts_are_bitwise_one_part, with the
+        # band built a row block, 5 row blocks or a whole part a call
+        op, u0 = self._case(k, N)
+        dt = DEFAULT_DT_CONSTANTS[k] * op.mesh.h ** 2.5
+        got = []
+        for T, blocks in ((1, solver.BUILD_BLOCKS),
+                          (2, N if chunk == "part" else chunk)):
+            monkeypatch.setattr(solver, "_part_count", lambda *a, T=T: T)
+            monkeypatch.setattr(solver, "BUILD_BLOCKS", blocks)
+            march = _BandMarch(op, u0.coeffs)
+            march.advance(n, dt)
+            march.advance(n2, dt)
+            march.advance(1, 0.5 * dt)
+            got.append(march.coeffs())
+        assert np.array_equal(got[0], got[1])
+
+    def test_part_threads_allocate_nothing_large(self, monkeypatch):
+        # a two-part k=2, N=640 march: past the parts' arrays, which this
+        # thread allocates before any part starts, the builds and the
+        # products allocate about 20 KB (0.66 MiB when each part allocated
+        # its band and made 40 gathers in its own thread)
+        self._fake_host(monkeypatch, 2)
+        op, u0 = self._case(2, 640)
+        march = _BandMarch(op, u0.coeffs)
+        assert march.n_parts == 2
+        P = op.rk4_sparse_update(DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5)
+        part_arrays, arrays = solver._part_arrays, []
+
+        def recorded(*args):
+            arrays.append(part_arrays(*args))
+            return arrays[-1]
+
+        monkeypatch.setattr(solver, "_part_arrays", recorded)
+        tracemalloc.start()
+        try:
+            march._run(P, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(arrays) == 2
+        owned = sum((a if a.base is None else a.base).nbytes
+                    for cells, bufs, Q, S, wrap in arrays
+                    for a in (cells, *bufs, Q, S, wrap))
+        assert peak - owned < 0.1 * 2 ** 20
