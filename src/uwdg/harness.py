@@ -180,8 +180,7 @@ def run_study(cfg: StudyConfig) -> ErrorReport:
     if doubling and len(cfg.Ns) > 1:
         for m in metric_names:
             vals = [r.get(m) for r in report.rows]
-            clean = [v if isinstance(v, float) else np.nan for v in vals]
-            report.orders[m] = observed_orders(clean, cfg.Ns)
+            report.orders[m] = observed_orders(vals, cfg.Ns)
     return report
 
 

@@ -333,12 +333,11 @@ def _part_count(n_blocks: int, kp1: int) -> int:
     return max(1, min(cores, n_blocks // min_blocks))
 
 
-def _two_step_rows(P: np.ndarray, Q: np.ndarray, b: int, S: np.ndarray,
-                   wrap: np.ndarray):
-    """Fill Q with the two-step update P^2 from the one-step bands P of
-    rk4_sparse_update, as the len(Q) row blocks of GROUP consecutive cells
-    from row block b of the ring on; b may be negative or past the ring's
-    end, and is taken modulo its ceil(N/4) row blocks.
+def _two_step_rows(P: np.ndarray, b0: int, b1: int) -> np.ndarray:
+    """The two-step update P^2 from the one-step bands P of
+    rk4_sparse_update, as the row blocks b0 .. b1 - 1 of GROUP consecutive
+    cells, on a 64-byte line; a row block may be negative or past the
+    ring's end, and is taken modulo its ceil(N/4) row blocks.
 
     Row block b, of shape (4(k+1), 20(k+1)), holds cells 4b .. 4b+3
     (slot i = j - 4b) and multiplies the coefficients of cells
@@ -347,34 +346,43 @@ def _two_step_rows(P: np.ndarray, Q: np.ndarray, b: int, S: np.ndarray,
     start a - 4 cells from j, i + a + 4 cells into the window.  Each entry
     is 0 plus its terms in the order of a.
 
-    A run of n row blocks from b reads one window W of P, cells
-    4b-4 .. 4(b+n)+3: its cells are W[4:4n+4] and their neighbours at a
-    W[4+a:4n+4+a], views.  The run is cut before ring row blocks 0, 1 and
-    N//4 - 1: a piece from 1 up to the next cut has its window inside the
-    ring, a view of P; any other piece has at most two row blocks, whose
-    16-cell window is gathered into wrap.  For each a, one matmul writes
-    the products into a skewed view of S at the columns of a = -4 (slot i
-    from i cells in), and S is added to the rows of Q, flat, (a + 4)(k+1)
-    entries on, where the columns of a lie in every row.  Both operands of
-    the sum are contiguous, so numpy allocates no buffer for it.  S has
-    at least len(Q) of Q's row blocks, -0.0 but in those columns: x + -0.0
+    The rows are built in pieces of at most BUILD_BLOCKS row blocks, cut
+    every BUILD_BLOCKS from b0 and before ring row blocks 0, 1 and
+    N//4 - 1.  A piece of n row blocks from c reads one window W of P,
+    cells 4c-4 .. 4(c+n)+3: its cells are W[4:4n+4] and their neighbours
+    at a W[4+a:4n+4+a], views.  A piece from 1 up to the next ring cut has
+    its window inside the ring, a view of P; any other piece has at most
+    two row blocks, whose 16-cell window is gathered into wrap.  For each
+    a, one matmul writes the products into a skewed view of the scratch S
+    at the columns of a = -4 (slot i from i cells in), and S is added to
+    the rows, flat, (a + 4)(k+1) entries on, where the columns of a lie in
+    every row.  Both operands of the sum are contiguous, so numpy
+    allocates no buffer for it.  S is -0.0 but in those columns: x + -0.0
     is x, bit for bit."""
     N, kp1 = P.shape[:2]
     n_blocks = -(-N // GROUP)
+    shape = (b1 - b0, GROUP * kp1, (GROUP + 2 * REACH) * kp1)
+    # Q on a 64-byte line: 16 bytes off one, the k=3 N=160 march took 1.15x
+    raw = np.empty(np.prod(shape) + 3, dtype=complex)
+    Q = raw[(-raw.ctypes.data // 16) % 4:][:np.prod(shape)].reshape(shape)
+    S = np.full((min(BUILD_BLOCKS, shape[0]),) + shape[1:],
+                complex(-0.0, -0.0))
+    wrap = np.empty((4 * GROUP,) + P.shape[1:], dtype=complex)
     cuts = {0, 1 % n_blocks, (N // GROUP - 1) % n_blocks}
     s0, srow, sc = S.strides
     band = as_strided(S, shape=(len(S), GROUP, kp1, 9 * kp1),
                       strides=(s0, kp1 * (srow + sc), srow, sc))
-    c, end = b, b + len(Q)
-    while c < end:
+    c = b0
+    while c < b1:
         r = c % n_blocks
-        n = min(min((x - r - 1) % n_blocks + 1 for x in cuts), end - c)
+        n = min(min((x - r - 1) % n_blocks + 1 for x in cuts), b1 - c,
+                BUILD_BLOCKS - (c - b0) % BUILD_BLOCKS)
         lo = GROUP * r - GROUP
         hi = lo + GROUP * (n + 2)
         W = (P[lo:hi] if 0 <= lo and hi <= N else P.take(
             np.arange(lo, hi), axis=0, out=wrap[:hi - lo], mode="wrap"))
         own = W[GROUP:GROUP * (n + 1)].reshape(n, GROUP, kp1, -1)
-        q, s = Q[c - b:c - b + n].reshape(-1), S[:n].reshape(-1)
+        q, s = Q[c - b0:c - b0 + n].reshape(-1), S[:n].reshape(-1)
         for a in range(9):
             np.matmul(own[..., a * kp1:(a + 1) * kp1],
                       W[a:a + GROUP * n].reshape(n, GROUP, kp1, -1),
@@ -383,56 +391,29 @@ def _two_step_rows(P: np.ndarray, Q: np.ndarray, b: int, S: np.ndarray,
             np.add(q[lead:] if a else 0.0, s[:len(s) - lead], out=q[lead:])
         q.reshape(GROUP * n, -1)[N - GROUP * r:] = 0
         c += n
+    return Q
 
 
-def _part_arrays(b0: int, b1: int, s: int, P: np.ndarray) -> tuple:
-    """The arrays _march_part fills and reads for row blocks [b0, b1) of
-    the ring of P's cells in rounds of s products: the indices of the
-    part's cells with their halos, min(s, 2) buffers that gather them, the
-    band rows Q of its first product, and _two_step_rows' S and wrap."""
-    N, kp1 = P.shape[:2]
-    pad = HALO * (s - 1)
-    cells = np.arange(GROUP * (b0 - pad - HALO),
-                      GROUP * (b1 + pad + HALO)) % N
-    bufs = [np.empty((len(cells), kp1), dtype=complex)
-            for _ in range(min(s, 2))]
-    shape = (b1 - b0 + 2 * pad, GROUP * kp1, (GROUP + 2 * REACH) * kp1)
-    # Q on a 64-byte line: 16 bytes off one, the k=3 N=160 march took 1.15x
-    raw = np.empty(np.prod(shape) + 3, dtype=complex)
-    Q = raw[(-raw.ctypes.data // 16) % 4:][:np.prod(shape)].reshape(shape)
-    S = np.full((min(BUILD_BLOCKS, shape[0]),) + shape[1:],
-                complex(-0.0, -0.0))
-    wrap = np.empty((4 * GROUP,) + P.shape[1:], dtype=complex)
-    return cells, bufs, Q, S, wrap
-
-
-def _march_part(b0: int, b1: int, s: int, P: np.ndarray, arrays: tuple,
-                states: list[np.ndarray], products: int, barrier):
-    """Build the band rows of row blocks [b0, b1) of the ring of a band
-    march into its _part_arrays, BUILD_BLOCKS row blocks a call, and take
-    the products in them, s a round, a short round first.
+def _march_part(b0: int, b1: int, s: int, Q: np.ndarray, cells: np.ndarray,
+                bufs: list[np.ndarray], states: list[np.ndarray],
+                products: int, barrier):
+    """Take the products of row blocks [b0, b1) of the ring of a band
+    march in its band rows Q, s a round, a short round first.
 
     Round r gathers the part's cells, with s * REACH cells of periodic
     halo on each side, from states[r % 2] into bufs, then takes s products
     on ranges that shrink by HALO row blocks per side each time; the last
     is the part's own row blocks, written into the other state, and a
     barrier, if any, is met.  Product i reads bufs[i % 2] and, but for the
-    last, writes bufs[(i + 1) % 2].  The band rows Q are _two_step_rows
-    of the one-step bands P at the row blocks of the first product,
+    last, writes bufs[(i + 1) % 2].  Q is the view of the advance's one
+    two-step band at the row blocks of the first product,
     [b0 - HALO (s-1), b1 + HALO (s-1)) around the ring; product i takes
-    rows i HALO .. len - i HALO of them.  steps holds the (band, window,
+    rows i HALO .. len - i HALO of it.  steps holds the (band, window,
     out) triples of the s - 1 products into bufs; outs holds the last
-    product's output in each state.  Past its arrays, a part allocates
-    only views and 16-cell window indices."""
-    cells, bufs, Q, S, wrap = arrays
-    kp1 = P.shape[1]
-    for c in range(0, len(Q), BUILD_BLOCKS):
-        _two_step_rows(P, Q[c:c + BUILD_BLOCKS], b0 - HALO * (s - 1) + c,
-                       S, wrap)
-    windows = [sliding_window_view(
-        b.ravel(), (GROUP + 2 * REACH) * kp1)[::GROUP * kp1, :, None]
-        for b in bufs]
-    m, blk = len(Q), Q.shape[1]
+    product's output in each state.  A part allocates only views."""
+    m, blk, width = Q.shape
+    windows = [sliding_window_view(b.ravel(), width)[::blk, :, None]
+               for b in bufs]
     rows = [slice(i * HALO, m - i * HALO) for i in range(s)]
     steps = [(Q[rows[i]], windows[i % 2][rows[i]],
               bufs[(i + 1) % 2].reshape(-1, blk, 1)[
@@ -457,13 +438,13 @@ class _BandMarch:
     The ring of ceil(N/4) row blocks is cut into n_parts contiguous
     parts.  Each product is one batched matmul of (4(k+1), 20(k+1)) rows
     of the two-step update against strided views of their twenty-cell
-    windows.  Each advance makes one rk4_sparse_update and, in the calling
-    thread, every part's arrays (_part_arrays); then each part,
-    _march_part, builds its band rows from it, BUILD_BLOCKS row blocks at
-    a time, and takes its products in its own thread, the first in the
-    calling one.  A part's thread allocates no array, so its malloc arena
-    stays small.  One part takes one
-    product a round, on its cells with eight cells of periodic wrap at
+    windows.  Each advance makes, in the calling thread, one
+    rk4_sparse_update, from it one two-step band of every part's row
+    blocks and halos (_two_step_rows), and every part's gather buffers;
+    then each part, _march_part, takes its products on its view of that
+    band in its own thread, the first in the calling one.  A part's thread
+    allocates no array, so its malloc arena stays small.  One part takes
+    one product a round, on its cells with eight cells of periodic wrap at
     each end; several parts take ROUND products a round each on their
     halos and meet at one barrier a round.  The rounds alternate between
     the two states, so no part overwrites cells that another is still
@@ -501,19 +482,24 @@ class _BandMarch:
         first in this one, and leave the result in states[0].  An error in
         any part is raised here once every thread has ended."""
         T, n_blocks = self.n_parts, len(self.states[0]) // GROUP
+        N, kp1 = P.shape[:2]
         s = ROUND if T > 1 else 1
+        pad = HALO * (s - 1)
         ends = [n_blocks * t // T for t in range(T + 1)]
-        # every part's arrays are allocated here, before any part starts,
-        # so that no part's thread grows a malloc arena of its own
-        arrays = [_part_arrays(b0, b1, s, P)
-                  for b0, b1 in zip(ends, ends[1:])]
+        Q = _two_step_rows(P, -pad, n_blocks + pad)
+        parts = []
+        for b0, b1 in zip(ends, ends[1:]):
+            cells = np.arange(GROUP * (b0 - pad - HALO),
+                              GROUP * (b1 + pad + HALO)) % N
+            bufs = [np.empty((len(cells), kp1), dtype=complex)
+                    for _ in range(min(s, 2))]
+            parts.append((b0, b1, s, Q[b0:b1 + 2 * pad], cells, bufs))
         barrier = threading.Barrier(T) if T > 1 else None
         failed = []
 
         def run(t):
             try:
-                _march_part(ends[t], ends[t + 1], s, P, arrays[t],
-                            self.states, products, barrier)
+                _march_part(*parts[t], self.states, products, barrier)
             except BaseException as exc:    # release the other parts
                 failed.append(exc)
                 if barrier is not None:

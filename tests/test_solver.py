@@ -390,12 +390,13 @@ class TestRK4:
         assert peak <= 4 * bands.nbytes
 
     @pytest.mark.parametrize("N", [4, 5, 9, 18])
-    def test_two_step_rows_are_dense_rk4_square(self, N):
+    def test_two_step_rows_are_dense_rk4_square(self, N, monkeypatch):
         # row block b holds cells 4b..4b+3 against cells 4b-8..4b+11; the
-        # run starts 6 row blocks before block 0 and ends 6 past the ring's
-        # end, as a part's band may, and is built 5 row blocks a call, so
-        # that windows wrap at both ends; N not a multiple of 4 leaves zero
-        # rows, and N < 17 aliases the offsets
+        # band starts 6 row blocks before block 0 and ends 6 past the
+        # ring's end, as a march in parts has it, and is built in one call
+        # 5 row blocks a piece, so that windows wrap at both ends; N not a
+        # multiple of 4 leaves zero rows, and N < 17 aliases the offsets.
+        # (It used to fill a _part_arrays band with a call per 5 blocks.)
         k, kp1, dt = 3, 4, 0.01
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, 1)
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), k)
@@ -405,11 +406,10 @@ class TestRK4:
         n_blocks = -(-N // 4)
         P = op.rk4_sparse_update(dt)
         b0, b1 = -6, n_blocks + 6
-        _, _, Q, S, wrap = solver._part_arrays(b0, b1, 1, P)
+        monkeypatch.setattr(solver, "BUILD_BLOCKS", 5)
+        Q = _two_step_rows(P, b0, b1)
         assert Q.shape == (b1 - b0, 4 * kp1, 20 * kp1)
         assert Q.ctypes.data % 64 == 0      # on a cache line, for the march
-        for c in range(0, len(Q), 5):
-            _two_step_rows(P, Q[c:c + 5], b0 + c, S, wrap)
         Q = Q.reshape(len(Q), 4, kp1, 20, kp1)
         for r, b in enumerate(np.arange(b0, b1) % n_blocks):
             for i in range(4):
@@ -810,7 +810,7 @@ class TestBandParts:
     def test_threads_end_and_errors_are_raised(self, monkeypatch):
         op, u0 = self._case(2, 640)
         monkeypatch.setattr(solver, "_part_count", lambda *a: 3)
-        march_part, two_step_rows = solver._march_part, solver._two_step_rows
+        march_part, started = solver._march_part, []
 
         def in_worker():
             return threading.current_thread() is not threading.main_thread()
@@ -825,10 +825,12 @@ class TestBandParts:
                 raise RuntimeError("part failed")
             march_part(*args)
 
-        def failing_build(*args):   # in the part's thread, under its guard
-            if in_worker():
-                raise RuntimeError("build failed")
-            return two_step_rows(*args)
+        def recorded(*args):
+            started.append(threading.get_ident())
+            march_part(*args)
+
+        def failing_build(*args):
+            raise RuntimeError("build failed")
 
         t_end = 20.5 * 0.05 * op.mesh.h ** 2.5     # 21 steps, 10 products
         threads = threading.active_count()
@@ -839,42 +841,64 @@ class TestBandParts:
         with pytest.raises(RuntimeError, match="part failed"):
             integrate(op, u0, 0.05, t_end)
         assert threading.active_count() == threads
-        monkeypatch.setattr(solver, "_march_part", march_part)
+        # the band is built in the calling thread before any part starts
+        # (it used to be built in the parts' threads, under their guard)
+        monkeypatch.setattr(solver, "_march_part", recorded)
         monkeypatch.setattr(solver, "_two_step_rows", failing_build)
         with pytest.raises(RuntimeError, match="build failed"):
             integrate(op, u0, 0.05, t_end)
         assert threading.active_count() == threads
+        assert not started
 
-    def test_each_part_builds_its_rows_in_its_own_thread(self, monkeypatch):
-        # every row block of a part's band, [b0 - 6, b1 + 6) in rounds of
-        # 4, is built once, in chunks, all in the thread that marches it
+    def test_one_band_is_built_in_the_calling_thread(self, monkeypatch):
+        # each advance that takes products makes one update and one band
+        # of row blocks [-6, 166) (3 parts, rounds of 4), in this thread,
+        # and each part marches, in its own thread, on a view of that band
+        # at its row blocks and halos.  (It replaces a test that each part
+        # built its own rows, halos included, in its own thread.)
         op, u0 = self._case(2, 640)
         monkeypatch.setattr(solver, "_part_count", lambda *a: 3)
+        update = DGOperator.rk4_sparse_update
         march_part, two_step_rows = solver._march_part, solver._two_step_rows
-        parts, built = {}, []
+        updates, built, parts = [], [], []
 
-        def recorded_part(b0, b1, *args):
-            parts[threading.get_ident()] = range(b0 - 6, b1 + 6)
-            march_part(b0, b1, *args)
+        def recorded_update(self, dt):
+            updates.append(threading.get_ident())
+            return update(self, dt)
 
-        def recorded_rows(P, Q, b, *args):
-            built.append((threading.get_ident(), range(b, b + len(Q))))
-            two_step_rows(P, Q, b, *args)
+        def recorded_rows(P, b0, b1):
+            built.append((threading.get_ident(), range(b0, b1),
+                          two_step_rows(P, b0, b1)))
+            return built[-1][2]
 
-        monkeypatch.setattr(solver, "_march_part", recorded_part)
+        def recorded_part(b0, b1, s, Q, *args):
+            parts.append((threading.get_ident(), b0, b1, Q))
+            march_part(b0, b1, s, Q, *args)
+
+        monkeypatch.setattr(DGOperator, "rk4_sparse_update", recorded_update)
         monkeypatch.setattr(solver, "_two_step_rows", recorded_rows)
+        monkeypatch.setattr(solver, "_march_part", recorded_part)
         march = _BandMarch(op, u0.coeffs)
         dt = DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5
-        for n in (9, 2):
-            parts.clear()
+        me = threading.get_ident()
+        for n in (9, 2, 1):
+            updates.clear()
             built.clear()
+            parts.clear()
             march.advance(n, dt)
-            assert len(parts) == 3
-            assert sorted(r.start for r in parts.values()) == [-6, 47, 100]
-            assert {thread for thread, _ in built} == set(parts)
-            for thread, blocks in parts.items():
-                got = sorted(b for t, run in built if t == thread for b in run)
-                assert got == list(blocks)
+            if n == 1:              # no products: no update, no band
+                assert not updates and not built and not parts
+                continue
+            assert updates == [me]
+            assert [(t, list(run)) for t, run, _ in built] == [
+                (me, list(range(-6, 166)))]
+            band = built[0][2]
+            assert len({t for t, *_ in parts}) == 3
+            assert sorted(b0 for _, b0, _, _ in parts) == [0, 53, 106]
+            for _, b0, b1, Q in parts:
+                assert np.shares_memory(Q, band)
+                assert Q.ctypes.data == band[b0].ctypes.data
+                assert len(Q) == b1 - b0 + 12
 
     @pytest.mark.parametrize("k, N, n, n2", [
         (2, 640, 47, 10), (3, 64, 19, 7), (4, 240, 13, 6)])
@@ -897,30 +921,43 @@ class TestBandParts:
         assert np.array_equal(got[0], got[1])
 
     def test_part_threads_allocate_nothing_large(self, monkeypatch):
-        # a two-part k=2, N=640 march: past the parts' arrays, which this
-        # thread allocates before any part starts, the builds and the
-        # products allocate about 20 KB (0.66 MiB when each part allocated
-        # its band and made 40 gathers in its own thread)
+        # a two-part k=2, N=640 march.  Past the band, its build scratch
+        # and wrap buffer, the build allocates about 4 KB; past the band
+        # and the parts' cells and gather buffers, which this thread
+        # allocates before any part starts, the products allocate about
+        # 18 KB (0.66 MiB past all of these when each part allocated its
+        # band and made 40 gathers in its own thread)
         self._fake_host(monkeypatch, 2)
         op, u0 = self._case(2, 640)
         march = _BandMarch(op, u0.coeffs)
         assert march.n_parts == 2
         P = op.rk4_sparse_update(DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5)
-        part_arrays, arrays = solver._part_arrays, []
+        build, march_part = solver._two_step_rows, solver._march_part
+        peaks, parts = [], []
 
-        def recorded(*args):
-            arrays.append(part_arrays(*args))
-            return arrays[-1]
+        def recorded_build(*args):
+            Q = build(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return Q
 
-        monkeypatch.setattr(solver, "_part_arrays", recorded)
+        def recorded(b0, b1, s, Q, cells, bufs, *args):
+            parts.append((Q, cells, bufs))
+            march_part(b0, b1, s, Q, cells, bufs, *args)
+
+        monkeypatch.setattr(solver, "_two_step_rows", recorded_build)
+        monkeypatch.setattr(solver, "_march_part", recorded)
         tracemalloc.start()
         try:
             march._run(P, 4)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(arrays) == 2
-        owned = sum((a if a.base is None else a.base).nbytes
-                    for cells, bufs, Q, S, wrap in arrays
-                    for a in (cells, *bufs, Q, S, wrap))
-        assert peak - owned < 0.1 * 2 ** 20
+        assert len(peaks) == 2 and len(parts) == 2
+        band = parts[0][0].base.nbytes
+        scratch = solver.BUILD_BLOCKS * parts[0][0][0].nbytes
+        wrap = 16 * P[0].nbytes
+        assert peaks[0] - band - scratch - wrap < 0.1 * 2 ** 20
+        owned = band + sum(a.nbytes for _, cells, bufs in parts
+                           for a in (cells, *bufs))
+        assert peaks[1] - owned < 0.1 * 2 ** 20
