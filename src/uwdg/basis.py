@@ -66,41 +66,51 @@ def legendre_table(max_degree: int, xi, ders: int = 0) -> np.ndarray:
     return out
 
 
-def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """numpy's legval(x, c) for a 1-D Legendre series c, step for step:
-    numpy 2.4 scales c1 by the ratio (nd-1)/nd, not by nd-1 then 1/nd."""
-    if len(c) == 1:
-        return c[0] + 0 * x
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
-                  c0 + c1 * x * ((2 * nd - 1) / nd))
-    return c0 + c1 * x
+# float.hex of the nodes >= 0 of the n-point rule, ascending, and of their
+# weights, for n = 1..10: every rule the studies use.  They are numpy 2.4's
+# leggauss(n), the Golub-Welsch eigenvalues (Math. Comp. 23, 1969), one
+# Newton step and symmetrisation about 0; tests/oracles.py derives them.
+_GAUSS_HALVES = (
+    (("0x0.0p+0",), ("0x1.0000000000000p+1",)),
+    (("0x1.279a74590331cp-1",), ("0x1.0000000000000p+0",)),
+    (("0x0.0p+0", "0x1.8c97ef43f7248p-1"),
+     ("0x1.c71c71c71c71cp-1", "0x1.1c71c71c71c73p-1")),
+    (("0x1.5c23fd9dd3dfcp-2", "0x1.b8e6dbcf63985p-1"),
+     ("0x1.4de5f840c24cdp-1", "0x1.64340f7e7b666p-2")),
+    (("0x0.0p+0", "0x1.13b23fd99b705p-1", "0x1.cff6ce0533a69p-1"),
+     ("0x1.23456789abcddp-1", "0x1.ea1da25ae4158p-2", "0x1.e539ec36e0393p-3")),
+    (("0x1.e8b12d03675c5p-3", "0x1.528a09655c95ep-1", "0x1.dd6ca4e80a01dp-1"),
+     ("0x1.df24d499545e8p-2", "0x1.716b7b5794c1ep-2", "0x1.5edf601e2dbf5p-3")),
+    (("0x0.0p+0", "0x1.9f95df119fd62p-2", "0x1.7ba9f9be3a1d6p-1",
+      "0x1.e5f178e7c622ap-1"),
+     ("0x1.abfd7e03c2fa4p-2", "0x1.86fe74ee32b39p-2", "0x1.1e6b1713d8648p-2",
+      "0x1.092f69f826d58p-3")),
+    (("0x1.77ac94f3c7344p-3", "0x1.0d129583284b4p-1", "0x1.97e4ab249f41ep-1",
+      "0x1.ebab1cb0acc66p-1"),
+     ("0x1.736360b19933dp-2", "0x1.413c50a25560ep-2", "0x1.c76fb531d2b94p-3",
+      "0x1.9ea1d04ca03aep-4")),
+    (("0x0.0p+0", "0x1.4c0916e48aa66p-2", "0x1.3a0bd2077fd8cp-1",
+      "0x1.ac0c44f0d0298p-1", "0x1.efb2b2ebf2106p-1"),
+     ("0x1.522a43f65486bp-2", "0x1.3fd7e9838d513p-2", "0x1.0add87c827509p-2",
+      "0x1.71f7a9b222be9p-3", "0x1.4ce65f803eee6p-4")),
+    (("0x1.30e507891e27ap-3", "0x1.bbcc009016adcp-2", "0x1.5bdb9228de198p-1",
+      "0x1.bae995e9cb2f3p-1", "0x1.f2a3e062af2d8p-1"),
+     ("0x1.2e9de7014d6eep-2", "0x1.13baa7a559c01p-2", "0x1.c0b059d00bc30p-3",
+      "0x1.32138c878efdep-3", "0x1.1115f8b62dc1fp-4")),
+)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def gauss_rule(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [-1, 1], read-only: numpy 2.4's
-    leggauss(n) bit for bit, from a copy of its steps pinned here, so
-    numpy.polynomial is never imported and the rule does not follow a
-    change of numpy.  The eigenvalues of the symmetric companion matrix of
-    L_n (Golub & Welsch, Math. Comp. 23, 1969), one Newton step, weights
-    1/(L_{n-1} L_n') scaled to sum to 2, and symmetrisation about 0."""
-    if n < 1:
-        raise ValueError("quadrature point count must be >= 1")
-    m = np.arange(n)
-    c = np.eye(n + 1)[n]                                # L_n
-    dc = np.where((n - m) % 2, 2.0 * m + 1, 0.0)        # L_n'
-    scl = 1.0 / np.sqrt(2 * m + 1)
-    off = m[1:] * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    df = _clenshaw(x, dc)
-    x = x - _clenshaw(x, c) / df
-    fm = _clenshaw(x, c[1:])
-    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
-    w = (w + w[::-1]) / 2
-    nodes = (x - x[::-1]) / 2
-    weights = w * (2.0 / w.sum())
+    """n-point Gauss-Legendre rule on [-1, 1] for n = 1..10, read-only,
+    from the pinned table: the nodes are antisymmetric, with +0.0 in the
+    middle for odd n, and the weights symmetric."""
+    if not 1 <= n <= len(_GAUSS_HALVES):
+        raise ValueError("quadrature point count must be 1..10")
+    upper, half = (np.array([float.fromhex(x) for x in col])
+                   for col in _GAUSS_HALVES[n - 1])
+    nodes = np.concatenate([-upper[n % 2:][::-1], upper])
+    weights = np.concatenate([half[n % 2:][::-1], half])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights)

@@ -59,6 +59,20 @@ class Mesh1D:
         """quad_points by the bytes of its reference nodes."""
         return {}
 
+    def parseval_weights(self, k: int) -> np.ndarray:
+        """The (N, k+1) weights h_j/(2m+1) of the Parseval norm of a
+        degree-k function, read-only; computed once per mesh and k."""
+        w = self._parseval_weights.get(k)
+        if w is None:
+            w = self._parseval_weights[k] = _read_only(
+                self.h_sizes[:, None] / (2 * np.arange(k + 1) + 1))
+        return w
+
+    @cached_property
+    def _parseval_weights(self) -> dict:
+        """parseval_weights by degree."""
+        return {}
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)

@@ -72,7 +72,7 @@ class DGFunction:
 
 def l2_norm(u: DGFunction) -> float:
     """Parseval: ||u||^2 = sum |c_{j,m}|^2 h_j/(2m+1)."""
-    w = u.mesh.h_sizes[:, None] / (2 * np.arange(u.k + 1) + 1)
+    w = u.mesh.parseval_weights(u.k)
     return float(np.sqrt(np.sum(np.sum(np.abs(u.coeffs) ** 2 * w,
                                        axis=1)).real))
 

@@ -4,9 +4,9 @@ The kernel is a symmetric combination of 2k+1 central B-splines of order
 k+1 shifted to the integers -k..k.  Its weights solve the discrete
 moment conditions int K(x) x^m dx = delta_{m0} for m = 0..2k, which
 (with evenness supplying the odd moments) makes convolution against the
-kernel reproduce polynomials through degree 2k+1.  The moment system is
-assembled and solved in exact rational arithmetic, so the weights are
-correct to the last bit.
+kernel reproduce polynomials through degree 2k+1.  The weights for
+k = 1..6 are pinned here as the doubles nearest the exact rational
+solution of the moment system, so they are correct to the last bit.
 
 Post-processing convolves the DG solution with the h-scaled kernel on a
 uniform mesh.  For a point at reference offset xi0 in cell j this is a
@@ -20,7 +20,6 @@ the matrix form of Cockburn, Luskin, Shu & Suli (Math. Comp. 2003).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -58,76 +57,36 @@ class KernelSpec:
         return np.arange(3 * self.k + 2) - self.support_halfwidth
 
 
-@lru_cache(maxsize=16)
-def _bspline_moments(order: int, p_max: int) -> tuple:
-    """Exact moments int psi^(order)(x) x^p dx for p = 0..p_max.
-
-    psi^(1) has moments 1/(2^p (p+1)) for even p; convolution adds
-    moments binomially."""
-    from fractions import Fraction      # on the first kernel only
-    mom = [Fraction(1, (p + 1) * 2 ** p) if p % 2 == 0 else Fraction(0)
-           for p in range(p_max + 1)]
-    base = list(mom)
-    for _ in range(order - 1):
-        nxt = []
-        for p in range(p_max + 1):
-            acc = Fraction(0)
-            for i in range(p + 1):
-                acc += comb(p, i) * mom[i] * base[p - i]
-            nxt.append(acc)
-        mom = nxt
-    return tuple(mom)
-
-
-def _solve_fraction_system(A: list[list], b: list):
-    """Gaussian elimination with partial pivoting over the rationals
-    (Fraction entries)."""
-    n = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if M[piv][col] == 0:
-            raise ArithmeticError("singular moment system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        for r in range(n):
-            if r == col or M[r][col] == 0:
-                continue
-            fac = M[r][col] / inv
-            M[r] = [a - fac * c for a, c in zip(M[r], M[col])]
-    return [M[i][n] / M[i][i] for i in range(n)]
+# the kernel's weights at the shifts 0..k, for k = 1..6, the CLI's range;
+# the weight at -g is that at g.  Each is the double nearest the exact
+# rational solution of the moment system, as tests/oracles.py solves it.
+_KERNEL_HALVES = (
+    (1.1666666666666667, -0.08333333333333333),
+    (1.365625, -0.20208333333333334, 0.019270833333333334),
+    (1.616798941798942, -0.36468253968253966, 0.06170634920634921,
+     -0.005423280423280424),
+    (1.939558940799989, -0.5858909109071869, 0.13580414840994268,
+     -0.021346330054012347, 0.0016536221512621252),
+    (2.358731661856662, -0.8865808381433381, 0.2547799422799423,
+     -0.05474800084175084, 0.00770928531345198, -0.0005262195366362033),
+    (2.907645690241952, -1.2956386610104922, 0.43787851851228277,
+     -0.11593314102498904, 0.022532872902646342, -0.002834351372046515,
+     0.00017191687162270195),
+)
 
 
 @lru_cache(maxsize=16)
 def kernel_coeffs(k: int) -> KernelSpec:
-    """The post-processing kernel for DG degree k >= 1, built once per k;
-    its arrays are read-only."""
-    if k < 1:
-        raise ValueError("kernel needs k >= 1")
-    from fractions import Fraction      # on the first kernel only
-    order = k + 1
+    """The post-processing kernel for DG degree k = 1..6, from the pinned
+    weights, built once per k; its arrays are read-only."""
+    if not 1 <= k <= len(_KERNEL_HALVES):
+        raise ValueError("kernel needs 1 <= k <= 6")
+    half = _KERNEL_HALVES[k - 1]
+    weights = np.array(half[:0:-1] + half)
     shifts = np.arange(-k, k + 1)
-    mu = _bspline_moments(order, 2 * k)
-    rows = []
-    rhs = []
-    for m in range(2 * k + 1):
-        row = []
-        for g in shifts:
-            # int psi(x-g) x^m dx = sum_i C(m,i) g^(m-i) mu_i
-            acc = Fraction(0)
-            for i in range(m + 1):
-                acc += comb(m, i) * Fraction(int(g)) ** (m - i) * mu[i]
-            row.append(acc)
-        rows.append(row)
-        rhs.append(Fraction(1) if m == 0 else Fraction(0))
-    try:
-        w = _solve_fraction_system(rows, rhs)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"kernel moment system singular for k={k}") from exc
-    weights = np.array([float(x) for x in w])
     weights.setflags(write=False)
     shifts.setflags(write=False)
-    return KernelSpec(k=k, order=order, shifts=shifts, weights=weights)
+    return KernelSpec(k=k, order=k + 1, shifts=shifts, weights=weights)
 
 
 def _stencil(spec: KernelSpec, xi0: float, n_gauss: int) -> np.ndarray:

@@ -315,6 +315,14 @@ ROUND = 4               # products per barrier of a march in several parts
 # k=6 at N=160 0.79, k=3 at N=256 0.97; k=5 at N=160 1.11, k=3 N=160 1.59
 GIL_OUTPUTS = 500
 MIN_PART_MACS = 40_000
+# an advance of at most SHORT_ADVANCE products takes one part: the halo
+# rows of its band and the threads cost more than the parts gain.  Timed
+# on 2 vCPUs (advance alone, min of 8 alternating runs, three rounds) at
+# k=3 N=256, k=4 N=240 and k=6 N=160, two parts lost to one in all 99
+# readings at 1, 4-8, 10, 12, 16, 24 and 32 products (k=3 N=256: 9.8-12.6
+# against 8.3-10.7 ms at 1, 12.4-13.8 against 10.4-13.2 ms at 32); two
+# parts won 1 of 9 readings at 40 products and 2 of 9 at 64
+SHORT_ADVANCE = 8 * ROUND
 # row blocks of the two-step band built from one window of the one-step
 # band, through a scratch of as many row blocks.  A two-part k=2, N=640
 # build and 8 steps took 0.93-0.97 the time of building each part in one
@@ -323,14 +331,18 @@ MIN_PART_MACS = 40_000
 BUILD_BLOCKS = 16
 
 
-def _part_count(n_blocks: int, kp1: int) -> int:
-    """The parts a band march of n_blocks row blocks of degree kp1-1 takes."""
+def _part_count(N: int, kp1: int, products: int) -> int:
+    """The parts an advance of a band march on N cells of degree kp1-1
+    takes for its products: one if N is not a multiple of GROUP or the
+    advance is short."""
+    if N % GROUP or products <= SHORT_ADVANCE:
+        return 1
     rows = GROUP * kp1                          # a row block's outputs
     macs = rows * (GROUP + 2 * REACH) * kp1     # and its multiply-adds
     min_blocks = max(GIL_OUTPUTS // rows + 1, -(-MIN_PART_MACS // macs))
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)      # no affinity on macOS, Windows
-    return max(1, min(cores, n_blocks // min_blocks))
+    return max(1, min(cores, N // GROUP // min_blocks))
 
 
 def _two_step_rows(P: np.ndarray, b0: int, b1: int) -> np.ndarray:
@@ -435,15 +447,15 @@ def _march_part(b0: int, b1: int, s: int, Q: np.ndarray, cells: np.ndarray,
 class _BandMarch:
     """Any mesh: two RK4 steps per banded matrix-vector product.
 
-    The ring of ceil(N/4) row blocks is cut into n_parts contiguous
-    parts.  Each product is one batched matmul of (4(k+1), 20(k+1)) rows
-    of the two-step update against strided views of their twenty-cell
-    windows.  Each advance makes, in the calling thread, one
-    rk4_sparse_update, from it one two-step band of every part's row
-    blocks and halos (_two_step_rows), and every part's gather buffers;
-    then each part, _march_part, takes its products on its view of that
-    band in its own thread, the first in the calling one.  A part's thread
-    allocates no array, so its malloc arena stays small.  One part takes
+    The ring of ceil(N/4) row blocks is cut into contiguous parts.  Each
+    product is one batched matmul of (4(k+1), 20(k+1)) rows of the
+    two-step update against strided views of their twenty-cell windows.
+    Each advance makes, in the calling thread, one rk4_sparse_update,
+    from it one two-step band of every part's row blocks and halos
+    (_two_step_rows), and every part's gather buffers; then each part,
+    _march_part, takes its products on its view of that band in its own
+    thread, the first in the calling one.  A part's thread allocates no
+    array, so its malloc arena stays small.  One part takes
     one product a round, on its cells with eight cells of periodic wrap at
     each end; several parts take ROUND products a round each on their
     halos and meet at one barrier a round.  The rounds alternate between
@@ -451,8 +463,9 @@ class _BandMarch:
     gathering; an advance starts from states[0] and leaves its result
     there.  Every output row block is the matmul of the same band rows
     and window values however the ring is cut, so the result is bitwise
-    that of one part.  _part_count chooses the parts from the cores and
-    the work of each; parts need N a multiple of 4.
+    that of one part.  _part_count chooses each advance's parts from the
+    cores, the work of each and the products; parts need N a multiple
+    of 4.
 
     An advance of n steps is n // 2 products and, for odd n, one literal
     rk4_step; the truncated final step is such an advance, so no update
@@ -460,11 +473,8 @@ class _BandMarch:
 
     def __init__(self, op: DGOperator, coeffs: np.ndarray):
         N, kp1 = op.mesh.N, op.k + 1
-        n_blocks = -(-N // GROUP)
         self.op, self.N = op, N
-        self.n_parts = (_part_count(n_blocks, kp1)
-                        if N % GROUP == 0 else 1)
-        self.states = list(np.zeros((2, n_blocks * GROUP, kp1),
+        self.states = list(np.zeros((2, -(-N // GROUP) * GROUP, kp1),
                                     dtype=complex))
         self.states[0][:N] = coeffs
 
@@ -481,8 +491,8 @@ class _BandMarch:
         """Take the products in every part, each in its own thread, the
         first in this one, and leave the result in states[0].  An error in
         any part is raised here once every thread has ended."""
-        T, n_blocks = self.n_parts, len(self.states[0]) // GROUP
         N, kp1 = P.shape[:2]
+        T, n_blocks = _part_count(N, kp1, products), -(-N // GROUP)
         s = ROUND if T > 1 else 1
         pad = HALO * (s - 1)
         ends = [n_blocks * t // T for t in range(T + 1)]
@@ -549,8 +559,9 @@ def integrate(op: DGOperator, u0: DGFunction, c: float,
     stable run is one advance of the n_full steps and one of the
     truncated step, by eigen-space powers on uniform meshes and two steps
     per banded product on any other, in as many threads as _part_count
-    decides from the cores and the work of each; every thread has ended
-    when integrate returns or raises, and an error in one is raised here.
+    decides from the cores, the work of each and the advance's products;
+    every thread has ended when integrate returns or raises, and an error
+    in one is raised here.
     As a backstop, a final l2_norm that is not finite or beyond 10x the
     initial one raises InstabilityError too.  A dt that is not positive, a
     negative t_end, a step count that is not finite, or more than

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from oracles import legendre_eval
+from oracles import golub_welsch_rule, legendre_eval
 from uwdg import basis
 
 
@@ -51,7 +51,8 @@ class TestLegendreEval:
 
 
 # gauss_rule(n) for n <= 10, every rule the studies use, as float.hex of
-# the nodes >= 0 and their weights; numpy 2.4's leggauss(n) gives them
+# the nodes >= 0 and their weights; numpy 2.4's leggauss(n) gives them, and
+# so does the Golub-Welsch oracle with this numpy's LAPACK
 GAUSS_PINNED = {
     1: (('0x0.0p+0',),
         ('0x1.0000000000000p+1',)),
@@ -106,7 +107,9 @@ NUMPY_LEGGAUSS_PINNED = all(_upper_half_hex(*npleg.leggauss(n)) == pinned
 class TestGaussRule:
     @pytest.mark.parametrize("n", range(1, 65))
     def test_leggauss_bit_for_bit(self, n):
-        rule = basis.gauss_rule(n)
+        # the pinned table for n <= 10, the Golub-Welsch oracle past it
+        rule = basis.gauss_rule(n) if n in GAUSS_PINNED \
+            else golub_welsch_rule(n)
         np.testing.assert_array_equal(rule.nodes, -rule.nodes[::-1])
         np.testing.assert_array_equal(rule.weights, rule.weights[::-1])
         if n in GAUSS_PINNED:
@@ -117,6 +120,21 @@ class TestGaussRule:
             assert rule.nodes.tobytes() == nodes.tobytes()
             assert rule.weights.tobytes() == weights.tobytes()
 
+    @pytest.mark.parametrize("n", GAUSS_PINNED)
+    def test_table_is_the_golub_welsch_rule(self, n):
+        # every entry of the table against its derivation: bit for bit
+        # where this numpy's LAPACK gives the pinned rules, else to 4 ulps;
+        # odd rules have +0.0 in the middle
+        rule, oracle = basis.gauss_rule(n), golub_welsch_rule(n)
+        if NUMPY_LEGGAUSS_PINNED:
+            assert rule.nodes.tobytes() == oracle.nodes.tobytes()
+            assert rule.weights.tobytes() == oracle.weights.tobytes()
+        else:
+            np.testing.assert_array_max_ulp(rule.nodes, oracle.nodes, 4)
+            np.testing.assert_array_max_ulp(rule.weights, oracle.weights, 4)
+        if n % 2:
+            assert not np.signbit(rule.nodes[n // 2])
+
     def test_cached_and_read_only(self):
         rule = basis.gauss_rule(7)
         assert rule is basis.gauss_rule(7)
@@ -124,6 +142,8 @@ class TestGaussRule:
         assert not rule.weights.flags.writeable
         with pytest.raises(ValueError):
             basis.gauss_rule(0)
+        with pytest.raises(ValueError):
+            basis.gauss_rule(11)
 
     def test_one_point(self):
         r = basis.gauss_rule(1)
@@ -141,8 +161,9 @@ class TestGaussRule:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_exactness(self, n):
-        # n points integrate monomials up to degree 2n-1
-        r = basis.gauss_rule(n)
+        # n points integrate monomials up to degree 2n-1 (past the table,
+        # the oracle's rules)
+        r = basis.gauss_rule(n) if n <= 10 else golub_welsch_rule(n)
         assert r.weights.sum() == pytest.approx(2.0, abs=1e-14)
         assert np.all(r.weights > 0)
         for p in range(2 * n):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import uwdg
-from oracles import legendre_eval
+from oracles import golub_welsch_rule, legendre_eval
 from uwdg.basis import antiderivative_map, gauss_rule, legendre_table
 from uwdg.correction import (_d2_table, build_correction, interface_jumps,
                              max_correction_levels, reference_interpolant,
@@ -105,7 +105,7 @@ def test_volume_condition_against_quadrature():
     p0 = project_l2(ft, 0.0, mesh, k)
     ps = project_star(ft, 0.0, mesh, k, CENTRAL)
     trunc = p0.coeffs - ps.coeffs               # degree <= k part of d_t w0
-    rule = gauss_rule(20)
+    rule = golub_welsch_rule(20)   # basis pins n <= 10
     pts = mesh.quad_points(rule.nodes)
     psv = ps.eval_ref(rule.nodes)
     w0t_vals = ft.eval(pts, 0.0, 0) - psv       # full d_t w0, with tail
@@ -138,7 +138,7 @@ def test_cached_levels_are_time_derivatives():
     # the low modes of w_2 are the volume moments of d_t w_1 against the
     # double antiderivatives: h_j/(2m+1) c_m = -i (h_j/2)^2 int d_t w_1 D2_m
     w2 = build_correction(f, t, mesh, k, CENTRAL, q_max=2)[1]
-    rule = gauss_rule(20)
+    rule = golub_welsch_rule(20)   # basis pins n <= 10
     vals = dt_w1.eval_ref(rule.nodes)                   # (N, nq)
     for m in range(k - 1):
         e = np.zeros(m + 1)

@@ -322,9 +322,9 @@ class TestCLI:
         assert package.stderr == script.stderr == ""
 
     def test_cold_start_loads_only_what_its_case_runs(self):
-        # argparse (the CLI), fractions with decimal (the SIAC kernel) and
-        # numpy.polynomial (never) are not loaded by a study without E*,
-        # here uniform_tables' set-up case; an E* study loads fractions
+        # argparse (the CLI), fractions and decimal (never: the SIAC kernel
+        # weights are pinned) and numpy.polynomial (never) are not loaded
+        # by a study, here uniform_tables' set-up case, nor by an E* study
         code = (
             "import sys\n"
             "import uwdg.harness as h\n"
@@ -334,10 +334,10 @@ class TestCLI:
             "print([m for m in lazy if m in sys.modules])\n"
             "h.run_study(h.StudyConfig(k=2, Ns=(20,), init='l2',\n"
             "                          metrics=('estar',)))\n"
-            "print('fractions' in sys.modules)\n"
+            "print([m for m in lazy if m in sys.modules])\n"
             "h.main(['kernel', '--k', '2'])\n")
         assert _python_m("-c", code).stdout.splitlines() == [
-            "[]", "True",
+            "[]", "[]",
             "k = 2, spline order = 3, support half-width = 3.5 h",
             "gamma = -2: +0.0192708333333333",
             "gamma = -1: -0.202083333333333",
@@ -345,6 +345,26 @@ class TestCLI:
             "gamma = +1: -0.202083333333333",
             "gamma = +2: +0.0192708333333333",
             "sum = 1"]
+
+    def test_uniform_estar_study_needs_no_eigvalsh_and_no_fractions(self):
+        # the Gauss rules and the kernel weights are pinned tables, so a
+        # uniform E* study runs with eigvalsh refused and loads neither
+        # fractions nor decimal; its row is the one made in this process
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "def refused(*args, **kwargs):\n"
+            "    raise AssertionError('eigvalsh called')\n"
+            "np.linalg.eigvalsh = refused\n"
+            "import uwdg.harness as h\n"
+            "row, = h.run_study(h.StudyConfig(k=3, Ns=(20,), init='l2',\n"
+            "                                 metrics=('estar',))).rows\n"
+            "print(row['status'], row['estar'].hex())\n"
+            "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n")
+        row, = run_study(StudyConfig(k=3, Ns=(20,), init="l2",
+                                     metrics=("estar",))).rows
+        assert _python_m("-c", code).stdout.splitlines() == [
+            f"ok {row['estar'].hex()}", "[]"]
 
     def test_points_central_k3(self, capsys):
         assert main(["points", "--k", "3", "--flux", "0,0,0"]) == 0

@@ -182,3 +182,20 @@ def test_mesh_tables_are_cached_read_only(kind):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+def test_parseval_weights_are_shared_per_degree_read_only(kind):
+    m = make_mesh(0, 2 * np.pi, 12, kind, 0.1, seed=4)
+    w = m.parseval_weights(3)
+    np.testing.assert_array_equal(
+        w, m.h_sizes[:, None] / np.array([1.0, 3.0, 5.0, 7.0]))
+    assert m.parseval_weights(3) is w
+    other = m.parseval_weights(2)
+    assert other.shape == (12, 3) and other is not w
+    assert make_mesh(0, 2 * np.pi, 12, kind, 0.1, seed=4) \
+        .parseval_weights(3) is not w
+    for table in (w, other):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import uwdg
+from oracles import rational_kernel_weights
 from uwdg import basis
 from uwdg.basis import gauss_rule
 from uwdg.errors import UnsupportedOperationError
@@ -117,9 +118,20 @@ class TestKernelWeights:
                            - samples ** m).max()
             assert worst < 1e-9, f"degree {m}"
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_weights_are_the_rational_solution(self, k):
+        # every pinned weight is the double nearest the exact solution
+        spec = kernel_coeffs(k)
+        exact = [float(w) for w in rational_kernel_weights(k)]
+        assert spec.weights.tolist() == exact
+        assert all(np.signbit(spec.weights) == np.signbit(exact))
+        np.testing.assert_array_equal(spec.shifts, np.arange(-k, k + 1))
+
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             kernel_coeffs(0)
+        with pytest.raises(ValueError):
+            kernel_coeffs(7)
 
 
 class TestPostprocess:

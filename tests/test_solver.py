@@ -208,6 +208,19 @@ class TestNorm:
                              * (np.abs(vals) ** 2 @ rule.weights)))
         assert l2_norm(u) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+    def test_bit_for_bit_the_weights_built_per_call(self, kind):
+        # the mesh's cached weights give the norm of weights built per call
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 40, kind, 0.1, 5)
+        rng = np.random.default_rng(11)
+        for k in (2, 3, 6):
+            u = random_field(mesh, k, rng)
+            w = mesh.h_sizes[:, None] / (2 * np.arange(k + 1) + 1)
+            old = float(np.sqrt(np.sum(np.sum(np.abs(u.coeffs) ** 2 * w,
+                                              axis=1)).real))
+            assert l2_norm(u).hex() == old.hex()
+            assert mesh.parseval_weights(k).tobytes() == w.tobytes()
+
 
 def test_march_needs_only_numpy():
     # of the installed packages, uwdg loads numpy alone, also while it
@@ -742,16 +755,25 @@ class TestBandParts:
         op, u0 = self._case(k, N)
         dt = DEFAULT_DT_CONSTANTS[k] * op.mesh.h ** 2.5
         got, interval = [], sys.getswitchinterval()
+        march_part, started = solver._march_part, []
+
+        def recorded(*args):
+            started.append(args[:2])
+            march_part(*args)
+
+        monkeypatch.setattr(solver, "_march_part", recorded)
         sys.setswitchinterval(1e-6)     # switch threads as often as can be
         try:
             for T in (1, 2, 3):     # 3 parts on 2 cores: more than the cores
                 monkeypatch.setattr(solver, "_part_count", lambda *a, T=T: T)
+                started.clear()
                 march = _BandMarch(op, u0.coeffs)
-                assert march.n_parts == T
                 march.advance(n, dt)
                 march.advance(n2, dt)
                 march.advance(1, 0.5 * dt)
                 got.append(march.coeffs())
+                # T parts in each advance that takes products
+                assert len(started) == len(set(started)) * 2 == 2 * T
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got[0], got[1])
@@ -764,17 +786,18 @@ class TestBandParts:
     @pytest.mark.parametrize("cpus, parts", [(None, 1), (2, 2)])
     def test_march_without_affinity(self, cpus, parts, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity: the march takes
-        # os.cpu_count() cores, or one, and its bits do not change
+        # os.cpu_count() cores, or one, and its bits do not change.  Each
+        # march takes 34 products, past SHORT_ADVANCE = 32
         op, u0 = self._case(2, 640)
         dt = DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5
-        marches = [_BandMarch(op, u0.coeffs)]
+        march = _BandMarch(op, u0.coeffs)
+        march.advance(69, dt)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert solver._part_count(160, 3) == parts
-        marches.append(_BandMarch(op, u0.coeffs))
-        for march in marches:
-            march.advance(5, dt)
-        assert np.array_equal(marches[0].coeffs(), marches[1].coeffs())
+        assert solver._part_count(640, 3, 34) == parts
+        without = _BandMarch(op, u0.coeffs)
+        without.advance(69, dt)
+        assert np.array_equal(march.coeffs(), without.coeffs())
 
     def _fake_host(self, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -792,9 +815,16 @@ class TestBandParts:
         (8, 2, 640, 2),     # a k=2 part needs 56 row blocks, a k=3 part 32
         (8, 2, 1280, 5), (8, 3, 1280, 8), (3, 3, 1280, 3)])
     def test_part_count_rule(self, cpus, k, N, parts, monkeypatch):
-        # 2 cores: the cases timed when the rule was set; then the core cap
+        # 2 cores: the cases timed when the rule was set; then the core
+        # cap.  An advance of at most SHORT_ADVANCE products takes one part
         self._fake_host(monkeypatch, cpus)
-        assert solver._part_count(N // 4, k + 1) == parts
+        assert solver.SHORT_ADVANCE == 32
+        for products in (33, 6820):
+            assert solver._part_count(N, k + 1, products) == parts
+        for products in (1, 4, 5, 8, 32):
+            assert solver._part_count(N, k + 1, products) == 1
+        # a ring of N not a multiple of 4 is never cut
+        assert solver._part_count(N + 2, k + 1, 6820) == 1
 
     @pytest.mark.parametrize("k, N, parts", [
         *[(3, N, 1) for N in (20, 40, 80, 160)],   # perturbed_march
@@ -803,9 +833,15 @@ class TestBandParts:
         (2, 642, 1),                               # a ragged last row block
     ])
     def test_parts_of_benchmark_cases(self, k, N, parts, monkeypatch):
+        # the full steps' advance of each case (perturbed_short's N=640:
+        # 6,819 products); its truncated step takes no product
         self._fake_host(monkeypatch, 2)
         op, u0 = self._case(k, N)
-        assert _BandMarch(op, u0.coeffs).n_parts == parts
+        t_end = 1.0 if k == 3 else 0.01
+        n_full = _step_counts(t_end,
+                              DEFAULT_DT_CONSTANTS[k] * op.mesh.h ** 2.5)[0]
+        assert n_full // 2 > solver.SHORT_ADVANCE
+        assert solver._part_count(N, k + 1, n_full // 2) == parts
 
     def test_threads_end_and_errors_are_raised(self, monkeypatch):
         op, u0 = self._case(2, 640)
@@ -930,7 +966,7 @@ class TestBandParts:
         self._fake_host(monkeypatch, 2)
         op, u0 = self._case(2, 640)
         march = _BandMarch(op, u0.coeffs)
-        assert march.n_parts == 2
+        assert solver._part_count(640, 3, 36) == 2
         P = op.rk4_sparse_update(DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5)
         build, march_part = solver._two_step_rows, solver._march_part
         peaks, parts = [], []
@@ -949,7 +985,7 @@ class TestBandParts:
         monkeypatch.setattr(solver, "_march_part", recorded)
         tracemalloc.start()
         try:
-            march._run(P, 4)
+            march._run(P, 36)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
