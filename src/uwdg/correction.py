@@ -110,7 +110,7 @@ def second_derivative_norm(u: DGFunction) -> float:
     d = basis.legendre_derivative_matrix(u.k)
     dd = (d @ d).T
     c2 = u.coeffs @ dd * (2.0 / u.mesh.h_sizes[:, None]) ** 2
-    w = u.mesh.h_sizes[:, None] / (2 * np.arange(u.k + 1) + 1)
+    w = u.mesh.parseval_weights(u.k)
     return float(np.sqrt(np.sum(np.abs(c2) ** 2 * w).real))
 
 

@@ -56,9 +56,6 @@ STEP_ROUND_TOL = 1e-12  # t_end/dt this near an integer: no remainder step
 # rho(S) off a uniform mesh is bisected from an inertia count only to
 # report an unstable run; its margin and stable c carry this relative error
 RHO_BISECT_TOL = 1e-10
-# SIAC breakpoints are sums of half-integers and the offset (1 - xi0)/2
-SIAC_SUPPORT_TOL = 1e-12  # a breakpoint this near an end of the support: kept
-SIAC_PIECE_TOL = 1e-14  # a narrower piece is a duplicate break: skipped
 # basis.STIFF2_ZERO_TOL sits in basis.py, which does not import this module
 
 
@@ -83,10 +80,10 @@ class ScaledFlux:
     """Flux parameters instantiated at mesh scale h:
     alpha1 = alpha1~, beta1 = beta1~/h, beta2 = beta2~*h."""
 
-    __slots__ = ("alpha1", "beta1", "beta2", "h")
+    __slots__ = ("alpha1", "beta1", "beta2")
 
-    def __init__(self, alpha1: float, beta1: float, beta2: float, h: float):
-        self.alpha1, self.beta1, self.beta2, self.h = alpha1, beta1, beta2, h
+    def __init__(self, alpha1: float, beta1: float, beta2: float):
+        self.alpha1, self.beta1, self.beta2 = alpha1, beta1, beta2
 
 
 class AssumptionClass:
@@ -108,7 +105,7 @@ def scale_flux(cfg: FluxConfig, h: float) -> ScaledFlux:
     if not h > 0:
         raise ValueError("mesh scale h must be positive")
     return ScaledFlux(alpha1=cfg.alpha1_t, beta1=cfg.beta1_t / h,
-                      beta2=cfg.beta2_t * h, h=h)
+                      beta2=cfg.beta2_t * h)
 
 
 def interface_matrices(sf: ScaledFlux) -> tuple[np.ndarray, np.ndarray]:

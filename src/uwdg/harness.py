@@ -26,8 +26,8 @@ from .errors import (ConfigurationError, InstabilityError,
                      UwdgError)
 from .flux import FluxConfig, classify_assumption, scale_flux
 from .mesh import _is_integer, make_mesh
-from .projection import (memoized_field, plane_wave, project_l2,
-                         project_star, special_points)
+from .projection import (plane_wave, project_l2, project_star,
+                         special_points)
 from .siac import kernel_coeffs, postprocessed_error
 from .solver import DEFAULT_DT_CONSTANTS, DGOperator, integrate
 
@@ -42,7 +42,7 @@ METRIC_LABELS = {
     "estar": "E_star",
 }
 
-FIELDS = {"wave3": lambda: plane_wave(3.0), "wave1": lambda: plane_wave(1.0)}
+FIELDS = {"wave3": plane_wave(3.0), "wave1": plane_wave(1.0)}
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,10 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
     any phase, annotate the row instead of aborting the sweep; the metrics
     computed before the failure stay in the row.  A metric that does not
     exist for the case (point errors without a leading residual, E* off a
-    uniform mesh) is DNE with a note.  The metrics sample the exact field
-    through one memo per case, so each (t, d, points) is evaluated once.
+    uniform mesh) is DNE with a note.
     """
     row: dict = {"N": N, "status": "ok"}
-    f = memoized_field(FIELDS[cfg.field_name]())
+    f = FIELDS[cfg.field_name]
     mesh = make_mesh(cfg.a, cfg.b, N, cfg.mesh_kind, cfg.fraction, cfg.seed)
     cls = classify_assumption(cfg.flux, mesh, cfg.k)
     row["class"] = cls.tag

@@ -32,8 +32,7 @@ class Mesh1D:
 
     @cached_property
     def interfaces(self) -> np.ndarray:
-        """The N interfaces x_{j+1/2} = nodes[1:], one read-only view per
-        mesh."""
+        """The N interfaces x_{j+1/2} = nodes[1:], read-only."""
         return self.nodes[1:]
 
     @cached_property

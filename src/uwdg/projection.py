@@ -36,11 +36,9 @@ class DGFunction:
 
     __slots__ = ("mesh", "k", "coeffs")
 
-    def __init__(self, mesh: Mesh1D, k: int, coeffs: np.ndarray | None = None):
+    def __init__(self, mesh: Mesh1D, k: int, coeffs: np.ndarray):
         self.mesh = mesh
         self.k = k
-        if coeffs is None:
-            coeffs = np.zeros((mesh.N, k + 1), dtype=complex)
         self.coeffs = np.asarray(coeffs, dtype=complex)
         if self.coeffs.shape != (mesh.N, k + 1):
             raise ValueError("coefficient array has wrong shape")
@@ -109,29 +107,6 @@ def time_derivative_field(f: AnalyticField, r: int) -> AnalyticField:
         return (1j ** r) * f.eval(x, t, d + 2 * r)
 
     return AnalyticField(eval=_eval, d_max=f.d_max - 2 * r)
-
-
-def memoized_field(f: AnalyticField) -> AnalyticField:
-    """f with each (t, d, points) evaluated once, for read-only point
-    arrays such as the mesh's quad_points and interfaces: a repeat
-    returns the first result, read-only.  Points are matched by identity;
-    hashing their bytes would cost about as much as the evaluations it
-    saves.  The memo keeps each array alive, so no other array takes its
-    id.  Writeable points are evaluated each time.  The memo lives as
-    long as the returned field; a study makes one per case."""
-    memo: dict = {}
-
-    def _eval(x, t, d=0):
-        if not isinstance(x, np.ndarray) or x.flags.writeable:
-            return f.eval(x, t, d)
-        key = (t, d, id(x))
-        if key not in memo:
-            out = np.asarray(f.eval(x, t, d))
-            out.setflags(write=False)
-            memo[key] = (x, out)
-        return memo[key][1]
-
-    return AnalyticField(eval=_eval, d_max=f.d_max)
 
 
 def project_l2(f: AnalyticField, t: float, mesh: Mesh1D,

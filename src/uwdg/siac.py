@@ -25,7 +25,6 @@ import numpy as np
 
 from . import basis
 from .errors import UnsupportedOperationError
-from .flux import SIAC_PIECE_TOL, SIAC_SUPPORT_TOL
 from .projection import AnalyticField, DGFunction
 
 
@@ -103,13 +102,10 @@ def _stencil(spec: KernelSpec, xi0: float, n_gauss: int) -> np.ndarray:
     # z = m + (1 - xi0)/2, m integer
     shift = (1.0 - xi0) / 2.0
     cross = shift + np.arange(np.ceil(-half - shift), np.floor(half - shift) + 1)
-    # a duplicate break leaves a zero-width piece, which is skipped below
-    breaks = np.sort(np.concatenate([spec.knots(), cross]))
-    breaks = breaks[(breaks > -half - SIAC_SUPPORT_TOL)
-                    & (breaks < half + SIAC_SUPPORT_TOL)]
-    z0, z1 = breaks[:-1], breaks[1:]
-    keep = z1 - z0 >= SIAC_PIECE_TOL
-    z0, z1 = z0[keep, None], z1[keep, None]
+    # a crossing meets a knot only where shift is 0, 1/2 or 1; both are
+    # then exact, so the set merges them (np.unique would import numpy.ma)
+    breaks = np.array(sorted({*spec.knots(), *cross}))
+    z0, z1 = breaks[:-1, None], breaks[1:, None]
     rule = basis.gauss_rule(n_gauss)
     zg = 0.5 * (z0 + z1) + 0.5 * (z1 - z0) * rule.nodes
     kw = spec.eval(zg) * (0.5 * (z1 - z0) * rule.weights)

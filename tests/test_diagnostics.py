@@ -218,7 +218,7 @@ def test_observed_orders_undefined_entries():
 def test_numerical_fluxes_single_valued_consistency():
     # for a globally continuous field the fluxes equal the trace values
     mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
-    u = DGFunction(mesh, 2)
+    u = DGFunction(mesh, 2, np.zeros((8, 3), complex))
     u.coeffs[:, 0] = 3.0 + 1.0j
     uhat, uxt = numerical_fluxes(u, FluxConfig(0.3, 0.4, 0.4))
     np.testing.assert_allclose(uhat, 3.0 + 1.0j, atol=1e-14)

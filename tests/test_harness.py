@@ -167,16 +167,16 @@ class TestRunCase:
         row = run_case(cfg, 40)
         assert 0.5 <= row["ef"] / 2.02e-06 <= 2.0
 
-    @pytest.mark.parametrize("k, metrics, samples", [
+    @pytest.mark.parametrize("k, metrics, samples, distinct", [
         # Table 5 at k=2: u0 3, E_L2 1, E_P 3, E_f 2, E_c 1, points 3 = 13
-        (2, tuple(MAIN_METRICS), 9),
-        # k=3 with zeta: u0 6 (P* and w_1), the metrics 10, zeta 6 = 22
-        (3, tuple(MAIN_METRICS) + tuple(ZETA_METRICS), 15),
+        (2, tuple(MAIN_METRICS), 13, 9),
+        # k=3 with zeta: u0 6 (P* and w_1), the metrics 10, zeta's w_1 3 = 19
+        (3, tuple(MAIN_METRICS) + tuple(ZETA_METRICS), 19, 15),
     ])
-    def test_case_samples_the_exact_field_once(self, k, metrics, samples,
-                                               monkeypatch):
-        # P*u(T)'s quadrature and interface samples are E_L2's, E_c's and
-        # E_f's, and zeta's P*u(T) is E_P's
+    def test_case_samples_the_named_field(self, k, metrics, samples,
+                                          distinct, monkeypatch):
+        # P*u(T)'s quadrature and interface samples repeat E_L2's, E_c's
+        # and E_f's, and zeta reuses E_P's P*u(T)
         seen = []
         wave = plane_wave(3.0)
 
@@ -185,12 +185,12 @@ class TestRunCase:
             seen.append((t, d, x.shape, x.tobytes()))
             return wave.eval(x, t, d)
 
-        monkeypatch.setitem(FIELDS, "wave3", lambda: AnalyticField(
-            eval=counted, d_max=wave.d_max))
+        monkeypatch.setitem(FIELDS, "wave3",
+                            AnalyticField(eval=counted, d_max=wave.d_max))
         cfg = StudyConfig(k=k, Ns=(20,), flux=CENTRAL, metrics=metrics)
         row = run_case(cfg.validate(), 20)
         assert row["status"] == "ok"
-        assert len(seen) == len(set(seen)) == samples
+        assert (len(seen), len(set(seen))) == (samples, distinct)
 
     def test_case_builds_the_final_projection_once(self, monkeypatch):
         # E_P and zeta share one P*u(T); the initial data has its own
@@ -323,14 +323,16 @@ class TestCLI:
 
     def test_cold_start_loads_only_what_its_case_runs(self):
         # argparse (the CLI), fractions and decimal (never: the SIAC kernel
-        # weights are pinned) and numpy.polynomial (never) are not loaded
-        # by a study, here uniform_tables' set-up case, nor by an E* study
+        # weights are pinned), numpy.polynomial (never) and numpy.ma (np.unique
+        # loads it, ~1.3 MB) are not loaded by a study, here uniform_tables'
+        # set-up case, nor by an E* study
         code = (
             "import sys\n"
             "import uwdg.harness as h\n"
             "h.run_study(h.StudyConfig(k=2, Ns=(40,), flux=h.FluxConfig(),\n"
             "                          metrics=tuple(h.MAIN_METRICS)))\n"
-            "lazy = ('argparse', 'fractions', 'decimal', 'numpy.polynomial')\n"
+            "lazy = ('argparse', 'fractions', 'decimal', 'numpy.polynomial',\n"
+            "        'numpy.ma')\n"
             "print([m for m in lazy if m in sys.modules])\n"
             "h.run_study(h.StudyConfig(k=2, Ns=(20,), init='l2',\n"
             "                          metrics=('estar',)))\n"

@@ -15,9 +15,9 @@ from uwdg.flux import (ALTERNATING, CENTRAL, ROOT_CLUSTER_TOL, ROOT_EDGE_TOL,
 from uwdg.projection import (AnalyticField, DGFunction, LeadingResidual,
                              _footprints, _top_two_global, _top_two_local,
                              _uniform_footprints, interface_data,
-                             leading_residual, legendre_roots, memoized_field,
-                             plane_wave, project_l2, project_star,
-                             special_points, time_derivative_field)
+                             leading_residual, legendre_roots, plane_wave,
+                             project_l2, project_star, special_points,
+                             time_derivative_field)
 
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
@@ -63,7 +63,6 @@ class TestPlaneWaveField:
 
     def test_solves_the_equation(self):
         # i u_t + u_xx = 0  <=>  d_t u = i d_x^2 u
-        from uwdg.projection import time_derivative_field
         f = plane_wave(3.0)
         ft = time_derivative_field(f, 1)
         x = np.linspace(0, 2 * np.pi, 7)
@@ -74,84 +73,6 @@ class TestPlaneWaveField:
     def test_periodicity(self):
         f = plane_wave(3.0)
         assert f.eval(0.0, 1.0, 0) == pytest.approx(f.eval(2 * np.pi, 1.0, 0))
-
-
-def counting_field():
-    """plane_wave(3.0) and the list of the (t, d, points) it evaluated."""
-    base, seen = plane_wave(3.0), []
-
-    def _eval(x, t, d=0):
-        x = np.asarray(x, float)
-        seen.append((t, d, x.shape, x.tobytes()))
-        return base.eval(x, t, d)
-
-    return AnalyticField(eval=_eval, d_max=base.d_max), seen
-
-
-class TestMemoizedField:
-    @staticmethod
-    def _frozen(x):
-        x.setflags(write=False)
-        return x
-
-    def test_each_sample_evaluated_once(self):
-        f, seen = counting_field()
-        g = memoized_field(f)
-        x = self._frozen(np.linspace(0.0, 1.0, 5))
-        first = g.eval(x, 0.5, 1)
-        assert g.eval(x, 0.5, 1) is first
-        assert len(seen) == 1
-        np.testing.assert_array_equal(first, plane_wave(3.0).eval(x, 0.5, 1))
-        # another t, another derivative order or another array is not a
-        # repeat, equal points included
-        g.eval(x, 0.25, 1)
-        g.eval(x, 0.5, 0)
-        g.eval(x[:4], 0.5, 1)
-        g.eval(self._frozen(x.copy()), 0.5, 1)
-        assert len(seen) == 5
-        # writeable points may change between calls: never a repeat
-        y = x.copy()
-        g.eval(y, 0.5, 1)
-        y += 0.5
-        np.testing.assert_array_equal(g.eval(y, 0.5, 1),
-                                      plane_wave(3.0).eval(x + 0.5, 0.5, 1))
-        assert len(seen) == 7
-        # a shared result cannot be changed by one of its users
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 0.0
-
-    def test_a_freed_array_is_not_a_repeat(self):
-        # a new array may reuse a freed one's memory and id; the memo
-        # keeps its arrays alive, so that never happens to it
-        g = memoized_field(plane_wave(3.0))
-        for shift in range(20):
-            x = self._frozen(np.linspace(shift, shift + 1.0, 5))
-            np.testing.assert_array_equal(g.eval(x, 0.5, 0),
-                                          plane_wave(3.0).eval(x, 0.5, 0))
-            del x
-
-    def test_mesh_tables_are_repeats(self):
-        f, seen = counting_field()
-        g = memoized_field(f)
-        mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
-        nodes = gauss_rule(5).nodes
-        for _ in range(2):
-            g.eval(mesh.quad_points(nodes), 0.5, 0)
-            g.eval(mesh.interfaces, 0.5, 1)
-        assert len(seen) == 2
-
-    def test_time_derivatives_go_through_the_memo(self):
-        # d_t u = i u_xx: the correction's d+2 samples are shared
-        f, seen = counting_field()
-        g = memoized_field(f)
-        x = self._frozen(np.linspace(0.0, 1.0, 5))
-        ft = time_derivative_field(g, 1)
-        np.testing.assert_array_equal(ft.eval(x, 0.5, 0),
-                                      1j * plane_wave(3.0).eval(x, 0.5, 2))
-        g.eval(x, 0.5, 2)
-        ft.eval(x, 0.5, 0)
-        assert [d for _, d, _, _ in seen] == [2]
 
 
 class TestL2Projection:
@@ -165,7 +86,7 @@ class TestL2Projection:
     def test_orthogonality_to_higher_mode(self):
         # a pure degree k+1 Legendre mode projects to zero
         mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
-        hi = DGFunction(mesh, 4)
+        hi = DGFunction(mesh, 4, np.zeros((8, 5), complex))
         hi.coeffs[:, 4] = 1.0
         p = project_l2(dg_field(hi), 0.0, mesh, 3)
         np.testing.assert_allclose(p.coeffs, 0.0, atol=1e-13)

@@ -73,9 +73,9 @@ def reference_error(u_h, f, t, spec, n_quad):
 
 def random_dg(k, N, seed):
     rng = np.random.default_rng(seed)
-    u = DGFunction(uwdg.make_mesh(0, 2 * np.pi, N), k)
-    u.coeffs[:] = (rng.standard_normal(u.coeffs.shape)
-                   + 1j * rng.standard_normal(u.coeffs.shape))
+    u = DGFunction(uwdg.make_mesh(0, 2 * np.pi, N), k,
+                   rng.standard_normal((N, k + 1))
+                   + 1j * rng.standard_normal((N, k + 1)))
     return u, rng
 
 
@@ -139,7 +139,7 @@ class TestPostprocess:
 
     def test_constant_field(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 16)
-        u = DGFunction(mesh, 2)
+        u = DGFunction(mesh, 2, np.zeros((16, 3), complex))
         u.coeffs[:, 0] = 2.0 - 0.5j
         for xi0 in self.XI0:
             vals = stencil_values(u, np.arange(16), xi0)
@@ -196,7 +196,7 @@ class TestPostprocess:
 
     def test_nonuniform_mesh_rejected(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 16, "perturbed", 0.1, 3)
-        u = DGFunction(mesh, 2)
+        u = DGFunction(mesh, 2, np.zeros((16, 3), complex))
         with pytest.raises(UnsupportedOperationError):
             postprocessed_error(u, plane_wave(3.0), 0.0)
 
@@ -220,7 +220,10 @@ class TestStencilMatchesPerPointConvolution:
         spec = kernel_coeffs(k)
         cells = rng.integers(0, N, 25)
         scale = np.abs(u.coeffs).max()
-        for xi0 in np.concatenate([[-1.0, 1.0], rng.uniform(-1, 1, 5)]):
+        # a cell crossing meets a kernel knot at xi0 = +-1 for odd k and
+        # at xi0 = 0 for even k; +-0.5 put the crossings between knots
+        for xi0 in np.concatenate([[-1.0, 1.0, 0.0, 0.5, -0.5],
+                                   rng.uniform(-1, 1, 5)]):
             for ng in (None, k + 3):
                 got = stencil_values(u, cells, xi0, ng)
                 want = convolve_per_point(u, cells, xi0, spec, ng or k + 1)

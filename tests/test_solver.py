@@ -71,7 +71,7 @@ class TestBilinearForm:
     def test_constants_in_kernel(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), 2)
-        const = DGFunction(mesh, 2)
+        const = DGFunction(mesh, 2, np.zeros((8, 3), complex))
         const.coeffs[:, 0] = 2.0 - 1.0j
         assert np.abs(op.apply(const.coeffs)).max() < 1e-13
         rng = np.random.default_rng(3)
@@ -194,7 +194,7 @@ class TestTimeDerivative:
 class TestNorm:
     def test_single_mode(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 8, "perturbed", 0.2, 3)
-        u = DGFunction(mesh, 2)
+        u = DGFunction(mesh, 2, np.zeros((8, 3), complex))
         u.coeffs[3, 0] = 1.0
         assert l2_norm(u) == pytest.approx(np.sqrt(mesh.h_sizes[3]), rel=1e-14)
 
@@ -259,13 +259,13 @@ class TestRK4:
         # c = 0.04: at 0.05 this mesh is past the RK4 limit (margin 1.10)
         mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
         op = DGOperator(mesh, CENTRAL, 2)
-        u = DGFunction(mesh, 2)
+        u = DGFunction(mesh, 2, np.zeros((8, 3), complex))
         out = integrate(op, u, c=0.04, t_end=0.2)
         assert np.abs(out.u.coeffs).max() == 0.0
 
     def test_single_step_matches_taylor(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 4)
-        u = DGFunction(mesh, 2)
+        u = DGFunction(mesh, 2, np.zeros((4, 3), complex))
         u.coeffs[:, :] = 1.0 + 0.5j
         lam, dt = 2.7, 0.13
         stepped = rk4_step(_DiagonalOp(lam), u, dt)
