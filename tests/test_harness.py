@@ -192,6 +192,15 @@ class TestRunCase:
         assert row["status"] == "ok"
         assert (len(seen), len(set(seen))) == (samples, distinct)
 
+    def test_fields_are_the_plane_waves(self):
+        # each name maps to one field shared by every case
+        assert list(FIELDS) == ["wave3", "wave1"]
+        x = np.linspace(0.0, 2 * np.pi, 9)
+        for name, kappa in (("wave3", 3.0), ("wave1", 1.0)):
+            for d in range(3):
+                assert FIELDS[name].eval(x, 0.7, d).tobytes() \
+                    == plane_wave(kappa).eval(x, 0.7, d).tobytes()
+
     def test_case_builds_the_final_projection_once(self, monkeypatch):
         # E_P and zeta share one P*u(T); the initial data has its own
         times = []

@@ -75,6 +75,21 @@ class TestPlaneWaveField:
         assert f.eval(0.0, 1.0, 0) == pytest.approx(f.eval(2 * np.pi, 1.0, 0))
 
 
+class TestDGFunction:
+    def test_coefficients_are_required(self):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
+        with pytest.raises(TypeError):
+            DGFunction(mesh, 2)
+
+    def test_coefficients_of_wrong_shape_rejected(self):
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
+        for shape in ((8, 2), (7, 3), (8, 3, 1)):
+            with pytest.raises(ValueError, match="wrong shape"):
+                DGFunction(mesh, 2, np.zeros(shape))
+        u = DGFunction(mesh, 2, np.ones((8, 3)))
+        assert u.coeffs.dtype == complex
+
+
 class TestL2Projection:
     def test_reproduces_piecewise_polynomials(self):
         mesh = uwdg.make_mesh(0, 2 * np.pi, 8, "perturbed", 0.1, 2)

@@ -250,3 +250,18 @@ class TestStencilMatchesPerPointConvolution:
                        * np.abs(f.eval(x, 0.3, 0) - star) ** 2)
         assert abs(postprocessed_error(u, f, 0.3) - np.sqrt(total)) \
             < 1e-13 * np.abs(u.coeffs).max()
+
+
+def test_stencil_is_continuous_across_coincident_breaks():
+    # u* is continuous in x, so the stencil is continuous in xi0; at
+    # xi0 = 0, +-0.5 and +-1 cell crossings meet kernel knots for some k,
+    # and the merged breaks must neither drop nor repeat a piece
+    eps = 1e-9
+    for k in range(1, 7):
+        spec = kernel_coeffs(k)
+        for xi0 in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            at = _stencil(spec, xi0, k + 1)
+            for near in (xi0 - eps, xi0 + eps):
+                if abs(near) <= 1.0:
+                    np.testing.assert_allclose(_stencil(spec, near, k + 1),
+                                               at, rtol=0, atol=1e-7)
