@@ -18,7 +18,7 @@ import numpy as np
 
 from . import basis
 from .flux import FluxConfig, classify_assumption  # tracer.py patches it
-from .mesh import Mesh1D
+from .mesh import Mesh1D, _is_integer
 from .projection import (AnalyticField, DGFunction, _resolve_class,
                          _top_two, interface_data, l2_norm, project_l2,
                          project_star, time_derivative_field)
@@ -61,8 +61,7 @@ def build_correction(f: AnalyticField, t: float, mesh: Mesh1D, k: int,
     levels = max_correction_levels(k)
     if q_max is None:
         q_max = levels
-    elif (isinstance(q_max, bool) or not isinstance(q_max, (int, np.integer))
-          or not 0 <= q_max <= levels):
+    elif not (_is_integer(q_max) and 0 <= q_max <= levels):
         raise ValueError(f"q_max = {q_max!r} is not an integer in "
                          f"0..{levels} at k = {k}")
     if q_max > 0:

@@ -77,7 +77,7 @@ def _point_tables(k: int, h_j, sf: ScaledFlux):
     and the Legendre table of each set: (n_s, k+1) values of the s-th
     derivative of L_0..L_k at the n_s roots of set s."""
     pts = special_points(k, h_j, sf)
-    sets = pts.sets()
+    sets = pts.sets
     table = basis.legendre_table(k, np.concatenate(sets), ders=2)
     table.setflags(write=False)
     starts = np.cumsum([0] + [xi.size for xi in sets])
@@ -165,13 +165,11 @@ def observed_orders(errors, Ns) -> list:
 
 
 class ErrorReport:
-    """Rows of per-N metrics plus run metadata; the study runner attaches
-    orders, each metric's list aligned with rows[1:]."""
+    """Rows of per-N metrics plus run metadata; the study runner fills the
+    empty rows and orders, each metric's list aligned with rows[1:]."""
 
     __slots__ = ("meta", "metric_names", "rows", "orders")
 
-    def __init__(self, meta: dict, metric_names: list[str],
-                 rows: list[dict] | None = None, orders: dict | None = None):
+    def __init__(self, meta: dict, metric_names: list[str]):
         self.meta, self.metric_names = meta, metric_names
-        self.rows = [] if rows is None else rows
-        self.orders = {} if orders is None else orders
+        self.rows, self.orders = [], {}

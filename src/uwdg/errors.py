@@ -36,9 +36,10 @@ class InstabilityError(UwdgError):
     """RK4 time integration is unstable at this step size.
 
     Found before any step: the stability margin dt*rho(S)/(2*sqrt(2)) is
-    above 1, and c_stable = c / margin is the largest stable step
-    constant.  Or, as a backstop that a correct margin rules out, the
-    march ended with its L2 norm grown by norm_ratio."""
+    above 1, and c_stable = c / margin is the largest stable step constant
+    (none is named when rho(S) is past float64, inf or nan).  Or, as a
+    backstop that a correct margin rules out, the march ended with its L2
+    norm grown by norm_ratio."""
 
     def __init__(self, dt: float, margin: float | None = None,
                  c_stable: float | None = None,
@@ -47,7 +48,9 @@ class InstabilityError(UwdgError):
         self.margin = margin
         self.c_stable = c_stable
         self.norm_ratio = norm_ratio
-        if margin is not None:
+        if margin is not None and not math.isfinite(margin):
+            what = f"the spectral radius is past float64 at dt={dt:.6e}"
+        elif margin is not None:
             what = (f"stability margin dt*rho/(2*sqrt(2)) = {margin:.6g} > 1"
                     f" at dt={dt:.6e}; largest stable c = "
                     f"{_round_down(c_stable)}")

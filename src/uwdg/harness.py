@@ -398,7 +398,7 @@ def _cmd_points(given: dict) -> int:
     print(f"k = {k}, flux = {flux.label()}, h = {h:g}")
     print(f"b = {pts.residual.b:.12g}")
     print(f"c = {pts.residual.c:.12g}")
-    for name, arr in zip(("D0", "D1", "D2"), pts.sets()):
+    for name, arr in zip(("D0", "D1", "D2"), pts.sets):
         if arr.size:
             print(f"{name} = " + ", ".join(f"{x:.12g}" for x in arr))
         else:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 
 import numpy as np
 
@@ -12,35 +11,27 @@ from .flux import UNIFORM_TOL
 
 
 class Mesh1D:
-    """Periodic partition a = x_{1/2} < ... < x_{N+1/2} = b.
+    """Periodic partition a = x_{1/2} < ... < x_{N+1/2} = b by its nodes.
 
-    h is the largest cell size.  Cell j (0-based) spans nodes[j] ..
-    nodes[j+1], and cell N-1 meets cell 0 at x = b, identified with x = a.
-    The fields are not changed after construction; the tables below are
-    computed from them once per mesh.
+    Cell j (0-based) spans nodes[j] .. nodes[j+1], and cell N-1 meets cell
+    0 at x = b, identified with x = a.  The mesh keeps a read-only copy of
+    the nodes and computes the rest from it once: the widths h_sizes, the
+    largest width h, the cell centers, the N interfaces x_{j+1/2} =
+    nodes[1:], and is_uniform: every width equals h_sizes[0] to node
+    roundoff.  Every array it holds or returns is read-only.
     """
 
-    def __init__(self, a: float, b: float, N: int, nodes: np.ndarray,
-                 h_sizes: np.ndarray, h: float):
-        self.a, self.b, self.N, self.nodes = a, b, N, nodes
-        self.h_sizes, self.h = h_sizes, h
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        """Cell midpoints, read-only; computed once per mesh."""
-        return _read_only(0.5 * (self.nodes[:-1] + self.nodes[1:]))
-
-    @cached_property
-    def interfaces(self) -> np.ndarray:
-        """The N interfaces x_{j+1/2} = nodes[1:], read-only."""
-        return self.nodes[1:]
-
-    @cached_property
-    def is_uniform(self) -> bool:
-        """Every width equal to h_sizes[0] to node roundoff; decided once
-        per mesh."""
-        return bool(np.max(np.abs(self.h_sizes - self.h_sizes[0]))
-                    <= UNIFORM_TOL * max(abs(self.a), abs(self.b)))
+    def __init__(self, nodes: np.ndarray):
+        self.nodes = _read_only(np.array(nodes, dtype=float))
+        self.a, self.b = float(self.nodes[0]), float(self.nodes[-1])
+        self.N = len(self.nodes) - 1
+        self.h_sizes = _read_only(np.diff(self.nodes))
+        self.h = float(np.max(self.h_sizes))
+        self.centers = _read_only(0.5 * (self.nodes[:-1] + self.nodes[1:]))
+        self.interfaces = self.nodes[1:]
+        self.is_uniform = bool(np.max(np.abs(self.h_sizes - self.h_sizes[0]))
+                               <= UNIFORM_TOL * max(abs(self.a), abs(self.b)))
+        self._quad_points, self._parseval_weights = {}, {}
 
     def quad_points(self, nodes_ref: np.ndarray) -> np.ndarray:
         """Physical points of shape (N, len(nodes_ref)) for reference nodes,
@@ -53,11 +44,6 @@ class Mesh1D:
                 mid + 0.5 * self.h_sizes[:, None] * nodes_ref[None, :])
         return pts
 
-    @cached_property
-    def _quad_points(self) -> dict:
-        """quad_points by the bytes of its reference nodes."""
-        return {}
-
     def parseval_weights(self, k: int) -> np.ndarray:
         """The (N, k+1) weights h_j/(2m+1) of the Parseval norm of a
         degree-k function, read-only; computed once per mesh and k."""
@@ -66,11 +52,6 @@ class Mesh1D:
             w = self._parseval_weights[k] = _read_only(
                 self.h_sizes[:, None] / (2 * np.arange(k + 1) + 1))
         return w
-
-    @cached_property
-    def _parseval_weights(self) -> dict:
-        """parseval_weights by degree."""
-        return {}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -198,9 +179,4 @@ def make_mesh(a: float, b: float, N: int, kind: str = "uniform",
                                       fraction * h_unif, N - 1)
     nodes[0] = a
     nodes[-1] = b
-
-    h_sizes = np.diff(nodes)
-    nodes.setflags(write=False)
-    h_sizes.setflags(write=False)
-    return Mesh1D(a=float(a), b=float(b), N=N, nodes=nodes,
-                  h_sizes=h_sizes, h=float(np.max(h_sizes)))
+    return Mesh1D(nodes)

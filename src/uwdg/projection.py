@@ -100,8 +100,6 @@ def plane_wave(kappa: float = 3.0) -> AnalyticField:
 def time_derivative_field(f: AnalyticField, r: int) -> AnalyticField:
     """The r-th time derivative of an evolution field, as a spatial field:
     d_t^r u = i^r d_x^{2r} u."""
-    if r == 0:
-        return f
 
     def _eval(x, t, d=0):
         return (1j ** r) * f.eval(x, t, d + 2 * r)
@@ -258,22 +256,17 @@ class LeadingResidual:
 class SpecialPoints:
     """Reference-interval superconvergence point sets.
 
-    d0/d1/d2 are the real roots in [-1, 1] of the leading residual and its
-    first two derivatives; empty arrays mean the set does not exist (DNE).
-    For an array of cell widths the sets of every width are laid end to
-    end, and owners[s][i] is the index of the width that root i of set s
-    belongs to.  Each width's roots are sorted.
+    sets = (D0, D1, D2): sets[s] holds the real roots in [-1, 1] of the
+    s-th derivative of the leading residual; an empty array means the set
+    does not exist (DNE).  For an array of cell widths the sets of every
+    width are laid end to end, and owners[s][i] is the index of the width
+    that root i of set s belongs to.  Each width's roots are sorted.
     """
 
-    __slots__ = ("residual", "d0", "d1", "d2", "owners")
+    __slots__ = ("residual", "sets", "owners")
 
-    def __init__(self, residual: LeadingResidual, d0: np.ndarray,
-                 d1: np.ndarray, d2: np.ndarray, owners: tuple):
-        self.residual, self.owners = residual, owners
-        self.d0, self.d1, self.d2 = d0, d1, d2
-
-    def sets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.d0, self.d1, self.d2
+    def __init__(self, residual: LeadingResidual, sets: tuple, owners: tuple):
+        self.residual, self.sets, self.owners = residual, sets, owners
 
 
 def leading_residual(k: int, h_j, sf: ScaledFlux) -> LeadingResidual:
@@ -298,6 +291,9 @@ def leading_residual(k: int, h_j, sf: ScaledFlux) -> LeadingResidual:
              - (-1.0) ** (k + 1) * 2 * (k + 1) / h_j * (s - 0.25)
              + sf.beta2 / (h_j * h_j) * k * (k + 2) * (k + 1) ** 2)
     c = -c_num / den
+    if not (np.isfinite(b).all() and np.isfinite(c).all()):
+        raise ResidualUndefinedError(
+            "leading residual undefined: its b or c is not finite")
     return LeadingResidual(k=k, b=b, c=c)
 
 
@@ -394,5 +390,4 @@ def special_points(k: int, h_j, sf: ScaledFlux) -> SpecialPoints:
     owners, sets = zip(*(
         legendre_roots(res.legendre_coeffs(s).reshape(G, -1)[:, :k + 2 - s])
         for s in range(3)))
-    return SpecialPoints(residual=res, d0=sets[0], d1=sets[1], d2=sets[2],
-                         owners=owners)
+    return SpecialPoints(res, sets, owners)

@@ -29,20 +29,17 @@ from .projection import AnalyticField, DGFunction
 
 
 class KernelSpec:
-    """SIAC kernel for DG degree k: B-spline order ell = k+1, integer
-    shifts gamma in [-k, k] with symmetric weights summing to 1, support
-    half-width (3k+1)/2 in units of h."""
+    """SIAC kernel for DG degree k: symmetric weights summing to 1 at the
+    read-only integer shifts gamma = -k..k, B-spline order ell = k+1 and
+    support half-width (3k+1)/2 in units of h, all but the weights from k."""
 
-    __slots__ = ("k", "order", "shifts", "weights")
+    __slots__ = ("k", "order", "shifts", "weights", "support_halfwidth")
 
-    def __init__(self, k: int, order: int, shifts: np.ndarray,
-                 weights: np.ndarray):
-        self.k, self.order = k, order
-        self.shifts, self.weights = shifts, weights
-
-    @property
-    def support_halfwidth(self) -> float:
-        return (3 * self.k + 1) / 2.0
+    def __init__(self, k: int, weights: np.ndarray):
+        self.k, self.order, self.weights = k, k + 1, weights
+        self.shifts = np.arange(-k, k + 1)
+        self.shifts.setflags(write=False)
+        self.support_halfwidth = (3 * k + 1) / 2.0
 
     def eval(self, x) -> np.ndarray:
         """Kernel value K(x) = sum_g w_g psi^(order)(x - g)."""
@@ -82,10 +79,8 @@ def kernel_coeffs(k: int) -> KernelSpec:
         raise ValueError("kernel needs 1 <= k <= 6")
     half = _KERNEL_HALVES[k - 1]
     weights = np.array(half[:0:-1] + half)
-    shifts = np.arange(-k, k + 1)
     weights.setflags(write=False)
-    shifts.setflags(write=False)
-    return KernelSpec(k=k, order=k + 1, shifts=shifts, weights=weights)
+    return KernelSpec(k, weights)
 
 
 def _stencil(spec: KernelSpec, xi0: float, n_gauss: int) -> np.ndarray:

@@ -220,8 +220,9 @@ class _EigenMarch:
         Cm, C0, Cp = (C[0] for C in op.blocks)
         N, d = op.mesh.N, np.sqrt(op._inv_mass[0])
         w = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)[:, None, None]
-        self.lam_half, V = np.linalg.eigh(
-            d[:, None] * (C0 + w * Cp + w.conj() * Cm) * d)
+        sym = d[:, None] * (C0 + w * Cp + w.conj() * Cm) * d
+        self.lam_half, V = np.linalg.eigh(  # clamped past float64: rho inf/nan
+            sym if np.isfinite(sym).all() else np.nan_to_num(sym))
         self.V = np.concatenate([V, V[N - np.arange(N // 2 + 1, N)].conj()])
         self.fold = np.minimum(np.arange(N), N - np.arange(N))
         self.d = d
@@ -533,10 +534,13 @@ class _BandMarch:
             self.states.reverse()
 
     def rho(self, sigma: float) -> float:
-        """rho(S) if some eigenvalue of S lies outside [-sigma, sigma] (by
-        the inertia count), else sigma, which bounds it."""
+        """rho(S) if some eigenvalue of S lies outside [-sigma, sigma], else
+        sigma, which bounds it.  rho(S) = ||S||_2 is at least every |S_ij|,
+        so an entry past sigma settles it without the inertia count, in
+        which sigma I -+ S would lose sigma to roundoff."""
         bands = _symmetric_bands(self.op)
-        if not _count_outside(bands, sigma):
+        if (max(np.abs(B).max() for B in bands) <= sigma
+                and not _count_outside(bands, sigma)):
             return sigma
         return _spectral_radius(bands, sigma)
 
@@ -584,7 +588,7 @@ def integrate(op: DGOperator, u0: DGFunction, c: float,
     # takes only the truncated step, one bounded multiplication by R4
     sigma = RK4_LIMIT / dt
     rho = march.rho(sigma) if n_full else 0.0
-    if rho > sigma:
+    if not rho <= sigma:        # nan: a spectrum past float64
         raise InstabilityError(dt, rho / sigma, c * sigma / rho)
     scale = max(l2_norm(u0), 1e-300)
     # with n_full = 0, dt * lam may overflow, and R4(i dt lam)^0 is nan

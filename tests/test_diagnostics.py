@@ -125,7 +125,7 @@ def test_point_errors_perturbed_mesh_per_cell_reference():
     sums, counts = np.zeros(3), np.zeros(3)
     for j in range(mesh.N):
         hj = mesh.h_sizes[j]
-        for s, xi in enumerate(special_points(k, hj, sf).sets()):
+        for s, xi in enumerate(special_points(k, hj, sf).sets):
             x = mesh.nodes[j] + 0.5 * hj * (xi + 1.0)
             uh = sum(u_h.coeffs[j, m] * legendre_eval(m, s, xi)
                      for m in range(k + 1)) * (2.0 / hj) ** s
@@ -167,7 +167,7 @@ def test_unit_point_tables_are_unit_width_sets_read_only():
     assert _unit_point_tables(3, cfg) is _unit_point_tables(3, cfg)
     pts = special_points(3, 1.0, scale_flux(cfg, 1.0))
     for s, (xi, tab) in enumerate(zip(sets, tabs)):
-        assert xi.tobytes() == pts.sets()[s].tobytes()
+        assert xi.tobytes() == pts.sets[s].tobytes()
         np.testing.assert_array_equal(
             tab, legendre_table(3, xi, ders=2)[:, s, :])
         for a in (xi, tab):

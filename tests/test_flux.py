@@ -164,8 +164,7 @@ class TestClassification:
         # narrow cells of this dyadic mesh have Gamma_j = 0
         sizes = np.array([0.5, 0.75, 0.5, 0.75, 0.625, 0.5])
         nodes = np.concatenate([[0.0], np.cumsum(sizes)])
-        m = uwdg.Mesh1D(a=0.0, b=float(nodes[-1]), N=6, nodes=nodes,
-                        h_sizes=sizes, h=0.75)
+        m = uwdg.Mesh1D(nodes)
         cls = classify_assumption(FluxConfig(0.5, 6.0, 0.0), m, 2)
         assert cls.tag == "Unsupported"
         assert cls.warning == "Gamma_j = 0 on some cell"

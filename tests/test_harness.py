@@ -530,6 +530,29 @@ class TestCLI:
             out = capsys.readouterr().out
             assert "\n20,2.1034" in out and "# row" not in out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_flux_is_a_row_or_exit_2(self, capsys):
+        # finite flux parameters that a1^2 + b1*b2 admits but the operator
+        # or the residual cannot hold in float64; numpy warns of the overflow
+        study = ["study", "--k", "2", "--N", "16", "--init", "l2", "--tend",
+                 "0.01", "--metrics", "l2"]
+        past = "the spectral radius is past float64"
+        for flux, mesh, note in [
+                ("0.5,1e307,0", "uniform", past),
+                ("0.5,1e307,0", "perturbed:0.1:1", past),
+                ("0.5,1e300,0", "perturbed:0.1:1", "stability margin"),
+                # sigma I -+ S loses sigma to roundoff from here on
+                ("0.5,1e18,0", "perturbed:0.1:1", "stability margin")]:
+            assert main(study + ["--flux", flux, "--mesh", mesh]) == 0
+            out = capsys.readouterr().out
+            assert ("\n16,-,-\n# row N=16: error: time integration "
+                    f"unstable: {note}") in out
+        assert main(["points", "--k", "3", "--flux", "1e154,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: leading residual "
+                                "undefined: its b or c is not finite\n")
+
     def test_negative_flux_both_forms(self, capsys):
         outs = []
         for flux in (["--flux", "-0.5,0,0"], ["--flux=-0.5,0,0"]):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uwdg
-from uwdg import make_mesh
+from uwdg import Mesh1D, make_mesh
 from uwdg.errors import ConfigurationError
 from uwdg.mesh import _uniform_draws
 
@@ -133,6 +134,39 @@ def test_perturbed_case_never_imports_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_mesh_is_built_whole_from_its_nodes():
+    # every field of Mesh1D(nodes) is what make_mesh computed from the same
+    # nodes when it passed them in one by one; the seed-42 nodes are pinned
+    pinned = "e0a5cdbb536a1760ebae970495c2bdb94ac3a551c1f6a67f0bca58ddd43d649c"
+    for kind in ("uniform", "perturbed"):
+        built = make_mesh(0, 2 * np.pi, 160, kind, 0.1, seed=42)
+        nodes = np.array(built.nodes)
+        if kind == "perturbed":
+            assert hashlib.sha256(nodes.tobytes()).hexdigest() == pinned
+            assert built.h == 0.0466193134414965
+        sizes = np.diff(nodes)
+        given = nodes.copy()
+        mesh = Mesh1D(given)
+        given[1:-1] = 1.0           # the caller's array is not the mesh's
+        for m in (built, mesh):
+            assert (m.a, m.b, m.N) == (0.0, 2 * np.pi, 160)
+            assert type(m.N) is int and type(m.h) is float
+            assert m.h == float(np.max(sizes))
+            assert m.is_uniform == (kind == "uniform")
+            for got, want in ((m.nodes, nodes), (m.h_sizes, sizes),
+                              (m.centers, 0.5 * (nodes[:-1] + nodes[1:])),
+                              (m.interfaces, nodes[1:])):
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 0.0
+    # the dyadic mesh the flux and projection tests build by hand
+    sizes = np.array([0.5, 0.75, 0.5, 0.75, 0.625, 0.5])
+    m = Mesh1D(np.concatenate([[0.0], np.cumsum(sizes)]))
+    assert (m.a, m.b, m.N, m.h) == (0.0, 3.625, 6, 0.75)
+    assert m.h_sizes.tobytes() == sizes.tobytes() and not m.is_uniform
 
 
 def test_bad_cell_count_quoted_as_given():

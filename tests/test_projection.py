@@ -345,8 +345,7 @@ class TestLocalVariant:
         # only; dyadic widths keep the nodes exact
         sizes = np.array([0.5, 0.75, 0.5, 0.75, 0.625, 0.5])
         nodes = np.concatenate([[0.0], np.cumsum(sizes)])
-        mesh = uwdg.Mesh1D(a=0.0, b=float(nodes[-1]), N=6, nodes=nodes,
-                           h_sizes=sizes, h=0.75)
+        mesh = uwdg.Mesh1D(nodes)
         with pytest.raises(ProjectionUndefinedError,
                            match="undefined on cell 1:"):
             self._solve(mesh)
@@ -433,20 +432,20 @@ class TestSpecialPoints:
         pts = special_points(3, 1.0, scale_flux(CENTRAL, 1.0))
         lobatto4 = np.array([-1.0, -1 / np.sqrt(5), 1 / np.sqrt(5), 1.0])
         gauss3 = np.array([-np.sqrt(3 / 5), 0.0, np.sqrt(3 / 5)])
-        np.testing.assert_allclose(pts.d0, lobatto4, atol=1e-10)
-        np.testing.assert_allclose(pts.d1, gauss3, atol=1e-10)
-        np.testing.assert_allclose(pts.d2, lobatto4[1:3], atol=1e-10)
+        np.testing.assert_allclose(pts.sets[0], lobatto4, atol=1e-10)
+        np.testing.assert_allclose(pts.sets[1], gauss3, atol=1e-10)
+        np.testing.assert_allclose(pts.sets[2], lobatto4[1:3], atol=1e-10)
 
     def test_dne_cases(self):
         pts = special_points(2, 1.0, scale_flux(FluxConfig(0.3, 0.4, 0.4), 1.0))
-        assert pts.d1.size == 0          # no first-derivative points
+        assert pts.sets[1].size == 0    # no first-derivative points
         pts2 = special_points(2, 1.0, scale_flux(FluxConfig(0.25, 2, 0), 1.0))
-        assert pts2.d2.size == 0         # no second-derivative points
+        assert pts2.sets[2].size == 0   # no second-derivative points
 
     def test_roots_are_polished(self):
         for cfg in FLUX_FAMILIES:
             pts = special_points(3, 0.7, scale_flux(cfg, 0.7))
-            for s, xi in enumerate(pts.sets()):
+            for s, xi in enumerate(pts.sets):
                 if xi.size:
                     vals = residual_eval(pts.residual, xi, s)
                     assert np.abs(vals).max() < 1e-10
@@ -462,10 +461,10 @@ class TestSpecialPoints:
         # the tables run (k = 2, 3; roundoff in b and c moves some
         # central roots at k >= 4 by a few ulps)
         cfg = FluxConfig(*flux)
-        unit = special_points(k, 1.0, scale_flux(cfg, 1.0)).sets()
+        unit = special_points(k, 1.0, scale_flux(cfg, 1.0)).sets
         for N in (10, 33, 640, 4096):
             h = uwdg.make_mesh(0, 2 * np.pi, N).h
-            at_h = special_points(k, h, scale_flux(cfg, h)).sets()
+            at_h = special_points(k, h, scale_flux(cfg, h)).sets
             for a, b in zip(unit, at_h):
                 assert a.size == b.size
                 ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
@@ -483,9 +482,9 @@ class TestSpecialPoints:
                 pts = special_points(k, 1.0, scale_flux(cfg, 1.0))
             except ResidualUndefinedError:
                 continue
-            assert pts.d0.size >= k - 1
+            assert pts.sets[0].size >= k - 1
             if k >= 3:
-                assert pts.d1.size >= k - 2
+                assert pts.sets[1].size >= k - 2
             checked += 1
         assert checked > 40
 
@@ -649,7 +648,7 @@ class TestBatchedRoots:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uwdg.projection, "leading_residual", lambda *a: res)
             pts = special_points(k, np.ones(len(b)), scale_flux(CENTRAL, 1.0))
-        for s, (xi, owner) in enumerate(zip(pts.sets(), pts.owners)):
+        for s, (xi, owner) in enumerate(zip(pts.sets, pts.owners)):
             rows, roots = legendre_roots(res.legendre_coeffs(s)[:, :k + 2 - s])
             np.testing.assert_array_equal(owner, rows)
             np.testing.assert_array_equal(xi, roots)
@@ -663,7 +662,7 @@ class TestBatchedRoots:
         h = widths[0] if len(widths) == 1 else np.array(widths)
         pts = special_points(k, h, sf)
         res = leading_residual(k, h, sf)
-        for s, (xi, owner) in enumerate(zip(pts.sets(), pts.owners)):
+        for s, (xi, owner) in enumerate(zip(pts.sets, pts.owners)):
             rows, roots = legendre_roots(
                 res.legendre_coeffs(s).reshape(len(widths), -1)[:, :k + 2 - s])
             np.testing.assert_array_equal(owner, rows)
@@ -684,9 +683,9 @@ class TestBatchedRoots:
             assume(False)
         for g, hj in enumerate(widths):
             one = special_points(k, hj, sf)
-            for s, (xi, owner) in enumerate(zip(batch.sets(), batch.owners)):
-                np.testing.assert_array_equal(xi[owner == g], one.sets()[s])
+            for s, (xi, owner) in enumerate(zip(batch.sets, batch.owners)):
+                np.testing.assert_array_equal(xi[owner == g], one.sets[s])
                 want = _real_roots_in_reference(
                     one.residual.legendre_coeffs(s)[:k + 2 - s])
-                np.testing.assert_allclose(one.sets()[s], want,
+                np.testing.assert_allclose(one.sets[s], want,
                                            rtol=0, atol=1e-7)

@@ -83,10 +83,17 @@ class TestKernelWeights:
     def test_hashed_by_identity(self):
         # a spec is compared by identity, not by its arrays
         spec = kernel_coeffs(2)
-        twin = KernelSpec(spec.k, spec.order, spec.shifts, spec.weights)
+        twin = KernelSpec(spec.k, spec.weights)
         assert spec != twin
         assert hash(spec) == object.__hash__(spec)
         assert len({spec, twin, spec}) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_order_and_shifts_follow_the_degree(self, k):
+        spec = kernel_coeffs(k)
+        assert spec.order == k + 1
+        np.testing.assert_array_equal(spec.shifts, np.arange(-k, k + 1))
+        assert not spec.shifts.flags.writeable
 
     def test_built_once_per_degree_and_read_only(self):
         spec = kernel_coeffs(3)
