@@ -11,6 +11,7 @@ periodic solve, and the DFT solver for the latter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -149,6 +150,7 @@ def gamma_lambda(sf: ScaledFlux, k: int, h_j):
     return gamma, lam
 
 
+@lru_cache(maxsize=1)
 def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClass:
     """Decide A1 / A2 / A3 / Unsupported for this flux, mesh and degree.
 
@@ -159,7 +161,12 @@ def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClas
     != 1, or |Gamma/Lambda| < 1 with
     ((-1)^{k+1} Gamma/Lambda + sqrt((Gamma/Lambda)^2 - 1))^N != 1 in
     complex arithmetic.  Near-resonant configurations are reported
-    Unsupported with a warning rather than silently solved.
+    Unsupported with a warning rather than silently solved, and so is a
+    Gamma or Lambda past float64.
+
+    One result is cached: a case classifies its flux on its mesh once
+    for the row, once per projection and once per correction, and a
+    Mesh1D hashes by identity and does not change.
     """
     if k < 2:
         raise ValueError("classification needs k >= 2")
@@ -168,9 +175,15 @@ def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClas
     diag: dict = {"alpha1^2+beta1*beta2": s, "N": mesh.N, "k": k}
 
     if abs(s - 0.25) <= A1_TOL:
-        gammas = gamma_lambda(sf, k, mesh.h_sizes)[0]
+        # a Gamma_j past float64 is refused below, by its scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            gammas = gamma_lambda(sf, k, mesh.h_sizes)[0]
         scale = np.abs(gammas).max() + 1.0 / mesh.h
         diag["min|Gamma_j|*h"] = float(np.abs(gammas).min() * mesh.h)
+        if not math.isfinite(scale):
+            return AssumptionClass("Unsupported", diag,
+                                   warning="Gamma_j is past float64 on "
+                                           "some cell")
         if np.all(np.abs(gammas) > GAMMA_ZERO_TOL * scale):
             return AssumptionClass("A1", diag)
         return AssumptionClass("Unsupported", diag,
@@ -183,6 +196,10 @@ def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClas
 
     gamma, lam = gamma_lambda(sf, k, mesh.h)
     diag["Gamma*h"], diag["Lambda*h"] = gamma * mesh.h, lam * mesh.h
+    if not (math.isfinite(gamma) and math.isfinite(lam)):
+        return AssumptionClass("Unsupported", diag,
+                               warning="Gamma or Lambda is past float64: "
+                                       "Gamma/Lambda undefined")
     if abs(lam) <= LAMBDA_ZERO_TOL * (abs(gamma) + 1.0 / mesh.h):
         return AssumptionClass("Unsupported", diag,
                                warning="Lambda = 0: Gamma/Lambda undefined")

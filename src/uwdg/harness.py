@@ -42,7 +42,9 @@ METRIC_LABELS = {
     "estar": "E_star",
 }
 
-FIELDS = {"wave3": plane_wave(3.0), "wave1": plane_wave(1.0)}
+#: the exact fields by name: each is the plane_wave of this wavenumber,
+#: built anew for each case (run_case)
+FIELDS = {"wave3": 3.0, "wave1": 1.0}
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def run_case(cfg: StudyConfig, N: int) -> dict:
     uniform mesh) is DNE with a note.
     """
     row: dict = {"N": N, "status": "ok"}
-    f = FIELDS[cfg.field_name]
+    f = plane_wave(FIELDS[cfg.field_name])
     mesh = make_mesh(cfg.a, cfg.b, N, cfg.mesh_kind, cfg.fraction, cfg.seed)
     cls = classify_assumption(cfg.flux, mesh, cfg.k)
     row["class"] = cls.tag

@@ -88,11 +88,27 @@ class AnalyticField:
 
 
 def plane_wave(kappa: float = 3.0) -> AnalyticField:
-    """Periodic plane wave exp(i kappa (x - kappa t)) on [0, 2 pi]."""
+    """Periodic plane wave exp(i kappa (x - kappa t)) on [0, 2 pi].
+
+    A derivative order only scales the phase exp(i kappa (x - kappa t)) by
+    (i kappa)^d, so the field keeps the phase of each read-only points
+    array (a mesh's quad_points and interfaces) at each t, with the array
+    itself, so that its id is not reused; writable points are evaluated on
+    every call.  Build one field per case: it holds the phases of every
+    mesh it has seen."""
+    phases: dict = {}
 
     def _eval(x, t, d=0):
         x = np.asarray(x, dtype=float)
-        return (1j * kappa) ** d * np.exp(1j * kappa * (x - kappa * t))
+        if x.flags.writeable:
+            phase = np.exp(1j * kappa * (x - kappa * t))
+        else:
+            held = phases.get((t, id(x)))
+            if held is None:
+                held = phases[t, id(x)] = (
+                    x, np.exp(1j * kappa * (x - kappa * t)))
+            phase = held[1]
+        return (1j * kappa) ** d * phase
 
     return AnalyticField(eval=_eval, d_max=10 ** 6)
 
@@ -161,19 +177,26 @@ def _top_two_local(mesh: Mesh1D, k: int, cfg: FluxConfig,
     """
     sf = scale_flux(cfg, mesh.h)
     F = sum(_footprints(k, sf, mesh.h_sizes))
-    G, H = interface_matrices(sf)
-    data = iface @ G.T + np.roll(iface, 1, axis=0) @ H.T
     AB = F[:, :, k - 1:]
-    det = AB[:, 0, 0] * AB[:, 1, 1] - AB[:, 0, 1] * AB[:, 1, 0]
-    bad = np.flatnonzero(np.abs(det) <= LOCAL_DET_TOL
-                         * (np.abs(AB).max(axis=(1, 2)) ** 2 + 1e-300))
+    # det with each row divided by its largest entry: it cannot overflow,
+    # its roundoff is a few ulps whatever the rows' scales, and a zero row
+    # gives nan, which is singular too
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = AB / np.abs(AB).max(axis=2, keepdims=True)
+    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    bad = np.flatnonzero(~(np.abs(det) > LOCAL_DET_TOL))
     if bad.size:
         j = int(bad[0])
+        (a, b), (c, d) = AB[j].tolist()
         raise ProjectionUndefinedError(
             f"cell-local projection undefined on cell {j}: "
             f"(-1)**(k+1) * Gamma_j/Lambda_j == 1 "
-            f"(det(A_j+B_j) = {det[j]:.3e})")
-    r = data - (F[:, :, : k - 1] @ low_coeffs[:, : k - 1, None])[:, :, 0]
+            f"(det(A_j+B_j) = {a * d - b * c:.3e})")
+    G, H = interface_matrices(sf)
+    # a flux past float64 overflows the data, and the march reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = iface @ G.T + np.roll(iface, 1, axis=0) @ H.T
+        r = data - (F[:, :, : k - 1] @ low_coeffs[:, : k - 1, None])[:, :, 0]
     return np.linalg.solve(AB, r[:, :, None])[:, :, 0]
 
 

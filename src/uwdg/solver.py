@@ -583,19 +583,26 @@ def integrate(op: DGOperator, u0: DGFunction, c: float,
     n_steps = n_full + (rem > 0.0)
     if not n_steps:
         return IntegrationResult(u=u0.copy(), dt=dt, n_steps=0)
-    march = (_EigenMarch if op.mesh.is_uniform else _BandMarch)(op, u0.coeffs)
     # the verdict is on the repeated step dt: a run shorter than one step
-    # takes only the truncated step, one bounded multiplication by R4
+    # takes only the truncated step, one bounded multiplication by R4.  An
+    # operator past float64 overflows its spectrum, and rho is inf or nan
     sigma = RK4_LIMIT / dt
-    rho = march.rho(sigma) if n_full else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        march = (_EigenMarch if op.mesh.is_uniform
+                 else _BandMarch)(op, u0.coeffs)
+        rho = march.rho(sigma) if n_full else 0.0
     if not rho <= sigma:        # nan: a spectrum past float64
         raise InstabilityError(dt, rho / sigma, c * sigma / rho)
     scale = max(l2_norm(u0), 1e-300)
-    # with n_full = 0, dt * lam may overflow, and R4(i dt lam)^0 is nan
     if n_full:
         march.advance(n_full, dt)
-    if rem > 0.0:
-        march.advance(1, rem)
+        if rem > 0.0:
+            march.advance(1, rem)
+    else:
+        # R4(i dt lam)^0 would be nan; this one step is not judged, so
+        # dt * lam may overflow, and the backstop below says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            march.advance(1, rem)
     u = DGFunction(op.mesh, op.k, march.coeffs())
     nrm = l2_norm(u)
     if not nrm <= BLOWUP_FACTOR * scale:

@@ -232,6 +232,49 @@ class TestClassification:
             m = uwdg.make_mesh(0, 2 * np.pi, N)
             assert classify_assumption(cfg, m, 2).tag == "Unsupported"
 
+    @pytest.mark.parametrize("flux, mesh_kind, note", [
+        # a1 = 1e154: Gamma and Lambda are -inf, not Lambda = 0
+        (FluxConfig(1e154, 0, 0), "uniform",
+         "Gamma or Lambda is past float64: Gamma/Lambda undefined"),
+        # b1~ = 1.7e308 over h < 1: Gamma_j is inf, not 0
+        (FluxConfig(0.5, 1.7e308, 0), "uniform",
+         "Gamma_j is past float64 on some cell"),
+        (FluxConfig(0.5, 0, 1.7e308), "perturbed",
+         "Gamma_j is past float64 on some cell"),
+    ])
+    def test_gamma_lambda_past_float64(self, flux, mesh_kind, note):
+        m = uwdg.make_mesh(0, 2 * np.pi, 16, mesh_kind, 0.1, 1)
+        with np.errstate(all="raise"):
+            cls = classify_assumption(flux, m, 3)
+        assert (cls.tag, cls.warning) == ("Unsupported", note)
+
+    def test_a_case_classifies_once(self):
+        # the row, both P* and both corrections of a k=3 MAIN+ZETA case
+        # share one classification
+        from uwdg.harness import (MAIN_METRICS, ZETA_METRICS, StudyConfig,
+                                  run_case)
+        cfg = StudyConfig(k=3, Ns=(20,), t_end=0.05,
+                          metrics=tuple(MAIN_METRICS) + tuple(ZETA_METRICS))
+        before = classify_assumption.cache_info()
+        assert run_case(cfg.validate(), 20)["status"] == "ok"
+        after = classify_assumption.cache_info()
+        assert (after.misses - before.misses,
+                after.hits - before.hits) == (1, 4)
+
+    def test_each_mesh_flux_and_degree_has_its_own_class(self):
+        m = uwdg.make_mesh(0, 2 * np.pi, 16)
+        twin = uwdg.Mesh1D(m.nodes)
+        cls = classify_assumption(CENTRAL, m, 3)
+        assert classify_assumption(CENTRAL, m, 3) is cls
+        for other, tag in [((CENTRAL, twin, 3), "A2"),
+                           ((ALTERNATING, m, 3), "A1"),
+                           ((CENTRAL, m, 2), "A2")]:
+            got = classify_assumption(*other)
+            assert got is not cls
+            assert classify_assumption(*other) is got
+            fresh = classify_assumption.__wrapped__(*other)
+            assert (got.tag, got.diagnostics) == (tag, fresh.diagnostics)
+
 
 class TestBlockCirculant:
     def test_identity(self):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -176,30 +177,49 @@ class TestRunCase:
     def test_case_samples_the_named_field(self, k, metrics, samples,
                                           distinct, monkeypatch):
         # P*u(T)'s quadrature and interface samples repeat E_L2's, E_c's
-        # and E_f's, and zeta reuses E_P's P*u(T)
-        seen = []
-        wave = plane_wave(3.0)
+        # and E_f's, and zeta reuses E_P's P*u(T); the case builds its
+        # field, which takes one exponential per points array and t: the
+        # quadrature points and interfaces at 0 and T, and the three
+        # point sets
+        seen, built, exps = [], [], []
 
-        def counted(x, t, d=0):
-            x = np.asarray(x, float)
-            seen.append((t, d, x.shape, x.tobytes()))
-            return wave.eval(x, t, d)
+        def counted_wave(kappa):
+            built.append(kappa)
+            wave = plane_wave(kappa)
 
-        monkeypatch.setitem(FIELDS, "wave3",
-                            AnalyticField(eval=counted, d_max=wave.d_max))
+            def counted(x, t, d=0):
+                seen.append((t, d, np.shape(x),
+                             np.asarray(x, float).tobytes()))
+                return wave.eval(x, t, d)
+
+            return AnalyticField(eval=counted, d_max=wave.d_max)
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, z):
+                exps.append(z)
+                return np.exp(z)
+
+        monkeypatch.setattr(uwdg.harness, "plane_wave", counted_wave)
+        monkeypatch.setattr(uwdg.projection, "np", CountedNumpy())
         cfg = StudyConfig(k=k, Ns=(20,), flux=CENTRAL, metrics=metrics)
         row = run_case(cfg.validate(), 20)
         assert row["status"] == "ok"
+        assert built == [3.0]
         assert (len(seen), len(set(seen))) == (samples, distinct)
+        assert len(exps) == 7
 
     def test_fields_are_the_plane_waves(self):
-        # each name maps to one field shared by every case
-        assert list(FIELDS) == ["wave3", "wave1"]
+        # each name maps to the wavenumber of the plane wave a case builds
+        assert list(FIELDS.items()) == [("wave3", 3.0), ("wave1", 1.0)]
         x = np.linspace(0.0, 2 * np.pi, 9)
-        for name, kappa in (("wave3", 3.0), ("wave1", 1.0)):
+        for kappa in FIELDS.values():
             for d in range(3):
-                assert FIELDS[name].eval(x, 0.7, d).tobytes() \
-                    == plane_wave(kappa).eval(x, 0.7, d).tobytes()
+                assert plane_wave(kappa).eval(x, 0.7, d).tobytes() == (
+                    (1j * kappa) ** d * np.exp(1j * kappa * (x - kappa * 0.7))
+                ).tobytes()
 
     def test_case_builds_the_final_projection_once(self, monkeypatch):
         # E_P and zeta share one P*u(T); the initial data has its own
@@ -552,6 +572,41 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == ("configuration error: leading residual "
                                 "undefined: its b or c is not finite\n")
+
+    @pytest.mark.parametrize("argv, note", [
+        (["--k", "3", "--N", "8", "--flux", "1e154,0,0", "--tend", "0.001"],
+         "unsupported: Gamma or Lambda is past float64: Gamma/Lambda "
+         "undefined"),
+        (["--k", "2", "--N", "16", "--flux", "0.5,1.7e308,0"],
+         "unsupported: Gamma_j is past float64 on some cell"),
+        # det(A_j+B_j) = 5.093e+307 is not singular: the march says why
+        (["--k", "2", "--N", "16", "--flux", "0.5,1e307,0"],
+         "error: time integration unstable: the spectral radius is past "
+         "float64"),
+    ])
+    def test_overflow_is_named_as_overflow(self, argv, note, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["study", "--tend", "0.01", *argv,
+                         "--metrics", "l2"]) == 0
+        captured = capsys.readouterr()
+        assert f"\n# row N={argv[3]}: {note}" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("mesh", ["uniform", "perturbed:0.1:1"])
+    @pytest.mark.parametrize("flux", ["0.5,1e307,0", "0.5,1e300,0",
+                                      "0.5,0,1.7e308", "0.5,-1e307,0"])
+    def test_overflow_writes_no_numpy_warning(self, flux, mesh, capsys):
+        # each row names the fault in words; numpy's overflow is expected
+        for k, init in (("2", "l2"), ("3", "uI")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["study", "--k", k, "--N", "8,16", "--flux",
+                             flux, "--mesh", mesh, "--init", init, "--tend",
+                             "0.01", "--metrics", "l2,ef,ep"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out.count("\n# row N=") == 2
+            assert captured.err == ""
 
     def test_negative_flux_both_forms(self, capsys):
         outs = []

@@ -74,6 +74,61 @@ class TestPlaneWaveField:
         f = plane_wave(3.0)
         assert f.eval(0.0, 1.0, 0) == pytest.approx(f.eval(2 * np.pi, 1.0, 0))
 
+    @staticmethod
+    def counted_exps(monkeypatch) -> list:
+        """The arguments of every np.exp that uwdg.projection takes."""
+        exps = []
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, z):
+                exps.append(z)
+                return np.exp(z)
+
+        monkeypatch.setattr(uwdg.projection, "np", CountedNumpy())
+        return exps
+
+    @staticmethod
+    def closed_form(kappa, x, t, d):
+        return (1j * kappa) ** d * np.exp(1j * kappa * (x - kappa * t))
+
+    @pytest.mark.parametrize("kappa", [3.0, 1.0])
+    def test_one_phase_per_read_only_points_and_t(self, kappa, monkeypatch):
+        exps = self.counted_exps(monkeypatch)
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 12, "perturbed", 0.1, 3)
+        quad = mesh.quad_points(gauss_rule(5).nodes)
+        free = np.linspace(0.1, 6.0, 7)
+        f = plane_wave(kappa)
+        for t in (0.0, 0.37):
+            for _ in range(2):
+                for x in (quad, mesh.interfaces, free):
+                    for d in range(5):
+                        assert f.eval(x, t, d).tobytes() \
+                            == self.closed_form(kappa, x, t, d).tobytes()
+        # one per read-only array and t; the writable points every call
+        assert len(exps) == 2 * 2 + 2 * 2 * 5
+        free += 0.25                # a writable array is read anew
+        assert f.eval(free, 0.37, 2).tobytes() \
+            == self.closed_form(kappa, free, 0.37, 2).tobytes()
+        assert f.eval(mesh.interfaces, 1.5, 1).tobytes() \
+            == self.closed_form(kappa, mesh.interfaces, 1.5, 1).tobytes()
+        assert len(exps) == 4 + 20 + 2
+
+    def test_time_derivative_reads_the_phase(self, monkeypatch):
+        exps = self.counted_exps(monkeypatch)
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 8)
+        x = mesh.quad_points(gauss_rule(4).nodes)
+        f = plane_wave(3.0)
+        f.eval(x, 0.2, 0)
+        for r in (1, 2):
+            for d in range(3):
+                assert time_derivative_field(f, r).eval(x, 0.2, d).tobytes() \
+                    == ((1j ** r) * self.closed_form(3.0, x, 0.2, d + 2 * r)
+                        ).tobytes()
+        assert len(exps) == 1
+
 
 class TestDGFunction:
     def test_coefficients_are_required(self):
