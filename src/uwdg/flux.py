@@ -234,28 +234,19 @@ def classify_assumption(cfg: FluxConfig, mesh: Mesh1D, k: int) -> AssumptionClas
 
 
 def symbol_conds(a, b, c, d) -> np.ndarray:
-    """2-norm condition numbers sigma1/sigma2 of the 2x2 blocks
-    [[a, b], [c, d]], one per entry of the four equal-shape arrays.
-
-    sigma1^2 and sigma2^2 are the eigenvalues of M M^H = [[p, q], [q*, r]],
-    so sigma1^2 = (F^2 + sqrt(F^4 - 4|det|^2)) / 2 with F^2 = p + r, the
-    squared Frobenius norm, and cond = sigma1^2 / |det|.  The root is taken
-    of (p - r)^2 + 4|q|^2, which equals F^4 - 4|det|^2 without cancelling
-    when sigma1 ~ sigma2.  Each block is first divided by its largest
-    entry, so the squares cannot overflow.  A zero or non-finite det gives
-    inf or nan.
-    """
+    """||M||_F^2 / |det M| of the 2x2 blocks M = [[a, b], [c, d]], one per
+    entry of the four equal-shape arrays: (sigma1^2 + sigma2^2) /
+    (sigma1 sigma2) = cond + 1/cond, with cond = sigma1/sigma2 the 2-norm
+    condition number, so at least cond and at most cond + 1.  Each block is
+    first divided by its largest entry, so the squares cannot overflow.  A
+    zero or non-finite det gives inf or nan."""
     with np.errstate(divide="ignore", invalid="ignore"):
         top = np.maximum(np.maximum(np.abs(a), np.abs(b)),
                          np.maximum(np.abs(c), np.abs(d)))
         a, b, c, d = a / top, b / top, c / top, d / top
-    p = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
-    r = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
-    q = a * c.conj() + b * d.conj()
-    sig1_sq = 0.5 * (p + r + np.sqrt((p - r) ** 2
-                                     + 4 * (q.real ** 2 + q.imag ** 2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return sig1_sq / np.abs(a * d - b * c)
+        return ((a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
+                 + c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2)
+                / np.abs(a * d - b * c))
 
 
 @lru_cache(maxsize=1)

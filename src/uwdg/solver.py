@@ -18,6 +18,7 @@ stage-by-stage step, is the reference the tests compare both against.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -69,7 +70,8 @@ class DGOperator:
             raise ValueError("solver needs k >= 2")
         self.mesh = mesh
         self.k = k
-        G, H = interface_matrices(scale_flux(cfg, mesh.h))
+        sf = scale_flux(cfg, mesh.h)
+        G, H = interface_matrices(sf)
         # the kept rows, and the rows of their left and right neighbours
         if mesh.is_uniform:
             hj = mesh.h_sizes[[-1, 0, 1]]
@@ -79,6 +81,10 @@ class DGOperator:
             rows, prev = slice(None), np.arange(-1, mesh.N - 1)
             nxt = np.arange(1, mesh.N + 1) % mesh.N
         R, L = trace_maps(k, hj)
+        # G, H entries are at most g, trace entries r: blocks under 16 g r^2
+        g = max(abs(sf.alpha1) + 0.5, abs(sf.beta1), abs(sf.beta2))
+        h_min = mesh.h if mesh.is_uniform else float(hj.min())
+        r = max(1.0, k * (k + 1) / h_min)
         Rj, Lj, hj = R[rows], L[rows], hj[rows]
         # test-side pairings of (uhat, uxt): R^T J at the right endpoint,
         # -L^T J at the left, with J = [[0, 1], [-1, 0]]
@@ -86,9 +92,16 @@ class DGOperator:
         pair_r = Rj.transpose(0, 2, 1) @ J
         pair_l = -Lj.transpose(0, 2, 1) @ J
         stiff2 = basis.reference_matrices(k)
-        C0 = ((2.0 / hj)[:, None, None] * stiff2
-              + pair_r @ G @ Rj + pair_l @ H @ Lj)
-        self.blocks = (pair_l @ G @ R[prev], C0, pair_r @ H @ L[nxt])
+
+        def blocks():
+            C0 = ((2.0 / hj)[:, None, None] * stiff2
+                  + pair_r @ G @ Rj + pair_l @ H @ Lj)
+            return pair_l @ G @ R[prev], C0, pair_r @ H @ L[nxt]
+        if math.isfinite(16 * g * r * r):
+            self.blocks = blocks()
+        else:       # may overflow: the row names the fault in words
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.blocks = blocks()
         self._inv_mass = (2 * np.arange(k + 1) + 1) / hj[:, None]
 
     def _cells(self, a: np.ndarray) -> np.ndarray:
@@ -310,12 +323,13 @@ HALO = REACH // GROUP   # row blocks a product reads past its own, per side
 ROUND = 4               # products per barrier of a march in several parts
 # a march runs in the most parts, at most the cores, in which each part
 # owns more than GIL_OUTPUTS output rows (numpy 2.4's matmul holds the
-# GIL for 500 outputs or fewer) and takes MIN_PART_MACS complex
-# multiply-adds a product (640 KB of band) to pay for its barrier.  On 2
-# cores, two parts against one: k=2 at N=640 0.69, k=4 at N=240 0.75,
-# k=6 at N=160 0.79, k=3 at N=256 0.97; k=5 at N=160 1.11, k=3 N=160 1.59
+# GIL for 500 outputs or fewer) and takes at least MIN_PART_MACS complex
+# multiply-adds a product (800 KB of band) to pay for its barrier: in two
+# timing sets on 2 vCPUs (256 products) two parts over one won from 57.6k
+# (k=2 N=640, k=4 N=240, k=6 N=160: 0.70-0.90, 0.77-0.84), and at 40k-46k
+# (k=3 N=256, 288, k=2 N=448) read 1.04-1.15 and 0.85-0.96; k=5 N=160 1.11
 GIL_OUTPUTS = 500
-MIN_PART_MACS = 40_000
+MIN_PART_MACS = 50_000
 # an advance of at most SHORT_ADVANCE products takes one part: the halo
 # rows of its band and the threads cost more than the parts gain.  Timed
 # on 2 vCPUs (advance alone, min of 8 alternating runs, three rounds) at
@@ -360,18 +374,16 @@ def _two_step_rows(P: np.ndarray, b0: int, b1: int) -> np.ndarray:
     is 0 plus its terms in the order of a.
 
     The rows are built in pieces of at most BUILD_BLOCKS row blocks, cut
-    every BUILD_BLOCKS from b0 and before ring row blocks 0, 1 and
-    N//4 - 1.  A piece of n row blocks from c reads one window W of P,
-    cells 4c-4 .. 4(c+n)+3: its cells are W[4:4n+4] and their neighbours
-    at a W[4+a:4n+4+a], views.  A piece from 1 up to the next ring cut has
-    its window inside the ring, a view of P; any other piece has at most
-    two row blocks, whose 16-cell window is gathered into wrap.  For each
-    a, one matmul writes the products into a skewed view of the scratch S
-    at the columns of a = -4 (slot i from i cells in), and S is added to
-    the rows, flat, (a + 4)(k+1) entries on, where the columns of a lie in
-    every row.  Both operands of the sum are contiguous, so numpy
-    allocates no buffer for it.  S is -0.0 but in those columns: x + -0.0
-    is x, bit for bit."""
+    every BUILD_BLOCKS from b0 and at the ring's end, so that rows past
+    cell N-1 end a piece.  A piece of n row blocks from c reads one window
+    W of P, cells 4c-4 .. 4(c+n)+3 around the ring, gathered into one
+    buffer: its cells are W[4:4n+4] and their neighbours at a
+    W[4+a:4n+4+a], views.  For each a, one matmul writes the products into
+    a skewed view of the scratch S at the columns of a = -4 (slot i from i
+    cells in), and S is added to the rows, flat, (a + 4)(k+1) entries on,
+    where the columns of a lie in every row.  Both operands of the sum are
+    contiguous, so numpy allocates no buffer for it.  S is -0.0 but in
+    those columns: x + -0.0 is x, bit for bit."""
     N, kp1 = P.shape[:2]
     n_blocks = -(-N // GROUP)
     shape = (b1 - b0, GROUP * kp1, (GROUP + 2 * REACH) * kp1)
@@ -380,20 +392,16 @@ def _two_step_rows(P: np.ndarray, b0: int, b1: int) -> np.ndarray:
     Q = raw[(-raw.ctypes.data // 16) % 4:][:np.prod(shape)].reshape(shape)
     S = np.full((min(BUILD_BLOCKS, shape[0]),) + shape[1:],
                 complex(-0.0, -0.0))
-    wrap = np.empty((4 * GROUP,) + P.shape[1:], dtype=complex)
-    cuts = {0, 1 % n_blocks, (N // GROUP - 1) % n_blocks}
+    window = np.empty((GROUP * (len(S) + 2),) + P.shape[1:], dtype=complex)
     s0, srow, sc = S.strides
     band = as_strided(S, shape=(len(S), GROUP, kp1, 9 * kp1),
                       strides=(s0, kp1 * (srow + sc), srow, sc))
     c = b0
     while c < b1:
         r = c % n_blocks
-        n = min(min((x - r - 1) % n_blocks + 1 for x in cuts), b1 - c,
-                BUILD_BLOCKS - (c - b0) % BUILD_BLOCKS)
-        lo = GROUP * r - GROUP
-        hi = lo + GROUP * (n + 2)
-        W = (P[lo:hi] if 0 <= lo and hi <= N else P.take(
-            np.arange(lo, hi), axis=0, out=wrap[:hi - lo], mode="wrap"))
+        n = min(n_blocks - r, b1 - c, BUILD_BLOCKS - (c - b0) % BUILD_BLOCKS)
+        W = P.take(np.arange(GROUP * (r - 1), GROUP * (r + n + 1)), axis=0,
+                   out=window[:GROUP * (n + 2)], mode="wrap")
         own = W[GROUP:GROUP * (n + 1)].reshape(n, GROUP, kp1, -1)
         q, s = Q[c - b0:c - b0 + n].reshape(-1), S[:n].reshape(-1)
         for a in range(9):

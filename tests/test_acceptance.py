@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line (run with -s to see them).  Desk scale: k <= 4, N <= 640."""
 
+import dataclasses
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,30 +37,51 @@ TABLE_K3_N40 = {"l2": 1.71e-5, "ep": 1.02e-6, "euxx": 5.49e-3,
                 "efx": 3.07e-6, "ec": 0.5 * 2.03e-6}
 
 
+# the benchmark's correctness gate, pure Python: each reference study
+# below is also checked against the benchmark's golden rows at seed 42
+_spec = importlib.util.spec_from_file_location(
+    "gate", Path(__file__).resolve().parents[1] / "perfbench" / "gate.py")
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
+
+
 def _report(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def _check_golden(workload, study, cfg, rep):
+    """The report, in the benchmark worker's table layout, passes the
+    gate against the golden rows of the workload at seed 42."""
+    table = {"k": cfg.k, "length": cfg.b - cfg.a, "Ns": list(cfg.Ns),
+             "metrics": list(cfg.metrics), "rows": rep.rows,
+             "orders": rep.orders}
+    golden = gate.load_golden(workload, 42)
+    assert golden is not None
+    assert gate.check_table(study, table, golden) == {}
 
 
 def _finest(report, metric):
     return report.orders[metric][-1]
 
 
+CENTRAL_K2 = StudyConfig(k=2, Ns=(40, 80, 160, 320, 640), flux=CENTRAL,
+                         metrics=tuple(MAIN_METRICS))
+CENTRAL_K3 = StudyConfig(k=3, Ns=(20, 40, 80, 160), flux=CENTRAL,
+                         metrics=tuple(MAIN_METRICS) + tuple(ZETA_METRICS))
+
+
 @pytest.fixture(scope="module")
 def central_k2():
-    cfg = StudyConfig(k=2, Ns=(40, 80, 160, 320, 640), flux=CENTRAL,
-                      metrics=tuple(MAIN_METRICS))
     t0 = time.perf_counter()
-    rep = run_study(cfg)
+    rep = run_study(CENTRAL_K2)
     rep.meta["elapsed"] = time.perf_counter() - t0
     return rep
 
 
 @pytest.fixture(scope="module")
 def central_k3():
-    cfg = StudyConfig(k=3, Ns=(20, 40, 80, 160), flux=CENTRAL,
-                      metrics=tuple(MAIN_METRICS) + tuple(ZETA_METRICS))
-    return run_study(cfg)
+    return run_study(CENTRAL_K3)
 
 
 def test_criterion_1_table5_k2(central_k2):
@@ -79,6 +103,7 @@ def test_criterion_1_table5_k2(central_k2):
     _report(1, ok, "central k=2 finest orders " + " ".join(details)
             + f"; E_P(320)={ep320:.3e} ({ratio:.2f}x of {TABLE_K2_N320['ep']:.2e}); "
             f"runtime {elapsed:.1f}s < 180s")
+    _check_golden("uniform_tables", "table5_k2", CENTRAL_K2, rep)
 
 
 def test_criterion_2_table5_k3(central_k3):
@@ -96,6 +121,7 @@ def test_criterion_2_table5_k3(central_k3):
     ok &= 0.5 <= ratio <= 2.0
     _report(2, ok, "central k=3 finest orders " + " ".join(details)
             + f"; E_f(40)={ef40:.3e} ({ratio:.2f}x of {TABLE_K3_N40['ef']:.2e})")
+    _check_golden("uniform_tables", "table5_k3", CENTRAL_K3, rep)
 
 
 @pytest.mark.parametrize("study, N, expected", [
@@ -118,6 +144,7 @@ def test_criterion_3_table2_perturbed():
     ok = 5.5 <= o_ef <= 6.5 and 5.5 <= o_ep <= 6.5
     _report(3, ok, f"alternating perturbed k=3: E_f order {o_ef:.2f}, "
                    f"E_P order {o_ep:.2f} (bands [5.5, 6.5], seed 42)")
+    _check_golden("perturbed_march", "table2_k3_perturbed", cfg, rep)
 
 
 def test_criterion_4_table6_zeta():
@@ -133,6 +160,7 @@ def test_criterion_4_table6_zeta():
     _report(4, ok, f"central k=3 zeta orders: ||zeta_xx|| {o_xx:.2f} "
                    f"[5.6,6.4], Ejump {o_j:.2f} [7.2,9.2], "
                    f"Ejump_x {o_jx:.2f} [6.2,8.5]")
+    _check_golden("uniform_tables", "table6_zeta", cfg, rep)
 
 
 def test_criterion_5_table7_a3():
@@ -145,13 +173,14 @@ def test_criterion_5_table7_a3():
     _report(5, ok, f"A3 flux (0.25, 5/h, 0) k=3: classes {sorted(classes)}, "
                    f"E_f order {o_ef:.2f} [5.6,6.4], L2 order {o_l2:.2f} "
                    f"[3.8,4.4]")
+    _check_golden("uniform_tables", "table7_a3", cfg, rep)
 
 
 def test_criterion_6_table8_siac():
-    rep2 = run_study(StudyConfig(k=2, Ns=(20, 40, 80, 160), flux=CENTRAL,
-                                 init="l2", metrics=("estar",)))
-    rep3 = run_study(StudyConfig(k=3, Ns=(20, 40, 80, 160), flux=CENTRAL,
-                                 init="l2", metrics=("estar",)))
+    cfg2 = StudyConfig(k=2, Ns=(20, 40, 80, 160), flux=CENTRAL, init="l2",
+                       metrics=("estar",))
+    cfg3 = dataclasses.replace(cfg2, k=3)
+    rep2, rep3 = run_study(cfg2), run_study(cfg3)
     o2, o3 = _finest(rep2, "estar"), _finest(rep3, "estar")
     e2 = rep2.rows[-1]["estar"]
     ratio = e2 / 1.44e-05
@@ -159,6 +188,8 @@ def test_criterion_6_table8_siac():
     _report(6, ok, f"SIAC init=P0: k=2 E* order {o2:.2f} >= 3.7, "
                    f"k=3 E* order {o3:.2f} >= 6.0, "
                    f"E*(k=2,160)={e2:.3e} ({ratio:.2f}x of 1.44e-05)")
+    _check_golden("siac_post", "table8_k2", cfg2, rep2)
+    _check_golden("siac_post", "table8_k3", cfg3, rep3)
 
 
 def test_criterion_7_property_suite():

@@ -595,7 +595,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("mesh", ["uniform", "perturbed:0.1:1"])
     @pytest.mark.parametrize("flux", ["0.5,1e307,0", "0.5,1e300,0",
-                                      "0.5,0,1.7e308", "0.5,-1e307,0"])
+                                      "0.5,0,1.7e308", "0.5,-1e307,0",
+                                      "0.5,0,1e307"])
     def test_overflow_writes_no_numpy_warning(self, flux, mesh, capsys):
         # each row names the fault in words; numpy's overflow is expected
         for k, init in (("2", "l2"), ("3", "uI")):
@@ -607,6 +608,29 @@ class TestCLI:
             captured = capsys.readouterr()
             assert captured.out.count("\n# row N=") == 2
             assert captured.err == ""
+
+    @pytest.mark.parametrize("argv, line", [
+        ("--k 2 --N 40,80,160 --metrics eu,eux,euxx",
+         re.escape("160,3.405044E-02,1.97,5.688529E-04,2.98,1.446092E-05,"
+                   "3.96")),
+        ("--k 4 --metrics l2", r"40,7\.32[0-9]*E-07,4\.84"),
+        ("--k 3 --N 20,40 --flux 0.25,5,0 --tend 0.01 --metrics l2,ep,zeta",
+         r"40,3\.92[0-9]*E-05,4\.40,2\.99[0-9]*E-07,6\.60,2\.13[0-9]*E-08,"
+         r"6\.66"),
+        ("--k 3 --N 20,40 --init l2 --metrics estar",
+         r"40,2\.609910E-06,7\.61"),
+        ("--k 3 --N 20,40 --metrics ep,eu,ec,zeta",
+         r"40,1\.024442E-06,6\.16,5\.388617E-06,5\.14,1\.013940E-06,6\.12,"
+         r"1\.016821E-06,6\.16"),
+    ], ids=["k2-eu", "k4-l2", "k3-a3-zeta", "k3-estar", "k3-ep-zeta"])
+    def test_pinned_study_rows(self, argv, line, capsys):
+        # a row of each study that the reference tables pin, whole
+        assert main(["study", *argv.split()]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert any(re.fullmatch(line, text) for text in lines)
+        assert not any(text.startswith("# row") for text in lines)
+        assert captured.err == ""
 
     def test_negative_flux_both_forms(self, capsys):
         outs = []
