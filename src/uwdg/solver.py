@@ -18,7 +18,6 @@ stage-by-stage step, is the reference the tests compare both against.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 
@@ -81,10 +80,6 @@ class DGOperator:
             rows, prev = slice(None), np.arange(-1, mesh.N - 1)
             nxt = np.arange(1, mesh.N + 1) % mesh.N
         R, L = trace_maps(k, hj)
-        # G, H entries are at most g, trace entries r: blocks under 16 g r^2
-        g = max(abs(sf.alpha1) + 0.5, abs(sf.beta1), abs(sf.beta2))
-        h_min = mesh.h if mesh.is_uniform else float(hj.min())
-        r = max(1.0, k * (k + 1) / h_min)
         Rj, Lj, hj = R[rows], L[rows], hj[rows]
         # test-side pairings of (uhat, uxt): R^T J at the right endpoint,
         # -L^T J at the left, with J = [[0, 1], [-1, 0]]
@@ -92,16 +87,12 @@ class DGOperator:
         pair_r = Rj.transpose(0, 2, 1) @ J
         pair_l = -Lj.transpose(0, 2, 1) @ J
         stiff2 = basis.reference_matrices(k)
-
-        def blocks():
+        # a flux past float64 may overflow the blocks: the row names the
+        # fault in words
+        with np.errstate(over="ignore", invalid="ignore"):
             C0 = ((2.0 / hj)[:, None, None] * stiff2
                   + pair_r @ G @ Rj + pair_l @ H @ Lj)
-            return pair_l @ G @ R[prev], C0, pair_r @ H @ L[nxt]
-        if math.isfinite(16 * g * r * r):
-            self.blocks = blocks()
-        else:       # may overflow: the row names the fault in words
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.blocks = blocks()
+            self.blocks = pair_l @ G @ R[prev], C0, pair_r @ H @ L[nxt]
         self._inv_mass = (2 * np.arange(k + 1) + 1) / hj[:, None]
 
     def _cells(self, a: np.ndarray) -> np.ndarray:
@@ -604,11 +595,10 @@ def integrate(op: DGOperator, u0: DGFunction, c: float,
     scale = max(l2_norm(u0), 1e-300)
     if n_full:
         march.advance(n_full, dt)
-        if rem > 0.0:
-            march.advance(1, rem)
-    else:
-        # R4(i dt lam)^0 would be nan; this one step is not judged, so
-        # dt * lam may overflow, and the backstop below says so
+    if rem > 0.0:
+        # the verdict on dt bounds this step, except in a run shorter than
+        # dt: there it is not judged, so rem * lam may overflow, and the
+        # backstop below says so
         with np.errstate(over="ignore", invalid="ignore"):
             march.advance(1, rem)
     u = DGFunction(op.mesh, op.k, march.coeffs())

@@ -1,7 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
-line (run with -s to see them).  Desk scale: k <= 4, N <= 640."""
+line (run with -s to see them).  Desk scale: k <= 4, N <= 640.
 
-import dataclasses
+Criteria 1-6 run the benchmark's reference studies at seed 42
+(perfbench/workloads.py) and check them against the benchmark's gate
+(perfbench/gate.py): its finest-pair order bands, pinned magnitudes and
+expected flux classes, then its golden rows."""
+
 import importlib.util
 import time
 from pathlib import Path
@@ -9,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import row_digest
 import uwdg
 from oracles import legendre_eval
 from uwdg.flux import (ALTERNATING, CENTRAL, FluxConfig, gamma_lambda,
                        scale_flux)
-from uwdg.harness import MAIN_METRICS, ZETA_METRICS, StudyConfig, run_study
+from uwdg.harness import run_study
 from uwdg.projection import (DGFunction, _footprints, plane_wave, project_l2,
                              project_star)
 from uwdg.siac import kernel_coeffs
@@ -22,27 +27,43 @@ from uwdg.solver import DGOperator
 FLUX_FAMILIES = [CENTRAL, ALTERNATING, FluxConfig(0.3, 0.4, 0.4),
                  FluxConfig(0.25, 5, 0)]
 
+
+def _perfbench(name):
+    """A module of the benchmark, loaded from its file (both are pure
+    Python over uwdg)."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gate, workloads = _perfbench("gate"), _perfbench("workloads")
+
+# study -> (workload, config), in the order of BENCHMARK.json's workloads
+STUDIES = {name: (workload, cfg)
+           for workload in ("perturbed_march", "uniform_tables", "siac_post",
+                            "perturbed_short")
+           for name, cfg in workloads.studies(workload, 42)}
+
+
+def _pins(study):
+    return {metric: ref for _, metric, ref, _, _ in gate.PINS[study]}
+
+
 # Published central-flux rows.  The harness reproduces the error
 # magnitudes to a fraction of a percent column by column (the point-value
 # error E_u differs by ~4% from the endpoint-counting convention, and the
 # reported cell-average error is half the published one, which carries a
 # factor 2 relative to its own defining formula).  These frozen rows pin
 # the whole pipeline: projection, initialization, time marching, and
-# every metric.
-TABLE_K2_N320 = {"l2": 5.99e-6, "ep": 9.01e-7, "euxx": 8.57e-3,
-                 "eux": 7.14e-5, "eu": 9.10e-7, "ef": 9.01e-7,
-                 "efx": 3.00e-6, "ec": 0.5 * 1.80e-6}
+# every metric.  The gate pins E_P at N=320 and E_f at N=40.
+TABLE_K2_N320 = {"l2": 5.99e-6, "euxx": 8.57e-3, "eux": 7.14e-5,
+                 "eu": 9.10e-7, "ef": 9.01e-7, "efx": 3.00e-6,
+                 "ec": 0.5 * 1.80e-6, **_pins("table5_k2")}
 TABLE_K3_N40 = {"l2": 1.71e-5, "ep": 1.02e-6, "euxx": 5.49e-3,
-                "eux": 2.04e-4, "eu": 5.17e-6, "ef": 1.02e-6,
-                "efx": 3.07e-6, "ec": 0.5 * 2.03e-6}
-
-
-# the benchmark's correctness gate, pure Python: each reference study
-# below is also checked against the benchmark's golden rows at seed 42
-_spec = importlib.util.spec_from_file_location(
-    "gate", Path(__file__).resolve().parents[1] / "perfbench" / "gate.py")
-gate = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gate)
+                "eux": 2.04e-4, "eu": 5.17e-6, "efx": 3.07e-6,
+                "ec": 0.5 * 2.03e-6, **_pins("table5_k3")}
 
 
 def _report(num, ok, detail):
@@ -50,9 +71,47 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _check_golden(workload, study, cfg, rep):
+@pytest.fixture(scope="module")
+def run():
+    """run(study) -> (report, seconds) of a reference study, run once a
+    module."""
+    done = {}
+
+    def run(study):
+        if study not in done:
+            t0 = time.perf_counter()
+            rep = run_study(STUDIES[study][1])
+            done[study] = rep, time.perf_counter() - t0
+        return done[study]
+    return run
+
+
+def _gate_line(label, study, rep):
+    """(ok, detail) of the study's finest-pair order bands, pinned
+    magnitudes and expected flux class, as the gate states them."""
+    ok, details = True, []
+    for metric, (lo, hi) in gate.BANDS[study].items():
+        o = rep.orders[metric][-1]
+        ok &= lo <= o <= hi
+        details.append(f"{metric} order {o:.2f} "
+                       + (f">= {lo}" if hi == np.inf else f"[{lo}, {hi}]"))
+    for N, metric, ref, lo, hi in gate.PINS.get(study, ()):
+        value, = (r[metric] for r in rep.rows if r["N"] == N)
+        ratio = value / ref
+        ok &= lo <= ratio <= hi
+        details.append(f"{metric}({N})={value:.3e} ({ratio:.2f}x of "
+                       f"{ref:.2e}, [{lo:.2f}, {hi:.2f}])")
+    if study in gate.CLASSES:
+        classes = sorted({r["class"] for r in rep.rows})
+        ok &= classes == [gate.CLASSES[study]]
+        details.append(f"classes {classes}")
+    return ok, f"{label}: " + ", ".join(details)
+
+
+def _check_golden(study, rep):
     """The report, in the benchmark worker's table layout, passes the
-    gate against the golden rows of the workload at seed 42."""
+    gate against the golden rows of its workload at seed 42."""
+    workload, cfg = STUDIES[study]
     table = {"k": cfg.k, "length": cfg.b - cfg.a, "Ns": list(cfg.Ns),
              "metrics": list(cfg.metrics), "rows": rep.rows,
              "orders": rep.orders}
@@ -61,135 +120,70 @@ def _check_golden(workload, study, cfg, rep):
     assert gate.check_table(study, table, golden) == {}
 
 
-def _finest(report, metric):
-    return report.orders[metric][-1]
+def _criterion(num, run, *studies):
+    """Criterion num: each (label, study) meets its bands, pins and class,
+    then passes the gate against its golden rows."""
+    reps = {study: run(study)[0] for _, study in studies}
+    lines = [_gate_line(label, study, reps[study]) for label, study in studies]
+    _report(num, all(ok for ok, _ in lines), "; ".join(d for _, d in lines))
+    for study, rep in reps.items():
+        _check_golden(study, rep)
 
 
-CENTRAL_K2 = StudyConfig(k=2, Ns=(40, 80, 160, 320, 640), flux=CENTRAL,
-                         metrics=tuple(MAIN_METRICS))
-CENTRAL_K3 = StudyConfig(k=3, Ns=(20, 40, 80, 160), flux=CENTRAL,
-                         metrics=tuple(MAIN_METRICS) + tuple(ZETA_METRICS))
+def test_criterion_1_table5_k2(run):
+    rep, elapsed = run("table5_k2")
+    ok, detail = _gate_line("central k=2", "table5_k2", rep)
+    _report(1, ok and elapsed < 180.0,
+            f"{detail}; runtime {elapsed:.1f}s < 180s")
+    _check_golden("table5_k2", rep)
 
 
-@pytest.fixture(scope="module")
-def central_k2():
-    t0 = time.perf_counter()
-    rep = run_study(CENTRAL_K2)
-    rep.meta["elapsed"] = time.perf_counter() - t0
-    return rep
+def test_criterion_2_table5_k3(run):
+    _criterion(2, run, ("central k=3", "table5_k3"))
 
 
-@pytest.fixture(scope="module")
-def central_k3():
-    return run_study(CENTRAL_K3)
+def test_criterion_3_table2_perturbed(run):
+    _criterion(3, run, ("alternating perturbed k=3, seed 42",
+                        "table2_k3_perturbed"))
 
 
-def test_criterion_1_table5_k2(central_k2):
-    rep = central_k2
-    bands = {"l2": (2.8, 3.2), "ep": (3.7, 4.3), "ef": (3.7, 4.3),
-             "ec": (3.7, 4.3), "eu": (3.7, 4.3), "eux": (2.7, 3.3),
-             "euxx": (1.7, 2.3)}
-    details = []
-    ok = True
-    for metric, (lo, hi) in bands.items():
-        o = _finest(rep, metric)
-        ok &= lo <= o <= hi
-        details.append(f"{metric}={o:.2f}")
-    ep320 = rep.rows[3]["ep"]
-    ratio = ep320 / TABLE_K2_N320["ep"]
-    ok &= 0.5 <= ratio <= 2.0
-    elapsed = rep.meta["elapsed"]
-    ok &= elapsed < 180.0
-    _report(1, ok, "central k=2 finest orders " + " ".join(details)
-            + f"; E_P(320)={ep320:.3e} ({ratio:.2f}x of {TABLE_K2_N320['ep']:.2e}); "
-            f"runtime {elapsed:.1f}s < 180s")
-    _check_golden("uniform_tables", "table5_k2", CENTRAL_K2, rep)
+def test_criterion_4_table6_zeta(run):
+    # orders checked at the finest pair of {20,40,80}: the reference
+    # table's own jump columns hit roundoff beyond N = 80
+    _criterion(4, run, ("central k=3 zeta", "table6_zeta"))
 
 
-def test_criterion_2_table5_k3(central_k3):
-    rep = central_k3
-    bands = {"l2": (3.8, 4.2), "ep": (5.7, 6.3), "ef": (5.7, 6.3),
-             "eu": (4.7, 5.3), "euxx": (2.7, 3.3)}
-    details = []
-    ok = True
-    for metric, (lo, hi) in bands.items():
-        o = _finest(rep, metric)
-        ok &= lo <= o <= hi
-        details.append(f"{metric}={o:.2f}")
-    ef40 = rep.rows[1]["ef"]
-    ratio = ef40 / TABLE_K3_N40["ef"]
-    ok &= 0.5 <= ratio <= 2.0
-    _report(2, ok, "central k=3 finest orders " + " ".join(details)
-            + f"; E_f(40)={ef40:.3e} ({ratio:.2f}x of {TABLE_K3_N40['ef']:.2e})")
-    _check_golden("uniform_tables", "table5_k3", CENTRAL_K3, rep)
+def test_criterion_5_table7_a3(run):
+    _criterion(5, run, ("A3 flux (0.25, 5/h, 0) k=3", "table7_a3"))
+
+
+def test_criterion_6_table8_siac(run):
+    _criterion(6, run, ("SIAC init=P0 k=2", "table8_k2"),
+               ("SIAC init=P0 k=3", "table8_k3"))
 
 
 @pytest.mark.parametrize("study, N, expected", [
-    ("central_k2", 320, TABLE_K2_N320),
-    ("central_k3", 40, TABLE_K3_N40),
+    ("table5_k2", 320, TABLE_K2_N320),
+    ("table5_k3", 40, TABLE_K3_N40),
 ], ids=["k2-N320", "k3-N40"])
-def test_central_flux_row_magnitudes(study, N, expected, request):
-    row, = (r for r in request.getfixturevalue(study).rows if r["N"] == N)
+def test_central_flux_row_magnitudes(study, N, expected, run):
+    row, = (r for r in run(study)[0].rows if r["N"] == N)
     for metric, ref in expected.items():
         tol = 0.15 if metric == "eu" else 0.10
         assert row[metric] == pytest.approx(ref, rel=tol), metric
 
 
-def test_criterion_3_table2_perturbed():
-    cfg = StudyConfig(k=3, Ns=(20, 40, 80, 160), flux=ALTERNATING,
-                      mesh_kind="perturbed", fraction=0.1, seed=42,
-                      metrics=("ef", "ep"))
-    rep = run_study(cfg)
-    o_ef, o_ep = _finest(rep, "ef"), _finest(rep, "ep")
-    ok = 5.5 <= o_ef <= 6.5 and 5.5 <= o_ep <= 6.5
-    _report(3, ok, f"alternating perturbed k=3: E_f order {o_ef:.2f}, "
-                   f"E_P order {o_ep:.2f} (bands [5.5, 6.5], seed 42)")
-    _check_golden("perturbed_march", "table2_k3_perturbed", cfg, rep)
-
-
-def test_criterion_4_table6_zeta():
-    # orders checked at the finest pair of {20,40,80}: the reference
-    # table's own jump columns hit roundoff beyond N = 80
-    cfg = StudyConfig(k=3, Ns=(20, 40, 80), flux=CENTRAL,
-                      metrics=tuple(ZETA_METRICS))
-    rep = run_study(cfg)
-    o_xx = _finest(rep, "zetaxx")
-    o_j = _finest(rep, "zetajump")
-    o_jx = _finest(rep, "zetaxjump")
-    ok = (5.6 <= o_xx <= 6.4 and 7.2 <= o_j <= 9.2 and 6.2 <= o_jx <= 8.5)
-    _report(4, ok, f"central k=3 zeta orders: ||zeta_xx|| {o_xx:.2f} "
-                   f"[5.6,6.4], Ejump {o_j:.2f} [7.2,9.2], "
-                   f"Ejump_x {o_jx:.2f} [6.2,8.5]")
-    _check_golden("uniform_tables", "table6_zeta", cfg, rep)
-
-
-def test_criterion_5_table7_a3():
-    cfg = StudyConfig(k=3, Ns=(20, 40, 80, 160), flux=FluxConfig(0.25, 5, 0),
-                      metrics=("l2", "ef"))
-    rep = run_study(cfg)
-    classes = {r["class"] for r in rep.rows}
-    o_ef, o_l2 = _finest(rep, "ef"), _finest(rep, "l2")
-    ok = classes == {"A3"} and 5.6 <= o_ef <= 6.4 and 3.8 <= o_l2 <= 4.4
-    _report(5, ok, f"A3 flux (0.25, 5/h, 0) k=3: classes {sorted(classes)}, "
-                   f"E_f order {o_ef:.2f} [5.6,6.4], L2 order {o_l2:.2f} "
-                   f"[3.8,4.4]")
-    _check_golden("uniform_tables", "table7_a3", cfg, rep)
-
-
-def test_criterion_6_table8_siac():
-    cfg2 = StudyConfig(k=2, Ns=(20, 40, 80, 160), flux=CENTRAL, init="l2",
-                       metrics=("estar",))
-    cfg3 = dataclasses.replace(cfg2, k=3)
-    rep2, rep3 = run_study(cfg2), run_study(cfg3)
-    o2, o3 = _finest(rep2, "estar"), _finest(rep3, "estar")
-    e2 = rep2.rows[-1]["estar"]
-    ratio = e2 / 1.44e-05
-    ok = o2 >= 3.7 and o3 >= 6.0 and (1 / 3 <= ratio <= 3)
-    _report(6, ok, f"SIAC init=P0: k=2 E* order {o2:.2f} >= 3.7, "
-                   f"k=3 E* order {o3:.2f} >= 6.0, "
-                   f"E*(k=2,160)={e2:.3e} ({ratio:.2f}x of 1.44e-05)")
-    _check_golden("siac_post", "table8_k2", cfg2, rep2)
-    _check_golden("siac_post", "table8_k3", cfg3, rep3)
+def test_row_digest(run):
+    # every row, order and meta item of the reference studies, bit for bit
+    # on the build the digest was taken on
+    here = row_digest.build()
+    differ = {key: here.get(key) for key, value in row_digest.BUILD.items()
+              if here.get(key) != value}
+    if differ:
+        pytest.skip(f"the row digest holds for {row_digest.BUILD}; this "
+                    f"build differs in {differ}")
+    reports = [run(study)[0] for study in STUDIES]
+    assert row_digest.digest(reports) == row_digest.SHA256
 
 
 def test_criterion_7_property_suite():

@@ -379,8 +379,9 @@ class TestCLI:
 
     def test_uniform_estar_study_needs_no_eigvalsh_and_no_fractions(self):
         # the Gauss rules and the kernel weights are pinned tables, so a
-        # uniform E* study runs with eigvalsh refused and loads neither
-        # fractions nor decimal; its row is the one made in this process
+        # uniform E* study and the k=6 kernel run with eigvalsh refused and
+        # load neither fractions nor decimal; the study's row is the one
+        # made in this process
         code = (
             "import sys\n"
             "import numpy as np\n"
@@ -391,11 +392,14 @@ class TestCLI:
             "row, = h.run_study(h.StudyConfig(k=3, Ns=(20,), init='l2',\n"
             "                                 metrics=('estar',))).rows\n"
             "print(row['status'], row['estar'].hex())\n"
+            "h.main(['kernel', '--k', '6'])\n"
             "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n")
         row, = run_study(StudyConfig(k=3, Ns=(20,), init="l2",
                                      metrics=("estar",))).rows
-        assert _python_m("-c", code).stdout.splitlines() == [
-            f"ok {row['estar'].hex()}", "[]"]
+        lines = _python_m("-c", code).stdout.splitlines()
+        assert lines[0] == f"ok {row['estar'].hex()}"
+        assert lines[1].startswith("k = 6, ") and lines[-2] == "sum = 1"
+        assert lines[-1] == "[]"
 
     def test_points_central_k3(self, capsys):
         assert main(["points", "--k", "3", "--flux", "0,0,0"]) == 0
@@ -493,6 +497,8 @@ class TestCLI:
         # N = 2^53 - 1: numpy refuses the 64 PiB of nodes at once
         ["study", "--k", "2", "--N", "9007199254740991", "--tend", "0",
          "--metrics", "l2"],
+        ["study", "--k", "2", "--N", "9223372036854775807", "--tend", "0",
+         "--metrics", "l2"],
     ], ids=["tend-nan", "tend-negative", "c-negative", "c-inf", "flux-nan",
             "kernel-k0", "points-k1", "flux-overflow", "config-missing",
             "qmax-negative", "qmax-above-levels", "metrics-empty", "kernel-k7",
@@ -500,7 +506,8 @@ class TestCLI:
             "points-h-overflow", "run-two-n",
             "mesh-negative-seed", "out-directory", "config-directory",
             "unknown-flag", "kernel-no-k", "steps-not-finite", "dt-underflow",
-            "band-step-cap", "eigen-step-cap", "case-out-of-memory"])
+            "band-step-cap", "eigen-step-cap", "case-out-of-memory",
+            "n-int64-max"])
     def test_rejected_input_exit_code(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -544,16 +551,24 @@ class TestCLI:
                          r"(\S+) > 1 at dt=\S+; largest stable c = (\S+)\n",
                          out)
         assert note and 1.0002 < float(note[1]) < 1.0004
-        assert 0.009 < float(note[2]) < 0.0093
+        assert note[2].startswith("0.0092")
         for c in ("0.009", note[2]):
             assert main(argv + ["--c", c]) == 0
             out = capsys.readouterr().out
             assert "\n20,2.1034" in out and "# row" not in out
+        # the band march's verdict on a perturbed mesh
+        assert main(["study", "--k", "3", "--N", "20", "--mesh",
+                     "perturbed:0.1:0", "--flux", "0.5,0,0", "--c", "1",
+                     "--metrics", "l2"]) == 0
+        assert re.search(r"\n# row N=20: error: time integration unstable: "
+                         r"stability margin .* = 85\.24[0-9]* > 1 .*; "
+                         r"largest stable c = 0\.0117",
+                         capsys.readouterr().out)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_flux_is_a_row_or_exit_2(self, capsys):
         # finite flux parameters that a1^2 + b1*b2 admits but the operator
-        # or the residual cannot hold in float64; numpy warns of the overflow
+        # or the residual cannot hold in float64; numpy's overflow is
+        # expected, and it raises no warning
         study = ["study", "--k", "2", "--N", "16", "--init", "l2", "--tend",
                  "0.01", "--metrics", "l2"]
         past = "the spectral radius is past float64"
@@ -563,11 +578,15 @@ class TestCLI:
                 ("0.5,1e300,0", "perturbed:0.1:1", "stability margin"),
                 # sigma I -+ S loses sigma to roundoff from here on
                 ("0.5,1e18,0", "perturbed:0.1:1", "stability margin")]:
-            assert main(study + ["--flux", flux, "--mesh", mesh]) == 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(study + ["--flux", flux, "--mesh", mesh]) == 0
             out = capsys.readouterr().out
             assert ("\n16,-,-\n# row N=16: error: time integration "
                     f"unstable: {note}") in out
-        assert main(["points", "--k", "3", "--flux", "1e154,0,0"]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["points", "--k", "3", "--flux", "1e154,0,0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("configuration error: leading residual "
@@ -599,7 +618,7 @@ class TestCLI:
                                       "0.5,0,1e307"])
     def test_overflow_writes_no_numpy_warning(self, flux, mesh, capsys):
         # each row names the fault in words; numpy's overflow is expected
-        for k, init in (("2", "l2"), ("3", "uI")):
+        for k, init in (("2", "l2"), ("2", "uI"), ("3", "uI")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert main(["study", "--k", k, "--N", "8,16", "--flux",
@@ -622,9 +641,17 @@ class TestCLI:
         ("--k 3 --N 20,40 --metrics ep,eu,ec,zeta",
          r"40,1\.024442E-06,6\.16,5\.388617E-06,5\.14,1\.013940E-06,6\.12,"
          r"1\.016821E-06,6\.16"),
-    ], ids=["k2-eu", "k4-l2", "k3-a3-zeta", "k3-estar", "k3-ep-zeta"])
+        ("--k 2 --N 8,16 --tend 0.01 --metrics l2",
+         r"16,2\.61[0-9]*E-02,1\.96"),
+        ("--k 2 --N 8,16 --mesh perturbed --flux 0.5,0,0 --tend 0 "
+         "--metrics eu,eux,euxx",
+         r"16,3\.75[0-9]*E-01,1\.92,1\.70[0-9]*E-02,2\.87,1\.15[0-9]*E-03,"
+         r"3\.84"),
+    ], ids=["k2-eu", "k4-l2", "k3-a3-zeta", "k3-estar", "k3-ep-zeta",
+            "k2-l2-short", "k2-perturbed-points"])
     def test_pinned_study_rows(self, argv, line, capsys):
-        # a row of each study that the reference tables pin, whole
+        # a row of each study that the reference tables pin, and of a
+        # short uniform and a short perturbed-mesh study, whole
         assert main(["study", *argv.split()]) == 0
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
