@@ -351,24 +351,23 @@ def _part_count(N: int, kp1: int, products: int) -> int:
     return max(1, min(cores, N // GROUP // min_blocks))
 
 
-def _two_step_rows(P: np.ndarray, b0: int, b1: int) -> np.ndarray:
+def _two_step_rows(P: np.ndarray, pad: int) -> np.ndarray:
     """The two-step update P^2 from the one-step bands P of
-    rk4_sparse_update, as the row blocks b0 .. b1 - 1 of GROUP consecutive
-    cells, on a 64-byte line; a row block may be negative or past the
-    ring's end, and is taken modulo its ceil(N/4) row blocks.
+    rk4_sparse_update, as the ring's ceil(N/4) row blocks of GROUP
+    consecutive cells and pad more on each side, taken around the ring,
+    on a 64-byte line.  A pad needs N a multiple of GROUP.
 
     Row block b, of shape (4(k+1), 20(k+1)), holds cells 4b .. 4b+3
     (slot i = j - 4b) and multiplies the coefficients of cells
-    4b-8 .. 4b+11 laid end to end; rows of cells past N are zero.
+    4b-8 .. 4b+11 laid end to end; rows of cells past N-1 are zero.
     (P^2)_j = sum_a P_j[band a] P_{j+a}, and the nine bands of cell j+a
     start a - 4 cells from j, i + a + 4 cells into the window.  Each entry
     is 0 plus its terms in the order of a.
 
     The rows are built in pieces of at most BUILD_BLOCKS row blocks, cut
-    every BUILD_BLOCKS from b0 and at the ring's end, so that rows past
-    cell N-1 end a piece.  A piece of n row blocks from c reads one window
-    W of P, cells 4c-4 .. 4(c+n)+3 around the ring, gathered into one
-    buffer: its cells are W[4:4n+4] and their neighbours at a
+    every BUILD_BLOCKS from -pad.  A piece of n row blocks from c reads
+    one window W of P, cells 4c-4 .. 4(c+n)+3 around the ring, gathered
+    into one buffer: its cells are W[4:4n+4] and their neighbours at a
     W[4+a:4n+4+a], views.  For each a, one matmul writes the products into
     a skewed view of the scratch S at the columns of a = -4 (slot i from i
     cells in), and S is added to the rows, flat, (a + 4)(k+1) entries on,
@@ -376,8 +375,10 @@ def _two_step_rows(P: np.ndarray, b0: int, b1: int) -> np.ndarray:
     contiguous, so numpy allocates no buffer for it.  S is -0.0 but in
     those columns: x + -0.0 is x, bit for bit."""
     N, kp1 = P.shape[:2]
+    if pad and N % GROUP:
+        raise ValueError(f"a pad needs N a multiple of {GROUP}, not {N}")
     n_blocks = -(-N // GROUP)
-    shape = (b1 - b0, GROUP * kp1, (GROUP + 2 * REACH) * kp1)
+    shape = (n_blocks + 2 * pad, GROUP * kp1, (GROUP + 2 * REACH) * kp1)
     # Q on a 64-byte line: 16 bytes off one, the k=3 N=160 march took 1.15x
     raw = np.empty(np.prod(shape) + 3, dtype=complex)
     Q = raw[(-raw.ctypes.data // 16) % 4:][:np.prod(shape)].reshape(shape)
@@ -387,22 +388,19 @@ def _two_step_rows(P: np.ndarray, b0: int, b1: int) -> np.ndarray:
     s0, srow, sc = S.strides
     band = as_strided(S, shape=(len(S), GROUP, kp1, 9 * kp1),
                       strides=(s0, kp1 * (srow + sc), srow, sc))
-    c = b0
-    while c < b1:
-        r = c % n_blocks
-        n = min(n_blocks - r, b1 - c, BUILD_BLOCKS - (c - b0) % BUILD_BLOCKS)
-        W = P.take(np.arange(GROUP * (r - 1), GROUP * (r + n + 1)), axis=0,
+    for c in range(-pad, n_blocks + pad, BUILD_BLOCKS):
+        n = min(BUILD_BLOCKS, n_blocks + pad - c)
+        W = P.take(np.arange(GROUP * (c - 1), GROUP * (c + n + 1)), axis=0,
                    out=window[:GROUP * (n + 2)], mode="wrap")
         own = W[GROUP:GROUP * (n + 1)].reshape(n, GROUP, kp1, -1)
-        q, s = Q[c - b0:c - b0 + n].reshape(-1), S[:n].reshape(-1)
+        q, s = Q[c + pad:c + pad + n].reshape(-1), S[:n].reshape(-1)
         for a in range(9):
             np.matmul(own[..., a * kp1:(a + 1) * kp1],
                       W[a:a + GROUP * n].reshape(n, GROUP, kp1, -1),
                       out=band[:n])
             lead = a * kp1
             np.add(q[lead:] if a else 0.0, s[:len(s) - lead], out=q[lead:])
-        q.reshape(GROUP * n, -1)[N - GROUP * r:] = 0
-        c += n
+    Q[pad:pad + n_blocks].reshape(-1, kp1, shape[2])[N:] = 0
     return Q
 
 
@@ -496,7 +494,7 @@ class _BandMarch:
         s = ROUND if T > 1 else 1
         pad = HALO * (s - 1)
         ends = [n_blocks * t // T for t in range(T + 1)]
-        Q = _two_step_rows(P, -pad, n_blocks + pad)
+        Q = _two_step_rows(P, pad)
         parts = []
         for b0, b1 in zip(ends, ends[1:]):
             cells = np.arange(GROUP * (b0 - pad - HALO),

@@ -2,7 +2,8 @@
 
 Each is a direct, slow form of something uwdg computes another way:
 Legendre values by the three-term recurrence, the operator as a dense
-matrix, the leading residual by its Legendre table, and the derivations
+matrix, a uniform-mesh march as the one-cell march of its Bloch symbol,
+the leading residual by its Legendre table, and the derivations
 of the constants uwdg pins: Gauss-Legendre rules by Golub-Welsch, and the
 SIAC kernel's weights by an exact rational solve of its moment system.
 """
@@ -55,6 +56,43 @@ def as_matrix(op) -> np.ndarray:
     for off, C in zip((-1, 0, 1), op.coupling_blocks()):
         M[j, :, (j + off) % N] += C
     return M.reshape(N * kp1, N * kp1)
+
+
+def bloch_march(blocks, c0, theta, dt: float, t_end: float, dps: int = 30):
+    """Cell 0 of RK4 at dt to t_end, the last step truncated, of a field
+    whose cell j holds exp(i j theta) c0, in mpmath at dps digits.
+
+    blocks is (C_m, C_0, C_p), row 0 of coupling_blocks() on a uniform
+    mesh.  On such a field apply() acts on cell 0 as the symbol
+    K = C_0 + w C_p + conj(w) C_m, w = exp(i theta), so the march is
+    R4(dt K)^n R4(rem K) c0, with n = floor(t_end / dt) and
+    rem = t_end - n dt, the power taken by repeated squaring.  Returns
+    cell 0 at t_end and the step count, rem > 0 counting one."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        def mat(a):
+            return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row]
+                                  for row in np.asarray(a)])
+
+        Cm, C0, Cp = map(mat, blocks)
+        w = mpmath.expj(theta)
+        K = C0 + w * Cp + mpmath.conj(w) * Cm
+        eye = mpmath.eye(K.rows)
+
+        def r4(step):
+            Z = mpmath.mpf(step) * K
+            return eye + Z * (eye + Z / 2 * (eye + Z / 3 * (eye + Z / 4)))
+
+        n = int(mpmath.floor(mpmath.mpf(t_end) / mpmath.mpf(dt)))
+        rem = mpmath.mpf(t_end) - n * mpmath.mpf(dt)
+        out, A = r4(rem) * mat(np.reshape(c0, (-1, 1))), r4(dt)
+        for bit in bin(n)[:1:-1]:
+            if bit == "1":
+                out = A * out
+            A = A * A
+        return (np.array([complex(x) for x in out], dtype=complex),
+                n + (rem > 0))
 
 
 def residual_eval(res, xi, s: int = 0) -> np.ndarray:

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 import uwdg
 from uwdg.basis import legendre_table
 from uwdg.errors import SingularSymbolError
-from uwdg.flux import (ALTERNATING, CENTRAL, SYMBOL_COND_MAX, FluxConfig,
-                       _symbol_inverse, classify_assumption, gamma_lambda,
-                       interface_matrices, scale_flux, solve_block_circulant,
-                       symbol_conds, trace_maps)
+from uwdg.flux import (ALTERNATING, CENTRAL, RESONANCE_TOL, SYMBOL_COND_MAX,
+                       FluxConfig, _symbol_inverse, classify_assumption,
+                       gamma_lambda, interface_matrices, scale_flux,
+                       solve_block_circulant, symbol_conds, trace_maps)
 from uwdg.projection import _footprints
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -211,18 +211,37 @@ class TestClassification:
         assert cls.tag == "Unsupported"
         assert "Lambda" in cls.warning
 
-    def test_even_n_resonance_ratio_one(self):
+    @pytest.mark.parametrize("cfg, k, rho, resonant, free, warning", [
         # |Gamma/Lambda| = 1 needs odd N and eigenvalue -1.  For k = 2,
         # alpha1 = beta2 = 0: Gamma h = b1 - 2, Lambda h = 1, and the
         # repeated eigenvalue is (-1)^{k+1} Gamma/Lambda; b1 = 3 puts it
         # at -1, so odd N is non-resonant and even N is resonant.
-        cfg = FluxConfig(0.0, 3.0, 0.0)
-        m_even = uwdg.make_mesh(0, 2 * np.pi, 16)
-        m_odd = uwdg.make_mesh(0, 2 * np.pi, 15)
-        g, l = gamma_lambda(scale_flux(cfg, 1.0), 2, 1.0)
-        assert g / l == pytest.approx(1.0)
-        assert classify_assumption(cfg, m_even, 2).tag == "Unsupported"
-        assert classify_assumption(cfg, m_odd, 2).tag == "A3"
+        (FluxConfig(0.0, 3.0, 0.0), 2, 1.0, 16, 15,
+         "|Gamma/Lambda| = 1 resonance"),
+        # |Gamma/Lambda| < 1: at k = 3 and alpha1 = 1/4, beta2 = 0,
+        # b1~ = 2k^2 (a1^2 + 1/4) - 2k (a1^2 - 1/4) cos(2 pi m / 20) puts
+        # Gamma/Lambda at cos(2 pi m / 20) and eig(Q) at
+        # exp(+-2 pi i m / 20), so eig(Q)^20 is 1 to 3.1e-15 (m = 1) and
+        # 4.9e-15 (m = 3), and eig(Q)^21 is not
+        (FluxConfig(0.25, 6.694938580832048, 0.0), 3, np.cos(np.pi / 10),
+         20, 21, "near-resonant A3 configuration: |eig(Q)^N - 1| = "),
+        (FluxConfig(0.25, 6.286258408829032, 0.0), 3, np.cos(3 * np.pi / 10),
+         20, 21, "near-resonant A3 configuration: |eig(Q)^N - 1| = "),
+    ], ids=["ratio_one", "near_resonant_m1", "near_resonant_m3"])
+    def test_resonance_depends_on_n(self, cfg, k, rho, resonant, free,
+                                    warning):
+        from uwdg.harness import StudyConfig, run_case
+        g, l = gamma_lambda(scale_flux(cfg, 1.0), k, 1.0)
+        assert g / l == pytest.approx(rho, rel=1e-14)
+        cls = classify_assumption(cfg, uwdg.make_mesh(0, 2 * np.pi, resonant),
+                                  k)
+        assert cls.tag == "Unsupported"
+        assert cls.warning.startswith(warning)
+        assert cls.diagnostics["resonance"] <= RESONANCE_TOL
+        row = run_case(StudyConfig(k=k, flux=cfg).validate(), resonant)
+        assert row["status"] == f"unsupported: {cls.warning}"
+        m_free = uwdg.make_mesh(0, 2 * np.pi, free)
+        assert classify_assumption(cfg, m_free, k).tag == "A3"
 
     def test_eigenvalue_plus_one_always_resonant(self):
         # ratio -1 for even k puts the repeated eigenvalue at +1: resonant

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uwdg
-from oracles import as_matrix
+from oracles import as_matrix, bloch_march
 from uwdg import solver
 from uwdg.basis import gauss_rule, legendre_table
 from uwdg.errors import ConfigurationError, InstabilityError
@@ -402,14 +402,15 @@ class TestRK4:
             tracemalloc.stop()
         assert peak <= 4 * bands.nbytes
 
-    @pytest.mark.parametrize("N", [4, 5, 9, 18])
-    def test_two_step_rows_are_dense_rk4_square(self, N, monkeypatch):
-        # row block b holds cells 4b..4b+3 against cells 4b-8..4b+11; the
-        # band starts 6 row blocks before block 0 and ends 6 past the
-        # ring's end, as a march in parts has it, and is built in one call
-        # 5 row blocks a piece, so that windows wrap at both ends; N not a
-        # multiple of 4 leaves zero rows, and N < 17 aliases the offsets.
-        # (It used to fill a _part_arrays band with a call per 5 blocks.)
+    @pytest.mark.parametrize("N, pad", [(5, 0), (9, 0), (18, 0),
+                                        (4, 6), (8, 6), (16, 6)])
+    def test_two_step_rows_are_dense_rk4_square(self, N, pad, monkeypatch):
+        # row block b holds cells 4b..4b+3 against cells 4b-8..4b+11.  A
+        # march in parts pads the ring's row blocks with 6 more on each
+        # side, on N a multiple of 4; N not a multiple of 4 is marched in
+        # one part, unpadded, and leaves zero rows.  The band is built 5
+        # row blocks a piece, so that windows wrap at both ends, and
+        # N < 17 aliases the offsets
         k, kp1, dt = 3, 4, 0.01
         mesh = uwdg.make_mesh(0, 2 * np.pi, N, "perturbed", 0.1, 1)
         op = DGOperator(mesh, FluxConfig(0.3, 0.4, 0.4), k)
@@ -418,13 +419,12 @@ class TestRK4:
         expect = (R4 @ R4).reshape(N, kp1, N * kp1)
         n_blocks = -(-N // 4)
         P = op.rk4_sparse_update(dt)
-        b0, b1 = -6, n_blocks + 6
         monkeypatch.setattr(solver, "BUILD_BLOCKS", 5)
-        Q = _two_step_rows(P, b0, b1)
-        assert Q.shape == (b1 - b0, 4 * kp1, 20 * kp1)
+        Q = _two_step_rows(P, pad)
+        assert Q.shape == (n_blocks + 2 * pad, 4 * kp1, 20 * kp1)
         assert Q.ctypes.data % 64 == 0      # on a cache line, for the march
         Q = Q.reshape(len(Q), 4, kp1, 20, kp1)
-        for r, b in enumerate(np.arange(b0, b1) % n_blocks):
+        for r, b in enumerate(np.arange(-pad, n_blocks + pad) % n_blocks):
             for i in range(4):
                 j = 4 * b + i
                 if j >= N:
@@ -436,6 +436,14 @@ class TestRK4:
                 np.testing.assert_allclose(
                     got.reshape(kp1, N * kp1), expect[j], rtol=0,
                     atol=1e-13 * np.abs(expect).max())
+
+    def test_two_step_rows_pad_needs_whole_row_blocks(self):
+        # _part_count never cuts a ring of N not a multiple of 4, so its
+        # march takes no pad, and a pad there is refused
+        mesh = uwdg.make_mesh(0, 2 * np.pi, 5, "perturbed", 0.1, 1)
+        P = DGOperator(mesh, ALTERNATING, 3).rk4_sparse_update(0.01)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            _two_step_rows(P, 6)
 
     @pytest.mark.parametrize("k, N, c", [(2, 640, 0.05), (3, 160, 0.01)])
     def test_single_power_no_farther_than_checkpoint_chunks(self, k, N, c):
@@ -487,6 +495,34 @@ class TestRK4:
                 z = mp.mpc(0, float(yi))
                 ref = (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) ** n
                 assert abs(gi - complex(ref)) <= 8 * eps * (1 + n * abs(yi))
+
+    @pytest.mark.parametrize("k, N, flux, init", [
+        (3, 20, CENTRAL, "uI"), (3, 40, CENTRAL, "uI"),     # Table 5
+        (3, 20, FluxConfig(0.25, 5, 0), "uI"),              # Table 7
+        (2, 20, CENTRAL, "l2"),                             # Table 8
+    ], ids=["table5_N20", "table5_N40", "table7_N20", "table8_N20"])
+    def test_uniform_march_is_one_cell_bloch_march(self, k, N, flux, init):
+        # the study field exp(3ix) on a uniform mesh excites the one Bloch
+        # frequency w = exp(3ih): cell j of u0 and of u_h(T) is exp(3ijh)
+        # times cell 0, and the march of cell 0 is R4(dt K(w))^n R4(rem
+        # K(w)), K(w) the symbol of apply() at w
+        mp = pytest.importorskip("mpmath")
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N)
+        f = plane_wave(3.0)
+        u0 = (uwdg.reference_interpolant(f, 0.0, mesh, k, flux)
+              if init == "uI" else uwdg.project_l2(f, 0.0, mesh, k))
+        op = DGOperator(mesh, flux, k)
+        res = integrate(op, u0, DEFAULT_DT_CONSTANTS[k], 1.0)
+        phase = np.exp(3j * mesh.h * np.arange(N))[:, None]
+        for c in (u0.coeffs, res.u.coeffs):
+            assert np.abs(c - phase * c[0]).max() <= 1e-12 * np.abs(c).max()
+        want, n = bloch_march([C[0] for C in op.coupling_blocks()],
+                              u0.coeffs[0], 6 * mp.pi / N, res.dt, 1.0)
+        assert n == res.n_steps
+        # the eigen march's phase n * angle(R4) carries about n 2 sqrt(2)
+        # eps of error (see solver.MAX_STEPS), relative to the field
+        tol = n * RK4_LIMIT * np.finfo(float).eps
+        assert np.abs(res.u.coeffs[0] - want).max() <= tol * np.abs(want).max()
 
     def test_rk4_power_one_step_is_the_polynomial(self):
         # the truncated final step of a march multiplies by R4(iy) itself;
@@ -783,21 +819,37 @@ class TestBandParts:
             u = rk4_step(op, u, step)
         assert np.abs(got[0] - u.coeffs).max() < 1e-11 * np.abs(u.coeffs).max()
 
-    @pytest.mark.parametrize("cpus, parts", [(None, 1), (2, 2)])
+    @pytest.mark.parametrize("cpus, parts", [(None, 1), (2, 2), ("pinned", 1)])
     def test_march_without_affinity(self, cpus, parts, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity: the march takes
-        # os.cpu_count() cores, or one, and its bits do not change.  Each
-        # march takes 34 products, past SHORT_ADVANCE = 32
+        # os.cpu_count() cores, or one.  A thread pinned to one core, as by
+        # `taskset -c 0`, takes one part where the host's cores take two.
+        # u_h(T) keeps its bits.  Table 2's flux at k=2, N=640 to
+        # t_end = 0.001 takes 681 products, past SHORT_ADVANCE = 32
         op, u0 = self._case(2, 640)
-        dt = DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5
-        march = _BandMarch(op, u0.coeffs)
-        march.advance(69, dt)
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert solver._part_count(640, 3, 34) == parts
-        without = _BandMarch(op, u0.coeffs)
-        without.advance(69, dt)
-        assert np.array_equal(march.coeffs(), without.coeffs())
+        c, t_end = DEFAULT_DT_CONSTANTS[2], 0.001
+        products = _step_counts(t_end, c * op.mesh.h ** 2.5)[0] // 2
+        if cpus == "pinned":
+            if not hasattr(os, "sched_setaffinity"):
+                pytest.skip("no os.sched_setaffinity to pin a thread")
+            cores = os.sched_getaffinity(0)
+            if len(cores) < 2:
+                pytest.skip("one CPU: the march takes one part unpinned too")
+            assert solver._part_count(640, 3, products) == 2
+        want = integrate(op, u0, c, t_end).u.coeffs
+        if cpus == "pinned":
+            os.sched_setaffinity(0, {min(cores)})
+            try:
+                assert solver._part_count(640, 3, products) == parts
+                got = integrate(op, u0, c, t_end).u.coeffs
+            finally:
+                os.sched_setaffinity(0, cores)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert solver._part_count(640, 3, products) == parts
+            got = integrate(op, u0, c, t_end).u.coeffs
+        assert np.array_equal(want, got)
 
     def _fake_host(self, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -869,7 +921,7 @@ class TestBandParts:
             started.append(threading.get_ident())
             march_part(*args)
 
-        def failing_build(*args):
+        def failing_build(P, pad):
             raise RuntimeError("build failed")
 
         t_end = 20.5 * 0.05 * op.mesh.h ** 2.5     # 21 steps, 10 products
@@ -906,9 +958,8 @@ class TestBandParts:
             updates.append(threading.get_ident())
             return update(self, dt)
 
-        def recorded_rows(P, b0, b1):
-            built.append((threading.get_ident(), range(b0, b1),
-                          two_step_rows(P, b0, b1)))
+        def recorded_rows(P, pad):
+            built.append((threading.get_ident(), pad, two_step_rows(P, pad)))
             return built[-1][2]
 
         def recorded_part(b0, b1, s, Q, *args):
@@ -930,8 +981,8 @@ class TestBandParts:
                 assert not updates and not built and not parts
                 continue
             assert updates == [me]
-            assert [(t, list(run)) for t, run, _ in built] == [
-                (me, list(range(-6, 166)))]
+            assert [(t, pad, len(Q)) for t, pad, Q in built] == [
+                (me, 6, 172)]
             band = built[0][2]
             assert len({t for t, *_ in parts}) == 3
             assert sorted(b0 for _, b0, _, _ in parts) == [0, 53, 106]
@@ -975,8 +1026,8 @@ class TestBandParts:
         build, march_part = solver._two_step_rows, solver._march_part
         peaks, parts = [], []
 
-        def recorded_build(*args):
-            Q = build(*args)
+        def recorded_build(P, pad):
+            Q = build(P, pad)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             return Q
