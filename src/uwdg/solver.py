@@ -22,7 +22,7 @@ import os
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import basis
 from .errors import ConfigurationError, InstabilityError
@@ -321,27 +321,16 @@ ROUND = 4               # products per barrier of a march in several parts
 # (k=3 N=256, 288, k=2 N=448) read 1.04-1.15 and 0.85-0.96; k=5 N=160 1.11
 GIL_OUTPUTS = 500
 MIN_PART_MACS = 50_000
-# an advance of at most SHORT_ADVANCE products takes one part: the halo
-# rows of its band and the threads cost more than the parts gain.  Timed
-# on 2 vCPUs (advance alone, min of 8 alternating runs, three rounds) at
-# k=3 N=256, k=4 N=240 and k=6 N=160, two parts lost to one in all 99
-# readings at 1, 4-8, 10, 12, 16, 24 and 32 products (k=3 N=256: 9.8-12.6
-# against 8.3-10.7 ms at 1, 12.4-13.8 against 10.4-13.2 ms at 32); two
-# parts won 1 of 9 readings at 40 products and 2 of 9 at 64
-SHORT_ADVANCE = 8 * ROUND
 # row blocks of the two-step band built from one window of the one-step
-# band, through a scratch of as many row blocks.  A two-part k=2, N=640
-# build and 8 steps took 0.93-0.97 the time of building each part in one
-# call with 40 gathers; 8 row blocks took 0.99-1.08, and 32 took
-# 1.05-1.11 at k=4, N=240 (min of 80 alternating runs, 2 vCPUs)
+# band: built alone with pad 6, 8 and 32 took 1.20 and 1.06 the time of 16
+# at k=2 N=640, and 0.91 and 1.30 at k=4 N=240 (medians of 40 alternating
+# builds, 2 vCPUs)
 BUILD_BLOCKS = 16
 
 
-def _part_count(N: int, kp1: int, products: int) -> int:
-    """The parts an advance of a band march on N cells of degree kp1-1
-    takes for its products: one if N is not a multiple of GROUP or the
-    advance is short."""
-    if N % GROUP or products <= SHORT_ADVANCE:
+def _part_count(N: int, kp1: int) -> int:
+    """The parts of a band march on N cells of degree kp1-1."""
+    if N % GROUP:
         return 1
     rows = GROUP * kp1                          # a row block's outputs
     macs = rows * (GROUP + 2 * REACH) * kp1     # and its multiply-adds
@@ -360,46 +349,39 @@ def _two_step_rows(P: np.ndarray, pad: int) -> np.ndarray:
     Row block b, of shape (4(k+1), 20(k+1)), holds cells 4b .. 4b+3
     (slot i = j - 4b) and multiplies the coefficients of cells
     4b-8 .. 4b+11 laid end to end; rows of cells past N-1 are zero.
-    (P^2)_j = sum_a P_j[band a] P_{j+a}, and the nine bands of cell j+a
-    start a - 4 cells from j, i + a + 4 cells into the window.  Each entry
-    is 0 plus its terms in the order of a.
+    Cell j's band of P^2, cells j-8 .. j+8, lies i cells into its row
+    block: it is sum_a P_j[band a] P_{j+a-4}, a = 0..8, with the nine
+    bands of cell j+a-4 a cells in, each entry 0 plus its terms in the
+    order of a.
 
     The rows are built in pieces of at most BUILD_BLOCKS row blocks, cut
     every BUILD_BLOCKS from -pad.  A piece of n row blocks from c reads
     one window W of P, cells 4c-4 .. 4(c+n)+3 around the ring, gathered
     into one buffer: its cells are W[4:4n+4] and their neighbours at a
-    W[4+a:4n+4+a], views.  For each a, one matmul writes the products into
-    a skewed view of the scratch S at the columns of a = -4 (slot i from i
-    cells in), and S is added to the rows, flat, (a + 4)(k+1) entries on,
-    where the columns of a lie in every row.  Both operands of the sum are
-    contiguous, so numpy allocates no buffer for it.  S is -0.0 but in
-    those columns: x + -0.0 is x, bit for bit."""
+    W[a:4n+a], views.  Their bands are summed in one zeroed buffer, one
+    matmul-add per a, and copied into the row blocks a slot at a time."""
     N, kp1 = P.shape[:2]
     if pad and N % GROUP:
         raise ValueError(f"a pad needs N a multiple of {GROUP}, not {N}")
     n_blocks = -(-N // GROUP)
     shape = (n_blocks + 2 * pad, GROUP * kp1, (GROUP + 2 * REACH) * kp1)
     # Q on a 64-byte line: 16 bytes off one, the k=3 N=160 march took 1.15x
-    raw = np.empty(np.prod(shape) + 3, dtype=complex)
+    raw = np.zeros(np.prod(shape) + 3, dtype=complex)
     Q = raw[(-raw.ctypes.data // 16) % 4:][:np.prod(shape)].reshape(shape)
-    S = np.full((min(BUILD_BLOCKS, shape[0]),) + shape[1:],
-                complex(-0.0, -0.0))
-    window = np.empty((GROUP * (len(S) + 2),) + P.shape[1:], dtype=complex)
-    s0, srow, sc = S.strides
-    band = as_strided(S, shape=(len(S), GROUP, kp1, 9 * kp1),
-                      strides=(s0, kp1 * (srow + sc), srow, sc))
+    cells = GROUP * min(BUILD_BLOCKS, shape[0])
+    window = np.empty((cells + 2 * GROUP,) + P.shape[1:], dtype=complex)
+    bands = np.empty((cells, kp1, (2 * REACH + 1) * kp1), dtype=complex)
     for c in range(-pad, n_blocks + pad, BUILD_BLOCKS):
         n = min(BUILD_BLOCKS, n_blocks + pad - c)
         W = P.take(np.arange(GROUP * (c - 1), GROUP * (c + n + 1)), axis=0,
                    out=window[:GROUP * (n + 2)], mode="wrap")
-        own = W[GROUP:GROUP * (n + 1)].reshape(n, GROUP, kp1, -1)
-        q, s = Q[c + pad:c + pad + n].reshape(-1), S[:n].reshape(-1)
+        bands.fill(0)
         for a in range(9):
-            np.matmul(own[..., a * kp1:(a + 1) * kp1],
-                      W[a:a + GROUP * n].reshape(n, GROUP, kp1, -1),
-                      out=band[:n])
-            lead = a * kp1
-            np.add(q[lead:] if a else 0.0, s[:len(s) - lead], out=q[lead:])
+            bands[:GROUP * n, :, a * kp1:(a + 9) * kp1] += (
+                W[GROUP:-GROUP, :, a * kp1:(a + 1) * kp1] @ W[a:a + GROUP * n])
+        for i in range(GROUP):
+            Q[c + pad:c + pad + n, i * kp1:(i + 1) * kp1,
+              i * kp1:(i + 2 * REACH + 1) * kp1] = bands[i:GROUP * n:GROUP]
     Q[pad:pad + n_blocks].reshape(-1, kp1, shape[2])[N:] = 0
     return Q
 
@@ -453,17 +435,16 @@ class _BandMarch:
     (_two_step_rows), and every part's gather buffers; then each part,
     _march_part, takes its products on its view of that band in its own
     thread, the first in the calling one.  A part's thread allocates no
-    array, so its malloc arena stays small.  One part takes
-    one product a round, on its cells with eight cells of periodic wrap at
-    each end; several parts take ROUND products a round each on their
-    halos and meet at one barrier a round.  The rounds alternate between
+    array, so its malloc arena stays small.  One part takes one product a
+    round, on its cells with eight cells of periodic wrap at each end;
+    several parts take ROUND products a round each on their halos and
+    meet at one barrier a round.  The rounds alternate between
     the two states, so no part overwrites cells that another is still
     gathering; an advance starts from states[0] and leaves its result
     there.  Every output row block is the matmul of the same band rows
     and window values however the ring is cut, so the result is bitwise
-    that of one part.  _part_count chooses each advance's parts from the
-    cores, the work of each and the products; parts need N a multiple
-    of 4.
+    that of one part.  _part_count chooses the parts from the cores and
+    the work of each; parts need N a multiple of 4.
 
     An advance of n steps is n // 2 products and, for odd n, one literal
     rk4_step; the truncated final step is such an advance, so no update
@@ -490,7 +471,7 @@ class _BandMarch:
         first in this one, and leave the result in states[0].  An error in
         any part is raised here once every thread has ended."""
         N, kp1 = P.shape[:2]
-        T, n_blocks = _part_count(N, kp1, products), -(-N // GROUP)
+        T, n_blocks = _part_count(N, kp1), -(-N // GROUP)
         s = ROUND if T > 1 else 1
         pad = HALO * (s - 1)
         ends = [n_blocks * t // T for t in range(T + 1)]
@@ -560,13 +541,13 @@ def integrate(op: DGOperator, u0: DGFunction, c: float,
     stable run is one advance of the n_full steps and one of the
     truncated step, by eigen-space powers on uniform meshes and two steps
     per banded product on any other, in as many threads as _part_count
-    decides from the cores, the work of each and the advance's products;
-    every thread has ended when integrate returns or raises, and an error
-    in one is raised here.
+    decides from the cores and the work of each; every thread has ended
+    when integrate returns or raises, and an error in one is raised here.
     As a backstop, a final l2_norm that is not finite or beyond 10x the
-    initial one raises InstabilityError too.  A dt that is not positive, a
-    negative t_end, a step count that is not finite, or more than
-    MAX_STEPS steps raise ConfigurationError before any step.
+    initial one raises InstabilityError too.  A dt that is not positive
+    or whose 2 sqrt(2) / dt overflows, a negative t_end, a step count that
+    is not finite, or more than MAX_STEPS steps raise ConfigurationError
+    before any step.
     """
     dt = c * op.mesh.h ** 2.5
     if not dt > 0:
@@ -583,8 +564,11 @@ def integrate(op: DGOperator, u0: DGFunction, c: float,
     # the verdict is on the repeated step dt: a run shorter than one step
     # takes only the truncated step, one bounded multiplication by R4.  An
     # operator past float64 overflows its spectrum, and rho is inf or nan
-    sigma = RK4_LIMIT / dt
     with np.errstate(over="ignore", invalid="ignore"):
+        sigma = RK4_LIMIT / dt
+        if sigma == np.inf:     # dt < 2 sqrt(2) / float max, before a march
+            raise ConfigurationError(f"time step dt = {dt:.3e} is too small "
+                                     "for 2 sqrt(2)/dt to be finite")
         march = (_EigenMarch if op.mesh.is_uniform
                  else _BandMarch)(op, u0.coeffs)
         rho = march.rho(sigma) if n_full else 0.0

@@ -2,7 +2,8 @@
 
 Each is a direct, slow form of something uwdg computes another way:
 Legendre values by the three-term recurrence, the operator as a dense
-matrix, a uniform-mesh march as the one-cell march of its Bloch symbol,
+matrix, a uniform-mesh march as the one-cell march of its Bloch symbol
+and its flux-matching projection as one cell's 2x2 solve,
 the leading residual by its Legendre table, and the derivations
 of the constants uwdg pins: Gauss-Legendre rules by Golub-Welsch, and the
 SIAC kernel's weights by an exact rational solve of its moment system.
@@ -93,6 +94,47 @@ def bloch_march(blocks, c0, theta, dt: float, t_end: float, dps: int = 30):
             A = A * A
         return (np.array([complex(x) for x in out], dtype=complex),
                 n + (rem > 0))
+
+
+def bloch_project_star(kappa: float, k: int, N: int, flux,
+                       dps: int = 30) -> np.ndarray:
+    """Cell 0 of the flux-matching projection of exp(i kappa x) at t = 0
+    on the uniform mesh of [0, 2 pi] with N cells, in mpmath at dps digits.
+
+    flux is (alpha1~, beta1~, beta2~).  The moments c_m, m <= k-2, are
+    exact integrals (2m+1)/2 int exp(i kappa h (xi+1)/2) L_m(xi) dxi.
+    Cell j of the projection is w^j times cell 0, w = exp(i kappa h), so
+    the interface rows G [u, u_x]^- + H [u, u_x]^+ = [u, u_x] are one row
+    at x = h, the 2x2 system
+    (G R_top + w H L_top) y = [u, u_x](h) - G R_low c - w H L_low c
+    for the top coefficients y.  G = [[1/2 + alpha1, -beta2],
+    [-beta1, 1/2 - alpha1]] and H = I - G, with beta1 = beta1~/h and
+    beta2 = beta2~ h; R and L hold the right and left traces [v, v_x] of
+    L_m, [1, m(m+1)/h] and (-1)^m [1, -m(m+1)/h]."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        kappa = mpmath.mpf(kappa)
+        h = 2 * mpmath.pi / N
+        alpha1, beta1, beta2 = (mpmath.mpf(float(v)) for v in flux)
+        G = mpmath.matrix([[0.5 + alpha1, -beta2 * h],
+                           [-beta1 / h, 0.5 - alpha1]])
+        H = mpmath.eye(2) - G
+        R = mpmath.matrix(2, k + 1)
+        L = mpmath.matrix(2, k + 1)
+        for m in range(k + 1):
+            R[0, m], R[1, m] = 1, mpmath.mpf(m * (m + 1)) / h
+            L[0, m], L[1, m] = (-1) ** m, -(-1) ** m * R[1, m]
+        w = mpmath.expj(kappa * h)
+        c = mpmath.matrix(k + 1, 1)
+        for m in range(k - 1):
+            c[m] = (2 * m + 1) / mpmath.mpf(2) * mpmath.quad(
+                lambda xi: (mpmath.expj(kappa * h * (xi + 1) / 2)
+                            * mpmath.legendre(m, xi)), [-1, 1])
+        M = G * R + w * H * L       # column m: what mode m adds at x = h
+        rhs = mpmath.matrix([w, 1j * kappa * w]) - M * c
+        c[k - 1:, 0] = mpmath.lu_solve(M[:, k - 1:], rhs)
+        return np.array([complex(x) for x in c], dtype=complex)
 
 
 def residual_eval(res, xi, s: int = 0) -> np.ndarray:

@@ -490,6 +490,12 @@ class TestCLI:
         ["kernel"],
         ["study", "--N", "8", "--c", "1e-320", "--metrics", "l2"],
         ["study", "--N", "1000", "--c", "1e-320", "--metrics", "l2"],
+        # dt = 7.9e-309 and 5.5e-309: 2 sqrt(2)/dt overflows
+        ["study", "--k", "2", "--N", "8", "--mesh", "perturbed:0.1:0",
+         "--flux", "0.5,0,0", "--c", "1e-308", "--tend", "1e-305",
+         "--metrics", "l2"],
+        ["study", "--k", "2", "--N", "8", "--c", "1e-308", "--tend",
+         "1e-305", "--metrics", "l2"],
         ["study", "--tend", "1e300", "--mesh", "perturbed", "--flux",
          "0.5,0,0", "--metrics", "l2"],
         ["study", "--N", "20", "--flux", "0,0,0", "--tend", "1e300",
@@ -506,12 +512,15 @@ class TestCLI:
             "points-h-overflow", "run-two-n",
             "mesh-negative-seed", "out-directory", "config-directory",
             "unknown-flag", "kernel-no-k", "steps-not-finite", "dt-underflow",
-            "band-step-cap", "eigen-step-cap", "case-out-of-memory",
-            "n-int64-max"])
+            "band-dt-subnormal", "eigen-dt-subnormal", "band-step-cap",
+            "eigen-step-cap", "case-out-of-memory", "n-int64-max"])
     def test_rejected_input_exit_code(self, argv, capsys):
+        # one line on stderr: no traceback, and no warning (pyproject.toml
+        # turns a RuntimeWarning into an error)
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "configuration error" in captured.err
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_singular_projection_in_metrics_annotates(self, capsys):

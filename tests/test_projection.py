@@ -4,14 +4,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import uwdg
-from oracles import golub_welsch_rule, legendre_eval, residual_eval
+from oracles import (bloch_project_star, golub_welsch_rule, legendre_eval,
+                     residual_eval)
 from uwdg.basis import (gauss_rule, legendre_derivative_matrix,
                         legendre_table)
 from uwdg.errors import (ProjectionUndefinedError, ResidualUndefinedError,
                          SingularSymbolError)
 from uwdg.flux import (ALTERNATING, CENTRAL, ROOT_CLUSTER_TOL, ROOT_EDGE_TOL,
                        ROOT_IMAG_TOL, ROOT_MERGE_TOL, ROOT_VALUE_TOL,
-                       FluxConfig, _symbol_inverse, scale_flux, trace_maps)
+                       FluxConfig, _symbol_inverse, scale_flux, symbol_conds,
+                       trace_maps)
 from uwdg.projection import (AnalyticField, DGFunction, LeadingResidual,
                              _footprints, _top_two_global, _top_two_local,
                              _uniform_footprints, interface_data,
@@ -197,6 +199,36 @@ class TestFluxMatchingProjection:
         xs = mesh.nodes[1:]
         assert np.abs(uhat - f.eval(xs, 0.3, 0)).max() < 1e-10
         assert np.abs(uxt - f.eval(xs, 0.3, 1)).max() < 1e-10
+
+    @pytest.mark.parametrize("k, N, cfg", [
+        (3, 20, CENTRAL), (3, 40, CENTRAL),                 # A2, Table 5
+        (3, 20, FluxConfig(0.25, 5, 0)),                    # A3, Table 7
+        (2, 20, ALTERNATING),                               # A1, local
+    ], ids=["central_N20", "central_N40", "table7_N20", "alternating_N20"])
+    def test_uniform_projection_is_one_cell_bloch_solve(self, k, N, cfg):
+        # exp(3ix) on a uniform mesh excites the one Bloch frequency
+        # w = exp(3ih): cell 0 of the projection is the 2x2 interface solve
+        # of the oracle, in 30 digits.  A backward error of one eps per
+        # rounding in the right-hand side, of size |e| + |M_low| |c_low|
+        # + |M| |y|, moves y by up to cond(M) / |M| times it; the symbol
+        # M = A + w B has cond(M) <= symbol_conds.  Each right-hand entry
+        # sums at most 2(k+1) products, and the FFT and inverse FFT of N
+        # points add about log2(N) roundings each
+        pytest.importorskip("mpmath")
+        mesh = uwdg.make_mesh(0, 2 * np.pi, N)
+        got = project_star(plane_wave(3.0), 0.0, mesh, k, cfg).coeffs[0]
+        want = bloch_project_star(3.0, k, N,
+                                  (cfg.alpha1_t, cfg.beta1_t, cfg.beta2_t))
+        low, A, B = _uniform_footprints(k, cfg, mesh.h)
+        w = np.exp(3j * mesh.h)
+        M, M_low = A + w * B, low[:, :2].T + w * low[:, 2:].T
+        conds = symbol_conds(M[0, 0], M[0, 1], M[1, 0], M[1, 1])
+        norm = np.linalg.norm
+        terms = (norm([w, 3j * w]) + norm(M_low) * norm(want[:k - 1])
+                 + norm(M) * norm(want[k - 1:]))
+        roundings = 2 * (k + 1) + 2 * np.log2(N)
+        tol = np.finfo(float).eps * conds * roundings * terms / norm(M)
+        assert np.abs(got - want).max() <= tol
 
     def test_low_moments_match_l2_projection(self):
         f = plane_wave(3.0)

@@ -786,6 +786,9 @@ class TestBandParts:
         (3, 64, 19, 7),
         # split in two on 2 cores: 6 products, a short round of 2; then 3
         (4, 240, 13, 6),
+        # split in two on 2 cores however short the advance: 1 product,
+        # then 32, eight rounds of 4
+        (2, 640, 2, 64),
     ])
     def test_parts_are_bitwise_one_part(self, k, N, n, n2, monkeypatch):
         op, u0 = self._case(k, N)
@@ -825,29 +828,28 @@ class TestBandParts:
         # os.cpu_count() cores, or one.  A thread pinned to one core, as by
         # `taskset -c 0`, takes one part where the host's cores take two.
         # u_h(T) keeps its bits.  Table 2's flux at k=2, N=640 to
-        # t_end = 0.001 takes 681 products, past SHORT_ADVANCE = 32
+        # t_end = 0.001: 681 products
         op, u0 = self._case(2, 640)
         c, t_end = DEFAULT_DT_CONSTANTS[2], 0.001
-        products = _step_counts(t_end, c * op.mesh.h ** 2.5)[0] // 2
         if cpus == "pinned":
             if not hasattr(os, "sched_setaffinity"):
                 pytest.skip("no os.sched_setaffinity to pin a thread")
             cores = os.sched_getaffinity(0)
             if len(cores) < 2:
                 pytest.skip("one CPU: the march takes one part unpinned too")
-            assert solver._part_count(640, 3, products) == 2
+            assert solver._part_count(640, 3) == 2
         want = integrate(op, u0, c, t_end).u.coeffs
         if cpus == "pinned":
             os.sched_setaffinity(0, {min(cores)})
             try:
-                assert solver._part_count(640, 3, products) == parts
+                assert solver._part_count(640, 3) == parts
                 got = integrate(op, u0, c, t_end).u.coeffs
             finally:
                 os.sched_setaffinity(0, cores)
         else:
             monkeypatch.delattr(os, "sched_getaffinity")
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert solver._part_count(640, 3, products) == parts
+            assert solver._part_count(640, 3) == parts
             got = integrate(op, u0, c, t_end).u.coeffs
         assert np.array_equal(want, got)
 
@@ -872,15 +874,11 @@ class TestBandParts:
         (8, 2, 1280, 4), (8, 3, 1280, 8), (3, 3, 1280, 3)])
     def test_part_count_rule(self, cpus, k, N, parts, monkeypatch):
         # 2 cores: the cases timed when the rule was set; then the core
-        # cap.  An advance of at most SHORT_ADVANCE products takes one part
+        # cap
         self._fake_host(monkeypatch, cpus)
-        assert solver.SHORT_ADVANCE == 32
-        for products in (33, 6820):
-            assert solver._part_count(N, k + 1, products) == parts
-        for products in (1, 4, 5, 8, 32):
-            assert solver._part_count(N, k + 1, products) == 1
+        assert solver._part_count(N, k + 1) == parts
         # a ring of N not a multiple of 4 is never cut
-        assert solver._part_count(N + 2, k + 1, 6820) == 1
+        assert solver._part_count(N + 2, k + 1) == 1
 
     @pytest.mark.parametrize("k, N, parts", [
         *[(3, N, 1) for N in (20, 40, 80, 160)],   # perturbed_march
@@ -889,15 +887,10 @@ class TestBandParts:
         (2, 642, 1),                               # a ragged last row block
     ])
     def test_parts_of_benchmark_cases(self, k, N, parts, monkeypatch):
-        # the full steps' advance of each case (perturbed_short's N=640:
-        # 6,819 products); its truncated step takes no product
+        # every advance of each case on 2 cores; the truncated step takes
+        # no product
         self._fake_host(monkeypatch, 2)
-        op, u0 = self._case(k, N)
-        t_end = 1.0 if k == 3 else 0.01
-        n_full = _step_counts(t_end,
-                              DEFAULT_DT_CONSTANTS[k] * op.mesh.h ** 2.5)[0]
-        assert n_full // 2 > solver.SHORT_ADVANCE
-        assert solver._part_count(N, k + 1, n_full // 2) == parts
+        assert solver._part_count(N, k + 1) == parts
 
     def test_threads_end_and_errors_are_raised(self, monkeypatch):
         op, u0 = self._case(2, 640)
@@ -1012,8 +1005,10 @@ class TestBandParts:
         assert np.array_equal(got[0], got[1])
 
     def test_part_threads_allocate_nothing_large(self, monkeypatch):
-        # a two-part k=2, N=640 march.  Past the band, its build scratch
-        # and window buffer, the build allocates about 4 KB; past the band
+        # a two-part k=2, N=640 march.  Past the band, the bands of a
+        # piece's cells, the window buffer, one product and the two buffers
+        # through which numpy 2.4 adds it to the strided bands (at most
+        # 8192 entries each), the build allocates about 3 KB; past the band
         # and the parts' cells and gather buffers, which this thread
         # allocates before any part starts, the products allocate about
         # 18 KB (0.66 MiB past all of these when each part allocated its
@@ -1021,7 +1016,7 @@ class TestBandParts:
         self._fake_host(monkeypatch, 2)
         op, u0 = self._case(2, 640)
         march = _BandMarch(op, u0.coeffs)
-        assert solver._part_count(640, 3, 36) == 2
+        assert solver._part_count(640, 3) == 2
         P = op.rk4_sparse_update(DEFAULT_DT_CONSTANTS[2] * op.mesh.h ** 2.5)
         build, march_part = solver._two_step_rows, solver._march_part
         peaks, parts = [], []
@@ -1046,9 +1041,13 @@ class TestBandParts:
             tracemalloc.stop()
         assert len(peaks) == 2 and len(parts) == 2
         band = parts[0][0].base.nbytes
-        scratch = solver.BUILD_BLOCKS * parts[0][0][0].nbytes
-        window = 4 * (solver.BUILD_BLOCKS + 2) * P[0].nbytes
-        assert peaks[0] - band - scratch - window < 0.1 * 2 ** 20
+        piece = 4 * solver.BUILD_BLOCKS     # cells a piece
+        window = (piece + 8) * P[0].nbytes
+        product = piece * P[0].nbytes       # (k+1, 9(k+1)) a cell
+        bands = product * 17 // 9           # (k+1, 17(k+1)) a cell
+        adds = 2 * min(product, 8192 * 16)
+        assert (peaks[0] - band - bands - window - product - adds
+                < 0.1 * 2 ** 20)
         owned = band + sum(a.nbytes for _, cells, bufs in parts
                            for a in (cells, *bufs))
         assert peaks[1] - owned < 0.1 * 2 ** 20
