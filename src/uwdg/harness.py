@@ -45,6 +45,8 @@ METRIC_LABELS = {
 #: the exact fields by name: each is the plane_wave of this wavenumber,
 #: built anew for each case (run_case)
 FIELDS = {"wave3": 3.0, "wave1": 1.0}
+#: the formats emit_report renders
+FORMATS = ("csv", "pretty")
 
 
 @dataclass(frozen=True)
@@ -200,6 +202,8 @@ def _fmt_order(v) -> str:
 
 def emit_report(report: ErrorReport, fmt: str = "csv", out=None) -> str:
     """Render a report as CSV ('#' metadata header) or aligned text."""
+    if fmt not in FORMATS:
+        raise ValueError(f"fmt must be {' | '.join(FORMATS)}, not {fmt!r}")
     lines = []
     for key, val in report.meta.items():
         lines.append(f"# {key} = {val}")
@@ -330,8 +334,8 @@ OPTIONS = (
             " | ".join(FIELDS)),
     _Option("out", ("out",), str, lambda s: _writable(s["out"]),
             "a file in an existing directory (default stdout)"),
-    _Option("format", ("fmt",), str, lambda s: s["fmt"] in ("csv", "pretty"),
-            "csv | pretty"),
+    _Option("format", ("fmt",), str, lambda s: s["fmt"] in FORMATS,
+            " | ".join(FORMATS)),
     # special_points under- or overflows in h^2 past about 1e+-150
     _Option("h", ("h",), float, lambda s: 1e-100 <= s["h"] <= 1e100,
             "the cell size, 1e-100 <= h <= 1e100 (default 1)", ("points",)),

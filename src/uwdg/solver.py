@@ -321,11 +321,6 @@ ROUND = 4               # products per barrier of a march in several parts
 # (k=3 N=256, 288, k=2 N=448) read 1.04-1.15 and 0.85-0.96; k=5 N=160 1.11
 GIL_OUTPUTS = 500
 MIN_PART_MACS = 50_000
-# row blocks of the two-step band built from one window of the one-step
-# band: built alone with pad 6, 8 and 32 took 1.20 and 1.06 the time of 16
-# at k=2 N=640, and 0.91 and 1.30 at k=4 N=240 (medians of 40 alternating
-# builds, 2 vCPUs)
-BUILD_BLOCKS = 16
 
 
 def _part_count(N: int, kp1: int) -> int:
@@ -352,14 +347,9 @@ def _two_step_rows(P: np.ndarray, pad: int) -> np.ndarray:
     Cell j's band of P^2, cells j-8 .. j+8, lies i cells into its row
     block: it is sum_a P_j[band a] P_{j+a-4}, a = 0..8, with the nine
     bands of cell j+a-4 a cells in, each entry 0 plus its terms in the
-    order of a.
-
-    The rows are built in pieces of at most BUILD_BLOCKS row blocks, cut
-    every BUILD_BLOCKS from -pad.  A piece of n row blocks from c reads
-    one window W of P, cells 4c-4 .. 4(c+n)+3 around the ring, gathered
-    into one buffer: its cells are W[4:4n+4] and their neighbours at a
-    W[a:4n+a], views.  Their bands are summed in one zeroed buffer, one
-    matmul-add per a, and copied into the row blocks a slot at a time."""
+    order of a.  The rows are built a slot at a time over every row block:
+    slot i's cells and, for each a, their neighbours at a are gathered
+    around the ring, and each product is added into slot i's rows."""
     N, kp1 = P.shape[:2]
     if pad and N % GROUP:
         raise ValueError(f"a pad needs N a multiple of {GROUP}, not {N}")
@@ -368,20 +358,15 @@ def _two_step_rows(P: np.ndarray, pad: int) -> np.ndarray:
     # Q on a 64-byte line: 16 bytes off one, the k=3 N=160 march took 1.15x
     raw = np.zeros(np.prod(shape) + 3, dtype=complex)
     Q = raw[(-raw.ctypes.data // 16) % 4:][:np.prod(shape)].reshape(shape)
-    cells = GROUP * min(BUILD_BLOCKS, shape[0])
-    window = np.empty((cells + 2 * GROUP,) + P.shape[1:], dtype=complex)
-    bands = np.empty((cells, kp1, (2 * REACH + 1) * kp1), dtype=complex)
-    for c in range(-pad, n_blocks + pad, BUILD_BLOCKS):
-        n = min(BUILD_BLOCKS, n_blocks + pad - c)
-        W = P.take(np.arange(GROUP * (c - 1), GROUP * (c + n + 1)), axis=0,
-                   out=window[:GROUP * (n + 2)], mode="wrap")
-        bands.fill(0)
+    first = GROUP * np.arange(-pad, n_blocks + pad)     # slot 0's cells
+    cells, nbrs, prod = np.empty((3, shape[0]) + P.shape[1:], dtype=complex)
+    for i in range(GROUP):
+        rows = Q[:, i * kp1:(i + 1) * kp1]
+        P.take(first + i, axis=0, out=cells, mode="wrap")
         for a in range(9):
-            bands[:GROUP * n, :, a * kp1:(a + 9) * kp1] += (
-                W[GROUP:-GROUP, :, a * kp1:(a + 1) * kp1] @ W[a:a + GROUP * n])
-        for i in range(GROUP):
-            Q[c + pad:c + pad + n, i * kp1:(i + 1) * kp1,
-              i * kp1:(i + 2 * REACH + 1) * kp1] = bands[i:GROUP * n:GROUP]
+            P.take(first + i + a - 4, axis=0, out=nbrs, mode="wrap")
+            np.matmul(cells[..., a * kp1:(a + 1) * kp1], nbrs, out=prod)
+            rows[..., (i + a) * kp1:(i + a + 9) * kp1] += prod
     Q[pad:pad + n_blocks].reshape(-1, kp1, shape[2])[N:] = 0
     return Q
 

@@ -304,6 +304,18 @@ class TestReports:
         assert any(".  " not in line and "E-0" in line
                    for line in text.splitlines())
 
+    @pytest.mark.parametrize("fmt", ["CSV", "text", ""])
+    def test_unknown_format_is_refused(self, fmt, tmp_path, capsys):
+        # a caller of emit_report need not pass validate, which checks
+        # the CLI's --format; a mistyped format is refused, not printed
+        from uwdg.diagnostics import ErrorReport
+        rep = ErrorReport(meta={"k": 2}, metric_names=["l2"])
+        out = tmp_path / "r.txt"
+        with pytest.raises(ValueError,
+                           match=rf"csv \| pretty, not {fmt!r}$"):
+            emit_report(rep, fmt=fmt, out=str(out))
+        assert not out.exists() and capsys.readouterr().out == ""
+
     def test_empty_report_is_header_only(self):
         from uwdg.diagnostics import ErrorReport
         rep = ErrorReport(meta={"k": 2}, metric_names=["l2"])
